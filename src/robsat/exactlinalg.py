@@ -1,52 +1,61 @@
-"""Exact rational linear algebra: Gaussian elimination over Fraction matrices.
+"""Fraction-free exact linear algebra over plain Python ints.
 
-Small dense systems only; everything here is deterministic and allocation-happy,
-which is fine at the scale of per-simplex solves.
+Rational rows are scaled by one common lcm of their denominators to an
+integer tableau T whose true value is T / d for one positive common
+denominator d, the absolute determinant of the current basis.  `pivot` is the
+integer-preserving elimination step of Bareiss (Math. Comp. 1968): pivoting
+on T[r][c] = p rewrites every other row as (p * row - row[c] * T[r]) // d and
+makes |p| the new d.  Sylvester's identity makes that division exact, so no
+gcd is ever taken and the cost is plain integer multiplication; the division
+is checked anyway and an inexact one raises.  Fractions are built only for
+returned values.  `solve` is Gauss-Jordan elimination on this step, and the
+simplex method in `linprog` uses the same step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Row = list[Fraction]
-
-
-def _as_fraction_rows(rows) -> list[Row]:
-    return [[Fraction(x) for x in row] for row in rows]
+from math import lcm
 
 
-def rref(rows) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form. Returns (rref_rows, pivot_columns)."""
-    mat = _as_fraction_rows(rows)
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+class ExactnessError(ArithmeticError):
+    """An exact-arithmetic invariant failed (an inexact fraction-free division,
+    or an inconsistent system that must be consistent); indicates a bug."""
+
+
+def to_int_rows(rows) -> tuple[list[list[int]], int]:
+    """Scale rational rows by the lcm of all their denominators.
+
+    Returns (integer rows, the lcm)."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """Fraction-free pivot on rows[r][c] in place.
+
+    d is the current common denominator; returns the new one, |rows[r][c]|.
+    A negative pivot row is negated first, which leaves the pivoted tableau
+    unchanged and keeps every denominator positive.
+    """
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        p = -p
+        prow = rows[r] = [-x for x in prow]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i == r or (not f and p == d):
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def matrix_rank(rows) -> int:
-    return len(rref(rows)[1])
+        new = [p * a - f * b for a, b in zip(row, prow)] if f else [p * a for a in row]
+        if d != 1:
+            quot = [x // d for x in new]
+            # Floor remainders are >= 0, so they are all zero iff they sum to zero.
+            if sum(new) != d * sum(quot):
+                raise ExactnessError("inexact fraction-free division")
+            new = quot
+        rows[i] = new
+    return p
 
 
 def solve(rows, rhs) -> tuple[list[Fraction] | None, bool]:
@@ -55,21 +64,25 @@ def solve(rows, rhs) -> tuple[list[Fraction] | None, bool]:
     Returns (solution, unique). The solution sets free variables to zero;
     (None, False) means the system is inconsistent.
     """
-    mat = _as_fraction_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    if not mat:
+    if not rows:
         return [], True
-    ncols = len(mat[0])
-    aug = [row + [bi] for row, bi in zip(mat, b)]
-    red, pivots = rref(aug)
-    # Inconsistent iff a pivot lands in the rhs column.
-    if ncols in pivots:
+    ncols = len(rows[0])
+    t, _ = to_int_rows([list(row) + [bi] for row, bi in zip(rows, rhs)])
+    d = 1
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(t):
+            break
+        i = next((i for i in range(r, len(t)) if t[i][col]), None)
+        if i is None:
+            continue
+        t[r], t[i] = t[i], t[r]
+        d = pivot(t, r, col, d)
+        pivots.append(col)
+    if any(row[ncols] for row in t[len(pivots):]):
         return None, False
     x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = red[r][ncols]
+    for row, col in zip(t, pivots):
+        x[col] = Fraction(row[ncols], d)
     return x, len(pivots) == ncols
-
-
-def mat_vec(rows, x) -> list[Fraction]:
-    return [sum((Fraction(a) * Fraction(v) for a, v in zip(row, x)), Fraction(0)) for row in rows]

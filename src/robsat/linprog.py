@@ -1,13 +1,29 @@
-"""Exact simplex method over the rationals.
+"""Exact simplex method on an integer-preserving tableau.
 
-Solves min c.x subject to A x = b, x >= 0 with Fraction arithmetic throughout.
-Anti-cycling is Bland's smallest-index rule, which also makes every solve
-deterministic: same input, same optimal basis, same vertex.
+Solves min c.x subject to A x = b, x >= 0.  The constraint rows are scaled
+by one common lcm of their denominators and the cost by its own, and every
+pivot is `exactlinalg.pivot`, the fraction-free Bareiss step, so the tableau
+holds plain ints over one positive common denominator.  Scaling all rows by
+the same positive factor changes neither the phase-1 objective's signs nor
+any ratio, and sharing one denominator leaves every sign and every ratio
+comparison (made by cross-multiplication) as on the rational tableau.  So
+Bland's smallest-index rule takes exactly the pivots of the textbook
+rational method: the same input gives the same optimal basis and vertex.
+Fractions are built only for the returned value and point.
+
+With lex=k the solve goes on from the optimal basis to the lexicographically
+smallest optimal (x_0, ..., x_{k-1}): the optimal face is the feasible set
+with x_j = 0 wherever the optimal reduced cost is positive, and on it x_0,
+then x_1, and so on are minimised in turn, each stage shrinking the face the
+same way.  The lexicographic minimum is unique, so it does not depend on the
+pivots taken.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .exactlinalg import pivot, to_int_rows
 
 
 class LPInfeasible(Exception):
@@ -18,108 +34,94 @@ class LPUnbounded(Exception):
     pass
 
 
-def _pivot(tableau, cost_rows, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [a - f * b for a, b in zip(r, tableau[row])]
-    for k, cr in enumerate(cost_rows):
-        if cr[col] != 0:
-            f = cr[col]
-            cost_rows[k] = [a - f * b for a, b in zip(cr, tableau[row])]
-    basis[row] = col
-
-
-def _run_simplex(tableau, cost_rows, basis, width):
-    """Iterate Bland pivots on cost_rows[0] until optimal. Mutates in place."""
-    cost = cost_rows[0]
+def _run_simplex(t, basis, cols, d):
+    """Bland pivots on the cost row t[-1], entering only from `cols`, until
+    optimal.  Mutates t and basis; returns the new common denominator."""
     while True:
-        enter = None
-        for j in range(width):
-            if cost[j] < 0:
-                enter = j
-                break
+        cost = t[-1]
+        enter = next((j for j in cols if cost[j] < 0), None)
         if enter is None:
-            return
+            return d
         leave = None
-        best = None
-        for i, r in enumerate(tableau):
-            if r[enter] > 0:
-                ratio = r[-1] / r[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i in range(len(t) - 1):
+            a = t[i][enter]
+            if a <= 0:
+                continue
+            if leave is not None:
+                # Ratio t[i][-1] / a against the best so far, cross-multiplied.
+                lhs, rhs = t[i][-1] * best_a, best_rhs * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave, best_rhs, best_a = i, t[i][-1], a
         if leave is None:
             raise LPUnbounded("objective unbounded below")
-        _pivot(tableau, cost_rows, basis, leave, enter)
-        cost = cost_rows[0]
+        d = pivot(t, leave, enter, d)
+        basis[leave] = enter
 
 
-def solve_lp(a_rows, b, c):
+def solve_lp(a_rows, b, c, lex=0, lex_below=None):
     """Minimize c.x subject to a_rows @ x = b, x >= 0.
 
     Returns (optimal_value, x) as Fractions. Raises LPInfeasible / LPUnbounded.
+    With lex > 0, and the optimal value below `lex_below` (when given), x is
+    the optimal point with the lexicographically smallest x[:lex].
     """
     m = len(a_rows)
     n = len(c)
-    tableau = []
-    rhs = []
-    for row, bi in zip(a_rows, b):
-        row = [Fraction(x) for x in row]
-        bi = Fraction(bi)
-        if bi < 0:
-            row = [-x for x in row]
-            bi = -bi
-        tableau.append(row)
-        rhs.append(bi)
+    rows, _ = to_int_rows([
+        [-x for x in row] + [-bi] if bi < 0 else list(row) + [bi]
+        for row, bi in zip(a_rows, b)])
     # Phase 1: artificial variable per row.
-    width = n + m
-    full = []
-    basis = []
-    for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        full.append(tableau[i] + art + [rhs[i]])
-        basis.append(n + i)
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    for i in range(m):
-        phase1 = [a - b_ for a, b_ in zip(phase1, full[i])]
-    cost_rows = [phase1]
-    _run_simplex(full, cost_rows, basis, width)
-    if -cost_rows[0][-1] != 0:
+    t = [row[:n] + [int(k == i) for k in range(m)] + row[n:] for i, row in enumerate(rows)]
+    t.append([-sum(col) for col in zip(*t, [0] * (n + m + 1))])
+    t[-1][n:n + m] = [0] * m
+    basis = list(range(n, n + m))
+    d = _run_simplex(t, basis, range(n + m), 1)
+    if t[-1][-1] != 0:
         raise LPInfeasible("no feasible point")
     # Drive artificials out of the basis; drop rows that turn out redundant.
     i = 0
-    while i < len(full):
+    while i < len(t) - 1:
         if basis[i] >= n:
-            col = next((j for j in range(n) if full[i][j] != 0), None)
+            col = next((j for j in range(n) if t[i][j] != 0), None)
             if col is None:
-                del full[i]
+                del t[i]
                 del basis[i]
                 continue
-            _pivot(full, cost_rows, basis, i, col)
+            d = pivot(t, i, col, d)
+            basis[i] = col
         i += 1
     # Phase 2: original objective, artificial columns frozen at zero.
-    phase2 = [Fraction(x) for x in c] + [Fraction(0)] * m + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        if phase2[bi] != 0:
-            f = phase2[bi]
-            phase2 = [a - f * b_ for a, b_ in zip(phase2, full[i])]
-    cost_rows = [phase2]
-    _run_simplex(full, cost_rows, basis, n)
+    (cs,), cden = to_int_rows([c])
+    cost = [d * x for x in cs] + [0] * (m + 1)
+    for row, j in zip(t, basis):
+        if cs[j]:
+            cost = [a - cs[j] * r for a, r in zip(cost, row)]
+    t[-1] = cost
+    d = _run_simplex(t, basis, range(n), d)
+    value = Fraction(-t[-1][-1], d * cden)
+    if lex and (lex_below is None or value < lex_below):
+        face = [j for j in range(n) if t[-1][j] == 0]
+        for k in range(lex):
+            if set(face) <= set(basis):
+                break  # the face is the current vertex
+            cost = [0] * len(t[-1])
+            cost[k] = d
+            if k in basis:
+                cost = [a - r for a, r in zip(cost, t[basis.index(k)])]
+            t[-1] = cost
+            d = _run_simplex(t, basis, face, d)
+            face = [j for j in face if t[-1][j] == 0]
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = full[i][-1]
-    return -cost_rows[0][-1], x
+    for row, j in zip(t, basis):
+        x[j] = Fraction(row[-1], d)
+    return value, x
 
 
 def feasible_point(a_rows, b, nvars):
     """A point with a_rows @ x = b, x >= 0, or None if none exists."""
     try:
-        _, x = solve_lp(a_rows, b, [Fraction(0)] * nvars)
+        _, x = solve_lp(a_rows, b, [0] * nvars)
     except LPInfeasible:
         return None
     return x

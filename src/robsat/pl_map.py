@@ -1,10 +1,15 @@
 """Piecewise-linear maps with rational vertex values, and exact |f| analysis.
 
-Minima of |f| over a simplex are computed exactly: an epigraph LP with
-rational simplex pivoting for the l1/max norms, and face enumeration with
-equality-constrained least squares for the Euclidean norm (whose minimum is
-the square root of a rational, stored squared).  Argmin points are made
-deterministic by lexicographic refinement over barycentric coordinates.
+Minima of |f| over a simplex are computed exactly: an epigraph LP for the
+l1/max norms, and face enumeration with equality-constrained least squares
+(KKT systems solved by `exactlinalg.solve`) for the Euclidean norm, whose
+minimum is the square root of a rational, stored squared.  Both solvers run
+on fraction-free integer tableaus (see `exactlinalg`), and the LP pivots
+follow Bland's rule exactly as the rational simplex would.  Argmin points are
+made deterministic by lexicographic refinement over barycentric coordinates,
+which `linprog.solve_lp` runs from the optimal basis of the same solve.  The
+value, and the argmin when it lies below every vertex value, are cached per
+simplex, so the extremal subdivision never solves a simplex twice.
 """
 
 from __future__ import annotations
@@ -172,176 +177,120 @@ def evaluate(f: PLMap, p: BaryPoint) -> tuple[Fraction, ...]:
     return tuple(acc)
 
 
-def _norm_lp_rows(ys, n, norm: Norm):
-    """Equality rows for the epigraph LP of min |sum lam_j y_j| over the
-    standard simplex.  Variable order: lam (d+1), t (1 or n), slacks (2n)."""
+def _norm_lp(ys, n, norm: Norm):
+    """The epigraph LP of min |sum lam_j y_j| over the standard simplex, as
+    (rows, rhs, cost).  Variable order: lam (d+1), t (1 or n), slacks (2n)."""
     d1 = len(ys)
     ts = 1 if norm == Norm.LINF else n
     width = d1 + ts + 2 * n
-    rows = []
-    rhs = []
-    row = [Fraction(0)] * width
-    for j in range(d1):
-        row[j] = Fraction(1)
-    rows.append(row)
-    rhs.append(Fraction(1))
+    rows = [[1] * d1 + [0] * (width - d1)]
     for i in range(n):
         t_col = d1 if norm == Norm.LINF else d1 + i
-        up = [Fraction(0)] * width
-        lo = [Fraction(0)] * width
-        for j in range(d1):
-            up[j] = -ys[j][i]
-            lo[j] = ys[j][i]
-        up[t_col] = Fraction(1)
-        lo[t_col] = Fraction(1)
-        up[d1 + ts + 2 * i] = Fraction(-1)
-        lo[d1 + ts + 2 * i + 1] = Fraction(-1)
-        rows.append(up)
-        rows.append(lo)
-        rhs.append(Fraction(0))
-        rhs.append(Fraction(0))
-    return rows, rhs, width, ts
+        for up in (1, 0):  # t - y.lam - s_up = 0, then t + y.lam - s_lo = 0
+            row = [-y[i] if up else y[i] for y in ys] + [0] * (width - d1)
+            row[t_col] = 1
+            row[d1 + ts + 2 * i + 1 - up] = -1
+            rows.append(row)
+    return rows, [1] + [0] * (2 * n), [0] * d1 + [1] * ts + [0] * (2 * n)
 
 
-def _lex_min_lambda(rows, rhs, nlam, width):
-    """Lexicographically smallest lambda over the feasible set, found by
-    sequential LPs pinning one coordinate at a time."""
-    rows = [list(r) for r in rows]
-    rhs = list(rhs)
-    out = []
-    for j in range(nlam):
-        c = [Fraction(0)] * width
-        c[j] = Fraction(1)
-        val, _ = solve_lp(rows, rhs, c)
-        pin = [Fraction(0)] * width
-        pin[j] = Fraction(1)
-        rows.append(pin)
-        rhs.append(val)
-        out.append(val)
-    return out
-
-
-def _simplex_min_lp(ys, n, norm: Norm):
-    rows, rhs, width, ts = _norm_lp_rows(ys, n, norm)
-    d1 = len(ys)
-    c = [Fraction(0)] * width
-    for k in range(ts):
-        c[d1 + k] = Fraction(1)
-    m, _ = solve_lp(rows, rhs, c)
-    # Pin the objective and refine to the lexicographically smallest argmin.
-    pin = list(c)
-    rows2 = rows + [pin]
-    rhs2 = rhs + [m]
-    lam = _lex_min_lambda(rows2, rhs2, d1, width)
-    return m, lam
-
-
-def _gram(ys_f, n):
-    k = len(ys_f)
-    return [[sum(ys_f[a][i] * ys_f[b][i] for i in range(n)) for b in range(k)] for a in range(k)]
-
-
-def _simplex_min_l2(ys, n, value_only=False):
-    """Exact min of |sum lam y|_2^2 over the standard simplex.
+def _min_l2(ys, n):
+    """Exact min of |sum lam y|_2^2 over the standard simplex, and the value
+    vector sum lam y attaining it (unique, by strict convexity).
 
     Minimizers over the affine hull of each face solve a rational KKT system;
     faces whose solutions are all infeasible are covered by their subfaces.
-    Returns (min_square, lambda over all vertices).
     """
-    d1 = len(ys)
-    best_sq = None
-    best_y = None
-    for k in range(1, d1 + 1):
-        for face in combinations(range(d1), k):
+    best_sq = best_y = None
+    for k in range(1, len(ys) + 1):
+        for face in combinations(range(len(ys)), k):
             ys_f = [ys[j] for j in face]
-            g = _gram(ys_f, n)
-            rows = []
-            rhs = []
-            for a in range(k):
-                rows.append([2 * g[a][b] for b in range(k)] + [Fraction(-1)])
-                rhs.append(Fraction(0))
-            rows.append([Fraction(1)] * k + [Fraction(0)])
-            rhs.append(Fraction(1))
+            rows = [[2 * sum(a[i] * b[i] for i in range(n)) for b in ys_f] + [-1] for a in ys_f]
+            rows.append([1] * k + [0])
+            rhs = [0] * k + [1]
             sol, unique = exactlinalg.solve(rows, rhs)
-            assert sol is not None, "KKT system of a bounded-below QP is consistent"
+            if sol is None:
+                raise exactlinalg.ExactnessError(
+                    "KKT system of a bounded-below QP is inconsistent")
             lam = sol[:k]
             if any(x < 0 for x in lam):
                 if unique:
                     continue
                 # Singular KKT: look for a feasible solution with an LP
                 # (mu free, split into two nonnegative parts).
-                frows = []
-                for a in range(k):
-                    frows.append([2 * g[a][b] for b in range(k)] + [Fraction(-1), Fraction(1)])
-                frows.append([Fraction(1)] * k + [Fraction(0), Fraction(0)])
-                frhs = [Fraction(0)] * k + [Fraction(1)]
-                point = feasible_point(frows, frhs, k + 2)
+                split = [row + [int(a < k)] for a, row in enumerate(rows)]
+                point = feasible_point(split, rhs, k + 2)
                 if point is None:
                     continue
                 lam = point[:k]
-            yv = [sum(lam[a] * ys_f[a][i] for a in range(k)) for i in range(n)]
+            yv = [sum(w * y[i] for w, y in zip(lam, ys_f)) for i in range(n)]
             sq = sum(v * v for v in yv)
             if best_sq is None or sq < best_sq:
-                best_sq = sq
-                best_y = yv
-    if value_only:
-        return best_sq, None
-    # Lexicographic refinement over the full lambda, constrained to hit the
-    # (unique, by strict convexity in value space) optimal value vector.
-    width = d1
-    rows = [[Fraction(1)] * d1]
-    rhs = [Fraction(1)]
-    for i in range(n):
-        rows.append([ys[j][i] for j in range(d1)])
-        rhs.append(best_y[i])
-    lam = _lex_min_lambda(rows, rhs, d1, width)
-    return best_sq, lam
+                best_sq, best_y = sq, yv
+    return best_sq, best_y
+
+
+def _simplex_min(ys, n, norm: Norm, refine_below=None):
+    """(min |f|, its lexicographically smallest minimizer in barycentric
+    coordinates) over the simplex with vertex values ys.  Given refine_below,
+    the minimizer is computed only when the minimum lies below it, else None.
+    """
+    d1 = len(ys)
+
+    def refined(cv):
+        return refine_below is None or cv < refine_below
+
+    if d1 == 1:
+        cv = vector_norm(ys[0], norm)
+        return cv, ((Fraction(1),) if refined(cv) else None)
+    if norm == Norm.L2:
+        sq, best_y = _min_l2(ys, n)
+        cv = CriticalValue.sqrt_of(sq)
+        if not refined(cv):
+            return cv, None
+        # The minimizers are the points of the simplex that hit best_y.
+        rows = [[1] * d1] + [[y[i] for y in ys] for i in range(n)]
+        _, lam = solve_lp(rows, [1] + best_y, [0] * d1, lex=d1)
+        return cv, tuple(lam)
+    rows, rhs, cost = _norm_lp(ys, n, norm)
+    bound = None if refine_below is None else refine_below.q
+    m, x = solve_lp(rows, rhs, cost, lex=d1, lex_below=bound)
+    cv = CriticalValue.rat(m)
+    return cv, (tuple(x[:d1]) if refined(cv) else None)
 
 
 @lru_cache(maxsize=1 << 16)
-def _min_value_cached(ys: tuple, n: int, norm: Norm) -> CriticalValue:
-    if len(ys) == 1:
-        return vector_norm(ys[0], norm)
-    if norm == Norm.L2:
-        sq, _ = _simplex_min_l2(ys, n, value_only=True)
-        return CriticalValue.sqrt_of(sq)
-    rows, rhs, width, ts = _norm_lp_rows(ys, n, norm)
-    c = [Fraction(0)] * width
-    for k in range(ts):
-        c[len(ys) + k] = Fraction(1)
-    m, _ = solve_lp(rows, rhs, c)
-    return CriticalValue.rat(m)
+def _min_value_cached(ys: tuple, n: int, norm: Norm):
+    """(min, minimizer or None) of |f| over a simplex with vertex values ys.
+    The minimizer is refined only when the minimum lies below every vertex
+    value, the one case in which the extremal subdivision stars it."""
+    return _simplex_min(ys, n, norm, min(vector_norm(y, norm) for y in ys))
 
 
 def simplex_min_value(f: PLMap, s: Simplex, norm: Norm) -> CriticalValue:
-    """Exact minimum of |f| over a simplex, skipping the argmin refinement.
+    """Exact minimum of |f| over a simplex.
 
     Results are cached on the vertex-value tuple, which recurs heavily across
     the alpha sweep of a robustness computation."""
     if s not in f.complex:
         raise ValueError(f"simplex {s} not in complex")
-    return _min_value_cached(tuple(f.value(v) for v in s.vertices), f.n, norm)
+    return _min_value_cached(tuple(f.value(v) for v in s.vertices), f.n, norm)[0]
 
 
 def simplex_min(f: PLMap, s: Simplex, norm: Norm) -> tuple[BaryPoint, CriticalValue]:
     """Exact minimizer and minimum of |f| over a simplex of f's complex.
 
     The returned point is in carrier-local barycentric coordinates and is the
-    lexicographically smallest minimizer, so repeated runs agree.
+    lexicographically smallest minimizer, so repeated runs agree.  A minimizer
+    below every vertex value comes from the cache, with no second solve.
     """
     if s not in f.complex:
         raise ValueError(f"simplex {s} not in complex")
-    ys = [f.value(v) for v in s.vertices]
-    if len(ys) == 1:
-        return BaryPoint.vertex(s.vertices[0]), vector_norm(ys[0], norm)
-    if norm == Norm.L2:
-        sq, lam = _simplex_min_l2(ys, f.n)
-        cv = CriticalValue.sqrt_of(sq)
-    else:
-        m, lam = _simplex_min_lp(ys, f.n, norm)
-        cv = CriticalValue.rat(m)
-    point = BaryPoint.from_dict({v: w for v, w in zip(s.vertices, lam) if w != 0})
-    return point, cv
+    ys = tuple(f.value(v) for v in s.vertices)
+    cv, lam = _min_value_cached(ys, f.n, norm)
+    if lam is None:
+        cv, lam = _simplex_min(ys, f.n, norm)
+    return BaryPoint.from_dict({v: w for v, w in zip(s.vertices, lam) if w != 0}), cv
 
 
 def critical_values(f: PLMap, norm: Norm) -> list[CriticalValue]:

@@ -135,6 +135,11 @@ class LevelPair:
             if self.chi[v] != half:
                 raise ReductionError(f"A vertex {v} has chi != 1/2")
         for s in self.a.simplices:
+            ys = [self.f.value(v) for v in s.vertices]
+            # A coordinate strictly signed on s rules out a root exactly.
+            if any(all(y[i] > 0 for y in ys) or all(y[i] < 0 for y in ys)
+                   for i in range(self.f.n)):
+                continue
             if simplex_min_value(self.f, s, self.norm).is_zero():
                 raise ReductionError(f"f has a root on the A-simplex {s}")
 

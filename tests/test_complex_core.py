@@ -21,9 +21,8 @@ from robsat.complex_core import (
     star_at_point,
     star_link,
 )
-from robsat.exactlinalg import matrix_rank
 
-from helpers import random_complex, random_interior_point, random_point_in
+from helpers import matrix_rank, random_complex, random_interior_point, random_point_in
 
 
 def mid(u, v):
