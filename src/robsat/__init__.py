@@ -9,11 +9,9 @@ from .complex_core import (
     Simplex,
     closure,
     connected_components,
-    derived_subdivision,
     full_subcomplex,
     make_full,
     star_at_point,
-    star_link,
 )
 from .homotopy import (
     DiophantineSystem,
@@ -33,7 +31,6 @@ from .pl_map import (
     global_min,
     has_root,
     norm_compare,
-    restrict_interpolate,
     simplex_min,
 )
 from .reduction import (
@@ -41,9 +38,11 @@ from .reduction import (
     SphereMap,
     SphereModel,
     build_chi,
+    derived_subdivision,
     sign_refinement,
     simplicial_approximation,
     split_level,
+    star_crossings,
     vertexwise_extremal_subdivision,
 )
 from .robustness import (

@@ -2,7 +2,10 @@
 
 Every subcommand reads one instance (or expression set), prints exactly one
 JSON document on stdout and exits with 0 when the question was decided either
-way, 3 on Unknown, 64 on usage errors and 65 on unparseable input.
+way, 3 on Unknown, 64 on usage errors, 65 on unparseable input and 70 on an
+internal error (a failed exact self-check, or a bug).  An error prints one
+JSON document {"error": "usage" | "parse" | "internal", ...} on stderr
+instead, never a traceback.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ EXIT_DECIDED = 0
 EXIT_UNKNOWN = 3
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_INTERNAL = 70
 
 
 class UsageError(Exception):
@@ -313,6 +317,10 @@ def main(argv=None) -> int:
         # semantic misuse (alpha <= 0, wrong norm for inequalities, ...)
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(json.dumps({"error": "internal", "type": type(exc).__name__,
+                          "message": str(exc)}), file=sys.stderr)
+        return EXIT_INTERNAL
     doc["timings"] = {"total_s": round(time.perf_counter() - start, 6)}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return code

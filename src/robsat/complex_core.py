@@ -71,9 +71,6 @@ class Simplex:
         for i in range(len(self.vertices)):
             yield i, Simplex(self.vertices[:i] + self.vertices[i + 1:])
 
-    def has_face(self, other: "Simplex") -> bool:
-        return set(other.vertices) <= set(self.vertices)
-
     def __iter__(self):
         return iter(self.vertices)
 
@@ -89,9 +86,6 @@ class OrientedSimplex:
     @classmethod
     def from_sequence(cls, vertices) -> "OrientedSimplex":
         return cls(Simplex.of(vertices), permutation_parity(list(vertices)))
-
-    def reversed(self) -> "OrientedSimplex":
-        return OrientedSimplex(self.simplex, -self.parity)
 
 
 @dataclass(frozen=True)
@@ -217,11 +211,6 @@ class Complex:
     def is_empty(self) -> bool:
         return not self._simplices
 
-    def cofaces(self, s: Simplex) -> list[Simplex]:
-        """All simplices having s as a face, s included."""
-        sv = set(s.vertices)
-        return sorted(t for t in self._simplices if sv <= set(t.vertices))
-
     def fresh_vertex_id(self) -> VertexId:
         return (max(self._coords) + 1) if self._coords else 0
 
@@ -303,24 +292,6 @@ def empty_complex() -> Complex:
     return Complex(frozenset(), {})
 
 
-def star_link(c: Complex, s: Simplex) -> tuple[Complex, Complex]:
-    """Star and link of a simplex: faces of simplices meeting s, and the
-    members of the star disjoint from s."""
-    if s not in c:
-        raise ValueError(f"simplex {s} not in complex")
-    sv = set(s.vertices)
-    star_set: set[Simplex] = set()
-    for t in c.simplices:
-        if sv & set(t.vertices):
-            star_set.update(t.faces())
-    link_set = {t for t in star_set if not (set(t.vertices) & sv)}
-    star_verts = {v for t in star_set for v in t.vertices}
-    link_verts = {v for t in link_set for v in t.vertices}
-    star = Complex(star_set, {v: c.coord(v) for v in star_verts})
-    link = Complex(link_set, {v: c.coord(v) for v in link_verts})
-    return star, link
-
-
 def star_vertices(c: Complex, v: VertexId) -> tuple[VertexId, ...]:
     """Vertices of star({v}) in c."""
     out = set()
@@ -361,20 +332,6 @@ def star_at_point(c: Complex, carrier: Simplex, point: BaryPoint) -> tuple[Compl
     coords = c.coords
     coords[new_id] = new_coord
     return Complex(kept | added, coords), new_id
-
-
-def derived_subdivision(c: Complex, pick) -> Complex:
-    """Star every simplex with an assigned interior point, largest dimension
-    first.  `pick` maps a Simplex to a carrier-local BaryPoint or None."""
-    chosen = []
-    for s in sorted(c.simplices, key=lambda x: (-x.dim, x.vertices)):
-        p = pick(s)
-        if p is not None:
-            chosen.append((s, p))
-    out = c
-    for s, p in chosen:
-        out, _ = star_at_point(out, s, p)
-    return out
 
 
 def full_subcomplex(c: Complex, keep) -> Complex:
@@ -437,26 +394,6 @@ def connected_components(c: Complex) -> list[set[VertexId]]:
         components.append(comp)
     components.sort(key=min)
     return components
-
-
-def coboundary(c: Complex, k: int):
-    """Integer matrix of delta: C^k -> C^(k+1).
-
-    Returns (rows, row_index, col_index) where row_index lists the (k+1)-
-    simplices and col_index the k-simplices, both sorted.
-    """
-    cols = c.k_simplices(k)
-    rows_ix = c.k_simplices(k + 1)
-    col_pos = {s: j for j, s in enumerate(cols)}
-    rows = []
-    for tau in rows_ix:
-        row = [0] * len(cols)
-        for i, face in tau.boundary():
-            j = col_pos.get(face)
-            if j is not None:
-                row[j] += (-1) ** i
-        rows.append(row)
-    return rows, rows_ix, cols
 
 
 @dataclass

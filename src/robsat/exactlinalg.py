@@ -20,7 +20,8 @@ from math import lcm
 
 class ExactnessError(ArithmeticError):
     """An exact-arithmetic invariant failed (an inexact fraction-free division,
-    or an inconsistent system that must be consistent); indicates a bug."""
+    an inconsistent system that must be consistent, or an integer solution
+    that fails its exact re-check); indicates a bug."""
 
 
 def to_int_rows(rows) -> tuple[list[list[int]], int]:

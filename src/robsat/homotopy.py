@@ -28,6 +28,7 @@ from .complex_core import (
     connected_components,
     permutation_parity,
 )
+from .exactlinalg import ExactnessError
 from .reduction import SphereMap
 
 
@@ -156,7 +157,8 @@ def smith_solve(system: DiophantineSystem) -> list[int] | None:
         guard = 0
         while True:
             guard += 1
-            assert guard < 10000, "smith elimination failed to converge"
+            if guard >= 10000:
+                raise ExactnessError("smith elimination failed to converge")
             for i in range(k + 1, m):
                 row_combine(k, i, k)
             if all(d[k][j] == 0 for j in range(k + 1, n)):
@@ -176,10 +178,9 @@ def smith_solve(system: DiophantineSystem) -> list[int] | None:
                 return None
             y[i] = b[i] // di
     x = [sum(t[i][j] * y[j] for j in range(n)) for i in range(n)]
-    assert all(
-        sum(mr[j] * x[j] for j in range(n)) == bi
-        for mr, bi in zip(system.matrix, system.rhs)
-    ), "smith_solve produced a non-solution"
+    if any(sum(mr[j] * x[j] for j in range(n)) != bi
+           for mr, bi in zip(system.matrix, system.rhs)):
+        raise ExactnessError("smith_solve produced a non-solution")
     return x
 
 
@@ -259,7 +260,8 @@ def cocycle_extension_solvable(x: Complex, a: Complex, z: IntCochain):
         return None
     w = IntCochain(z.degree, {s: sol[j] for j, s in enumerate(w_ix)})
     u = IntCochain(z.degree - 1, {s: sol[len(w_ix) + j] for j, s in enumerate(u_ix)})
-    assert verify_extension_certificate(x, a, z, w, u)
+    if not verify_extension_certificate(x, a, z, w, u):
+        raise ExactnessError("the extension certificate (w, u) fails its exact re-check")
     return w, u
 
 

@@ -36,6 +36,12 @@ def parse_rational(text) -> Fraction:
     return frac
 
 
+def _rational_list(data, what: str) -> tuple[Fraction, ...]:
+    if not isinstance(data, list):
+        raise ParseError(f"{what} must be a list of rationals, got {data!r}")
+    return tuple(parse_rational(x) for x in data)
+
+
 def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
@@ -77,10 +83,12 @@ def parse_instance(data: dict) -> Instance:
         norm = Norm(data.get("norm", "linf"))
         raw_simplices = data["simplices"]
         raw_vertices = data["vertices"]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or bad field: {exc}") from exc
     if n < 0:
         raise ParseError("n must be nonnegative")
+    if not isinstance(raw_vertices, list):
+        raise ParseError("vertices must be a list of vertex records")
     try:
         cx = closure([Simplex.of(int(v) for v in s) for s in raw_simplices])
     except (ValueError, TypeError) as exc:
@@ -98,11 +106,11 @@ def parse_instance(data: dict) -> Instance:
             raise ParseError(f"duplicate vertex id {vid}")
         seen.add(vid)
         if "f" in rec:
-            f_values[vid] = tuple(parse_rational(x) for x in rec["f"])
+            f_values[vid] = _rational_list(rec["f"], f"vertex {vid}: f")
             if len(f_values[vid]) != n:
                 raise ParseError(f"vertex {vid}: expected {n} components")
         if "g" in rec:
-            g_values[vid] = tuple(parse_rational(x) for x in rec["g"])
+            g_values[vid] = _rational_list(rec["g"], f"vertex {vid}: g")
         if "chi" in rec and rec["chi"] is not None:
             chi[vid] = parse_rational(rec["chi"])
     if seen != set(cx.vertices):
@@ -120,7 +128,10 @@ def parse_instance(data: dict) -> Instance:
         if len(ks) != 1:
             raise ParseError("g values must share one length")
         g = PLMap(cx, ks.pop(), g_values)
-    alpha = parse_critical_value(data["alpha"]) if "alpha" in data else None
+    try:
+        alpha = parse_critical_value(data["alpha"]) if "alpha" in data else None
+    except ValueError as exc:  # a negative value
+        raise ParseError(f"bad alpha: {exc}") from exc
     a_complex = None
     if "a_simplices" in data:
         try:
@@ -135,6 +146,8 @@ def parse_instance(data: dict) -> Instance:
     if "sphere_map" in data:
         if a_complex is None:
             raise ParseError("sphere_map requires a_simplices")
+        if not isinstance(data["sphere_map"], dict):
+            raise ParseError("sphere_map must be an object {vertex: signed index}")
         try:
             assignment = {int(k): int(v) for k, v in data["sphere_map"].items()}
         except (TypeError, ValueError) as exc:

@@ -16,7 +16,7 @@ from itertools import product
 from .complex_core import Complex, Simplex
 from .homotopy import pullback_cocycle
 from .pl_map import CriticalValue, Norm, PLMap, global_min, map_distance, vector_norm
-from .reduction import SphereMap
+from .reduction import ReductionError, SphereMap
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ def perturbation_witness(f: PLMap, alpha, cfg: WitnessSearchConfig,
         g = PLMap(f.complex, f.n, values)
         if alpha < map_distance(f, g, norm):
             return None
-        assert not global_min(g, norm).is_zero()
+        if global_min(g, norm).is_zero():
+            raise ReductionError("a sign-definite perturbation has a root")
         return g
 
     def accept(g: PLMap) -> bool:

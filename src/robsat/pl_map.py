@@ -341,19 +341,6 @@ def map_distance(f: PLMap, g: PLMap, norm: Norm) -> CriticalValue:
     return best
 
 
-def restrict_interpolate(f: PLMap, c2: Complex) -> PLMap:
-    """Carry f onto a subdivision of its complex; new vertices take the value
-    of f at their barycentric location, so the function is unchanged."""
-    values = {}
-    old = f.values
-    for v in c2.vertices:
-        if v in old:
-            values[v] = old[v]
-        else:
-            values[v] = evaluate(f, c2.coord(v))
-    return PLMap(c2, f.n, values)
-
-
 def star_with_values(f: PLMap, carrier: Simplex, point: BaryPoint):
     """Star f's complex at a carrier-local point and interpolate the value at
     the new vertex.  Returns (new PLMap, new vertex id)."""
@@ -370,7 +357,3 @@ def star_with_values(f: PLMap, carrier: Simplex, point: BaryPoint):
     values[vid] = tuple(acc)
     return PLMap(c2, f.n, values), vid
 
-
-def scale_map(f: PLMap, c) -> PLMap:
-    c = Fraction(c)
-    return PLMap(f.complex, f.n, {v: tuple(c * x for x in val) for v, val in f.values.items()})

@@ -1,17 +1,17 @@
 """From a PL map and a level alpha to a simplicial pair and a sphere map.
 
-The pipeline has four stages, each an exact subdivision or relabelling:
+The pipeline has three stages, each an exact subdivision or relabelling:
 
 1. make |f| attain its per-simplex minimum at a vertex (derived subdivision
    starring interior argmins, largest dimension first; the maximum is at a
    vertex automatically, |f| being convex on each simplex);
 2. classify vertices by comparing |f(v)| with alpha (the chi labels 0, 1/2, 1);
-3. split every 0-1 edge at its chi-midpoint so that the sublevel and level
-   sets become full subcomplexes (X and A);
-4. star sign-changing edges of A so that every coordinate of f is weakly
-   signed on every simplex of A, at which point the vertexwise rule
-   v -> sign * e_index is a simplicial approximation into the boundary of the
-   cross polytope.
+3. star every edge on which a vertexwise function h changes sign strictly,
+   at the zero of h (`star_crossings`): first h = chi - 1/2, so that the
+   sublevel and level sets become full subcomplexes (X and A), then each
+   coordinate of f on A, so that every coordinate is weakly signed on every
+   simplex of A, at which point the vertexwise rule v -> sign * e_index is a
+   simplicial approximation into the boundary of the cross polytope.
 
 Everything is validated by exact rational checks rather than trusted.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .complex_core import BaryPoint, Complex, Simplex, VertexId, full_subcomplex, star_vertices
 from .pl_map import (
@@ -95,15 +96,6 @@ class SphereMap:
                 return False
         return True
 
-    def compose_automorphism(self, signed_perm: dict[int, int]) -> "SphereMap":
-        """Relabel through a signed permutation of the sphere vertices,
-        given as {i: +/-j} on positive indices."""
-        out = {}
-        for v, lab in self.assignment.items():
-            target = signed_perm[abs(lab)]
-            out[v] = target if lab > 0 else -target
-        return SphereMap(self.domain, self.n, out)
-
 
 @dataclass
 class LevelPair:
@@ -145,6 +137,8 @@ class LevelPair:
 
 
 def _interior_argmin(f: PLMap, s: Simplex, norm: Norm):
+    if s.dim == 0:
+        return None
     vertex_best = min(vector_norm(f.value(v), norm) for v in s.vertices)
     if not (simplex_min_value(f, s, norm) < vertex_best):
         return None  # a vertex already attains the minimum
@@ -165,18 +159,30 @@ def _vertex_extremal_violations(f: PLMap, norm: Norm) -> list[Simplex]:
     return out
 
 
-def _derived_pass(f: PLMap, norm: Norm) -> PLMap:
-    picks = []
+def derived_subdivision(f: PLMap, pick) -> PLMap:
+    """Star every simplex of f's complex that `pick(f, s)` assigns a
+    carrier-local interior point (None for no starring), largest dimension
+    first, interpolating f at each new vertex.  All picks are made on f
+    before the first starring."""
+    chosen = []
     for s in sorted(f.complex.simplices, key=lambda x: (-x.dim, x.vertices)):
-        if s.dim == 0:
-            continue
-        p = _interior_argmin(f, s, norm)
+        p = pick(f, s)
         if p is not None:
-            picks.append((s, p))
-    out = f
-    for s, p in picks:
-        out, _ = star_with_values(out, s, p)
-    return out
+            chosen.append((s, p))
+    for s, p in chosen:
+        f, _ = star_with_values(f, s, p)
+    return f
+
+
+class _VertexExtremal(PLMap):
+    """A map that `vertexwise_extremal_subdivision` made vertex-extremal for
+    `norm`."""
+
+    __slots__ = ("norm",)
+
+    def __init__(self, f: PLMap, norm: Norm):
+        super().__init__(f.complex, f.n, f.values)
+        self.norm = norm
 
 
 def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
@@ -185,15 +191,20 @@ def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     One derived pass starring interior argmins suffices (each new simplex is
     spanned along a chain of starred simplices, whose deepest argmin vertex
     realizes the minimum); the property is re-verified exactly, with a second
-    pass as a safety net.
+    pass as a safety net.  The result remembers the norm, and subdividing it
+    again for that norm returns it unchanged, so a map decided at several
+    alphas is subdivided once.
     """
-    out = _derived_pass(f, norm)
+    if isinstance(f, _VertexExtremal) and f.norm == norm:
+        return f
+    pick = partial(_interior_argmin, norm=norm)
+    out = derived_subdivision(f, pick)
     if _vertex_extremal_violations(out, norm):
-        out = _derived_pass(out, norm)
+        out = derived_subdivision(out, pick)
         bad = _vertex_extremal_violations(out, norm)
         if bad:
             raise ReductionError(f"vertex-extremality failed after two passes: {bad[:3]}")
-    return out
+    return _VertexExtremal(out, norm)
 
 
 def build_chi(f: PLMap, alpha: CriticalValue, norm: Norm):
@@ -215,34 +226,29 @@ def build_chi(f: PLMap, alpha: CriticalValue, norm: Norm):
     return chi, eq_vertices
 
 
-def _find_01_edge(f: PLMap, chi) -> Simplex | None:
-    zero_one = {Fraction(0), Fraction(1)}
-    for e in f.complex.k_simplices(1):
-        u, w = e.vertices
-        if {chi[u], chi[w]} == zero_one:
-            return e
-    return None
+def star_crossings(f: PLMap, h: dict[VertexId, Fraction]) -> tuple[PLMap, list[VertexId]]:
+    """Star every edge (u, w) with h(u) * h(w) < 0 at the zero of the linear
+    extension of h, t = h(u) / (h(u) - h(w)) along u -> w.
 
-
-def split_level(f: PLMap, chi: dict[VertexId, Fraction], alpha: CriticalValue,
-                norm: Norm) -> LevelPair:
-    """Star each 0-1 edge at its chi-midpoint until none remain, then take X
-    and A as the full subcomplexes on the chi <= 1/2 and chi = 1/2 vertices.
-
-    The new vertex of a starring gets chi = 1/2 (the interpolated value of the
-    piecewise-linear chi at the midpoint), so every starring removes exactly
-    one 0-1 edge and creates none: termination is a strict count decrease.
+    One scan in sorted edge order finds them all: a starring removes no other
+    edge, and h vanishes at the new vertex, so no new edge crosses.  Returns
+    the subdivided map and the new vertex ids in starring order.
     """
-    chi = dict(chi)
-    half = Fraction(1, 2)
-    while True:
-        e = _find_01_edge(f, chi)
-        if e is None:
-            break
+    crossing = [e for e in f.complex.k_simplices(1) if h[e.vertices[0]] * h[e.vertices[1]] < 0]
+    new = []
+    for e in crossing:
         u, w = e.vertices
-        mid = BaryPoint.from_dict({u: half, w: half})
-        f, vid = star_with_values(f, e, mid)
-        chi[vid] = half
+        t = h[u] / (h[u] - h[w])
+        f, vid = star_with_values(f, e, BaryPoint.from_dict({u: 1 - t, w: t}))
+        new.append(vid)
+    return f, new
+
+
+def _level_pair(f: PLMap, chi: dict[VertexId, Fraction], alpha: CriticalValue,
+                norm: Norm) -> LevelPair:
+    """X and A as the full subcomplexes on the chi <= 1/2 and chi = 1/2
+    vertices, validated."""
+    half = Fraction(1, 2)
     x = full_subcomplex(f.complex, lambda v: chi[v] <= half)
     a = full_subcomplex(f.complex, lambda v: chi[v] == half)
     pair = LevelPair(f, x, a, alpha, chi, norm)
@@ -250,55 +256,45 @@ def split_level(f: PLMap, chi: dict[VertexId, Fraction], alpha: CriticalValue,
     return pair
 
 
-def _rebuild_pair(pair: LevelPair, f: PLMap, chi) -> LevelPair:
+def split_level(f: PLMap, chi: dict[VertexId, Fraction], alpha: CriticalValue,
+                norm: Norm) -> LevelPair:
+    """Star each 0-1 edge at its chi-midpoint (the crossings of chi - 1/2),
+    then take X and A as the full subcomplexes on the chi <= 1/2 and
+    chi = 1/2 vertices.
+
+    The new vertex of a starring gets chi = 1/2, the interpolated value of
+    the piecewise-linear chi at the midpoint.
+    """
     half = Fraction(1, 2)
-    x = full_subcomplex(f.complex, lambda v: chi[v] <= half)
-    a = full_subcomplex(f.complex, lambda v: chi[v] == half)
-    return LevelPair(f, x, a, pair.alpha, chi, pair.norm)
-
-
-def _find_sign_change_edge(f: PLMap, a: Complex, i: int) -> Simplex | None:
-    for e in a.k_simplices(1):
-        u, w = e.vertices
-        if f.value(u)[i] * f.value(w)[i] < 0:
-            return e
-    return None
+    f, new = star_crossings(f, {v: chi[v] - half for v in f.complex.vertices})
+    return _level_pair(f, {**chi, **dict.fromkeys(new, half)}, alpha, norm)
 
 
 def sign_refinement(pair: LevelPair) -> LevelPair:
     """Star A-edges with strict per-coordinate sign changes at the zero point.
 
-    Coordinates are processed in order.  Pass i terminates because each
-    starring zeroes the new vertex's i-th value, so no strict i-sign-change
-    edge is created while one is destroyed.  Later passes star only edges that
-    pass i left weakly signed, and a convex combination of weakly-signed
-    values keeps the weak sign, so pass i's postcondition persists; the final
-    state is re-verified exactly below.
+    Coordinates are processed in order; pass i stars the crossings of f_i on
+    A (h = f_i on A-vertices, 0 elsewhere), and its new vertices join A.
+    Later passes star only edges that pass i left weakly signed, and a convex
+    combination of weakly-signed values keeps the weak sign, so pass i's
+    postcondition persists; the final state is re-verified exactly below.
     """
     f = pair.f
     chi = dict(pair.chi)
-    a = pair.a
     half = Fraction(1, 2)
     for i in range(f.n):
-        while True:
-            e = _find_sign_change_edge(f, a, i)
-            if e is None:
-                break
-            u, w = e.vertices
-            fu, fw = f.value(u)[i], f.value(w)[i]
-            t = fu / (fu - fw)
-            f, vid = star_with_values(f, e, BaryPoint.from_dict({u: 1 - t, w: t}))
+        f, new = star_crossings(f, {v: f.value(v)[i] if chi[v] == half else 0
+                                    for v in f.complex.vertices})
+        for vid in new:
             if all(x == 0 for x in f.value(vid)):
                 raise ReductionError(f"root of f at a sign-refinement vertex {vid}")
             chi[vid] = half
-            a = full_subcomplex(f.complex, lambda v: chi[v] == half)
-    out = _rebuild_pair(pair, f, chi)
+    out = _level_pair(f, chi, pair.alpha, pair.norm)
     for s in out.a.simplices:
         for i in range(f.n):
             vals = [f.value(v)[i] for v in s.vertices]
             if any(x > 0 for x in vals) and any(x < 0 for x in vals):
                 raise ReductionError(f"A-simplex {s} not weakly signed in coordinate {i}")
-    out.validate()
     return out
 
 

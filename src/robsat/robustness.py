@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .complex_core import BaryPoint, full_subcomplex
+from .complex_core import full_subcomplex
 from .homotopy import ExtendTag, ExtendVerdict, decide_extension
 from .pl_map import (
     CriticalValue,
@@ -23,15 +23,16 @@ from .pl_map import (
     critical_values,
     global_min,
     max_vertex_norm,
-    star_with_values,
 )
 from .reduction import (
     LevelPair,
+    ReductionError,
     SphereMap,
     build_chi,
     sign_refinement,
     simplicial_approximation,
     split_level,
+    star_crossings,
     vertexwise_extremal_subdivision,
 )
 
@@ -83,23 +84,23 @@ def _coerce_alpha(alpha) -> CriticalValue:
     return cv
 
 
-def reduce_to_extension(f: PLMap, alpha, norm: Norm,
-                        extremal: PLMap | None = None) -> ReductionOutcome:
+def reduce_to_extension(f: PLMap, alpha, norm: Norm) -> ReductionOutcome:
     """Run the subdivision pipeline for one alpha.
 
     Short-circuits: when the sublevel part X is empty, |f| > alpha everywhere
     and f itself is a rootless perturbation of itself; when A is empty but X
     is not, the empty map extends (constantly), so the instance is again not
-    robust.  `extremal` lets callers probing several alphas reuse the
-    alpha-independent vertex-extremal subdivision.
+    robust.
     """
     if f.n < 1:
         raise ValueError("the map must have at least one component")
     alpha = _coerce_alpha(alpha)
-    f1 = extremal if extremal is not None else vertexwise_extremal_subdivision(f, norm)
+    f1 = vertexwise_extremal_subdivision(f, norm)
     chi, _ = build_chi(f1, alpha, norm)
     if all(v == 1 for v in chi.values()):
-        assert not global_min(f, norm).is_zero()
+        if global_min(f, norm).is_zero():
+            raise ReductionError("|f| exceeds alpha at every vertex of a vertex-extremal "
+                                 "subdivision, yet f has a root")
         return ReductionOutcome(shortcut=RobVerdict(
             RobTag.ROBUST_NO,
             reason="|f| exceeds alpha everywhere; f is its own rootless perturbation",
@@ -123,7 +124,7 @@ def _verdict_from_extension(ev: ExtendVerdict) -> RobVerdict:
 
 
 def decide_robsat(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True,
-                  witness_config=None, extremal: PLMap | None = None) -> RobVerdict:
+                  witness_config=None) -> RobVerdict:
     """Does every alpha-perturbation of f have a root?
 
     RobustYes means the sphere map on A does not extend over X; RobustNo means
@@ -140,7 +141,7 @@ def decide_robsat(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True,
     'RobustNo'
     """
     alpha = _coerce_alpha(alpha)
-    outcome = reduce_to_extension(f, alpha, norm, extremal=extremal)
+    outcome = reduce_to_extension(f, alpha, norm)
     if outcome.shortcut is not None:
         verdict = outcome.shortcut
     else:
@@ -182,14 +183,15 @@ def robustness(f: PLMap, norm: Norm, assume_hopf: bool = True) -> RobustnessResu
     zero = CriticalValue.rat(0)
     if not positive:
         return RobustnessResult(RobustnessTag.VALUE, value=zero)
+    # The subdivision is the same function as f, and deciding it skips the
+    # alpha-independent subdivision at every probe.
     extremal = vertexwise_extremal_subdivision(f, norm)
 
     verdicts: dict[int, RobTag] = {}
 
     def decide(i: int) -> RobTag:
         if i not in verdicts:
-            verdicts[i] = decide_robsat(f, positive[i], norm, assume_hopf=assume_hopf,
-                                        extremal=extremal).tag
+            verdicts[i] = decide_robsat(extremal, positive[i], norm, assume_hopf=assume_hopf).tag
         return verdicts[i]
 
     lo, hi = -1, len(positive)
@@ -241,24 +243,15 @@ def locate_components(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True):
 
 def _split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> PLMap:
     """Star every edge on which some constraint component g_i + alpha changes
-    sign strictly, at its zero; the new vertex has g_i = -alpha exactly."""
-    k = h.n - n
-    for i in range(n, n + k):
-        while True:
-            hit = None
-            for e in h.complex.k_simplices(1):
-                u, w = e.vertices
-                a = h.value(u)[i] + alpha
-                b = h.value(w)[i] + alpha
-                if a * b < 0:
-                    hit = (e, a, b)
-                    break
-            if hit is None:
-                break
-            e, a, b = hit
-            u, w = e.vertices
-            t = a / (a - b)
-            h, _ = star_with_values(h, e, BaryPoint.from_dict({u: 1 - t, w: t}))
+    sign strictly, at its zero; the new vertex has g_i = -alpha exactly.
+    Afterwards every simplex is weakly signed in each g_i + alpha, which is
+    re-checked exactly on every edge."""
+    for i in range(n, h.n):
+        h, _ = star_crossings(h, {v: h.value(v)[i] + alpha for v in h.complex.vertices})
+    for e in h.complex.k_simplices(1):
+        u, w = e.vertices
+        if any((h.value(u)[i] + alpha) * (h.value(w)[i] + alpha) < 0 for i in range(n, h.n)):
+            raise ReductionError(f"inequality level splitting left the mixed edge {e}")
     return h
 
 
@@ -286,11 +279,6 @@ def decide_with_inequalities(f: PLMap, g: PLMap, alpha, norm: Norm = Norm.LINF,
     combined = PLMap(f.complex, f.n + g.n,
                      {v: f.value(v) + g.value(v) for v in f.complex.vertices})
     combined = _split_inequality_levels(combined, f.n, alpha_q)
-    for s in combined.complex.simplices:
-        for i in range(f.n, f.n + g.n):
-            vals = [combined.value(v)[i] + alpha_q for v in s.vertices]
-            assert not (any(x > 0 for x in vals) and any(x < 0 for x in vals)), \
-                "inequality level splitting left a strictly mixed simplex"
     keep = {
         v for v in combined.complex.vertices
         if all(combined.value(v)[i] <= -alpha_q for i in range(f.n, f.n + g.n))

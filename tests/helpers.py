@@ -6,9 +6,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from robsat.complex_core import BaryPoint, Complex, Simplex, closure
-from robsat.pl_map import PLMap
-from robsat.reduction import SphereMap
+from robsat.complex_core import BaryPoint, Complex, Simplex, closure, full_subcomplex
+from robsat.pl_map import PLMap, star_with_values
+from robsat.reduction import LevelPair, SphereMap
 
 PATH3 = closure([[0, 1], [1, 2]])
 
@@ -245,3 +245,93 @@ def ref_solve(rows, rhs):
 
 def matrix_rank(rows) -> int:
     return len(ref_rref(rows)[1])
+
+
+# -- small operations that only the tests use ------------------------------
+
+def coboundary(c: Complex, k: int):
+    """Integer matrix of delta: C^k -> C^(k+1), as (rows, row_index,
+    col_index); the indexes list the sorted (k+1)- and k-simplices."""
+    cols = c.k_simplices(k)
+    rows_ix = c.k_simplices(k + 1)
+    col_pos = {s: j for j, s in enumerate(cols)}
+    rows = []
+    for tau in rows_ix:
+        row = [0] * len(cols)
+        for i, face in tau.boundary():
+            j = col_pos.get(face)
+            if j is not None:
+                row[j] += (-1) ** i
+        rows.append(row)
+    return rows, rows_ix, cols
+
+
+def compose_automorphism(fmap: SphereMap, signed_perm: dict[int, int]) -> SphereMap:
+    """Relabel a sphere map through a signed permutation of the sphere
+    vertices, given as {i: +/-j} on positive indices."""
+    out = {}
+    for v, lab in fmap.assignment.items():
+        target = signed_perm[abs(lab)]
+        out[v] = target if lab > 0 else -target
+    return SphereMap(fmap.domain, fmap.n, out)
+
+
+def scale_map(f: PLMap, c) -> PLMap:
+    c = Fraction(c)
+    return PLMap(f.complex, f.n, {v: tuple(c * x for x in val) for v, val in f.values.items()})
+
+
+# -- test-only reference: the rescan-after-each-star loops -----------------
+#
+# Each loop finds the first crossing edge in sorted order, stars it and
+# rescans; `reduction.star_crossings` replaces all three with one scan.  The
+# differential tests check that the results are identical.
+
+def ref_split_level(f: PLMap, chi, alpha, norm):
+    chi = dict(chi)
+    half = Fraction(1, 2)
+    while True:
+        e = next((e for e in f.complex.k_simplices(1)
+                  if {chi[e.vertices[0]], chi[e.vertices[1]]} == {0, 1}), None)
+        if e is None:
+            break
+        u, w = e.vertices
+        f, vid = star_with_values(f, e, BaryPoint.from_dict({u: half, w: half}))
+        chi[vid] = half
+    x = full_subcomplex(f.complex, lambda v: chi[v] <= half)
+    a = full_subcomplex(f.complex, lambda v: chi[v] == half)
+    return LevelPair(f, x, a, alpha, chi, norm)
+
+
+def ref_sign_refinement(pair):
+    f, chi, a = pair.f, dict(pair.chi), pair.a
+    half = Fraction(1, 2)
+    for i in range(f.n):
+        while True:
+            e = next((e for e in a.k_simplices(1)
+                      if f.value(e.vertices[0])[i] * f.value(e.vertices[1])[i] < 0), None)
+            if e is None:
+                break
+            u, w = e.vertices
+            fu, fw = f.value(u)[i], f.value(w)[i]
+            t = fu / (fu - fw)
+            f, vid = star_with_values(f, e, BaryPoint.from_dict({u: 1 - t, w: t}))
+            chi[vid] = half
+            a = full_subcomplex(f.complex, lambda v: chi[v] == half)
+    x = full_subcomplex(f.complex, lambda v: chi[v] <= half)
+    return LevelPair(f, x, a, pair.alpha, chi, pair.norm)
+
+
+def ref_split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> PLMap:
+    for i in range(n, h.n):
+        while True:
+            e = next((e for e in h.complex.k_simplices(1)
+                      if (h.value(e.vertices[0])[i] + alpha)
+                      * (h.value(e.vertices[1])[i] + alpha) < 0), None)
+            if e is None:
+                break
+            u, w = e.vertices
+            a, b = h.value(u)[i] + alpha, h.value(w)[i] + alpha
+            t = a / (a - b)
+            h, _ = star_with_values(h, e, BaryPoint.from_dict({u: 1 - t, w: t}))
+    return h

@@ -1,7 +1,10 @@
 import json
 import os
 
-from robsat.cli import EXIT_DECIDED, EXIT_PARSE, EXIT_UNKNOWN, EXIT_USAGE, main
+import pytest
+
+from robsat import cli
+from robsat.cli import EXIT_DECIDED, EXIT_INTERNAL, EXIT_PARSE, EXIT_UNKNOWN, EXIT_USAGE, main
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -132,3 +135,41 @@ class TestErrorPaths:
         code = main(["decide", "-i", instance("annulus_w0.json")])
         capsys.readouterr()
         assert code in (EXIT_USAGE, EXIT_PARSE)
+
+    @pytest.mark.parametrize("command, doc, extra, want", [
+        # a list where the sphere map object belongs
+        ("extend", {"version": 1, "n": 1, "norm": "linf",
+                    "vertices": [{"id": 0}, {"id": 1}], "simplices": [[0, 1]],
+                    "a_simplices": [[0]], "sphere_map": []}, [], EXIT_PARSE),
+        # a string where the list of components belongs
+        ("decide", {"version": 1, "n": 2, "norm": "linf",
+                    "vertices": [{"id": 0, "f": "12"}], "simplices": [[0]],
+                    "alpha": "1"}, [], EXIT_PARSE),
+        # a negative alpha stored in the file is bad input ...
+        ("decide", {"version": 1, "n": 1, "norm": "linf",
+                    "vertices": [{"id": 0, "f": ["1"]}], "simplices": [[0]],
+                    "alpha": "-1"}, [], EXIT_PARSE),
+        # ... and a negative --alpha is a usage error
+        ("decide", {"version": 1, "n": 1, "norm": "linf",
+                    "vertices": [{"id": 0, "f": ["1"]}], "simplices": [[0]]},
+         ["--alpha", "-1"], EXIT_USAGE),
+    ])
+    def test_malformed_instances(self, capsys, tmp_path, command, doc, extra, want):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        code = main([command, "-i", str(path), *extra])
+        err = json.loads(capsys.readouterr().err)
+        assert code == want
+        assert err["error"] == ("parse" if want == EXIT_PARSE else "usage")
+
+    def test_internal_error_is_a_json_document(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "decide_robsat", broken)
+        code = main(["decide", "-i", instance("path_3_-1_3.json")])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "internal" and "boom" in err["message"]

@@ -12,17 +12,16 @@ from robsat.complex_core import (
     apply_coboundary,
     barycenter,
     closure,
-    coboundary,
     connected_components,
-    derived_subdivision,
     empty_complex,
     full_subcomplex,
     make_full,
     star_at_point,
-    star_link,
 )
+from robsat.pl_map import PLMap
+from robsat.reduction import derived_subdivision
 
-from helpers import matrix_rank, random_complex, random_interior_point, random_point_in
+from helpers import coboundary, matrix_rank, random_complex, random_interior_point, random_point_in
 
 
 def mid(u, v):
@@ -51,29 +50,6 @@ class TestClosure:
             Simplex.of([1, 1, 2])
         with pytest.raises(ValueError):
             Simplex((2, 1))
-
-
-class TestStarLink:
-    def test_path_middle_vertex(self):
-        c = closure([[1, 2], [2, 3]])
-        star, link = star_link(c, Simplex.of([2]))
-        assert Simplex.of([1, 2]) in star and Simplex.of([2, 3]) in star
-        assert set(link.simplices) == {Simplex.of([1]), Simplex.of([3])}
-
-    def test_isolated_vertex(self):
-        c = closure([[7]])
-        star, link = star_link(c, Simplex.of([7]))
-        assert link.is_empty()
-        assert set(star.simplices) == {Simplex.of([7])}
-
-    def test_triangle_vertex_link(self):
-        c = closure([[1, 2, 3]])
-        _, link = star_link(c, Simplex.of([1]))
-        assert link.simplices == closure([[2, 3]]).simplices
-
-    def test_absent_simplex(self):
-        with pytest.raises(ValueError):
-            star_link(closure([[1, 2]]), Simplex.of([3]))
 
 
 class TestStarAtPoint:
@@ -114,29 +90,40 @@ class TestStarAtPoint:
         assert not c3.contains_point(outside)
 
 
+def barycentric_pick(f, s):
+    return barycenter(s) if s.dim > 0 else None
+
+
+def identity_map(c):
+    """The coordinate map of c, so that a derived subdivision interpolates
+    each new vertex's coordinates."""
+    return PLMap(c, 3, {v: tuple(Fraction(int(v == k)) for k in (1, 2, 3)) for v in c.vertices})
+
+
 class TestDerivedSubdivision:
     def test_full_barycentric_on_triangle(self):
         c = closure([[1, 2, 3]])
-        out = derived_subdivision(c, lambda s: barycenter(s) if s.dim > 0 else None)
+        out = derived_subdivision(identity_map(c), barycentric_pick).complex
         assert len(out.k_simplices(2)) == 6
 
     def test_no_picks_is_identity(self):
-        c = closure([[1, 2], [2, 3]])
-        assert derived_subdivision(c, lambda s: None) == c
+        f = PLMap(closure([[1, 2], [2, 3]]), 1, {1: (1,), 2: (2,), 3: (3,)})
+        assert derived_subdivision(f, lambda f, s: None) == f
 
     def test_lineage_recomposes(self):
-        c = closure([[1, 2, 3]])
-        out = derived_subdivision(c, lambda s: barycenter(s) if s.dim > 0 else None)
-        for v in out.vertices:
-            point = out.coord(v)
+        out = derived_subdivision(identity_map(closure([[1, 2, 3]])), barycentric_pick)
+        for v in out.complex.vertices:
+            point = out.complex.coord(v)
             assert sum(w for _, w in point.weights) == 1
             assert set(point.support) <= {1, 2, 3}
+            # the interpolated coordinate map agrees with the lineage
+            assert out.value(v) == tuple(point.weight(k) for k in (1, 2, 3))
 
     def test_growth_bound_per_starring(self):
         c = closure([[1, 2, 3]])
         t = Simplex.of([1, 2])
         before = len(c)
-        cofaces = len(c.cofaces(t))
+        cofaces = sum(1 for s in c.simplices if set(t.vertices) <= set(s.vertices))
         after, _ = star_at_point(c, t, mid(1, 2))
         assert len(after) <= before * (cofaces + 1)
 

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -24,6 +28,7 @@ from robsat.oracles import brute_diophantine, winding_oracle
 from robsat.reduction import SphereMap
 
 from helpers import (
+    compose_automorphism,
     annulus_octagon,
     annulus_sphere_map,
     boundary_cycle_chain,
@@ -221,7 +226,7 @@ class TestAutomorphismInvariance:
                     continue
             before = decide_extension(x, sub, fmap, 2).tag
             auto = self.orientation_preserving_automorphisms(rng)
-            after = decide_extension(x, sub, fmap.compose_automorphism(auto), 2).tag
+            after = decide_extension(x, sub, compose_automorphism(fmap, auto), 2).tag
             assert before == after
             count += 1
 
@@ -297,3 +302,29 @@ class TestDegree:
                 d = degree(cycle, fmap)
                 verdict = decide_extension(cone, base, fmap, 2).tag
                 assert (d == 0) == (verdict == ExtendTag.EXTENDS)
+
+
+def test_certificate_check_survives_optimize():
+    # `python -O` strips asserts; the certificate re-check is an explicit
+    # raise, so a solver returning a non-solution is still caught.
+    code = textwrap.dedent("""
+        import sys
+        from robsat import homotopy, instance_io
+        from robsat.exactlinalg import ExactnessError
+        inst = instance_io.load_file(sys.argv[1])
+        solve = homotopy.smith_solve
+        homotopy.smith_solve = lambda system: [x + 1 for x in solve(system)]
+        try:
+            homotopy.decide_extension(inst.complex, inst.a_complex, inst.sphere_map, inst.n)
+        except ExactnessError:
+            raise SystemExit(0)
+        raise SystemExit("a wrong extension certificate passed")
+    """)
+    here = os.path.dirname(__file__)
+    src = os.path.join(here, os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code,
+         os.path.join(here, os.pardir, "instances", "annulus_w0.json")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

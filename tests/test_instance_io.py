@@ -87,6 +87,27 @@ class TestParsing:
                 "sphere_map": {"0": 1, "1": -1},
             }))
 
+    @pytest.mark.parametrize("field, value", [
+        ("sphere_map", []),      # a list, not an object
+        ("f", "12"),             # a string, not a list: not the vector (1, 2)
+        ("g", "12"),
+        ("alpha", "-1"),         # critical values are nonnegative
+        ("alpha", {"sqrt": "-1"}),
+        ("vertices", 5),         # not a list of records
+        ("n", [2]),
+    ])
+    def test_malformed_fields_rejected(self, field, value):
+        doc = {"version": 1, "n": 2, "norm": "linf",
+               "vertices": [{"id": 0, "f": ["1", "2"]}, {"id": 1, "f": ["0", "1"]}],
+               "simplices": [[0, 1]], "a_simplices": [[0]], "sphere_map": {"0": 1}}
+        if field in ("f", "g"):
+            for rec in doc["vertices"]:
+                rec[field] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ParseError):
+            parse_instance(doc)
+
     def test_sqrt_alpha(self):
         inst = loads(json.dumps({
             "version": 1, "n": 1, "norm": "l2",

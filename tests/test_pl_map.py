@@ -17,7 +17,6 @@ from robsat.pl_map import (
     has_root,
     map_distance,
     norm_compare,
-    restrict_interpolate,
     simplex_min,
     star_with_values,
     vector_norm,
@@ -198,11 +197,14 @@ class TestRestrictInterpolate:
         f2, vid = star_with_values(f, Simplex.of([0, 1]),
                                    BaryPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}))
         assert f2.value(vid) == (0,)
-        assert restrict_interpolate(f, f2.complex) == f2
+        # the interpolated value is f at the new vertex's location
+        assert evaluate(f, f2.complex.coord(vid)) == f2.value(vid)
+        assert all(f2.value(v) == f.value(v) for v in f.complex.vertices)
 
     def test_identity_subdivision(self):
         f = path_map([-1, 1])
-        assert restrict_interpolate(f, f.complex) == f
+        for v in f.complex.vertices:
+            assert evaluate(f, f.complex.coord(v)) == f.value(v)
 
     def test_agrees_pointwise(self):
         rng = random.Random(21)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robsat.complex_core import closure, connected_components
 from robsat.pl_map import CriticalValue, Norm, PLMap, evaluate, simplex_min, vector_norm
@@ -13,10 +15,21 @@ from robsat.reduction import (
     sign_refinement,
     simplicial_approximation,
     split_level,
+    star_crossings,
     vertexwise_extremal_subdivision,
 )
+from robsat.robustness import _split_inequality_levels
 
-from helpers import path_map, random_complex, random_map, random_point_in
+from helpers import (
+    compose_automorphism,
+    path_map,
+    random_complex,
+    random_map,
+    random_point_in,
+    ref_sign_refinement,
+    ref_split_inequality_levels,
+    ref_split_level,
+)
 
 HALF = Fraction(1, 2)
 
@@ -209,5 +222,51 @@ class TestSimplicialApproximation:
 
     def test_automorphism_composition(self):
         fmap = self.run_pipeline([3, -1, 3], 1)
-        swapped = fmap.compose_automorphism({1: -1})
+        swapped = compose_automorphism(fmap, {1: -1})
         assert sorted(swapped.assignment.values()) == [-1, -1, 1]
+
+
+def assert_same_pair(pair, ref):
+    assert pair.f.complex.simplices == ref.f.complex.simplices
+    assert pair.f.complex.coords == ref.f.complex.coords
+    assert pair.f.values == ref.f.values
+    assert pair.chi == ref.chi
+    assert pair.x.simplices == ref.x.simplices
+    assert pair.a.simplices == ref.a.simplices
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("norm", list(Norm))
+def test_star_crossings_matches_rescan_loops(norm, n):
+    """The one-scan crossing routine gives exactly what the rescan-after-
+    each-star loops it replaced gave: the same simplices, coordinates,
+    values, chi and new vertex ids, for the level split, the sign refinement
+    and the inequality levels (k = 0, 1, 2 constraints)."""
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(0, 2 ** 32), st.integers(0, 2))
+    def check(seed, k):
+        rng = random.Random(seed)
+        cx = random_complex(rng, max_dim=2, max_vertices=6, n_maximal=3)
+        f = random_map(rng, cx, n)
+        f1 = vertexwise_extremal_subdivision(f, norm)
+        # alpha at some vertex's norm puts chi = 1/2 labels on the input
+        alpha = rng.choice([vector_norm(f1.value(v), norm) for v in f1.complex.vertices]
+                           + [CriticalValue.rat(Fraction(rng.randint(1, 8), 2))])
+        if alpha.is_zero():
+            alpha = CriticalValue.rat(1)
+        chi, _ = build_chi(f1, alpha, norm)
+
+        ref = ref_split_level(f1, chi, alpha, norm)
+        f2, new = star_crossings(f1, {v: chi[v] - HALF for v in f1.complex.vertices})
+        assert f2 == ref.f
+        assert new == sorted(set(ref.f.complex.vertices) - set(f1.complex.vertices))
+        pair = split_level(f1, chi, alpha, norm)
+        assert_same_pair(pair, ref)
+        assert_same_pair(sign_refinement(pair), ref_sign_refinement(ref))
+
+        g = random_map(rng, cx, k)
+        h = PLMap(cx, n + k, {v: f.value(v) + g.value(v) for v in cx.vertices})
+        level = Fraction(rng.randint(0, 8), 2)
+        assert _split_inequality_levels(h, n, level) == ref_split_inequality_levels(h, n, level)
+
+    check()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from robsat.complex_core import closure
-from robsat.pl_map import CriticalValue, Norm, PLMap, critical_values, global_min, scale_map
+from robsat.pl_map import CriticalValue, Norm, PLMap, critical_values, global_min
 from robsat.oracles import WitnessSearchConfig
 from robsat.robustness import (
     RobTag,
@@ -15,7 +15,7 @@ from robsat.robustness import (
     robustness,
 )
 
-from helpers import path_map, random_complex, random_map
+from helpers import path_map, random_complex, random_map, scale_map
 
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
 
