@@ -17,9 +17,11 @@ Conventions fixed here and used by every other module:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 
 from . import exactlinalg
 
@@ -158,7 +160,7 @@ class Complex:
             by_dim.setdefault(s.dim, []).append(s)
             verts.update(s.vertices)
         for k in by_dim:
-            by_dim[k].sort()
+            by_dim[k].sort(key=attrgetter("vertices"))
         self._by_dim = by_dim
         self._vertices = tuple(sorted(verts))
         missing = verts - set(self._coords)
@@ -211,9 +213,6 @@ class Complex:
     def is_empty(self) -> bool:
         return not self._simplices
 
-    def fresh_vertex_id(self) -> VertexId:
-        return (max(self._coords) + 1) if self._coords else 0
-
     def maximal_simplices(self) -> list[Simplex]:
         out = []
         for s in sorted(self._simplices, key=lambda x: (-x.dim, x.vertices)):
@@ -223,10 +222,6 @@ class Complex:
         return sorted(out)
 
     # -- geometry through barycentric lineage ------------------------------
-
-    def expand(self, point: BaryPoint) -> BaryPoint:
-        """Re-express a point given over current vertices in original coordinates."""
-        return BaryPoint.combine((w, self._coords[v]) for v, w in point.weights)
 
     def local_coordinates(self, s: Simplex, target: BaryPoint):
         """Barycentric coordinates of `target` (original coords) within simplex s.
@@ -264,9 +259,6 @@ class Complex:
                 return s, local
         return None
 
-    def contains_point(self, target: BaryPoint) -> bool:
-        return self.locate(target) is not None
-
 
 def _identity_coords(vertex_ids):
     return {v: BaryPoint.vertex(v) for v in vertex_ids}
@@ -288,10 +280,6 @@ def closure(simplices, coords=None) -> Complex:
     return Complex(all_faces, coords)
 
 
-def empty_complex() -> Complex:
-    return Complex(frozenset(), {})
-
-
 def star_vertices(c: Complex, v: VertexId) -> tuple[VertexId, ...]:
     """Vertices of star({v}) in c."""
     out = set()
@@ -301,37 +289,46 @@ def star_vertices(c: Complex, v: VertexId) -> tuple[VertexId, ...]:
     return tuple(sorted(out))
 
 
-def star_at_point(c: Complex, carrier: Simplex, point: BaryPoint) -> tuple[Complex, VertexId]:
-    """Starring subdivision: replace `carrier` and its cofaces by cones over a
-    new vertex placed at `point`.
-
-    `point` is given in carrier-local barycentric coordinates and must be
-    interior (positive weight on every carrier vertex). The stored coordinate
-    of the new vertex is the expansion over original vertices, so lineage
-    composes across repeated subdivision.
+def star_at_point(c: Complex,
+                  stars: list[tuple[Simplex, BaryPoint]]) -> tuple[Complex, list[VertexId]]:
+    """Starring subdivision, applied in order: each (carrier, point) pair
+    replaces the carrier and its cofaces by cones over a new vertex at
+    `point`, which is carrier-local and interior (positive weight on every
+    carrier vertex); each carrier must be in the state the earlier starrings
+    left.  A new vertex stores its expansion over original vertices, so
+    lineage composes.  The starrings edit one simplex set, whose vertex ->
+    cofaces index finds each carrier's cofaces, and the complex is built
+    once.  Returns it and the new vertex ids in starring order.
     """
-    if carrier not in c:
-        raise ValueError(f"carrier {carrier} not in complex")
-    if set(point.support) != set(carrier.vertices):
-        raise ValueError("point must be interior to the carrier (full support)")
-    new_id = c.fresh_vertex_id()
-    new_coord = c.expand(point)
-
-    carrier_set = set(carrier.vertices)
-    removed = [t for t in c.simplices if carrier_set <= set(t.vertices)]
-    kept = set(c.simplices) - set(removed)
-    added: set[Simplex] = set()
-    for t in removed:
-        rest = tuple(v for v in t.vertices if v not in carrier_set)
-        # proper faces of the carrier, empty face included
-        for k in range(len(carrier.vertices)):
-            for fc in combinations(carrier.vertices, k):
-                for rk in range(len(rest) + 1):
-                    for rc in combinations(rest, rk):
-                        added.add(Simplex.of((new_id,) + fc + rc))
+    simplices = set(c.simplices)
     coords = c.coords
-    coords[new_id] = new_coord
-    return Complex(kept | added, coords), new_id
+    cofaces: dict[VertexId, set[Simplex]] = defaultdict(set)
+    for s in simplices:
+        for v in s.vertices:
+            cofaces[v].add(s)
+    new_ids = []
+    for new_id, (carrier, point) in enumerate(stars, (max(coords) + 1) if coords else 0):
+        if carrier not in simplices:
+            raise ValueError(f"carrier {carrier} not in complex")
+        carrier_set = set(carrier.vertices)
+        if set(point.support) != carrier_set:
+            raise ValueError("point must be interior to the carrier (full support)")
+        coords[new_id] = BaryPoint.combine((w, coords[v]) for v, w in point.weights)
+        removed = set.intersection(*(cofaces[v] for v in carrier.vertices))
+        # cones over the faces of the removed simplices that miss a carrier vertex
+        added = {Simplex(face.vertices + (new_id,)) for t in removed for face in t.faces()
+                 if not carrier_set.issubset(face.vertices)}
+        added.add(Simplex((new_id,)))
+        for t in removed:
+            for v in t.vertices:
+                cofaces[v].discard(t)
+        for t in added:
+            for v in t.vertices:
+                cofaces[v].add(t)
+        simplices -= removed
+        simplices |= added
+        new_ids.append(new_id)
+    return Complex(simplices, coords), new_ids
 
 
 def full_subcomplex(c: Complex, keep) -> Complex:
@@ -359,15 +356,10 @@ def make_full(x: Complex, a: Complex) -> tuple[Complex, Complex]:
     if not a.simplices <= x.simplices:
         raise ValueError("a must be a subcomplex of x")
     a_verts = set(a.vertices)
-    violations = [
-        s for s in x.simplices
-        if s not in a.simplices and set(s.vertices) <= a_verts
-    ]
-    violations.sort(key=lambda s: (-s.dim, s.vertices))
-    out = x
-    for s in violations:
-        out, _ = star_at_point(out, s, barycenter(s))
-    return out, a
+    violations = sorted((s for s in x.simplices
+                         if s not in a.simplices and set(s.vertices) <= a_verts),
+                        key=lambda s: (-s.dim, s.vertices))
+    return star_at_point(x, [(s, barycenter(s)) for s in violations])[0], a
 
 
 def connected_components(c: Complex) -> list[set[VertexId]]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .complex_core import Complex, make_full
 from .pl_map import CriticalValue, Norm, PLMap, simplex_min_value
-from .reduction import SphereMap, SphereModel
+from .reduction import ReductionError, SphereMap, SphereModel
 
 
 def kappa(norm: Norm, n: int) -> Fraction:
@@ -50,5 +50,5 @@ def fixture_from_extension(x: Complex, a: Complex, fmap: SphereMap,
     for s in a.simplices:
         cv = simplex_min_value(f, s, norm)
         if cv < one:
-            raise AssertionError(f"|f'| < 1 on the A-simplex {s}")
+            raise ReductionError(f"|f'| < 1 on the A-simplex {s}")
     return f

@@ -32,14 +32,32 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError(f"not an exact rational: {text!r}")
-    frac = Fraction(text.strip())
-    return frac
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:  # "1/0", or too many digits
+        raise ParseError(f"not an exact rational: {text!r}") from exc
 
 
 def _rational_list(data, what: str) -> tuple[Fraction, ...]:
     if not isinstance(data, list):
         raise ParseError(f"{what} must be a list of rationals, got {data!r}")
     return tuple(parse_rational(x) for x in data)
+
+
+def _integer(data, what: str) -> int:
+    if isinstance(data, bool) or not isinstance(data, int):
+        raise ParseError(f"{what} must be an integer, got {data!r}")
+    return data
+
+
+def _simplex_list(data, what: str) -> Complex:
+    """The closure of a list of vertex-id lists."""
+    if not isinstance(data, list) or not all(isinstance(s, list) for s in data):
+        raise ParseError(f"{what} must be a list of vertex-id lists, got {data!r}")
+    try:
+        return closure([Simplex.of(_integer(v, "a vertex id") for v in s) for s in data])
+    except ValueError as exc:  # an empty simplex or a repeated vertex
+        raise ParseError(f"bad {what}: {exc}") from exc
 
 
 def format_rational(q: Fraction) -> str:
@@ -79,7 +97,7 @@ def parse_instance(data: dict) -> Instance:
     if data.get("version", FORMAT_VERSION) != FORMAT_VERSION:
         raise ParseError(f"unsupported version {data.get('version')!r}")
     try:
-        n = int(data["n"])
+        n = _integer(data["n"], "n")
         norm = Norm(data.get("norm", "linf"))
         raw_simplices = data["simplices"]
         raw_vertices = data["vertices"]
@@ -89,17 +107,14 @@ def parse_instance(data: dict) -> Instance:
         raise ParseError("n must be nonnegative")
     if not isinstance(raw_vertices, list):
         raise ParseError("vertices must be a list of vertex records")
-    try:
-        cx = closure([Simplex.of(int(v) for v in s) for s in raw_simplices])
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"bad simplex list: {exc}") from exc
+    cx = _simplex_list(raw_simplices, "simplices")
     f_values = {}
     g_values = {}
     chi = {}
     seen = set()
     for rec in raw_vertices:
         try:
-            vid = int(rec["id"])
+            vid = _integer(rec["id"], "a vertex id")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad vertex record {rec!r}") from exc
         if vid in seen:
@@ -134,10 +149,7 @@ def parse_instance(data: dict) -> Instance:
         raise ParseError(f"bad alpha: {exc}") from exc
     a_complex = None
     if "a_simplices" in data:
-        try:
-            a_complex = closure([Simplex.of(int(v) for v in s) for s in data["a_simplices"]])
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"bad a_simplices: {exc}") from exc
+        a_complex = _simplex_list(data["a_simplices"], "a_simplices")
         if not a_complex.simplices <= cx.simplices:
             raise ParseError("a_simplices is not a subcomplex")
         a_complex = Complex(a_complex.simplices,
@@ -149,8 +161,9 @@ def parse_instance(data: dict) -> Instance:
         if not isinstance(data["sphere_map"], dict):
             raise ParseError("sphere_map must be an object {vertex: signed index}")
         try:
-            assignment = {int(k): int(v) for k, v in data["sphere_map"].items()}
-        except (TypeError, ValueError) as exc:
+            assignment = {int(k): _integer(v, "a sphere vertex")
+                          for k, v in data["sphere_map"].items()}
+        except ValueError as exc:
             raise ParseError(f"bad sphere_map: {exc}") from exc
         for v, lab in assignment.items():
             if not 1 <= abs(lab) <= n:

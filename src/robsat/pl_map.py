@@ -22,7 +22,7 @@ from itertools import combinations
 from math import isqrt
 
 from . import exactlinalg
-from .complex_core import BaryPoint, Complex, Simplex, VertexId
+from .complex_core import BaryPoint, Complex, Simplex, VertexId, star_at_point
 from .linprog import feasible_point, solve_lp
 
 LT, EQ, GT = -1, 0, 1
@@ -57,7 +57,7 @@ class CriticalValue:
         if self.q < 0:
             raise ValueError("critical values are nonnegative")
         if self.is_sqrt and _is_perfect_square(self.q):
-            raise AssertionError("use CriticalValue.sqrt_of for canonicalization")
+            raise ValueError("use CriticalValue.sqrt_of for canonicalization")
 
     @classmethod
     def rat(cls, q) -> "CriticalValue":
@@ -341,19 +341,16 @@ def map_distance(f: PLMap, g: PLMap, norm: Norm) -> CriticalValue:
     return best
 
 
-def star_with_values(f: PLMap, carrier: Simplex, point: BaryPoint):
-    """Star f's complex at a carrier-local point and interpolate the value at
-    the new vertex.  Returns (new PLMap, new vertex id)."""
-    from .complex_core import star_at_point
-
-    c2, vid = star_at_point(f.complex, carrier, point)
+def star_with_values(f: PLMap,
+                     stars: list[tuple[Simplex, BaryPoint]]) -> tuple[PLMap, list[VertexId]]:
+    """`complex_core.star_at_point` on f's complex, with f interpolated at
+    each new vertex.  Returns (new PLMap, new vertex ids in starring order);
+    an empty batch returns f itself."""
+    if not stars:
+        return f, []
+    c2, new_ids = star_at_point(f.complex, stars)
     values = f.values
-    local = point.as_dict()
-    acc = [Fraction(0)] * f.n
-    for v, w in local.items():
-        val = values[v]
-        for i in range(f.n):
-            acc[i] += w * val[i]
-    values[vid] = tuple(acc)
-    return PLMap(c2, f.n, values), vid
-
+    for (_, point), vid in zip(stars, new_ids):
+        values[vid] = tuple(sum(w * values[v][i] for v, w in point.weights)
+                            for i in range(f.n))
+    return PLMap(c2, f.n, values), new_ids

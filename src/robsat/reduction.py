@@ -13,7 +13,9 @@ The pipeline has three stages, each an exact subdivision or relabelling:
    simplex of A, at which point the vertexwise rule v -> sign * e_index is a
    simplicial approximation into the boundary of the cross polytope.
 
-Everything is validated by exact rational checks rather than trusted.
+Each subdivision is one batched `star_at_point` call per pass (one for the
+derived pass, one per crossing pass), and everything is validated by exact
+rational checks rather than trusted.
 """
 
 from __future__ import annotations
@@ -164,14 +166,9 @@ def derived_subdivision(f: PLMap, pick) -> PLMap:
     carrier-local interior point (None for no starring), largest dimension
     first, interpolating f at each new vertex.  All picks are made on f
     before the first starring."""
-    chosen = []
-    for s in sorted(f.complex.simplices, key=lambda x: (-x.dim, x.vertices)):
-        p = pick(f, s)
-        if p is not None:
-            chosen.append((s, p))
-    for s, p in chosen:
-        f, _ = star_with_values(f, s, p)
-    return f
+    chosen = [(s, p) for s in sorted(f.complex.simplices, key=lambda x: (-x.dim, x.vertices))
+              if (p := pick(f, s)) is not None]
+    return star_with_values(f, chosen)[0]
 
 
 class _VertexExtremal(PLMap):
@@ -234,14 +231,13 @@ def star_crossings(f: PLMap, h: dict[VertexId, Fraction]) -> tuple[PLMap, list[V
     edge, and h vanishes at the new vertex, so no new edge crosses.  Returns
     the subdivided map and the new vertex ids in starring order.
     """
-    crossing = [e for e in f.complex.k_simplices(1) if h[e.vertices[0]] * h[e.vertices[1]] < 0]
-    new = []
-    for e in crossing:
+    stars = []
+    for e in f.complex.k_simplices(1):
         u, w = e.vertices
-        t = h[u] / (h[u] - h[w])
-        f, vid = star_with_values(f, e, BaryPoint.from_dict({u: 1 - t, w: t}))
-        new.append(vid)
-    return f, new
+        if h[u] * h[w] < 0:
+            t = h[u] / (h[u] - h[w])
+            stars.append((e, BaryPoint.from_dict({u: 1 - t, w: t})))
+    return star_with_values(f, stars)
 
 
 def _level_pair(f: PLMap, chi: dict[VertexId, Fraction], alpha: CriticalValue,

@@ -161,9 +161,9 @@ def _validate_witness(f: PLMap, g: PLMap, alpha: CriticalValue, norm: Norm) -> N
     from .pl_map import map_distance
 
     if global_min(g, norm).is_zero():
-        raise AssertionError("witness has a root")
+        raise ReductionError("witness has a root")
     if alpha < map_distance(f, g, norm):
-        raise AssertionError("witness is farther than alpha from f")
+        raise ReductionError("witness is farther than alpha from f")
 
 
 def robustness(f: PLMap, norm: Norm, assume_hopf: bool = True) -> RobustnessResult:

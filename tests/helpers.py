@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from robsat.complex_core import BaryPoint, Complex, Simplex, closure, full_subcomplex
 from robsat.pl_map import PLMap, star_with_values
@@ -276,6 +277,15 @@ def compose_automorphism(fmap: SphereMap, signed_perm: dict[int, int]) -> Sphere
     return SphereMap(fmap.domain, fmap.n, out)
 
 
+def contains_point(c: Complex, target: BaryPoint) -> bool:
+    return c.locate(target) is not None
+
+
+def expand(c: Complex, point: BaryPoint) -> BaryPoint:
+    """Re-express a point given over c's vertices in original coordinates."""
+    return BaryPoint.combine((w, c.coord(v)) for v, w in point.weights)
+
+
 def scale_map(f: PLMap, c) -> PLMap:
     c = Fraction(c)
     return PLMap(f.complex, f.n, {v: tuple(c * x for x in val) for v, val in f.values.items()})
@@ -296,7 +306,7 @@ def ref_split_level(f: PLMap, chi, alpha, norm):
         if e is None:
             break
         u, w = e.vertices
-        f, vid = star_with_values(f, e, BaryPoint.from_dict({u: half, w: half}))
+        f, (vid,) = star_with_values(f, [(e, BaryPoint.from_dict({u: half, w: half}))])
         chi[vid] = half
     x = full_subcomplex(f.complex, lambda v: chi[v] <= half)
     a = full_subcomplex(f.complex, lambda v: chi[v] == half)
@@ -315,7 +325,7 @@ def ref_sign_refinement(pair):
             u, w = e.vertices
             fu, fw = f.value(u)[i], f.value(w)[i]
             t = fu / (fu - fw)
-            f, vid = star_with_values(f, e, BaryPoint.from_dict({u: 1 - t, w: t}))
+            f, (vid,) = star_with_values(f, [(e, BaryPoint.from_dict({u: 1 - t, w: t}))])
             chi[vid] = half
             a = full_subcomplex(f.complex, lambda v: chi[v] == half)
     x = full_subcomplex(f.complex, lambda v: chi[v] <= half)
@@ -333,5 +343,60 @@ def ref_split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> PLMap:
             u, w = e.vertices
             a, b = h.value(u)[i] + alpha, h.value(w)[i] + alpha
             t = a / (a - b)
-            h, _ = star_with_values(h, e, BaryPoint.from_dict({u: 1 - t, w: t}))
+            h, _ = star_with_values(h, [(e, BaryPoint.from_dict({u: 1 - t, w: t}))])
     return h
+
+
+# -- test-only reference: one starring per call ----------------------------
+#
+# The single-carrier starring that rebuilt the complex (and the map) after
+# every starring; `complex_core.star_at_point` and `pl_map.star_with_values`
+# now apply a whole batch in order.  The differential tests check that a
+# batch equals these calls made one after the other.
+
+def ref_star_at_point(c: Complex, carrier: Simplex, point: BaryPoint):
+    """Starring subdivision: replace `carrier` and its cofaces by cones over a
+    new vertex placed at `point`.
+
+    `point` is given in carrier-local barycentric coordinates and must be
+    interior (positive weight on every carrier vertex). The stored coordinate
+    of the new vertex is the expansion over original vertices, so lineage
+    composes across repeated subdivision.
+    """
+    if carrier not in c:
+        raise ValueError(f"carrier {carrier} not in complex")
+    if set(point.support) != set(carrier.vertices):
+        raise ValueError("point must be interior to the carrier (full support)")
+    new_id = (max(c.coords) + 1) if c.coords else 0
+    new_coord = expand(c, point)
+
+    carrier_set = set(carrier.vertices)
+    removed = [t for t in c.simplices if carrier_set <= set(t.vertices)]
+    kept = set(c.simplices) - set(removed)
+    added: set[Simplex] = set()
+    for t in removed:
+        rest = tuple(v for v in t.vertices if v not in carrier_set)
+        # proper faces of the carrier, empty face included
+        for k in range(len(carrier.vertices)):
+            for fc in combinations(carrier.vertices, k):
+                for rk in range(len(rest) + 1):
+                    for rc in combinations(rest, rk):
+                        added.add(Simplex.of((new_id,) + fc + rc))
+    coords = c.coords
+    coords[new_id] = new_coord
+    return Complex(kept | added, coords), new_id
+
+
+def ref_star_with_values(f: PLMap, carrier: Simplex, point: BaryPoint):
+    """Star f's complex at a carrier-local point and interpolate the value at
+    the new vertex.  Returns (new PLMap, new vertex id)."""
+    c2, vid = ref_star_at_point(f.complex, carrier, point)
+    values = f.values
+    local = point.as_dict()
+    acc = [Fraction(0)] * f.n
+    for v, w in local.items():
+        val = values[v]
+        for i in range(f.n):
+            acc[i] += w * val[i]
+    values[vid] = tuple(acc)
+    return PLMap(c2, f.n, values), vid

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robsat.complex_core import (
     BaryPoint,
@@ -13,15 +15,25 @@ from robsat.complex_core import (
     barycenter,
     closure,
     connected_components,
-    empty_complex,
     full_subcomplex,
     make_full,
     star_at_point,
 )
-from robsat.pl_map import PLMap
+from robsat.pl_map import PLMap, star_with_values
 from robsat.reduction import derived_subdivision
 
-from helpers import coboundary, matrix_rank, random_complex, random_interior_point, random_point_in
+from helpers import (
+    coboundary,
+    contains_point,
+    expand,
+    matrix_rank,
+    random_complex,
+    random_interior_point,
+    random_map,
+    random_point_in,
+    ref_star_at_point,
+    ref_star_with_values,
+)
 
 
 def mid(u, v):
@@ -38,7 +50,7 @@ class TestClosure:
 
     def test_empty(self):
         assert closure([]).is_empty()
-        assert empty_complex().dim == -1
+        assert closure([]).dim == -1
 
     def test_path(self):
         c = closure([[1, 2], [2, 3]])
@@ -54,40 +66,40 @@ class TestClosure:
 
 class TestStarAtPoint:
     def test_edge_midpoint(self):
-        c, v = star_at_point(closure([[1, 2]]), Simplex.of([1, 2]), mid(1, 2))
+        c, (v,) = star_at_point(closure([[1, 2]]), [(Simplex.of([1, 2]), mid(1, 2))])
         assert len(c.k_simplices(1)) == 2
         assert c.coord(v).as_dict() == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_triangle_barycenter(self):
         t = Simplex.of([1, 2, 3])
-        c, _ = star_at_point(closure([[1, 2, 3]]), t, barycenter(t))
+        c, _ = star_at_point(closure([[1, 2, 3]]), [(t, barycenter(t))])
         assert len(c.k_simplices(2)) == 3
 
     def test_edge_of_triangle(self):
-        c, _ = star_at_point(closure([[1, 2, 3]]), Simplex.of([1, 2]), mid(1, 2))
+        c, _ = star_at_point(closure([[1, 2, 3]]), [(Simplex.of([1, 2]), mid(1, 2))])
         assert len(c.k_simplices(2)) == 2
         assert len(c.k_simplices(1)) == 5
 
     def test_requires_interior_point(self):
         c = closure([[1, 2, 3]])
         with pytest.raises(ValueError):
-            star_at_point(c, Simplex.of([1, 2, 3]), mid(1, 2))
+            star_at_point(c, [(Simplex.of([1, 2, 3]), mid(1, 2))])
 
     def test_point_set_preserved(self):
         rng = random.Random(11)
         c = closure([[1, 2, 3], [3, 4]])
         t = Simplex.of([1, 2, 3])
-        c2, _ = star_at_point(c, t, random_interior_point(rng, t))
-        c3, _ = star_at_point(c2, Simplex.of([3, 4]), mid(3, 4))
+        c2, _ = star_at_point(c, [(t, random_interior_point(rng, t))])
+        c3, _ = star_at_point(c2, [(Simplex.of([3, 4]), mid(3, 4))])
         for _ in range(334):  # three membership queries each: >1000 point checks
             carrier = random.Random(rng.random()).choice(sorted(c.simplices))
-            p = c.expand(random_point_in(rng, carrier))
-            assert c.contains_point(p)
-            assert c2.contains_point(p)
-            assert c3.contains_point(p)
+            p = expand(c, random_point_in(rng, carrier))
+            assert contains_point(c, p)
+            assert contains_point(c2, p)
+            assert contains_point(c3, p)
         outside = BaryPoint.from_dict({1: Fraction(1, 2), 4: Fraction(1, 2)})
-        assert not c.contains_point(outside)
-        assert not c3.contains_point(outside)
+        assert not contains_point(c, outside)
+        assert not contains_point(c3, outside)
 
 
 def barycentric_pick(f, s):
@@ -124,7 +136,7 @@ class TestDerivedSubdivision:
         t = Simplex.of([1, 2])
         before = len(c)
         cofaces = sum(1 for s in c.simplices if set(t.vertices) <= set(s.vertices))
-        after, _ = star_at_point(c, t, mid(1, 2))
+        after, _ = star_at_point(c, [(t, mid(1, 2))])
         assert len(after) <= before * (cofaces + 1)
 
 
@@ -138,10 +150,101 @@ class TestHereditaryClosure:
                 if not candidates:
                     break
                 s = rng.choice(candidates)
-                c, _ = star_at_point(c, s, random_interior_point(rng, s))
+                c, _ = star_at_point(c, [(s, random_interior_point(rng, s))])
             for s in c.simplices:
                 for face in s.faces():
                     assert face in c
+
+
+def derived_batch(rng, c):
+    """Random carriers of c, largest dimension first, at random interior
+    points: the derived pass's pattern."""
+    return [(s, random_interior_point(rng, s))
+            for s in sorted(c.simplices, key=lambda x: (-x.dim, x.vertices))
+            if s.dim > 0 and rng.random() < 0.5]
+
+
+def crossing_batch(rng, c):
+    """Random edges of c in sorted order, each at a random t: the crossing
+    pattern."""
+    out = []
+    for e in c.k_simplices(1):
+        if rng.random() < 0.5:
+            t = Fraction(rng.randint(1, 7), 8)
+            out.append((e, BaryPoint.from_dict({e.vertices[0]: 1 - t, e.vertices[1]: t})))
+    return out
+
+
+def make_full_batch(rng, c):
+    """Barycenters of the simplices that a random full-vertex subcomplex
+    misses, largest dimension first: `make_full`'s pattern."""
+    a_verts = {v for v in c.vertices if rng.random() < 0.7}
+    a = {s for s in c.simplices if set(s.vertices) <= a_verts and rng.random() < 0.5}
+    a = {f for s in a for f in s.faces()}
+    violations = [s for s in c.simplices if s not in a and set(s.vertices) <= a_verts]
+    violations.sort(key=lambda s: (-s.dim, s.vertices))
+    return [(s, barycenter(s)) for s in violations]
+
+
+def chained_batch(rng, c):
+    """Carriers drawn from the state the earlier starrings left, new
+    vertices included."""
+    out = []
+    for _ in range(rng.randint(1, 4)):
+        s = rng.choice([t for t in sorted(c.simplices) if t.dim > 0] or [None])
+        if s is None:
+            break
+        p = random_interior_point(rng, s)
+        out.append((s, p))
+        c, _ = ref_star_at_point(c, s, p)
+    return out
+
+
+class TestBatchStarring:
+    @pytest.mark.parametrize("pattern", [derived_batch, crossing_batch, make_full_batch,
+                                         chained_batch])
+    def test_batch_matches_sequential_starrings(self, pattern):
+        """One batch gives the simplices, coordinates, values and new vertex
+        ids of the same starrings made one call at a time."""
+        @settings(derandomize=True, deadline=None, max_examples=60)
+        @given(st.integers(0, 2 ** 32), st.integers(1, 3))
+        def check(seed, n):
+            rng = random.Random(seed)
+            c = random_complex(rng, max_dim=3, max_vertices=6, n_maximal=3)
+            f = random_map(rng, c, n)
+            stars = pattern(rng, c)
+            g, new = star_with_values(f, stars)
+            ref, ref_new = f, []
+            for carrier, point in stars:
+                ref, vid = ref_star_with_values(ref, carrier, point)
+                ref_new.append(vid)
+            assert g.complex.simplices == ref.complex.simplices
+            assert g.complex.coords == ref.complex.coords
+            assert g.complex.k_simplices(1) == ref.complex.k_simplices(1)
+            assert g.values == ref.values
+            assert new == ref_new
+            assert star_at_point(c, stars) == (ref.complex, ref_new)
+
+        check()
+
+    def test_carrier_removed_earlier_in_the_batch(self):
+        c = closure([[1, 2, 3]])
+        t = Simplex.of([1, 2, 3])
+        with pytest.raises(ValueError):
+            star_at_point(c, [(Simplex.of([1, 2]), mid(1, 2)), (t, barycenter(t))])
+
+    def test_removed_carrier_random(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            c = random_complex(rng, max_dim=3, max_vertices=6, n_maximal=3)
+            s = rng.choice([t for t in sorted(c.simplices) if t.dim > 0] or [None])
+            if s is None:
+                continue
+            coface = rng.choice([t for t in sorted(c.simplices)
+                                 if set(s.vertices) <= set(t.vertices)])
+            with pytest.raises(ValueError):
+                star_at_point(c, [(s, random_interior_point(rng, s)),
+                                  (coface, random_interior_point(rng, coface))])
 
 
 class TestFullSubcomplex:
@@ -190,7 +293,7 @@ class TestMakeFull:
 class TestComponents:
     def test_examples(self):
         assert connected_components(closure([[1, 2], [4, 5]])) == [{1, 2}, {4, 5}]
-        assert connected_components(empty_complex()) == []
+        assert connected_components(closure([])) == []
         assert connected_components(closure([[1, 2], [2, 3]])) == [{1, 2, 3}]
 
 

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from robsat import fixtures
 from robsat.complex_core import Complex, closure, full_subcomplex
 from robsat.fixtures import fixture_from_extension, kappa
 from robsat.homotopy import ExtendTag, decide_extension
 from robsat.pl_map import CriticalValue, Norm, simplex_min_value, vector_norm
-from robsat.reduction import SphereMap
+from robsat.reduction import ReductionError, SphereMap
 from robsat.robustness import RobTag, decide_robsat
 
 from helpers import annulus_octagon, annulus_sphere_map, disk_square
@@ -41,6 +44,13 @@ class TestFixture:
         one = CriticalValue.rat(1)
         for s in bdry.simplices:
             assert not (simplex_min_value(f, s, Norm.LINF) < one)
+
+    def test_small_a_values_raise_reduction_error(self, monkeypatch):
+        monkeypatch.setattr(fixtures, "kappa", lambda norm, n: Fraction(1, 2))
+        disk, bdry = disk_square()
+        fmap = SphereMap(bdry, 2, {0: 1, 1: 2, 2: -1, 3: -2})
+        with pytest.raises(ReductionError):
+            fixture_from_extension(disk, bdry, fmap, Norm.LINF)
 
     def test_empty_a_gives_zero_map(self):
         disk, _ = disk_square()

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robsat.instance_io import (
     Instance,
@@ -160,3 +162,79 @@ class TestSchema:
                 continue
             with open(path) as fh:
                 jsonschema.validate(json.load(fh), schema)
+
+
+# -- parser fuzz: an Instance or a ParseError, nothing else -----------------
+
+RATIONAL_TEXT = st.text(alphabet="0123456789/+- ", max_size=6)
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6)
+                | st.floats() | st.text(max_size=6) | RATIONAL_TEXT
+                | st.sampled_from(["1/0", "9" * 5000, "linf", "l2", "id", "sqrt"]))
+FIELD_NAMES = st.sampled_from(["version", "n", "norm", "vertices", "simplices", "alpha",
+                               "a_simplices", "sphere_map", "id", "f", "g", "chi", "sqrt"])
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(FIELD_NAMES | st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+FUZZ = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+def parses_or_rejects(data):
+    try:
+        assert isinstance(parse_instance(data), Instance)
+    except ParseError:
+        pass
+
+
+def locations(doc):
+    """Every (container, key) pair of a JSON document, depth first."""
+    out = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        out.append((doc, key))
+        if isinstance(value, (dict, list)):
+            out.extend(locations(value))
+    return out
+
+
+class TestParserFuzz:
+    @FUZZ
+    @given(JSON_VALUES)
+    # Inputs that escaped as ZeroDivisionError, ValueError and OverflowError.
+    @example({"n": 1, "vertices": [{"id": 0, "f": ["1/0"]}], "simplices": [[0]]})
+    @example({"n": 1, "vertices": [{"id": 0, "f": ["9" * 5000]}], "simplices": [[0]]})
+    @example({"n": float("inf"), "vertices": [], "simplices": []})
+    @example({"n": 1, "vertices": [], "simplices": [[float("inf")]]})
+    def test_random_json(self, data):
+        parses_or_rejects(data)
+
+    @FUZZ
+    @given(FIELD_NAMES, JSON_VALUES)
+    def test_random_top_level_field(self, field, value):
+        doc = {"version": 1, "n": 2, "norm": "linf",
+               "vertices": [{"id": 0, "f": ["1", "2"]}, {"id": 1, "f": ["0", "1"]}],
+               "simplices": [[0, 1]], "a_simplices": [[0]], "sphere_map": {"0": 1},
+               "alpha": "1/2"}
+        doc[field] = value
+        parses_or_rejects(doc)
+
+    @pytest.mark.parametrize("path", [p for p in shipped_instances()
+                                      if not p.endswith("schema.json")],
+                             ids=os.path.basename)
+    def test_mutated_shipped_instance(self, path):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+
+        @FUZZ
+        @given(st.data())
+        def check(data):
+            doc = json.loads(text)
+            container, key = data.draw(st.sampled_from(locations(doc)))
+            if data.draw(st.booleans()):
+                del container[key]
+            else:
+                container[key] = data.draw(JSON_VALUES)
+            parses_or_rejects(doc)
+
+        check()

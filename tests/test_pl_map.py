@@ -23,7 +23,7 @@ from robsat.pl_map import (
 )
 from robsat.oracles import grid_min_check
 
-from helpers import path_map, random_complex, random_map, random_point_in
+from helpers import expand, path_map, random_complex, random_map, random_point_in
 
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
 
@@ -38,6 +38,10 @@ class TestCriticalValue:
     def test_nonnegative(self):
         with pytest.raises(ValueError):
             CriticalValue.rat(-1)
+
+    def test_non_canonical_sqrt_rejected(self):
+        with pytest.raises(ValueError):
+            CriticalValue(True, Fraction(9, 4))
 
     def test_scaling(self):
         assert CriticalValue.sqrt_of(2).scaled(3) == CriticalValue.sqrt_of(18)
@@ -171,8 +175,8 @@ class TestCriticalValues:
                     continue
                 e = rng.choice(edges)
                 f2, _ = star_with_values(
-                    f, e, BaryPoint.from_dict({e.vertices[0]: Fraction(1, 2),
-                                               e.vertices[1]: Fraction(1, 2)}))
+                    f, [(e, BaryPoint.from_dict({e.vertices[0]: Fraction(1, 2),
+                                                 e.vertices[1]: Fraction(1, 2)}))])
                 assert global_min(f, norm) == global_min(f2, norm)
                 # the refined critical set still contains the global minimum
                 assert global_min(f, norm) in critical_values(f2, norm)
@@ -194,8 +198,8 @@ class TestRootsAndDistance:
 class TestRestrictInterpolate:
     def test_star_edge_zero(self):
         f = path_map([-1, 1])
-        f2, vid = star_with_values(f, Simplex.of([0, 1]),
-                                   BaryPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}))
+        f2, (vid,) = star_with_values(
+            f, [(Simplex.of([0, 1]), BaryPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}))])
         assert f2.value(vid) == (0,)
         # the interpolated value is f at the new vertex's location
         assert evaluate(f, f2.complex.coord(vid)) == f2.value(vid)
@@ -210,7 +214,7 @@ class TestRestrictInterpolate:
         rng = random.Random(21)
         t = closure([[1, 2, 3]])
         f = PLMap(t, 2, {1: (3, 0), 2: (0, 3), 3: (0, 0)})
-        f2, _ = star_with_values(f, Simplex.of([1, 2, 3]), barycenter(Simplex.of([1, 2, 3])))
+        f2, _ = star_with_values(f, [(Simplex.of([1, 2, 3]), barycenter(Simplex.of([1, 2, 3])))])
         for _ in range(50):
-            p = f.complex.expand(random_point_in(rng, Simplex.of([1, 2, 3])))
+            p = expand(f.complex, random_point_in(rng, Simplex.of([1, 2, 3])))
             assert evaluate(f, p) == evaluate(f2, p)

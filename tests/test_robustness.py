@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from robsat import oracles
 from robsat.complex_core import closure
 from robsat.pl_map import CriticalValue, Norm, PLMap, critical_values, global_min
 from robsat.oracles import WitnessSearchConfig
+from robsat.reduction import ReductionError
 from robsat.robustness import (
     RobTag,
     RobustnessTag,
@@ -55,6 +57,18 @@ class TestDecideRobsat:
         assert v.tag == RobTag.ROBUST_NO
         assert v.witness is not None
         assert not global_min(v.witness, Norm.LINF).is_zero()
+
+
+    @pytest.mark.parametrize("witness", [
+        lambda f: f,  # has a root
+        lambda f: path_map([9, 9, 9]),  # rootless, but farther than alpha
+    ])
+    def test_bad_witness_raises_reduction_error(self, monkeypatch, witness):
+        monkeypatch.setattr(oracles, "perturbation_witness",
+                            lambda f, alpha, cfg, norm: witness(f))
+        cfg = WitnessSearchConfig(trials=5, seed=1, step=Fraction(1, 2))
+        with pytest.raises(ReductionError):
+            decide_robsat(path_map([3, -1, 3]), 4, Norm.LINF, witness_config=cfg)
 
 
 class TestRobustness:
