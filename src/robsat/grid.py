@@ -93,25 +93,18 @@ def freudenthal_grid(bounds, resolution) -> FreudenthalGrid:
         if not lo < hi:
             raise ValueError("each interval must have positive length")
 
-    def vertex_at(indices):
-        vid = 0
-        for i, k in enumerate(indices):
-            vid = vid * (resolution[i] + 1) + k
-        return vid
-
-    points: dict[VertexId, tuple[Fraction, ...]] = {}
+    grid = FreudenthalGrid(closure([]), {}, bounds, resolution)
     for idx in product(*(range(r + 1) for r in resolution)):
-        coords = tuple(lo + Fraction(k) * (hi - lo) / r
-                       for (lo, hi), r, k in zip(bounds, resolution, idx))
-        points[vertex_at(idx)] = coords
+        grid.points[grid.vertex_at(idx)] = tuple(
+            lo + Fraction(k) * (hi - lo) / r for (lo, hi), r, k in zip(bounds, resolution, idx))
     simplices = []
-    for cell in product(*(range(r) for r in resolution)):
+    for cell in grid.cells():
         for perm in permutations(range(m)):
             cur = list(cell)
-            chain = [vertex_at(cur)]
+            chain = [grid.vertex_at(cur)]
             for i in perm:
                 cur[i] += 1
-                chain.append(vertex_at(cur))
+                chain.append(grid.vertex_at(cur))
             simplices.append(chain)
-    cx = closure(simplices)
-    return FreudenthalGrid(cx, points, bounds, resolution)
+    grid.complex = closure(simplices)
+    return grid

@@ -46,10 +46,6 @@ class ExtendVerdict:
     u: IntCochain | None = None
     vertex_extension: dict | None = None  # n = 1 certificate: a full vertex map
 
-    @property
-    def decided(self) -> bool:
-        return self.tag is not ExtendTag.UNKNOWN
-
 
 @dataclass
 class DiophantineSystem:
@@ -76,108 +72,55 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
+def _column_step(p: list[int], q: list[int], i: int) -> tuple[list[int], list[int]]:
+    """A unimodular operation on the columns (p, q), p[i] != 0, after which
+    q[i] = 0: subtract a multiple of p when p[i] divides q[i], otherwise the
+    Bezout pair puts gcd(p[i], q[i]) into p."""
+    a, c = p[i], q[i]
+    if c % a == 0:
+        t = c // a
+        return p, [v - t * u for u, v in zip(p, q)]
+    x, y, g = _xgcd(a, c)
+    ag, cg = a // g, c // g
+    return [x * u + y * v for u, v in zip(p, q)], [ag * v - cg * u for u, v in zip(p, q)]
+
+
 def smith_solve(system: DiophantineSystem) -> list[int] | None:
     """Integer solution of M x = b, or None iff none exists.
 
-    Diagonalizes M by unimodular row and column operations (row operations are
-    applied to b as well, column operations are accumulated so the solution can
-    be mapped back), then solves the diagonal system by exact division.
+    One-sided column elimination: unimodular column operations on the stacked
+    matrix [M; I] bring M to a column echelon form H = M U, and M x = b is
+    solvable over Z iff H y = b is (then x = U y).  Row by row, a nonzero
+    column is swapped into pivot place k and every later column is reduced
+    into it, so the row is zero past k; the row's residual b_i - sum_{j<k}
+    H[i][j] y_j then fixes y_k by exact division, or must vanish when the row
+    has no pivot.  Free coordinates of y are 0.  The name is kept from the
+    earlier two-sided Smith diagonalisation because the benchmark's layer map
+    traces `homotopy.smith_solve` and reads `system.shape` and `system.matrix`.
     """
     m, n = system.shape
-    d = [list(row) for row in system.matrix]
-    b = list(system.rhs)
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_combine(i1, i2, col):
-        # Keep the pivot row fixed when its entry already divides the target;
-        # otherwise a Bezout combination strictly shrinks |d[i1][col]|.
-        a, c = d[i1][col], d[i2][col]
-        if c == 0:
-            return
-        if a == 0:
-            d[i1], d[i2] = d[i2], d[i1]
-            b[i1], b[i2] = b[i2], b[i1]
-            return
-        if c % a == 0:
-            q = c // a
-            d[i2] = [p - q * s for p, s in zip(d[i2], d[i1])]
-            b[i2] -= q * b[i1]
-            return
-        x, y, g = _xgcd(a, c)
-        ag, cg = a // g, c // g
-        r1, r2 = d[i1], d[i2]
-        d[i1] = [x * p + y * q for p, q in zip(r1, r2)]
-        d[i2] = [-cg * p + ag * q for p, q in zip(r1, r2)]
-        b[i1], b[i2] = x * b[i1] + y * b[i2], -cg * b[i1] + ag * b[i2]
-
-    def col_combine(j1, j2, row):
-        a, c = d[row][j1], d[row][j2]
-        if c == 0:
-            return
-        if a == 0:
-            for r in d:
-                r[j1], r[j2] = r[j2], r[j1]
-            for r in t:
-                r[j1], r[j2] = r[j2], r[j1]
-            return
-        if c % a == 0:
-            q = c // a
-            for r in d:
-                r[j2] -= q * r[j1]
-            for r in t:
-                r[j2] -= q * r[j1]
-            return
-        x, y, g = _xgcd(a, c)
-        ag, cg = a // g, c // g
-        for r in d:
-            p, q = r[j1], r[j2]
-            r[j1], r[j2] = x * p + y * q, -cg * p + ag * q
-        for r in t:
-            p, q = r[j1], r[j2]
-            r[j1], r[j2] = x * p + y * q, -cg * p + ag * q
-
-    for k in range(min(m, n)):
-        pivot = next(
-            ((i, j) for i in range(k, m) for j in range(k, n) if d[i][j] != 0),
-            None,
-        )
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != k:
-            d[k], d[pi] = d[pi], d[k]
-            b[k], b[pi] = b[pi], b[k]
-        if pj != k:
-            for r in d:
-                r[k], r[pj] = r[pj], r[k]
-            for r in t:
-                r[k], r[pj] = r[pj], r[k]
-        # Alternate clearing column k (row ops) and row k (column ops); any
-        # non-divisible step strictly shrinks |d[k][k]|, so this terminates.
-        guard = 0
-        while True:
-            guard += 1
-            if guard >= 10000:
-                raise ExactnessError("smith elimination failed to converge")
-            for i in range(k + 1, m):
-                row_combine(k, i, k)
-            if all(d[k][j] == 0 for j in range(k + 1, n)):
-                break
-            for j in range(k + 1, n):
-                col_combine(k, j, k)
-            if all(d[i][k] == 0 for i in range(k + 1, m)):
-                break
-    y = [0] * n
+    cols = [[row[j] for row in system.matrix] + [int(i == j) for i in range(n)]
+            for j in range(n)]
+    y: list[int] = []
     for i in range(m):
-        di = d[i][i] if i < n else 0
-        if di == 0:
-            if b[i] != 0:
+        k = len(y)
+        r = system.rhs[i] - sum(cols[j][i] * y[j] for j in range(k))
+        pivot = next((j for j in range(k, n) if cols[j][i]), None)
+        if pivot is None:
+            if r:
                 return None
-        else:
-            if b[i] % di != 0:
-                return None
-            y[i] = b[i] // di
-    x = [sum(t[i][j] * y[j] for j in range(n)) for i in range(n)]
+            continue
+        cols[k], cols[pivot] = cols[pivot], cols[k]
+        for j in range(k + 1, n):
+            if cols[j][i]:
+                cols[k], cols[j] = _column_step(cols[k], cols[j], i)
+        if r % cols[k][i]:
+            return None
+        y.append(r // cols[k][i])
+    x = [0] * n
+    for yk, col in zip(y, cols):
+        if yk:
+            x = [xj + yk * uj for xj, uj in zip(x, col[m:])]
     if any(sum(mr[j] * x[j] for j in range(n)) != bi
            for mr, bi in zip(system.matrix, system.rhs)):
         raise ExactnessError("smith_solve produced a non-solution")

@@ -277,6 +277,15 @@ def simplex_min_value(f: PLMap, s: Simplex, norm: Norm) -> CriticalValue:
     return _min_value_cached(tuple(f.value(v) for v in s.vertices), f.n, norm)[0]
 
 
+def min_below_vertices(f: PLMap, s: Simplex, norm: Norm) -> bool:
+    """Whether min |f| over a simplex lies strictly below |f| at each of its
+    vertices: the cached minimizer is refined exactly then, so this reads
+    that bit with no vertex norms recomputed on a cache hit."""
+    if s not in f.complex:
+        raise ValueError(f"simplex {s} not in complex")
+    return _min_value_cached(tuple(f.value(v) for v in s.vertices), f.n, norm)[1] is not None
+
+
 def simplex_min(f: PLMap, s: Simplex, norm: Norm) -> tuple[BaryPoint, CriticalValue]:
     """Exact minimizer and minimum of |f| over a simplex of f's complex.
 

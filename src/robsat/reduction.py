@@ -31,11 +31,11 @@ from .pl_map import (
     CriticalValue,
     Norm,
     PLMap,
+    min_below_vertices,
     norm_compare,
     simplex_min,
     simplex_min_value,
     star_with_values,
-    vector_norm,
 )
 
 
@@ -139,10 +139,7 @@ class LevelPair:
 
 
 def _interior_argmin(f: PLMap, s: Simplex, norm: Norm):
-    if s.dim == 0:
-        return None
-    vertex_best = min(vector_norm(f.value(v), norm) for v in s.vertices)
-    if not (simplex_min_value(f, s, norm) < vertex_best):
+    if not min_below_vertices(f, s, norm):
         return None  # a vertex already attains the minimum
     point, _ = simplex_min(f, s, norm)
     if len(point.support) == len(s.vertices):
@@ -151,14 +148,7 @@ def _interior_argmin(f: PLMap, s: Simplex, norm: Norm):
 
 
 def _vertex_extremal_violations(f: PLMap, norm: Norm) -> list[Simplex]:
-    out = []
-    for s in f.complex.simplices:
-        if s.dim == 0:
-            continue
-        cv = simplex_min_value(f, s, norm)
-        if cv < min(vector_norm(f.value(v), norm) for v in s.vertices):
-            out.append(s)
-    return out
+    return [s for s in f.complex.simplices if min_below_vertices(f, s, norm)]
 
 
 def derived_subdivision(f: PLMap, pick) -> PLMap:
@@ -185,22 +175,26 @@ class _VertexExtremal(PLMap):
 def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     """Subdivide until every simplex attains min |f| at one of its vertices.
 
-    One derived pass starring interior argmins suffices (each new simplex is
-    spanned along a chain of starred simplices, whose deepest argmin vertex
-    realizes the minimum); the property is re-verified exactly, with a second
-    pass as a safety net.  The result remembers the norm, and subdividing it
-    again for that norm returns it unchanged, so a map decided at several
-    alphas is subdivided once.
+    Each pass is a derived pass starring interior argmins.  One pass need not
+    suffice: a simplex whose lexicographic argmin lies on a proper face is not
+    starred itself, and the cones that starring its other faces creates can
+    have their minimum below every vertex again.  So passes repeat while the
+    exact check `_vertex_extremal_violations` finds such a simplex.  Some pass
+    always has a starring to make (a smallest face attaining a simplex's
+    minimum has it in its interior), so a pass that stars nothing while
+    violations remain raises `ReductionError`.  The result remembers the norm,
+    and subdividing it again for that norm returns it unchanged, so a map
+    decided at several alphas is subdivided once.
     """
     if isinstance(f, _VertexExtremal) and f.norm == norm:
         return f
     pick = partial(_interior_argmin, norm=norm)
     out = derived_subdivision(f, pick)
-    if _vertex_extremal_violations(out, norm):
-        out = derived_subdivision(out, pick)
-        bad = _vertex_extremal_violations(out, norm)
-        if bad:
-            raise ReductionError(f"vertex-extremality failed after two passes: {bad[:3]}")
+    while bad := _vertex_extremal_violations(out, norm):
+        nxt = derived_subdivision(out, pick)
+        if nxt is out:
+            raise ReductionError(f"vertex-extremality failed, nothing to star: {bad[:3]}")
+        out = nxt
     return _VertexExtremal(out, norm)
 
 

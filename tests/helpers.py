@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from robsat.complex_core import BaryPoint, Complex, Simplex, closure, full_subcomplex
+from robsat.exactlinalg import ExactnessError
+from robsat.homotopy import DiophantineSystem, _xgcd
 from robsat.pl_map import PLMap, star_with_values
 from robsat.reduction import LevelPair, SphereMap
 
@@ -400,3 +402,117 @@ def ref_star_with_values(f: PLMap, carrier: Simplex, point: BaryPoint):
             acc[i] += w * val[i]
     values[vid] = tuple(acc)
     return PLMap(c2, f.n, values), vid
+
+
+# -- test-only reference: the two-sided Smith diagonalisation -------------
+#
+# robsat's `homotopy.smith_solve` before it became a one-sided column
+# elimination, kept verbatim (renamed) so the differential test can compare
+# solvability against it.
+
+def ref_smith_solve(system: DiophantineSystem) -> list[int] | None:
+    """Integer solution of M x = b, or None iff none exists.
+
+    Diagonalizes M by unimodular row and column operations (row operations are
+    applied to b as well, column operations are accumulated so the solution can
+    be mapped back), then solves the diagonal system by exact division.
+    """
+    m, n = system.shape
+    d = [list(row) for row in system.matrix]
+    b = list(system.rhs)
+    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_combine(i1, i2, col):
+        # Keep the pivot row fixed when its entry already divides the target;
+        # otherwise a Bezout combination strictly shrinks |d[i1][col]|.
+        a, c = d[i1][col], d[i2][col]
+        if c == 0:
+            return
+        if a == 0:
+            d[i1], d[i2] = d[i2], d[i1]
+            b[i1], b[i2] = b[i2], b[i1]
+            return
+        if c % a == 0:
+            q = c // a
+            d[i2] = [p - q * s for p, s in zip(d[i2], d[i1])]
+            b[i2] -= q * b[i1]
+            return
+        x, y, g = _xgcd(a, c)
+        ag, cg = a // g, c // g
+        r1, r2 = d[i1], d[i2]
+        d[i1] = [x * p + y * q for p, q in zip(r1, r2)]
+        d[i2] = [-cg * p + ag * q for p, q in zip(r1, r2)]
+        b[i1], b[i2] = x * b[i1] + y * b[i2], -cg * b[i1] + ag * b[i2]
+
+    def col_combine(j1, j2, row):
+        a, c = d[row][j1], d[row][j2]
+        if c == 0:
+            return
+        if a == 0:
+            for r in d:
+                r[j1], r[j2] = r[j2], r[j1]
+            for r in t:
+                r[j1], r[j2] = r[j2], r[j1]
+            return
+        if c % a == 0:
+            q = c // a
+            for r in d:
+                r[j2] -= q * r[j1]
+            for r in t:
+                r[j2] -= q * r[j1]
+            return
+        x, y, g = _xgcd(a, c)
+        ag, cg = a // g, c // g
+        for r in d:
+            p, q = r[j1], r[j2]
+            r[j1], r[j2] = x * p + y * q, -cg * p + ag * q
+        for r in t:
+            p, q = r[j1], r[j2]
+            r[j1], r[j2] = x * p + y * q, -cg * p + ag * q
+
+    for k in range(min(m, n)):
+        pivot = next(
+            ((i, j) for i in range(k, m) for j in range(k, n) if d[i][j] != 0),
+            None,
+        )
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != k:
+            d[k], d[pi] = d[pi], d[k]
+            b[k], b[pi] = b[pi], b[k]
+        if pj != k:
+            for r in d:
+                r[k], r[pj] = r[pj], r[k]
+            for r in t:
+                r[k], r[pj] = r[pj], r[k]
+        # Alternate clearing column k (row ops) and row k (column ops); any
+        # non-divisible step strictly shrinks |d[k][k]|, so this terminates.
+        guard = 0
+        while True:
+            guard += 1
+            if guard >= 10000:
+                raise ExactnessError("smith elimination failed to converge")
+            for i in range(k + 1, m):
+                row_combine(k, i, k)
+            if all(d[k][j] == 0 for j in range(k + 1, n)):
+                break
+            for j in range(k + 1, n):
+                col_combine(k, j, k)
+            if all(d[i][k] == 0 for i in range(k + 1, m)):
+                break
+    y = [0] * n
+    for i in range(m):
+        di = d[i][i] if i < n else 0
+        if di == 0:
+            if b[i] != 0:
+                return None
+        else:
+            if b[i] % di != 0:
+                return None
+            y[i] = b[i] // di
+    x = [sum(t[i][j] * y[j] for j in range(n)) for i in range(n)]
+    if any(sum(mr[j] * x[j] for j in range(n)) != bi
+           for mr, bi in zip(system.matrix, system.rhs)):
+        raise ExactnessError("smith_solve produced a non-solution")
+    return x

@@ -59,6 +59,22 @@ class TestRobustness:
         assert code == EXIT_DECIDED
         assert doc["result"] in ("Value", "Unsatisfiable")
 
+    def test_tetrahedron_needs_a_third_extremal_pass(self, capsys, tmp_path):
+        # The derived pass leaves cones whose minimum is below every vertex
+        # twice in a row here; the extremal subdivision must keep going.
+        path = tmp_path / "tetrahedron.json"
+        path.write_text(json.dumps({
+            "version": 1, "n": 2, "norm": "l2",
+            "vertices": [{"id": 0, "f": ["-1", "-5"]}, {"id": 1, "f": ["-5", "4"]},
+                         {"id": 2, "f": ["5", "-4"]}, {"id": 3, "f": ["2", "-4"]}],
+            "simplices": [[0, 1, 2, 3]], "alpha": "1"}))
+        code, doc = run(capsys, "decide", "-i", str(path))
+        assert code == EXIT_DECIDED
+        assert doc["verdict"] == "RobustNo"  # f vanishes at the midpoint of edge 1-2
+        code, doc = run(capsys, "robustness", "-i", str(path))
+        assert code == EXIT_DECIDED
+        assert doc["result"] == "Value" and doc["value"] == "0"
+
 
 class TestExtend:
     def test_not_extends(self, capsys):

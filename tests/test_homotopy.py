@@ -5,6 +5,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robsat.complex_core import (
     Complex,
@@ -33,6 +35,7 @@ from helpers import (
     annulus_sphere_map,
     boundary_cycle_chain,
     disk_square,
+    ref_smith_solve,
 )
 
 
@@ -328,3 +331,52 @@ def test_certificate_check_survives_optimize():
          os.path.join(here, os.pardir, "instances", "annulus_w0.json")],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+@st.composite
+def diophantine_systems(draw):
+    """Random systems (m, n in 0..6, non-unit entries, zero rows, rows that
+    are multiples or sums of earlier ones, consistent or random right-hand
+    sides) and the extension systems of the annulus and disk fixtures."""
+    kind = draw(st.sampled_from(["random", "annulus", "disk"]))
+    if kind == "annulus":
+        ann, a = annulus_octagon()
+        fmap = annulus_sphere_map(a, draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        return build_extension_system(ann, a, pullback_cocycle(fmap))[0]
+    if kind == "disk":
+        disk, bdry = disk_square()
+        labels = draw(st.lists(st.sampled_from([1, 2, -1, -2]), min_size=4, max_size=4))
+        fmap = SphereMap(bdry, 2, dict(enumerate(labels)))
+        return build_extension_system(disk, bdry, pullback_cocycle(fmap))[0]
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    for i in range(1, m):
+        how = draw(st.sampled_from(["keep", "zero", "multiple", "sum"]))
+        j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        c = draw(st.integers(-3, 3))
+        if how == "zero":
+            rows[i] = [0] * n
+        elif how == "multiple":
+            rows[i] = [c * x for x in rows[j]]
+        elif how == "sum":
+            rows[i] = [c * x + y for x, y in zip(rows[j], rows[k])]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    return DiophantineSystem(rows, rhs, [f"x{j}" for j in range(n)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(diophantine_systems())
+def test_column_elimination_matches_smith_reference(system):
+    """The one-sided column elimination decides solvability exactly as the
+    two-sided Smith diagonalisation it replaced, and its solutions solve."""
+    x = smith_solve(system)
+    assert (x is None) == (ref_smith_solve(system) is None)
+    if x is not None:
+        assert len(x) == system.shape[1]
+        assert all(sum(a * xj for a, xj in zip(row, x)) == bi
+                   for row, bi in zip(system.matrix, system.rhs))
