@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _load(path: str) -> Instance:
     try:
         return instance_io.load_file(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -153,8 +153,11 @@ def cmd_degree(args) -> tuple[dict, int]:
         raise ParseError("degree needs 'a_simplices' and 'sphere_map'")
     raw = args.cycle
     if raw.startswith("@"):
-        with open(raw[1:], "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        try:
+            with open(raw[1:], "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {raw[1:]}: {exc}") from exc
     try:
         entries = json.loads(raw)
         values = {Simplex.of(int(v) for v in verts): int(coeff)
@@ -228,7 +231,10 @@ def cmd_gen_fixture(args) -> tuple[dict, int]:
                                instance.sphere_map, norm)
     out = Instance(f.complex, f.n, norm, f=f, alpha=CriticalValue.rat(Fraction(99, 100)))
     if args.output:
-        instance_io.save_file(out, args.output)
+        try:
+            instance_io.save_file(out, args.output)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}") from exc
         return {"written": args.output,
                 "vertices": len(f.complex.vertices),
                 "simplices": len(f.complex.simplices)}, EXIT_DECIDED

@@ -28,6 +28,10 @@ class WitnessSearchConfig:
     seed: int = 0
     step: Fraction = Fraction(1, 4)
 
+    def __post_init__(self):
+        if self.step <= 0:
+            raise ValueError("the witness lattice step must be positive")
+
 
 def _sign_definite(simplex_vertices, n: int, values) -> bool:
     """True when every simplex has a coordinate of constant strict sign, which

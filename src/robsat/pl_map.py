@@ -201,11 +201,12 @@ def _min_l2(ys, n):
     Minimizers over the affine hull of each face solve a rational KKT system;
     faces whose solutions are all infeasible are covered by their subfaces.
     """
+    gram = [[2 * sum(a[i] * b[i] for i in range(n)) for b in ys] for a in ys]
     best_sq = best_y = None
     for k in range(1, len(ys) + 1):
         for face in combinations(range(len(ys)), k):
             ys_f = [ys[j] for j in face]
-            rows = [[2 * sum(a[i] * b[i] for i in range(n)) for b in ys_f] + [-1] for a in ys_f]
+            rows = [[gram[a][b] for b in face] + [-1] for a in face]
             rows.append([1] * k + [0])
             rhs = [0] * k + [1]
             sol, unique = exactlinalg.solve(rows, rhs)

@@ -13,20 +13,23 @@ The pipeline has three stages, each an exact subdivision or relabelling:
    simplex of A, at which point the vertexwise rule v -> sign * e_index is a
    simplicial approximation into the boundary of the cross polytope.
 
-Each subdivision is one batched `star_at_point` call per pass (one for the
-derived pass, one per crossing pass), and everything is validated by exact
-rational checks rather than trusted.
+X and A are derived from the final chi labels (`LevelPair`), built once and
+validated once, after sign refinement.  Each subdivision is one batched
+`star_at_point` call per pass (one for the derived pass, one per crossing
+pass), and everything is validated by exact rational checks rather than
+trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from .complex_core import BaryPoint, Complex, Simplex, VertexId, full_subcomplex, star_vertices
 from .pl_map import (
     EQ,
+    GT,
     LT,
     CriticalValue,
     Norm,
@@ -37,6 +40,8 @@ from .pl_map import (
     simplex_min_value,
     star_with_values,
 )
+
+HALF = Fraction(1, 2)
 
 
 class ReductionError(Exception):
@@ -104,32 +109,33 @@ class LevelPair:
     """The combinatorial stand-in for (|f|^-1 [0, alpha], |f|^-1 {alpha}).
 
     `f` lives on the ambient (subdivided) complex; X and A are the full
-    subcomplexes on the chi <= 1/2 and chi = 1/2 vertices.
+    subcomplexes on the chi <= 1/2 and chi = 1/2 vertices, built on first use.
     """
 
     f: PLMap
-    x: Complex
-    a: Complex
-    alpha: CriticalValue
     chi: dict[VertexId, Fraction]
     norm: Norm
 
+    @cached_property
+    def x(self) -> Complex:
+        return full_subcomplex(self.f.complex, lambda v: self.chi[v] <= HALF)
+
+    @cached_property
+    def a(self) -> Complex:
+        return full_subcomplex(self.f.complex, lambda v: self.chi[v] == HALF)
+
     def validate(self) -> None:
-        half = Fraction(1, 2)
+        """No edge joins chi 0 to chi 1, and every A-simplex is weakly signed
+        in every coordinate of f and free of roots."""
         for e in self.f.complex.k_simplices(1):
             u, w = e.vertices
             if {self.chi[u], self.chi[w]} == {Fraction(0), Fraction(1)}:
                 raise ReductionError(f"0-1 edge survived: {e}")
-        if not self.a.simplices <= self.x.simplices:
-            raise ReductionError("A is not a subcomplex of X")
-        for v in self.x.vertices:
-            if self.chi[v] > half:
-                raise ReductionError(f"X vertex {v} has chi > 1/2")
-        for v in self.a.vertices:
-            if self.chi[v] != half:
-                raise ReductionError(f"A vertex {v} has chi != 1/2")
         for s in self.a.simplices:
             ys = [self.f.value(v) for v in s.vertices]
+            for i in range(self.f.n):
+                if any(y[i] > 0 for y in ys) and any(y[i] < 0 for y in ys):
+                    raise ReductionError(f"A-simplex {s} not weakly signed in coordinate {i}")
             # A coordinate strictly signed on s rules out a root exactly.
             if any(all(y[i] > 0 for y in ys) or all(y[i] < 0 for y in ys)
                    for i in range(self.f.n)):
@@ -145,10 +151,6 @@ def _interior_argmin(f: PLMap, s: Simplex, norm: Norm):
     if len(point.support) == len(s.vertices):
         return point
     return None
-
-
-def _vertex_extremal_violations(f: PLMap, norm: Norm) -> list[Simplex]:
-    return [s for s in f.complex.simplices if min_below_vertices(f, s, norm)]
 
 
 def derived_subdivision(f: PLMap, pick) -> PLMap:
@@ -178,43 +180,30 @@ def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     Each pass is a derived pass starring interior argmins.  One pass need not
     suffice: a simplex whose lexicographic argmin lies on a proper face is not
     starred itself, and the cones that starring its other faces creates can
-    have their minimum below every vertex again.  So passes repeat while the
-    exact check `_vertex_extremal_violations` finds such a simplex.  Some pass
-    always has a starring to make (a smallest face attaining a simplex's
-    minimum has it in its interior), so a pass that stars nothing while
-    violations remain raises `ReductionError`.  The result remembers the norm,
-    and subdividing it again for that norm returns it unchanged, so a map
-    decided at several alphas is subdivided once.
+    have their minimum below every vertex again.  So passes repeat until one
+    stars nothing.  Some pass always has a starring to make while a simplex
+    has its minimum below every vertex (a smallest face attaining that
+    minimum has it in its interior), and the postcondition is re-checked
+    exactly on the cached minima, raising `ReductionError` if it fails.  The
+    result remembers the norm, and subdividing it again for that norm returns
+    it unchanged, so a map decided at several alphas is subdivided once.
     """
     if isinstance(f, _VertexExtremal) and f.norm == norm:
         return f
     pick = partial(_interior_argmin, norm=norm)
-    out = derived_subdivision(f, pick)
-    while bad := _vertex_extremal_violations(out, norm):
-        nxt = derived_subdivision(out, pick)
-        if nxt is out:
-            raise ReductionError(f"vertex-extremality failed, nothing to star: {bad[:3]}")
+    out = f
+    while (nxt := derived_subdivision(out, pick)) is not out:
         out = nxt
+    bad = [s for s in out.complex.simplices if min_below_vertices(out, s, norm)]
+    if bad:
+        raise ReductionError(f"vertex-extremality failed, nothing to star: {bad[:3]}")
     return _VertexExtremal(out, norm)
 
 
-def build_chi(f: PLMap, alpha: CriticalValue, norm: Norm):
-    """chi(v) = 0, 1/2, 1 as |f(v)| compares below, equal, above alpha.
-
-    Returns (chi, eq_vertices) where eq_vertices lists the exact hits.
-    """
-    chi: dict[VertexId, Fraction] = {}
-    eq_vertices: set[VertexId] = set()
-    for v in f.complex.vertices:
-        cmp = norm_compare(f.value(v), norm, alpha)
-        if cmp == LT:
-            chi[v] = Fraction(0)
-        elif cmp == EQ:
-            chi[v] = Fraction(1, 2)
-            eq_vertices.add(v)
-        else:
-            chi[v] = Fraction(1)
-    return chi, eq_vertices
+def build_chi(f: PLMap, alpha: CriticalValue, norm: Norm) -> dict[VertexId, Fraction]:
+    """chi(v) = 0, 1/2, 1 as |f(v)| compares below, equal, above alpha."""
+    label = {LT: Fraction(0), EQ: HALF, GT: Fraction(1)}
+    return {v: label[norm_compare(f.value(v), norm, alpha)] for v in f.complex.vertices}
 
 
 def star_crossings(f: PLMap, h: dict[VertexId, Fraction]) -> tuple[PLMap, list[VertexId]]:
@@ -234,57 +223,35 @@ def star_crossings(f: PLMap, h: dict[VertexId, Fraction]) -> tuple[PLMap, list[V
     return star_with_values(f, stars)
 
 
-def _level_pair(f: PLMap, chi: dict[VertexId, Fraction], alpha: CriticalValue,
-                norm: Norm) -> LevelPair:
-    """X and A as the full subcomplexes on the chi <= 1/2 and chi = 1/2
-    vertices, validated."""
-    half = Fraction(1, 2)
-    x = full_subcomplex(f.complex, lambda v: chi[v] <= half)
-    a = full_subcomplex(f.complex, lambda v: chi[v] == half)
-    pair = LevelPair(f, x, a, alpha, chi, norm)
-    pair.validate()
-    return pair
-
-
-def split_level(f: PLMap, chi: dict[VertexId, Fraction], alpha: CriticalValue,
-                norm: Norm) -> LevelPair:
-    """Star each 0-1 edge at its chi-midpoint (the crossings of chi - 1/2),
-    then take X and A as the full subcomplexes on the chi <= 1/2 and
-    chi = 1/2 vertices.
+def split_level(f: PLMap, chi: dict[VertexId, Fraction], norm: Norm) -> LevelPair:
+    """Star each 0-1 edge at its chi-midpoint (the crossings of chi - 1/2).
 
     The new vertex of a starring gets chi = 1/2, the interpolated value of
-    the piecewise-linear chi at the midpoint.
+    the piecewise-linear chi at the midpoint.  The pair is validated by
+    `sign_refinement`, which every decision runs next.
     """
-    half = Fraction(1, 2)
-    f, new = star_crossings(f, {v: chi[v] - half for v in f.complex.vertices})
-    return _level_pair(f, {**chi, **dict.fromkeys(new, half)}, alpha, norm)
+    f, new = star_crossings(f, {v: chi[v] - HALF for v in f.complex.vertices})
+    return LevelPair(f, {**chi, **dict.fromkeys(new, HALF)}, norm)
 
 
 def sign_refinement(pair: LevelPair) -> LevelPair:
-    """Star A-edges with strict per-coordinate sign changes at the zero point.
+    """Star A-edges with strict per-coordinate sign changes at the zero point,
+    and validate the result.
 
     Coordinates are processed in order; pass i stars the crossings of f_i on
     A (h = f_i on A-vertices, 0 elsewhere), and its new vertices join A.
     Later passes star only edges that pass i left weakly signed, and a convex
     combination of weakly-signed values keeps the weak sign, so pass i's
-    postcondition persists; the final state is re-verified exactly below.
+    postcondition persists; `LevelPair.validate` re-checks it exactly.
     """
     f = pair.f
     chi = dict(pair.chi)
-    half = Fraction(1, 2)
     for i in range(f.n):
-        f, new = star_crossings(f, {v: f.value(v)[i] if chi[v] == half else 0
+        f, new = star_crossings(f, {v: f.value(v)[i] if chi[v] == HALF else 0
                                     for v in f.complex.vertices})
-        for vid in new:
-            if all(x == 0 for x in f.value(vid)):
-                raise ReductionError(f"root of f at a sign-refinement vertex {vid}")
-            chi[vid] = half
-    out = _level_pair(f, chi, pair.alpha, pair.norm)
-    for s in out.a.simplices:
-        for i in range(f.n):
-            vals = [f.value(v)[i] for v in s.vertices]
-            if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-                raise ReductionError(f"A-simplex {s} not weakly signed in coordinate {i}")
+        chi.update(dict.fromkeys(new, HALF))
+    out = LevelPair(f, chi, pair.norm)
+    out.validate()
     return out
 
 

@@ -96,7 +96,7 @@ def reduce_to_extension(f: PLMap, alpha, norm: Norm) -> ReductionOutcome:
         raise ValueError("the map must have at least one component")
     alpha = _coerce_alpha(alpha)
     f1 = vertexwise_extremal_subdivision(f, norm)
-    chi, _ = build_chi(f1, alpha, norm)
+    chi = build_chi(f1, alpha, norm)
     if all(v == 1 for v in chi.values()):
         if global_min(f, norm).is_zero():
             raise ReductionError("|f| exceeds alpha at every vertex of a vertex-extremal "
@@ -105,12 +105,12 @@ def reduce_to_extension(f: PLMap, alpha, norm: Norm) -> ReductionOutcome:
             RobTag.ROBUST_NO,
             reason="|f| exceeds alpha everywhere; f is its own rootless perturbation",
             witness=f))
-    pair = split_level(f1, chi, alpha, norm)
+    # Sign refinement stars nothing when A is empty, so it only validates.
+    pair = sign_refinement(split_level(f1, chi, norm))
     if pair.a.is_empty():
         return ReductionOutcome(shortcut=RobVerdict(
             RobTag.ROBUST_NO,
             reason="the level subcomplex A is empty; the empty map extends"))
-    pair = sign_refinement(pair)
     fmap = simplicial_approximation(pair)
     return ReductionOutcome(pair=pair, fmap=fmap)
 
@@ -177,9 +177,12 @@ def robustness(f: PLMap, norm: Norm, assume_hopf: bool = True) -> RobustnessResu
     """
     if f.n < 1:
         raise ValueError("the map must have at least one component")
-    if not global_min(f, norm).is_zero():
+    values = critical_values(f, norm)
+    if not values:
+        raise ValueError("empty complex has no minimum")
+    if not values[0].is_zero():
         return RobustnessResult(RobustnessTag.UNSATISFIABLE)
-    positive = [cv for cv in critical_values(f, norm) if not cv.is_zero()]
+    positive = values[1:]
     zero = CriticalValue.rat(0)
     if not positive:
         return RobustnessResult(RobustnessTag.VALUE, value=zero)
@@ -289,4 +292,8 @@ def decide_with_inequalities(f: PLMap, g: PLMap, alpha, norm: Norm = Norm.LINF,
             RobTag.ROBUST_NO,
             reason="the constrained region {g <= -alpha} is empty")
     f_u = PLMap(domain, f.n, {v: combined.value(v)[: f.n] for v in domain.vertices})
-    return decide_robsat(f_u, alpha_cv, norm, assume_hopf=assume_hopf)
+    verdict = decide_robsat(f_u, alpha_cv, norm, assume_hopf=assume_hopf)
+    # A witness here would be f_u, which lives on U's subdivided vertices,
+    # not on the instance's complex.
+    verdict.witness = None
+    return verdict

@@ -299,7 +299,7 @@ def scale_map(f: PLMap, c) -> PLMap:
 # rescans; `reduction.star_crossings` replaces all three with one scan.  The
 # differential tests check that the results are identical.
 
-def ref_split_level(f: PLMap, chi, alpha, norm):
+def ref_split_level(f: PLMap, chi, norm):
     chi = dict(chi)
     half = Fraction(1, 2)
     while True:
@@ -310,9 +310,7 @@ def ref_split_level(f: PLMap, chi, alpha, norm):
         u, w = e.vertices
         f, (vid,) = star_with_values(f, [(e, BaryPoint.from_dict({u: half, w: half}))])
         chi[vid] = half
-    x = full_subcomplex(f.complex, lambda v: chi[v] <= half)
-    a = full_subcomplex(f.complex, lambda v: chi[v] == half)
-    return LevelPair(f, x, a, alpha, chi, norm)
+    return LevelPair(f, chi, norm)
 
 
 def ref_sign_refinement(pair):
@@ -330,8 +328,7 @@ def ref_sign_refinement(pair):
             f, (vid,) = star_with_values(f, [(e, BaryPoint.from_dict({u: 1 - t, w: t}))])
             chi[vid] = half
             a = full_subcomplex(f.complex, lambda v: chi[v] == half)
-    x = full_subcomplex(f.complex, lambda v: chi[v] <= half)
-    return LevelPair(f, x, a, pair.alpha, chi, pair.norm)
+    return LevelPair(f, chi, pair.norm)
 
 
 def ref_split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> PLMap:

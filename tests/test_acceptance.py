@@ -49,7 +49,7 @@ def test_02_worked_trace():
     extremal = vertexwise_extremal_subdivision(f, Norm.LINF)
     values = sorted(v[0] for v in extremal.values.values())
     assert values == [-1, 0, 0, 3, 3]
-    chi, _ = build_chi(extremal, CriticalValue.rat(1), Norm.LINF)
+    chi = build_chi(extremal, CriticalValue.rat(1), Norm.LINF)
     chi_by_value = {}
     for v in extremal.complex.vertices:
         chi_by_value.setdefault(extremal.value(v)[0], set()).add(chi[v])

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +44,19 @@ class TestDecide:
         code, doc = run(capsys, "decide", "-i", instance("path_with_inequality.json"))
         assert code == EXIT_DECIDED
         assert doc["verdict"] == "RobustNo"
+
+    def test_inequality_witness_is_on_the_instance(self, capsys, tmp_path):
+        path = tmp_path / "ineq.json"
+        path.write_text(json.dumps({
+            "version": 1, "n": 1, "norm": "linf", "alpha": "1",
+            "vertices": [{"id": i, "f": ["5"], "g": [g]} for i, g in enumerate(["-2", "0", "-2"])],
+            "simplices": [[0, 1], [1, 2]],
+        }))
+        code, doc = run(capsys, "decide", "-i", str(path))
+        assert code == EXIT_DECIDED and doc["verdict"] == "RobustNo"
+        assert doc["witness"] is None
+        code, doc = run(capsys, "decide", "-i", str(path), "--witness")
+        assert sorted(doc["witness"]) == ["0", "1", "2"]
 
     def test_overdetermined(self, capsys):
         code, doc = run(capsys, "decide", "-i", instance("overdetermined_path.json"))
@@ -174,6 +189,32 @@ class TestErrorPaths:
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(doc))
         code = main([command, "-i", str(path), *extra])
+        err = json.loads(capsys.readouterr().err)
+        assert code == want
+        assert err["error"] == ("parse" if want == EXIT_PARSE else "usage")
+
+    def test_nonpositive_witness_step_is_usage_error(self):
+        # Run apart, with a timeout: a zero step once looped forever.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for step in ("0", "-1/4"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "robsat.cli", "decide", "-i", instance("path_identity.json"),
+                 "--alpha", "2", "--witness", f"--step={step}"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == EXIT_USAGE, proc.stderr
+            assert json.loads(proc.stderr)["error"] == "usage"
+
+    @pytest.mark.parametrize("argv, want", [
+        (["decide", "-i", "{dir}"], EXIT_PARSE),
+        (["degree", "-i", instance("disk_degree1.json"), "--cycle", "@{dir}/missing.json"],
+         EXIT_PARSE),
+        (["gen-fixture", "-i", instance("disk_degree1.json"), "-o", "{dir}/missing/out.json"],
+         EXIT_USAGE),
+    ])
+    def test_unreadable_or_unwritable_path(self, capsys, tmp_path, argv, want):
+        code = main([a.format(dir=tmp_path) for a in argv])
         err = json.loads(capsys.readouterr().err)
         assert code == want
         assert err["error"] == ("parse" if want == EXIT_PARSE else "usage")

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from robsat.complex_core import Simplex, closure
 from robsat.homotopy import DiophantineSystem, smith_solve
 from robsat.oracles import (
@@ -20,6 +22,11 @@ CFG = WitnessSearchConfig(trials=100, seed=7, step=Fraction(1, 4))
 
 
 class TestPerturbationWitness:
+    @pytest.mark.parametrize("step", [Fraction(0), Fraction(-1, 4)])
+    def test_nonpositive_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step"):
+            WitnessSearchConfig(step=step)
+
     def test_shift_beyond_endpoint(self):
         f = path_map([-1, 0, 1])
         g = perturbation_witness(f, 2, CFG)

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robsat import reduction
 from robsat.complex_core import closure, connected_components
 from robsat.pl_map import CriticalValue, Norm, PLMap, evaluate, simplex_min, vector_norm
 from robsat.reduction import (
@@ -18,7 +22,7 @@ from robsat.reduction import (
     star_crossings,
     vertexwise_extremal_subdivision,
 )
-from robsat.robustness import _split_inequality_levels
+from robsat.robustness import RobTag, _split_inequality_levels, decide_robsat
 
 from helpers import (
     compose_automorphism,
@@ -98,31 +102,31 @@ class TestExtremalSubdivision:
 class TestBuildChi:
     def test_worked_values(self):
         f = vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
-        chi, eqs = build_chi(f, CriticalValue.rat(1), Norm.LINF)
+        chi = build_chi(f, CriticalValue.rat(1), Norm.LINF)
         by_value = {}
         for v in f.complex.vertices:
             by_value.setdefault(f.value(v)[0], set()).add(chi[v])
         assert by_value[Fraction(3)] == {Fraction(1)}
         assert by_value[Fraction(0)] == {Fraction(0)}
         assert by_value[Fraction(-1)] == {HALF}
-        assert len(eqs) == 1
+        assert sum(x == HALF for x in chi.values()) == 1
 
     def test_alpha_above_everything(self):
         f = path_map([1, 2, 1])
-        chi, _ = build_chi(f, CriticalValue.rat(10), Norm.LINF)
+        chi = build_chi(f, CriticalValue.rat(10), Norm.LINF)
         assert set(chi.values()) == {Fraction(0)}
 
     def test_exact_hit(self):
         f = path_map([1, 2])
-        chi, eqs = build_chi(f, CriticalValue.rat(2), Norm.LINF)
-        assert chi[1] == HALF and 1 in eqs
+        chi = build_chi(f, CriticalValue.rat(2), Norm.LINF)
+        assert chi[1] == HALF
 
 
 class TestSplitLevel:
     def trace_pair(self):
         f = vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
-        chi, _ = build_chi(f, CriticalValue.rat(1), Norm.LINF)
-        return split_level(f, chi, CriticalValue.rat(1), Norm.LINF)
+        chi = build_chi(f, CriticalValue.rat(1), Norm.LINF)
+        return split_level(f, chi, Norm.LINF)
 
     def test_worked_trace(self):
         pair = self.trace_pair()
@@ -135,14 +139,12 @@ class TestSplitLevel:
 
     def test_all_zero_chi(self):
         f = path_map([0, 0, 0])
-        pair = split_level(f, {v: Fraction(0) for v in f.complex.vertices},
-                           CriticalValue.rat(1), Norm.LINF)
+        pair = split_level(f, {v: Fraction(0) for v in f.complex.vertices}, Norm.LINF)
         assert pair.x == f.complex and pair.a.is_empty()
 
     def test_all_one_chi(self):
         f = path_map([5, 5])
-        pair = split_level(f, {v: Fraction(1) for v in f.complex.vertices},
-                           CriticalValue.rat(1), Norm.LINF)
+        pair = split_level(f, {v: Fraction(1) for v in f.complex.vertices}, Norm.LINF)
         assert pair.x.is_empty() and pair.a.is_empty()
 
     def test_no_01_edges_after(self):
@@ -170,9 +172,8 @@ class TestSplitLevel:
 
 class TestSignRefinement:
     def make_pair(self, f, chi=None):
-        cx = f.complex
-        chi = chi or {v: HALF for v in cx.vertices}
-        return LevelPair(f, cx, cx, CriticalValue.rat(100), chi, Norm.LINF)
+        chi = chi or {v: HALF for v in f.complex.vertices}
+        return LevelPair(f, chi, Norm.LINF)
 
     def test_splits_sign_change(self):
         cx = closure([[1, 2]])
@@ -200,8 +201,8 @@ class TestSignRefinement:
 class TestSimplicialApproximation:
     def run_pipeline(self, values, alpha):
         f = vertexwise_extremal_subdivision(path_map(values), Norm.LINF)
-        chi, _ = build_chi(f, CriticalValue.rat(alpha), Norm.LINF)
-        pair = split_level(f, chi, CriticalValue.rat(alpha), Norm.LINF)
+        chi = build_chi(f, CriticalValue.rat(alpha), Norm.LINF)
+        pair = split_level(f, chi, Norm.LINF)
         return simplicial_approximation(sign_refinement(pair))
 
     def test_worked_labels(self):
@@ -212,8 +213,7 @@ class TestSimplicialApproximation:
         cx = closure([[5]])
         for value, label in [((0, 5), 2), ((2, -2), 1), ((-3, 1), -1)]:
             f = PLMap(cx, 2, {5: value})
-            pair = LevelPair(f, cx, cx, CriticalValue.rat(1),
-                             {5: HALF}, Norm.LINF)
+            pair = LevelPair(f, {5: HALF}, Norm.LINF)
             fmap = simplicial_approximation(pair)
             assert fmap.assignment[5] == label
 
@@ -225,8 +225,8 @@ class TestSimplicialApproximation:
             f = random_map(rng, cx, n=2)
             alpha = CriticalValue.rat(Fraction(rng.randint(1, 3), 2))
             f1 = vertexwise_extremal_subdivision(f, Norm.LINF)
-            chi, _ = build_chi(f1, alpha, Norm.LINF)
-            pair = split_level(f1, chi, alpha, Norm.LINF)
+            chi = build_chi(f1, alpha, Norm.LINF)
+            pair = split_level(f1, chi, Norm.LINF)
             if pair.a.is_empty():
                 continue
             pair = sign_refinement(pair)
@@ -239,6 +239,63 @@ class TestSimplicialApproximation:
         fmap = self.run_pipeline([3, -1, 3], 1)
         swapped = compose_automorphism(fmap, {1: -1})
         assert sorted(swapped.assignment.values()) == [-1, -1, 1]
+
+
+def test_one_pair_built_and_validated_per_decision(monkeypatch):
+    """A decision that reaches sign refinement builds X and A once each and
+    validates the pair once."""
+    calls = {"full_subcomplex": 0, "validate": 0}
+    full_subcomplex, validate = reduction.full_subcomplex, LevelPair.validate
+
+    def counted_full_subcomplex(*args):
+        calls["full_subcomplex"] += 1
+        return full_subcomplex(*args)
+
+    def counted_validate(pair):
+        calls["validate"] += 1
+        return validate(pair)
+
+    monkeypatch.setattr(reduction, "full_subcomplex", counted_full_subcomplex)
+    monkeypatch.setattr(LevelPair, "validate", counted_validate)
+    assert decide_robsat(path_map([3, -1, 3]), 1, Norm.LINF).tag is RobTag.ROBUST_YES
+    assert calls == {"full_subcomplex": 2, "validate": 1}
+
+
+class TestExactChecks:
+    """Each exact check of the reduction, failed on purpose."""
+
+    def test_surviving_01_edge(self, monkeypatch):
+        monkeypatch.setattr(reduction, "star_crossings", lambda f, h: (f, []))
+        with pytest.raises(ReductionError, match="0-1 edge"):
+            decide_robsat(path_map([3, -1, 3]), 1, Norm.LINF)
+
+    def test_root_on_a(self):
+        f = PLMap(closure([[1, 2]]), 2, {1: (1, 1), 2: (0, 0)})
+        with pytest.raises(ReductionError, match="root"):
+            LevelPair(f, {1: HALF, 2: HALF}, Norm.LINF).validate()
+
+    def test_a_simplex_not_weakly_signed(self):
+        f = PLMap(closure([[1, 2]]), 2, {1: (1, 1), 2: (-1, 1)})
+        with pytest.raises(ReductionError, match="not weakly signed"):
+            LevelPair(f, {1: HALF, 2: HALF}, Norm.LINF).validate()
+
+    def test_extremality_postcondition(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_interior_argmin", lambda f, s, norm: None)
+        with pytest.raises(ReductionError, match="vertex-extremality"):
+            vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
+
+    def test_checks_survive_optimize(self):
+        # `python -O` strips asserts; every check above is an explicit raise,
+        # and pytest.raises needs no assert.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestExactChecks", "-k", "not optimize"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "4 passed" in proc.stdout
 
 
 def assert_same_pair(pair, ref):
@@ -269,13 +326,13 @@ def test_star_crossings_matches_rescan_loops(norm, n):
                            + [CriticalValue.rat(Fraction(rng.randint(1, 8), 2))])
         if alpha.is_zero():
             alpha = CriticalValue.rat(1)
-        chi, _ = build_chi(f1, alpha, norm)
+        chi = build_chi(f1, alpha, norm)
 
-        ref = ref_split_level(f1, chi, alpha, norm)
+        ref = ref_split_level(f1, chi, norm)
         f2, new = star_crossings(f1, {v: chi[v] - HALF for v in f1.complex.vertices})
         assert f2 == ref.f
         assert new == sorted(set(ref.f.complex.vertices) - set(f1.complex.vertices))
-        pair = split_level(f1, chi, alpha, norm)
+        pair = split_level(f1, chi, norm)
         assert_same_pair(pair, ref)
         assert_same_pair(sign_refinement(pair), ref_sign_refinement(ref))
 

@@ -86,6 +86,10 @@ class TestRobustness:
     def test_unsatisfiable(self):
         assert robustness(path_map([2, 2, 2]), Norm.LINF).tag == RobustnessTag.UNSATISFIABLE
 
+    def test_empty_complex_is_a_value_error(self):
+        with pytest.raises(ValueError, match="empty complex"):
+            robustness(PLMap(closure([]), 1, {}), Norm.LINF)
+
     def test_touching_zero_has_rob_zero(self):
         r = robustness(path_map([1, 0, 1]), Norm.LINF)
         assert r.tag == RobustnessTag.VALUE and r.value == CriticalValue.rat(0)
@@ -199,6 +203,14 @@ class TestInequalities:
         g = PLMap(f.complex, 1, {v: (-1,) for v in f.complex.vertices})
         with pytest.raises(ValueError):
             decide_with_inequalities(f, g, Fraction(1, 2), Norm.L2)
+
+    def test_empty_x_gives_no_witness_on_the_region(self):
+        # |f| > alpha on U = {g <= -alpha}; the shortcut witness there would
+        # be f on U's subdivided vertices, not a map on the instance.
+        f = path_map([5, 5, 5])
+        g = PLMap(f.complex, 1, {0: (-2,), 1: (0,), 2: (-2,)})
+        v = decide_with_inequalities(f, g, 1)
+        assert v.tag == RobTag.ROBUST_NO and v.witness is None
 
     def test_two_constraints(self):
         f = path_map([-2, 0, 2])
