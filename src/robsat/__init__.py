@@ -5,7 +5,6 @@ from .complex_core import (
     BaryPoint,
     Complex,
     IntCochain,
-    OrientedSimplex,
     Simplex,
     closure,
     connected_components,
@@ -27,9 +26,7 @@ from .pl_map import (
     Norm,
     PLMap,
     critical_values,
-    evaluate,
     global_min,
-    has_root,
     norm_compare,
     simplex_min,
 )

@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _load(path: str) -> Instance:
     try:
         return instance_io.load_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -156,15 +156,14 @@ def cmd_degree(args) -> tuple[dict, int]:
         try:
             with open(raw[1:], "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {raw[1:]}: {exc}") from exc
     try:
         entries = json.loads(raw)
-        values = {Simplex.of(int(v) for v in verts): int(coeff)
-                  for verts, coeff in entries}
+        cycle = IntCochain(instance.n - 1, {Simplex.of(int(v) for v in verts): int(coeff)
+                                            for verts, coeff in entries})
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ParseError(f"bad --cycle: {exc}") from exc
-    cycle = IntCochain(instance.n - 1, values)
     try:
         deg = degree(cycle, instance.sphere_map)
     except ValueError as exc:

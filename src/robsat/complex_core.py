@@ -9,8 +9,7 @@ extends by linearity.
 Conventions fixed here and used by every other module:
 
 * simplices are strictly sorted vertex tuples;
-* a cochain stores its value on the sorted orientation, and evaluation on an
-  ordered simplex multiplies by the permutation parity;
+* a cochain stores its value on the sorted orientation;
 * the coboundary is (delta c)(tau) = sum_i (-1)^i c(tau minus i-th vertex),
   vertices of tau in sorted order.
 """
@@ -22,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import attrgetter
-
-from . import exactlinalg
 
 VertexId = int
 
@@ -55,7 +52,7 @@ class Simplex:
     def of(cls, vertices) -> "Simplex":
         vs = tuple(sorted(vertices))
         if len(set(vs)) != len(vs):
-            raise ValueError(f"repeated vertex in {vertices}")
+            raise ValueError(f"repeated vertex in {vs}")
         return cls(vs)
 
     @property
@@ -78,16 +75,6 @@ class Simplex:
 
     def __len__(self):
         return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class OrientedSimplex:
-    simplex: Simplex
-    parity: int  # +1 or -1 relative to the sorted vertex order
-
-    @classmethod
-    def from_sequence(cls, vertices) -> "OrientedSimplex":
-        return cls(Simplex.of(vertices), permutation_parity(list(vertices)))
 
 
 @dataclass(frozen=True)
@@ -220,45 +207,6 @@ class Complex:
             if not any(sv < set(t.vertices) for t in out):
                 out.append(s)
         return sorted(out)
-
-    # -- geometry through barycentric lineage ------------------------------
-
-    def local_coordinates(self, s: Simplex, target: BaryPoint):
-        """Barycentric coordinates of `target` (original coords) within simplex s.
-
-        Returns the weight dict over s's vertices, or None when target is not
-        in the closed hull of s.
-        """
-        ids = sorted({v for vert in s.vertices for v, _ in self._coords[vert].weights}
-                     | set(target.support))
-        rows = []
-        rhs = []
-        for oid in ids:
-            rows.append([self._coords[vert].weight(oid) for vert in s.vertices])
-            rhs.append(target.weight(oid))
-        rows.append([Fraction(1)] * len(s.vertices))
-        rhs.append(Fraction(1))
-        sol, _ = exactlinalg.solve(rows, rhs)
-        if sol is None or any(x < 0 for x in sol):
-            return None
-        return {vert: x for vert, x in zip(s.vertices, sol) if x != 0}
-
-    def locate(self, target: BaryPoint):
-        """Find a simplex whose hull contains `target` (original coordinates).
-
-        Returns (simplex, local weight dict) or None. Deterministic: maximal
-        simplices are scanned in sorted order.
-        """
-        support = set(target.support)
-        for s in self.maximal_simplices():
-            carrier = {v for vert in s.vertices for v, _ in self._coords[vert].weights}
-            if not support <= carrier:
-                continue
-            local = self.local_coordinates(s, target)
-            if local is not None:
-                return s, local
-        return None
-
 
 def _identity_coords(vertex_ids):
     return {v: BaryPoint.vertex(v) for v in vertex_ids}
@@ -401,29 +349,8 @@ class IntCochain:
             if s.dim != self.degree:
                 raise ValueError(f"simplex {s} has dim {s.dim}, cochain degree {self.degree}")
 
-    def __call__(self, s) -> int:
-        if isinstance(s, OrientedSimplex):
-            return s.parity * self.values.get(s.simplex, 0)
+    def __call__(self, s: Simplex) -> int:
         return self.values.get(s, 0)
-
-    def __neg__(self) -> "IntCochain":
-        return IntCochain(self.degree, {s: -v for s, v in self.values.items()})
-
-    def __add__(self, other: "IntCochain") -> "IntCochain":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        vals = dict(self.values)
-        for s, v in other.values.items():
-            vals[s] = vals.get(s, 0) + v
-        return IntCochain(self.degree, vals)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntCochain)
-            and self.degree == other.degree
-            and self.values == other.values
-        )
-
 
 def apply_coboundary(c: Complex, cochain: IntCochain) -> IntCochain:
     """delta(cochain) on the (degree+1)-simplices of c."""

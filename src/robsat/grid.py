@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .complex_core import Complex, Simplex, VertexId, closure
+from .complex_core import Complex, VertexId, closure
 
 
 @dataclass
@@ -42,39 +42,6 @@ class FreudenthalGrid:
 
     def cells(self):
         return product(*(range(r) for r in self.resolution))
-
-    def locate(self, point):
-        """Containing simplex and barycentric weights of a point in the box."""
-        m = self.m
-        cell = []
-        frac = []
-        for i, x in enumerate(point):
-            lo, hi = self.bounds[i]
-            x = Fraction(x)
-            if x < lo or x > hi:
-                raise ValueError(f"coordinate {i} out of bounds")
-            s = (x - lo) * self.resolution[i] / (hi - lo)
-            c = min(int(s), self.resolution[i] - 1)
-            cell.append(c)
-            frac.append(s - c)
-        order = sorted(range(m), key=lambda i: (-frac[i], i))
-        chain = [tuple(cell)]
-        cur = list(cell)
-        for i in order:
-            cur[i] += 1
-            chain.append(tuple(cur))
-        weights: dict[VertexId, Fraction] = {}
-        lam0 = 1 - frac[order[0]] if m else Fraction(1)
-        lams = [lam0]
-        for j in range(1, m):
-            lams.append(frac[order[j - 1]] - frac[order[j]])
-        lams.append(frac[order[m - 1]] if m else Fraction(0))
-        for idx, lam in zip(chain, lams[: m + 1]):
-            if lam != 0:
-                vid = self.vertex_at(idx)
-                weights[vid] = weights.get(vid, Fraction(0)) + lam
-        simplex = Simplex.of(self.vertex_at(idx) for idx in chain)
-        return simplex, weights
 
 
 def freudenthal_grid(bounds, resolution) -> FreudenthalGrid:

@@ -266,6 +266,9 @@ def degree(cycle: IntCochain, fmap: SphereMap, orientation: int = 1) -> int:
     """Pair an (n-1)-cycle with the pulled-back fundamental cocycle."""
     if cycle.degree != fmap.n - 1:
         raise ValueError(f"cycle degree {cycle.degree}, expected {fmap.n - 1}")
+    for s in cycle.values:
+        if s not in fmap.domain:
+            raise ValueError(f"chain simplex {list(s.vertices)} is not in the domain")
     if chain_boundary(fmap.domain, cycle).values:
         raise ValueError("input chain is not a cycle")
     z = pullback_cocycle(fmap, orientation)

@@ -28,20 +28,10 @@ class Interval:
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
     def __mul__(self, other: "Interval") -> "Interval":
         products = (self.lo * other.lo, self.lo * other.hi,
                     self.hi * other.lo, self.hi * other.hi)
         return Interval(min(products), max(products))
-
-    def scaled(self, c) -> "Interval":
-        c = Fraction(c)
-        return Interval.of(c * self.lo, c * self.hi)
 
     def power(self, k: int) -> "Interval":
         if k < 0:
@@ -53,9 +43,6 @@ class Interval:
         if self.hi <= 0:
             return Interval(self.hi ** k, self.lo ** k)
         return Interval(Fraction(0), max(self.lo ** k, self.hi ** k))
-
-    def magnitude(self) -> Fraction:
-        return max(abs(self.lo), abs(self.hi))
 
     def contains(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi

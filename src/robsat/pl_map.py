@@ -149,34 +149,6 @@ class PLMap:
         return f"PLMap(n={self.n}, {self.complex!r})"
 
 
-def evaluate(f: PLMap, p: BaryPoint) -> tuple[Fraction, ...]:
-    """Value of f at a point.
-
-    If p's support spans a simplex of f's complex the interpolation is direct;
-    otherwise p is treated as a point in original coordinates and located.
-    """
-    support = p.support
-    direct = None
-    if all(v in f.complex.coords for v in support):
-        try:
-            s = Simplex.of(support)
-        except ValueError:
-            s = None
-        if s is not None and s in f.complex:
-            direct = p.as_dict()
-    if direct is None:
-        hit = f.complex.locate(p)
-        if hit is None:
-            raise ValueError("point not supported in the complex")
-        _, direct = hit
-    acc = [Fraction(0)] * f.n
-    for v, w in direct.items():
-        val = f.value(v)
-        for i in range(f.n):
-            acc[i] += w * val[i]
-    return tuple(acc)
-
-
 def _norm_lp(ys, n, norm: Norm):
     """The epigraph LP of min |sum lam_j y_j| over the standard simplex, as
     (rows, rhs, cost).  Variable order: lam (d+1), t (1 or n), slacks (2n)."""
@@ -320,10 +292,6 @@ def global_min(f: PLMap, norm: Norm) -> CriticalValue:
     if best is None:
         raise ValueError("empty complex has no minimum")
     return best
-
-
-def has_root(f: PLMap, norm: Norm) -> bool:
-    return global_min(f, norm).is_zero()
 
 
 def max_vertex_norm(f: PLMap, norm: Norm) -> CriticalValue:

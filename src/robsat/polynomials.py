@@ -53,9 +53,6 @@ class Polynomial:
             raise PolynomialError("not a constant")
         return self.terms[0][1] if self.terms else Fraction(0)
 
-    def degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         d = self.as_dict()
         for e, c in other.terms:

@@ -56,17 +56,11 @@ class SphereModel:
 
     n: int
 
-    def vertices(self) -> list[int]:
-        return [s * i for i in range(1, self.n + 1) for s in (+1, -1)]
-
     def is_simplex(self, labels) -> bool:
         labels = list(labels)
         if not 1 <= len(set(labels)) == len(labels) <= self.n:
             return False
         return not any(-x in labels for x in labels)
-
-    def top_simplex(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n + 1))
 
     def coordinates(self, label: int) -> tuple[Fraction, ...]:
         out = [Fraction(0)] * self.n

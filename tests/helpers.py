@@ -13,6 +13,8 @@ from robsat.homotopy import DiophantineSystem, _xgcd
 from robsat.pl_map import PLMap, star_with_values
 from robsat.reduction import LevelPair, SphereMap
 
+from reference_oracles import locate
+
 PATH3 = closure([[0, 1], [1, 2]])
 
 
@@ -280,7 +282,7 @@ def compose_automorphism(fmap: SphereMap, signed_perm: dict[int, int]) -> Sphere
 
 
 def contains_point(c: Complex, target: BaryPoint) -> bool:
-    return c.locate(target) is not None
+    return locate(c, target) is not None
 
 
 def expand(c: Complex, point: BaryPoint) -> BaryPoint:

@@ -1,0 +1,218 @@
+"""Brute-force references that the tests compare robsat's exact deciders with.
+
+They are deliberately independent of the main code paths: the winding oracle
+walks boundary cycles, the grid check samples simplices densely, the
+Diophantine check enumerates a box, and point location solves for barycentric
+coordinates directly.  None of them is on a path robsat runs.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+
+from robsat import exactlinalg
+from robsat.complex_core import BaryPoint, Complex, Simplex, VertexId, connected_components
+from robsat.grid import FreudenthalGrid
+from robsat.homotopy import pullback_cocycle
+from robsat.pl_map import CriticalValue, Norm, PLMap, global_min, vector_norm
+from robsat.reduction import SphereMap
+
+
+# -- point location and evaluation --------------------------------------------
+
+def local_coordinates(c: Complex, s: Simplex, target: BaryPoint):
+    """Barycentric coordinates of `target` (original coords) within simplex s.
+
+    Returns the weight dict over s's vertices, or None when target is not
+    in the closed hull of s.
+    """
+    ids = sorted({v for vert in s.vertices for v, _ in c._coords[vert].weights}
+                 | set(target.support))
+    rows = []
+    rhs = []
+    for oid in ids:
+        rows.append([c._coords[vert].weight(oid) for vert in s.vertices])
+        rhs.append(target.weight(oid))
+    rows.append([Fraction(1)] * len(s.vertices))
+    rhs.append(Fraction(1))
+    sol, _ = exactlinalg.solve(rows, rhs)
+    if sol is None or any(x < 0 for x in sol):
+        return None
+    return {vert: x for vert, x in zip(s.vertices, sol) if x != 0}
+
+
+def locate(c: Complex, target: BaryPoint):
+    """Find a simplex whose hull contains `target` (original coordinates).
+
+    Returns (simplex, local weight dict) or None. Deterministic: maximal
+    simplices are scanned in sorted order.
+    """
+    support = set(target.support)
+    for s in c.maximal_simplices():
+        carrier = {v for vert in s.vertices for v, _ in c._coords[vert].weights}
+        if not support <= carrier:
+            continue
+        local = local_coordinates(c, s, target)
+        if local is not None:
+            return s, local
+    return None
+
+
+def grid_locate(grid: FreudenthalGrid, point):
+    """Containing simplex and barycentric weights of a point in the box."""
+    m = grid.m
+    cell = []
+    frac = []
+    for i, x in enumerate(point):
+        lo, hi = grid.bounds[i]
+        x = Fraction(x)
+        if x < lo or x > hi:
+            raise ValueError(f"coordinate {i} out of bounds")
+        s = (x - lo) * grid.resolution[i] / (hi - lo)
+        c = min(int(s), grid.resolution[i] - 1)
+        cell.append(c)
+        frac.append(s - c)
+    order = sorted(range(m), key=lambda i: (-frac[i], i))
+    chain = [tuple(cell)]
+    cur = list(cell)
+    for i in order:
+        cur[i] += 1
+        chain.append(tuple(cur))
+    weights: dict[VertexId, Fraction] = {}
+    lam0 = 1 - frac[order[0]] if m else Fraction(1)
+    lams = [lam0]
+    for j in range(1, m):
+        lams.append(frac[order[j - 1]] - frac[order[j]])
+    lams.append(frac[order[m - 1]] if m else Fraction(0))
+    for idx, lam in zip(chain, lams[: m + 1]):
+        if lam != 0:
+            vid = grid.vertex_at(idx)
+            weights[vid] = weights.get(vid, Fraction(0)) + lam
+    simplex = Simplex.of(grid.vertex_at(idx) for idx in chain)
+    return simplex, weights
+
+
+def evaluate(f: PLMap, p: BaryPoint) -> tuple[Fraction, ...]:
+    """Value of f at a point.
+
+    If p's support spans a simplex of f's complex the interpolation is direct;
+    otherwise p is treated as a point in original coordinates and located.
+    """
+    support = p.support
+    direct = None
+    if all(v in f.complex.coords for v in support):
+        try:
+            s = Simplex.of(support)
+        except ValueError:
+            s = None
+        if s is not None and s in f.complex:
+            direct = p.as_dict()
+    if direct is None:
+        hit = locate(f.complex, p)
+        if hit is None:
+            raise ValueError("point not supported in the complex")
+        _, direct = hit
+    acc = [Fraction(0)] * f.n
+    for v, w in direct.items():
+        val = f.value(v)
+        for i in range(f.n):
+            acc[i] += w * val[i]
+    return tuple(acc)
+
+
+def has_root(f: PLMap, norm: Norm) -> bool:
+    return global_min(f, norm).is_zero()
+
+
+# -- winding, grid minimum, bounded Diophantine search --------------------------
+
+def _walk_cycle(a: Complex, component: set[int]) -> list[tuple[int, int]]:
+    adjacency: dict[int, list[int]] = {v: [] for v in component}
+    for e in a.k_simplices(1):
+        u, v = e.vertices
+        if u in component:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    for v, nb in adjacency.items():
+        if len(nb) != 2:
+            raise ValueError(f"component is not a simple cycle at vertex {v}")
+    start = min(component)
+    nxt = min(adjacency[start])
+    walk = [(start, nxt)]
+    prev, cur = start, nxt
+    while cur != start:
+        a_, b_ = adjacency[cur]
+        step = b_ if a_ == prev else a_
+        walk.append((cur, step))
+        prev, cur = cur, step
+    return walk
+
+
+def winding_oracle(a: Complex, fmap: SphereMap) -> list[int]:
+    """Winding of the pulled-back cocycle along each cycle component of a,
+    walked deterministically from its smallest vertex toward its smaller
+    neighbor.  Components are ordered by smallest vertex."""
+    z = pullback_cocycle(fmap)
+    out = []
+    for comp in connected_components(a):
+        total = 0
+        for u, v in _walk_cycle(a, comp):
+            s = Simplex.of([u, v])
+            total += z(s) if u < v else -z(s)
+        out.append(total)
+    return out
+
+
+def grid_min_check(f: PLMap, s: Simplex, norm: Norm, resolution: int) -> CriticalValue:
+    """Minimum of |f| over the barycentric grid of denominator `resolution`
+    on s: an upper bound for the exact simplex minimum."""
+    d1 = len(s.vertices)
+    best = None
+    for ks in _compositions(resolution, d1):
+        point = {v: Fraction(k, resolution) for v, k in zip(s.vertices, ks) if k}
+        val = [Fraction(0)] * f.n
+        for v, w in point.items():
+            fv = f.value(v)
+            for i in range(f.n):
+                val[i] += w * fv[i]
+        cv = vector_norm(val, norm)
+        if best is None or cv < best:
+            best = cv
+    return best
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def brute_diophantine(matrix, rhs, bound: int) -> list[int] | None:
+    """Exhaustive integer solution search for M x = b with |x_i| <= bound,
+    implemented as a meet-in-the-middle scan of the box.  None means no
+    solution exists inside the box (the system may still be solvable)."""
+    m = len(matrix)
+    n = len(matrix[0]) if matrix else 0
+    if n == 0:
+        return [] if all(v == 0 for v in rhs) else None
+    half = n // 2
+    rng = range(-bound, bound + 1)
+    left_cols = list(range(half))
+    right_cols = list(range(half, n))
+
+    left: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for xs in product(rng, repeat=len(left_cols)):
+        key = tuple(sum(matrix[i][j] * x for j, x in zip(left_cols, xs)) for i in range(m))
+        if key not in left:
+            left[key] = xs
+    for xs in product(rng, repeat=len(right_cols)):
+        partial = tuple(sum(matrix[i][j] * x for j, x in zip(right_cols, xs)) for i in range(m))
+        key = tuple(b - p for b, p in zip(rhs, partial))
+        hit = left.get(key)
+        if hit is not None:
+            return list(hit) + list(xs)
+    return None

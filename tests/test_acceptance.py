@@ -14,8 +14,8 @@ from robsat.fixtures import fixture_from_extension
 from robsat.grid import freudenthal_grid
 from robsat.homotopy import DiophantineSystem, ExtendTag, decide_extension, pullback_cocycle, smith_solve, verify_extension_certificate
 from robsat.instance_io import load_file
-from robsat.oracles import WitnessSearchConfig, brute_diophantine, perturbation_witness, winding_oracle
-from robsat.pl_map import CriticalValue, Norm, PLMap, critical_values, evaluate
+from robsat.oracles import WitnessSearchConfig, perturbation_witness
+from robsat.pl_map import CriticalValue, Norm, PLMap, critical_values
 from robsat.polynomials import Polynomial
 from robsat.reduction import SphereMap, build_chi, vertexwise_extremal_subdivision
 from robsat.robustness import RobTag, RobustnessTag, decide_robsat, reduce_to_extension, robustness
@@ -23,6 +23,7 @@ from robsat.sampling import SampledTag, decide_sampled, sample_polynomial
 from robsat.complex_core import BaryPoint
 
 from helpers import annulus_octagon, annulus_sphere_map, disk_square, path_map
+from reference_oracles import brute_diophantine, evaluate, grid_locate, winding_oracle
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
@@ -283,7 +284,7 @@ def test_10_sampling_rigor():
         f, eps = sample_polynomial(polys, grid, Norm.LINF)
         for _ in range(1000):
             pt = tuple(Fraction(rng.randint(-6, 6), 6) for _ in range(m))
-            _, weights = grid.locate(pt)
+            _, weights = grid_locate(grid, pt)
             pl_val = evaluate(f, BaryPoint.from_dict(weights))
             true_val = [p.eval_at(pt) for p in polys]
             gap = max(abs(a - b) for a, b in zip(true_val, pl_val))

@@ -219,6 +219,32 @@ class TestErrorPaths:
         assert code == want
         assert err["error"] == ("parse" if want == EXIT_PARSE else "usage")
 
+    @pytest.mark.parametrize("argv", [
+        ["decide", "-i", "{bad}"],
+        ["degree", "-i", instance("disk_degree1.json"), "--cycle", "@{bad}"],
+    ])
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code = main([a.format(bad=bad) for a in argv])
+        err = json.loads(capsys.readouterr().err)
+        assert code == EXIT_PARSE
+        assert err["error"] == "parse"
+
+    @pytest.mark.parametrize("cycle, message", [
+        # a cycle on vertices that are not in A
+        ("[[[100,101],1],[[101,102],1],[[100,102],-1]]", "not in the domain"),
+        # a 2-chain where the 1-cycle of an n = 2 instance belongs
+        ("[[[0,1,2],1]]", "cochain degree 1"),
+        ("[[[0,0],1]]", "repeated vertex in (0, 0)"),
+    ])
+    def test_bad_degree_cycle_is_parse_error(self, capsys, cycle, message):
+        code = main(["degree", "-i", instance("disk_degree1.json"), "--cycle", cycle])
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert code == EXIT_PARSE and captured.out == ""
+        assert err["error"] == "parse" and message in err["message"]
+
     def test_internal_error_is_a_json_document(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")

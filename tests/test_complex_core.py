@@ -9,7 +9,6 @@ from robsat.complex_core import (
     BaryPoint,
     Complex,
     IntCochain,
-    OrientedSimplex,
     Simplex,
     apply_coboundary,
     barycenter,
@@ -17,6 +16,7 @@ from robsat.complex_core import (
     connected_components,
     full_subcomplex,
     make_full,
+    permutation_parity,
     star_at_point,
 )
 from robsat.pl_map import PLMap, star_with_values
@@ -340,7 +340,7 @@ class TestCoboundary:
 
 class TestOrientation:
     def test_parity(self):
-        assert OrientedSimplex.from_sequence([1, 2, 3]).parity == 1
-        assert OrientedSimplex.from_sequence([2, 1, 3]).parity == -1
+        assert permutation_parity([1, 2, 3]) == 1
+        assert permutation_parity([2, 1, 3]) == -1
         cochain = IntCochain(1, {Simplex.of([1, 2]): 5})
-        assert cochain(OrientedSimplex.from_sequence([2, 1])) == -5
+        assert permutation_parity([2, 1]) * cochain(Simplex.of([2, 1])) == -5

@@ -26,7 +26,6 @@ from robsat.homotopy import (
     smith_solve,
     verify_extension_certificate,
 )
-from robsat.oracles import brute_diophantine, winding_oracle
 from robsat.reduction import SphereMap
 
 from helpers import (
@@ -37,6 +36,7 @@ from helpers import (
     disk_square,
     ref_smith_solve,
 )
+from reference_oracles import brute_diophantine, winding_oracle
 
 
 class TestSmithSolve:
@@ -285,6 +285,13 @@ class TestDegree:
         chain = IntCochain(1, {Simplex.of([0, 1]): 1})
         with pytest.raises(ValueError):
             degree(chain, ident)
+
+    def test_rejects_cycle_outside_the_domain(self):
+        # a cycle, but on vertices the sphere map's domain does not have
+        _, bdry = disk_square()
+        ident = SphereMap(bdry, 2, {0: 1, 1: 2, 2: -1, 3: -2})
+        with pytest.raises(ValueError, match="not in the domain"):
+            degree(boundary_cycle_chain([100, 101, 102]), ident)
 
     def test_cone_deg_zero_iff_extends(self):
         # cones over small cycles: extendability over the cone is exactly

@@ -1,0 +1,90 @@
+"""Every public top-level function and class in robsat must be on a path that
+robsat or its benchmark runs: some other top-level statement of a module in
+src/robsat (not `__init__.py`, whose re-exports call nothing) or some file of
+perfbench/ must name it.  A reference implementation that only the tests
+compare against belongs in tests/reference_oracles.py."""
+
+import ast
+import glob
+import json
+import os
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "robsat")
+MODULES = sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
+                 if os.path.basename(p) != "__init__.py")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def names_used(node) -> set[str]:
+    """Names and attribute names that `node` reads or calls."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def unreferenced(trees: dict[str, ast.Module], outside: set[str]) -> list[str]:
+    """`module.name` of each public top-level def or class of `trees` that no
+    other top-level statement of any tree uses and that is not in `outside`."""
+    defs = []  # (module, name, defining node)
+    uses = []  # (defining node, names it uses)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                defs.append((module, node.name, node))
+            uses.append((node, names_used(node)))
+    return [f"{module}.{name}" for module, name, home in defs
+            if name not in outside
+            and not any(name in used for node, used in uses if node is not home)]
+
+
+def perfbench_names() -> set[str]:
+    """robsat names that perfbench calls: perfbench looks each one up on the
+    module at call time (`_mod("pl_map").PLMap`), or wraps it as a traced
+    layer of layer_map.json.  perfbench's own helpers, such as
+    `checks.has_root`, are attributes of a plain name, not of a call, so
+    they do not count."""
+    names = set()
+    for path in glob.glob(os.path.join(PERFBENCH, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Call)}
+    with open(os.path.join(PERFBENCH, "layer_map.json"), encoding="utf-8") as fh:
+        names |= {layer.rsplit(".", 1)[-1] for layer in json.load(fh)["layers"]}
+    return names
+
+
+def test_modules_found():
+    assert MODULES
+    assert os.path.isdir(PERFBENCH)
+
+
+def test_detector():
+    trees = {
+        "a": ast.parse("def used(): pass\n"
+                       "def caller(): return used()\n"
+                       "def only_self(): return only_self()\n"
+                       "def _private(): pass\n"
+                       "class Unused: pass\n"
+                       "def bench(): pass\n"),
+        "b": ast.parse("from a import Unused\n"
+                       "import a\n"
+                       "x = a.caller\n"),
+    }
+    assert unreferenced(trees, {"bench"}) == ["a.only_self", "a.Unused"]
+
+
+def test_every_public_name_is_reached():
+    trees = {}
+    for path in MODULES:
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)[:-3]] = ast.parse(fh.read(), path)
+    assert unreferenced(trees, perfbench_names()) == []

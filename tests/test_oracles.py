@@ -5,18 +5,13 @@ import pytest
 
 from robsat.complex_core import Simplex, closure
 from robsat.homotopy import DiophantineSystem, smith_solve
-from robsat.oracles import (
-    WitnessSearchConfig,
-    brute_diophantine,
-    grid_min_check,
-    perturbation_witness,
-    winding_oracle,
-)
+from robsat.oracles import WitnessSearchConfig, perturbation_witness
 from robsat.pl_map import CriticalValue, Norm, global_min, map_distance, simplex_min
 from robsat.reduction import SphereMap
 from robsat.robustness import RobTag, decide_robsat
 
 from helpers import disk_square, path_map, random_complex, random_map
+from reference_oracles import brute_diophantine, grid_min_check, winding_oracle
 
 CFG = WitnessSearchConfig(trials=100, seed=7, step=Fraction(1, 4))
 

@@ -12,18 +12,16 @@ from robsat.pl_map import (
     Norm,
     PLMap,
     critical_values,
-    evaluate,
     global_min,
-    has_root,
     map_distance,
     norm_compare,
     simplex_min,
     star_with_values,
     vector_norm,
 )
-from robsat.oracles import grid_min_check
 
 from helpers import expand, path_map, random_complex, random_map, random_point_in
+from reference_oracles import evaluate, grid_min_check, has_root
 
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
 
