@@ -110,12 +110,6 @@ class BaryPoint:
     def support(self) -> tuple[VertexId, ...]:
         return tuple(v for v, _ in self.weights)
 
-    def as_dict(self) -> dict[VertexId, Fraction]:
-        return dict(self.weights)
-
-    def weight(self, v: VertexId) -> Fraction:
-        return dict(self.weights).get(v, Fraction(0))
-
     @classmethod
     def combine(cls, parts) -> "BaryPoint":
         """Convex combination of (coefficient, BaryPoint) pairs."""
@@ -208,12 +202,9 @@ class Complex:
                 out.append(s)
         return sorted(out)
 
-def _identity_coords(vertex_ids):
-    return {v: BaryPoint.vertex(v) for v in vertex_ids}
 
-
-def closure(simplices, coords=None) -> Complex:
-    """Hereditary closure of the given simplices."""
+def closure(simplices) -> Complex:
+    """Hereditary closure of the given simplices, on original vertices."""
     all_faces: set[Simplex] = set()
     verts: set[VertexId] = set()
     for s in simplices:
@@ -221,20 +212,7 @@ def closure(simplices, coords=None) -> Complex:
             s = Simplex.of(s)
         all_faces.update(s.faces())
         verts.update(s.vertices)
-    if coords is None:
-        coords = _identity_coords(verts)
-    else:
-        coords = {v: coords[v] for v in verts}
-    return Complex(all_faces, coords)
-
-
-def star_vertices(c: Complex, v: VertexId) -> tuple[VertexId, ...]:
-    """Vertices of star({v}) in c."""
-    out = set()
-    for t in c.simplices:
-        if v in t.vertices:
-            out.update(t.vertices)
-    return tuple(sorted(out))
+    return Complex(all_faces, {v: BaryPoint.vertex(v) for v in verts})
 
 
 def star_at_point(c: Complex,
@@ -347,7 +325,8 @@ class IntCochain:
         self.values = {s: v for s, v in self.values.items() if v != 0}
         for s in self.values:
             if s.dim != self.degree:
-                raise ValueError(f"simplex {s} has dim {s.dim}, cochain degree {self.degree}")
+                raise ValueError(f"simplex {list(s.vertices)} has dim {s.dim}, "
+                                 f"cochain degree {self.degree}")
 
     def __call__(self, s: Simplex) -> int:
         return self.values.get(s, 0)

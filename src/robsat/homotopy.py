@@ -127,14 +127,12 @@ def smith_solve(system: DiophantineSystem) -> list[int] | None:
     return x
 
 
-def pullback_cocycle(fmap: SphereMap, orientation: int = 1) -> IntCochain:
+def pullback_cocycle(fmap: SphereMap) -> IntCochain:
     """Pull the fundamental cocycle of the sphere back along a simplicial map.
 
     The value on a sorted (n-1)-simplex is zero unless its vertices map
     bijectively onto {e_1, ..., e_n}, in which case it is the sign of that
-    permutation relative to the distinguished oriented simplex [e_1, ..., e_n]
-    (times `orientation`, which flips when the distinguished simplex is
-    reversed).
+    permutation relative to the distinguished oriented simplex [e_1, ..., e_n].
     """
     n = fmap.n
     values: dict[Simplex, int] = {}
@@ -142,7 +140,7 @@ def pullback_cocycle(fmap: SphereMap, orientation: int = 1) -> IntCochain:
         labels = [fmap.image(v) for v in s.vertices]
         if any(l < 0 for l in labels) or sorted(labels) != list(range(1, n + 1)):
             continue
-        values[s] = orientation * permutation_parity(labels)
+        values[s] = permutation_parity(labels)
     return IntCochain(n - 1, values)
 
 
@@ -210,8 +208,9 @@ def cocycle_extension_solvable(x: Complex, a: Complex, z: IntCochain):
 
 def _decide_s0(x: Complex, a: Complex, fmap: SphereMap) -> ExtendVerdict:
     assignment = {}
+    a_vertices = set(a.vertices)
     for comp in connected_components(x):
-        labels = {fmap.image(v) for v in comp if v in set(a.vertices)}
+        labels = {fmap.image(v) for v in comp if v in a_vertices}
         if len(labels) > 1:
             return ExtendVerdict(
                 ExtendTag.NOT_EXTENDS,
@@ -262,7 +261,7 @@ def decide_extension(x: Complex, a: Complex, fmap: SphereMap, n: int,
         reason=f"dim X = {x.dim} > n = {n}: higher obstructions are not computed")
 
 
-def degree(cycle: IntCochain, fmap: SphereMap, orientation: int = 1) -> int:
+def degree(cycle: IntCochain, fmap: SphereMap) -> int:
     """Pair an (n-1)-cycle with the pulled-back fundamental cocycle."""
     if cycle.degree != fmap.n - 1:
         raise ValueError(f"cycle degree {cycle.degree}, expected {fmap.n - 1}")
@@ -271,5 +270,5 @@ def degree(cycle: IntCochain, fmap: SphereMap, orientation: int = 1) -> int:
             raise ValueError(f"chain simplex {list(s.vertices)} is not in the domain")
     if chain_boundary(fmap.domain, cycle).values:
         raise ValueError("input chain is not a cycle")
-    z = pullback_cocycle(fmap, orientation)
+    z = pullback_cocycle(fmap)
     return sum(coeff * z(s) for s, coeff in cycle.values.items())

@@ -43,6 +43,3 @@ class Interval:
         if self.hi <= 0:
             return Interval(self.hi ** k, self.lo ** k)
         return Interval(Fraction(0), max(self.lo ** k, self.hi ** k))
-
-    def contains(self, x) -> bool:
-        return self.lo <= Fraction(x) <= self.hi

@@ -79,14 +79,6 @@ class CriticalValue:
     def is_zero(self) -> bool:
         return self.q == 0
 
-    def scaled(self, c) -> "CriticalValue":
-        c = Fraction(c)
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
-        if self.is_sqrt:
-            return CriticalValue.sqrt_of(c * c * self.q)
-        return CriticalValue.rat(c * self.q)
-
     def __float__(self) -> float:
         return float(self.q) ** 0.5 if self.is_sqrt else float(self.q)
 
@@ -278,7 +270,7 @@ def simplex_min(f: PLMap, s: Simplex, norm: Norm) -> tuple[BaryPoint, CriticalVa
 def critical_values(f: PLMap, norm: Norm) -> list[CriticalValue]:
     """Sorted distinct minima of |f| over the simplices of the complex."""
     seen: set[CriticalValue] = set()
-    for s in sorted(f.complex.simplices):
+    for s in f.complex.simplices:
         seen.add(simplex_min_value(f, s, norm))
     return sorted(seen)
 

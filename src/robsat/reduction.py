@@ -17,7 +17,8 @@ X and A are derived from the final chi labels (`LevelPair`), built once and
 validated once, after sign refinement.  Each subdivision is one batched
 `star_at_point` call per pass (one for the derived pass, one per crossing
 pass), and everything is validated by exact rational checks rather than
-trusted.
+trusted.  The checks on the level pair are edge-local and norm-free: they
+read f only at the vertices and edges of A (see `LevelPair.validate`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
-from .complex_core import BaryPoint, Complex, Simplex, VertexId, full_subcomplex, star_vertices
+from .complex_core import BaryPoint, Complex, Simplex, VertexId, full_subcomplex
 from .pl_map import (
     EQ,
     GT,
@@ -37,7 +38,6 @@ from .pl_map import (
     min_below_vertices,
     norm_compare,
     simplex_min,
-    simplex_min_value,
     star_with_values,
 )
 
@@ -104,11 +104,11 @@ class LevelPair:
 
     `f` lives on the ambient (subdivided) complex; X and A are the full
     subcomplexes on the chi <= 1/2 and chi = 1/2 vertices, built on first use.
+    No norm is needed: every check reads f at the vertices and edges of A.
     """
 
     f: PLMap
     chi: dict[VertexId, Fraction]
-    norm: Norm
 
     @cached_property
     def x(self) -> Complex:
@@ -119,23 +119,28 @@ class LevelPair:
         return full_subcomplex(self.f.complex, lambda v: self.chi[v] == HALF)
 
     def validate(self) -> None:
-        """No edge joins chi 0 to chi 1, and every A-simplex is weakly signed
-        in every coordinate of f and free of roots."""
-        for e in self.f.complex.k_simplices(1):
+        """No edge joins chi 0 to chi 1, every A-simplex is weakly signed in
+        every coordinate of f, and f has no root on A.
+
+        The last two are checked exactly on the edges and vertices of A: a
+        simplex has a strict sign change in coordinate i iff one of its edges
+        does; and if a weakly signed simplex has f(p) = sum_v lambda_v f(v) = 0,
+        the terms of each coordinate share a sign, so each term is 0 and every
+        vertex of p's support is a root.
+        """
+        f = self.f
+        for e in f.complex.k_simplices(1):
             u, w = e.vertices
             if {self.chi[u], self.chi[w]} == {Fraction(0), Fraction(1)}:
                 raise ReductionError(f"0-1 edge survived: {e}")
-        for s in self.a.simplices:
-            ys = [self.f.value(v) for v in s.vertices]
-            for i in range(self.f.n):
-                if any(y[i] > 0 for y in ys) and any(y[i] < 0 for y in ys):
-                    raise ReductionError(f"A-simplex {s} not weakly signed in coordinate {i}")
-            # A coordinate strictly signed on s rules out a root exactly.
-            if any(all(y[i] > 0 for y in ys) or all(y[i] < 0 for y in ys)
-                   for i in range(self.f.n)):
-                continue
-            if simplex_min_value(self.f, s, self.norm).is_zero():
-                raise ReductionError(f"f has a root on the A-simplex {s}")
+        for e in self.a.k_simplices(1):
+            yu, yw = (f.value(v) for v in e.vertices)
+            for i in range(f.n):
+                if yu[i] * yw[i] < 0:
+                    raise ReductionError(f"A-edge {e} not weakly signed in coordinate {i}")
+        for v in self.a.vertices:
+            if all(x == 0 for x in f.value(v)):
+                raise ReductionError(f"f has a root at the A-vertex {v}")
 
 
 def _interior_argmin(f: PLMap, s: Simplex, norm: Norm):
@@ -217,7 +222,7 @@ def star_crossings(f: PLMap, h: dict[VertexId, Fraction]) -> tuple[PLMap, list[V
     return star_with_values(f, stars)
 
 
-def split_level(f: PLMap, chi: dict[VertexId, Fraction], norm: Norm) -> LevelPair:
+def split_level(f: PLMap, chi: dict[VertexId, Fraction]) -> LevelPair:
     """Star each 0-1 edge at its chi-midpoint (the crossings of chi - 1/2).
 
     The new vertex of a starring gets chi = 1/2, the interpolated value of
@@ -225,7 +230,7 @@ def split_level(f: PLMap, chi: dict[VertexId, Fraction], norm: Norm) -> LevelPai
     `sign_refinement`, which every decision runs next.
     """
     f, new = star_crossings(f, {v: chi[v] - HALF for v in f.complex.vertices})
-    return LevelPair(f, {**chi, **dict.fromkeys(new, HALF)}, norm)
+    return LevelPair(f, {**chi, **dict.fromkeys(new, HALF)})
 
 
 def sign_refinement(pair: LevelPair) -> LevelPair:
@@ -244,34 +249,33 @@ def sign_refinement(pair: LevelPair) -> LevelPair:
         f, new = star_crossings(f, {v: f.value(v)[i] if chi[v] == HALF else 0
                                     for v in f.complex.vertices})
         chi.update(dict.fromkeys(new, HALF))
-    out = LevelPair(f, chi, pair.norm)
+    out = LevelPair(f, chi)
     out.validate()
     return out
 
 
 def simplicial_approximation(pair: LevelPair) -> SphereMap:
-    """Send each A-vertex to sign * e_index for its largest-magnitude
-    coordinate (smallest index on ties).  The sign-refined pair makes this
-    simplicial, and the open-star condition is checked exactly: for every
-    A-vertex v and every vertex w of star(v, A), s_v * f_{i_v}(w) >= 0 with
-    strict inequality at v itself."""
+    """Send each A-vertex v to s_v * e_{i_v}, where i_v is its
+    largest-magnitude coordinate (smallest index on ties) and s_v its sign.
+
+    The sign-refined pair makes this simplicial, and the open-star condition
+    is checked exactly on a validated pair: s_v * f_{i_v}(w) >= 0 for every
+    vertex w of star(v, A), strictly at v itself.  That star's vertices are v
+    and its A-neighbours, and s_v * f_{i_v}(v) = max_j |f_j(v)| > 0 since
+    `LevelPair.validate` found no root on A, so the check reads both ends of
+    every A-edge."""
     f = pair.f
     assignment: dict[VertexId, int] = {}
     for v in pair.a.vertices:
         val = f.value(v)
-        if all(x == 0 for x in val):
-            raise ReductionError(f"f vanishes at A-vertex {v}")
         best = max(range(f.n), key=lambda i: (abs(val[i]), -i))
         assignment[v] = (best + 1) if val[best] > 0 else -(best + 1)
     fmap = SphereMap(pair.a, f.n, assignment)
     if not fmap.is_simplicial():
         raise ReductionError("sphere image of an A-simplex contains antipodal vertices")
-    for v in pair.a.vertices:
-        lab = assignment[v]
-        i = abs(lab) - 1
-        sign = 1 if lab > 0 else -1
-        for w in star_vertices(pair.a, v):
-            val = sign * f.value(w)[i]
-            if val < 0 or (w == v and val == 0):
+    for e in pair.a.k_simplices(1):
+        for v, w in (e.vertices, e.vertices[::-1]):
+            lab = assignment[v]
+            if (1 if lab > 0 else -1) * f.value(w)[abs(lab) - 1] < 0:
                 raise ReductionError(f"open-star condition fails at {v} (witness {w})")
     return fmap

@@ -106,7 +106,7 @@ def reduce_to_extension(f: PLMap, alpha, norm: Norm) -> ReductionOutcome:
             reason="|f| exceeds alpha everywhere; f is its own rootless perturbation",
             witness=f))
     # Sign refinement stars nothing when A is empty, so it only validates.
-    pair = sign_refinement(split_level(f1, chi, norm))
+    pair = sign_refinement(split_level(f1, chi))
     if pair.a.is_empty():
         return ReductionOutcome(shortcut=RobVerdict(
             RobTag.ROBUST_NO,

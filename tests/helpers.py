@@ -7,13 +7,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from robsat.complex_core import BaryPoint, Complex, Simplex, closure, full_subcomplex
+from robsat.complex_core import BaryPoint, Complex, Simplex, VertexId, closure, full_subcomplex
 from robsat.exactlinalg import ExactnessError
 from robsat.homotopy import DiophantineSystem, _xgcd
-from robsat.pl_map import PLMap, star_with_values
-from robsat.reduction import LevelPair, SphereMap
-
-from reference_oracles import locate
+from robsat.intervals import Interval
+from robsat.pl_map import CriticalValue, PLMap, simplex_min_value, star_with_values
+from robsat.reduction import LevelPair, ReductionError, SphereMap
 
 PATH3 = closure([[0, 1], [1, 2]])
 
@@ -282,12 +281,35 @@ def compose_automorphism(fmap: SphereMap, signed_perm: dict[int, int]) -> Sphere
 
 
 def contains_point(c: Complex, target: BaryPoint) -> bool:
+    from reference_oracles import locate  # reference_oracles imports this module
+
     return locate(c, target) is not None
 
 
 def expand(c: Complex, point: BaryPoint) -> BaryPoint:
     """Re-express a point given over c's vertices in original coordinates."""
     return BaryPoint.combine((w, c.coord(v)) for v, w in point.weights)
+
+
+def scaled(cv: CriticalValue, c) -> CriticalValue:
+    c = Fraction(c)
+    if c < 0:
+        raise ValueError("scale factor must be nonnegative")
+    if cv.is_sqrt:
+        return CriticalValue.sqrt_of(c * c * cv.q)
+    return CriticalValue.rat(c * cv.q)
+
+
+def contains(interval: Interval, x) -> bool:
+    return interval.lo <= Fraction(x) <= interval.hi
+
+
+def weight(point: BaryPoint, v: VertexId) -> Fraction:
+    return dict(point.weights).get(v, Fraction(0))
+
+
+def as_dict(point: BaryPoint) -> dict[VertexId, Fraction]:
+    return dict(point.weights)
 
 
 def scale_map(f: PLMap, c) -> PLMap:
@@ -301,7 +323,7 @@ def scale_map(f: PLMap, c) -> PLMap:
 # rescans; `reduction.star_crossings` replaces all three with one scan.  The
 # differential tests check that the results are identical.
 
-def ref_split_level(f: PLMap, chi, norm):
+def ref_split_level(f: PLMap, chi):
     chi = dict(chi)
     half = Fraction(1, 2)
     while True:
@@ -312,7 +334,7 @@ def ref_split_level(f: PLMap, chi, norm):
         u, w = e.vertices
         f, (vid,) = star_with_values(f, [(e, BaryPoint.from_dict({u: half, w: half}))])
         chi[vid] = half
-    return LevelPair(f, chi, norm)
+    return LevelPair(f, chi)
 
 
 def ref_sign_refinement(pair):
@@ -330,7 +352,7 @@ def ref_sign_refinement(pair):
             f, (vid,) = star_with_values(f, [(e, BaryPoint.from_dict({u: 1 - t, w: t}))])
             chi[vid] = half
             a = full_subcomplex(f.complex, lambda v: chi[v] == half)
-    return LevelPair(f, chi, pair.norm)
+    return LevelPair(f, chi)
 
 
 def ref_split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> PLMap:
@@ -393,7 +415,7 @@ def ref_star_with_values(f: PLMap, carrier: Simplex, point: BaryPoint):
     the new vertex.  Returns (new PLMap, new vertex id)."""
     c2, vid = ref_star_at_point(f.complex, carrier, point)
     values = f.values
-    local = point.as_dict()
+    local = as_dict(point)
     acc = [Fraction(0)] * f.n
     for v, w in local.items():
         val = values[v]
@@ -515,3 +537,63 @@ def ref_smith_solve(system: DiophantineSystem) -> list[int] | None:
            for mr, bi in zip(system.matrix, system.rhs)):
         raise ExactnessError("smith_solve produced a non-solution")
     return x
+
+
+# -- test-only reference: the per-simplex level-pair checks ----------------
+#
+# `LevelPair.validate` and `reduction.simplicial_approximation` before their
+# checks became edge-local, kept verbatim except that `self` is `pair`, the
+# norm that the pair no longer carries is a parameter, and
+# `complex_core.star_vertices` is inlined.  The differential test checks that
+# both versions raise on the same pairs and otherwise give the same map.
+
+def ref_validate(pair: LevelPair, norm) -> None:
+    """No edge joins chi 0 to chi 1, and every A-simplex is weakly signed
+    in every coordinate of f and free of roots."""
+    for e in pair.f.complex.k_simplices(1):
+        u, w = e.vertices
+        if {pair.chi[u], pair.chi[w]} == {Fraction(0), Fraction(1)}:
+            raise ReductionError(f"0-1 edge survived: {e}")
+    for s in pair.a.simplices:
+        ys = [pair.f.value(v) for v in s.vertices]
+        for i in range(pair.f.n):
+            if any(y[i] > 0 for y in ys) and any(y[i] < 0 for y in ys):
+                raise ReductionError(f"A-simplex {s} not weakly signed in coordinate {i}")
+        # A coordinate strictly signed on s rules out a root exactly.
+        if any(all(y[i] > 0 for y in ys) or all(y[i] < 0 for y in ys)
+               for i in range(pair.f.n)):
+            continue
+        if simplex_min_value(pair.f, s, norm).is_zero():
+            raise ReductionError(f"f has a root on the A-simplex {s}")
+
+
+def ref_simplicial_approximation(pair: LevelPair) -> SphereMap:
+    """Send each A-vertex to sign * e_index for its largest-magnitude
+    coordinate (smallest index on ties).  The sign-refined pair makes this
+    simplicial, and the open-star condition is checked exactly: for every
+    A-vertex v and every vertex w of star(v, A), s_v * f_{i_v}(w) >= 0 with
+    strict inequality at v itself."""
+    f = pair.f
+    assignment: dict[VertexId, int] = {}
+    for v in pair.a.vertices:
+        val = f.value(v)
+        if all(x == 0 for x in val):
+            raise ReductionError(f"f vanishes at A-vertex {v}")
+        best = max(range(f.n), key=lambda i: (abs(val[i]), -i))
+        assignment[v] = (best + 1) if val[best] > 0 else -(best + 1)
+    fmap = SphereMap(pair.a, f.n, assignment)
+    if not fmap.is_simplicial():
+        raise ReductionError("sphere image of an A-simplex contains antipodal vertices")
+    for v in pair.a.vertices:
+        lab = assignment[v]
+        i = abs(lab) - 1
+        sign = 1 if lab > 0 else -1
+        star = set()
+        for t in pair.a.simplices:
+            if v in t.vertices:
+                star.update(t.vertices)
+        for w in tuple(sorted(star)):
+            val = sign * f.value(w)[i]
+            if val < 0 or (w == v and val == 0):
+                raise ReductionError(f"open-star condition fails at {v} (witness {w})")
+    return fmap

@@ -18,6 +18,8 @@ from robsat.homotopy import pullback_cocycle
 from robsat.pl_map import CriticalValue, Norm, PLMap, global_min, vector_norm
 from robsat.reduction import SphereMap
 
+from helpers import as_dict, weight
+
 
 # -- point location and evaluation --------------------------------------------
 
@@ -32,8 +34,8 @@ def local_coordinates(c: Complex, s: Simplex, target: BaryPoint):
     rows = []
     rhs = []
     for oid in ids:
-        rows.append([c._coords[vert].weight(oid) for vert in s.vertices])
-        rhs.append(target.weight(oid))
+        rows.append([weight(c._coords[vert], oid) for vert in s.vertices])
+        rhs.append(weight(target, oid))
     rows.append([Fraction(1)] * len(s.vertices))
     rhs.append(Fraction(1))
     sol, _ = exactlinalg.solve(rows, rhs)
@@ -107,7 +109,7 @@ def evaluate(f: PLMap, p: BaryPoint) -> tuple[Fraction, ...]:
         except ValueError:
             s = None
         if s is not None and s in f.complex:
-            direct = p.as_dict()
+            direct = as_dict(p)
     if direct is None:
         hit = locate(f.complex, p)
         if hit is None:

@@ -245,6 +245,12 @@ class TestErrorPaths:
         assert code == EXIT_PARSE and captured.out == ""
         assert err["error"] == "parse" and message in err["message"]
 
+    def test_bad_degree_cycle_names_the_vertex_list(self, capsys):
+        # every --cycle message names a simplex as a plain vertex list
+        main(["degree", "-i", instance("disk_degree1.json"), "--cycle", "[[[0,1,2],1]]"])
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "simplex [0, 1, 2] has dim 2" in message and "Simplex(" not in message
+
     def test_internal_error_is_a_json_document(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")

@@ -23,6 +23,7 @@ from robsat.pl_map import PLMap, star_with_values
 from robsat.reduction import derived_subdivision
 
 from helpers import (
+    as_dict,
     coboundary,
     contains_point,
     expand,
@@ -33,6 +34,7 @@ from helpers import (
     random_point_in,
     ref_star_at_point,
     ref_star_with_values,
+    weight,
 )
 
 
@@ -68,7 +70,7 @@ class TestStarAtPoint:
     def test_edge_midpoint(self):
         c, (v,) = star_at_point(closure([[1, 2]]), [(Simplex.of([1, 2]), mid(1, 2))])
         assert len(c.k_simplices(1)) == 2
-        assert c.coord(v).as_dict() == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert as_dict(c.coord(v)) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_triangle_barycenter(self):
         t = Simplex.of([1, 2, 3])
@@ -129,7 +131,7 @@ class TestDerivedSubdivision:
             assert sum(w for _, w in point.weights) == 1
             assert set(point.support) <= {1, 2, 3}
             # the interpolated coordinate map agrees with the lineage
-            assert out.value(v) == tuple(point.weight(k) for k in (1, 2, 3))
+            assert out.value(v) == tuple(weight(point, k) for k in (1, 2, 3))
 
     def test_growth_bound_per_starring(self):
         c = closure([[1, 2, 3]])

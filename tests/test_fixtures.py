@@ -11,7 +11,7 @@ from robsat.pl_map import CriticalValue, Norm, simplex_min_value, vector_norm
 from robsat.reduction import ReductionError, SphereMap
 from robsat.robustness import RobTag, decide_robsat
 
-from helpers import annulus_octagon, annulus_sphere_map, disk_square
+from helpers import annulus_octagon, annulus_sphere_map, disk_square, scaled
 
 
 class TestKappa:
@@ -29,8 +29,7 @@ class TestKappa:
                     x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                               for _ in range(n))
                     l1 = vector_norm(x, Norm.L1)
-                    scaled = vector_norm(x, norm).scaled(k)
-                    assert not (scaled < l1)
+                    assert not (scaled(vector_norm(x, norm), k) < l1)
 
 
 class TestFixture:

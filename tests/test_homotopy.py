@@ -81,13 +81,6 @@ class TestPullback:
         m = SphereMap(tri, 3, {0: 2, 1: 1, 2: 3})
         assert pullback_cocycle(m)(Simplex.of([0, 1, 2])) == -1
 
-    def test_orientation_reversal_negates(self):
-        _, bdry = disk_square()
-        m = SphereMap(bdry, 2, {0: 1, 1: 2, 2: -1, 3: -2})
-        z = pullback_cocycle(m)
-        z_rev = pullback_cocycle(m, orientation=-1)
-        assert z_rev.values == {s: -v for s, v in z.values.items()}
-
 
 class TestCocycleExtension:
     def test_empty_a(self):
@@ -271,13 +264,12 @@ class TestDegree:
         const = SphereMap(bdry, 2, {0: 1, 1: 1, 2: 1, 3: 1})
         assert degree(cycle, const) == 0
 
-    def test_linearity_and_orientation(self):
+    def test_linearity(self):
         _, bdry = disk_square()
         ident = SphereMap(bdry, 2, {0: 1, 1: 2, 2: -1, 3: -2})
         cycle = boundary_cycle_chain([0, 1, 2, 3])
         doubled = IntCochain(1, {s: 2 * c for s, c in cycle.values.items()})
         assert degree(doubled, ident) == 2
-        assert degree(cycle, ident, orientation=-1) == -1
 
     def test_rejects_non_cycle(self):
         _, bdry = disk_square()

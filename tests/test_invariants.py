@@ -17,7 +17,7 @@ from robsat.pl_map import CriticalValue, Norm, star_with_values, vector_norm
 from robsat.reduction import vertexwise_extremal_subdivision
 from robsat.robustness import RobTag, decide_robsat
 
-from helpers import random_interior_point, random_map, scale_map
+from helpers import random_interior_point, random_map, scale_map, scaled
 
 INVARIANT = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -45,7 +45,7 @@ def test_scaling_invariance(inst, c, data):
     f, norm, alphas, _ = inst
     alpha = data.draw(st.sampled_from(alphas))
     assert (decide_robsat(f, alpha, norm).tag
-            == decide_robsat(scale_map(f, c), alpha.scaled(c), norm).tag)
+            == decide_robsat(scale_map(f, c), scaled(alpha, c), norm).tag)
 
 
 @INVARIANT

@@ -20,7 +20,7 @@ from robsat.exactlinalg import ExactnessError, pivot, solve
 from robsat.linprog import LPInfeasible, LPUnbounded, feasible_point, solve_lp
 from robsat.pl_map import Norm, PLMap, _norm_lp, simplex_min
 
-from helpers import RefInfeasible, RefUnbounded, ref_lex_min, ref_solve, ref_solve_lp
+from helpers import RefInfeasible, RefUnbounded, ref_lex_min, ref_solve, ref_solve_lp, weight
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -161,7 +161,7 @@ def test_lex_argmin_matches_sequential_lps(norm):
         s = Simplex.of(list(range(dim + 1)))
         f = PLMap(closure([list(range(dim + 1))]), n, dict(enumerate(ys)))
         point, value = simplex_min(f, s, norm)
-        lam = [point.weight(v) for v in s.vertices]
+        lam = [weight(point, v) for v in s.vertices]
         assert lam == _old_argmin(ys, n, norm, value, lam)
 
     check()

@@ -1,10 +1,14 @@
 """Every public top-level function and class in robsat must be on a path that
 robsat or its benchmark runs: some other top-level statement of a module in
 src/robsat (not `__init__.py`, whose re-exports call nothing) or some file of
-perfbench/ must name it.  A reference implementation that only the tests
-compare against belongs in tests/reference_oracles.py."""
+perfbench/ must name it.  Likewise every public method of a public class:
+some module in src/robsat must read its name as an attribute outside the
+method's own body, or perfbench must read it.  A reference implementation
+that only the tests compare against belongs in tests/reference_oracles.py,
+and a small operation only the tests use in tests/helpers.py."""
 
 import ast
+from collections import Counter
 import glob
 import json
 import os
@@ -45,6 +49,34 @@ def unreferenced(trees: dict[str, ast.Module], outside: set[str]) -> list[str]:
             and not any(name in used for node, used in uses if node is not home)]
 
 
+def attributes_read(node) -> Counter:
+    """How often `node` reads each attribute name."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def unread_methods(trees: dict[str, ast.Module], outside: set[str]) -> list[str]:
+    """`Class.method` of each public method of a public top-level class of
+    `trees` whose name no tree reads as an attribute outside the method's own
+    body and that is not in `outside`."""
+    total = sum((attributes_read(tree) for tree in trees.values()), Counter())
+    return [f"{cls.name}.{node.name}"
+            for tree in trees.values() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in outside
+            and total[node.name] == attributes_read(node)[node.name]]
+
+
+def perfbench_attributes() -> set[str]:
+    """Every attribute name that a file of perfbench/ reads."""
+    names = set()
+    for path in glob.glob(os.path.join(PERFBENCH, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            names |= set(attributes_read(ast.parse(fh.read(), path)))
+    return names
+
+
 def perfbench_names() -> set[str]:
     """robsat names that perfbench calls: perfbench looks each one up on the
     module at call time (`_mod("pl_map").PLMap`), or wraps it as a traced
@@ -82,9 +114,33 @@ def test_detector():
     assert unreferenced(trees, {"bench"}) == ["a.only_self", "a.Unused"]
 
 
-def test_every_public_name_is_reached():
+def test_method_detector():
+    trees = {
+        "a": ast.parse("class A:\n"
+                       "    def read(self): pass\n"
+                       "    def only_self(self): return self.only_self()\n"
+                       "    def only_bench(self): pass\n"
+                       "    def _private(self): pass\n"
+                       "class _Hidden:\n"
+                       "    def unread(self): pass\n"
+                       "def unread(): pass\n"),
+        "b": ast.parse("import a\n"
+                       "x = a.A().read()\n"),
+    }
+    assert unread_methods(trees, {"only_bench"}) == ["A.only_self"]
+
+
+def src_trees() -> dict[str, ast.Module]:
     trees = {}
     for path in MODULES:
         with open(path, encoding="utf-8") as fh:
             trees[os.path.basename(path)[:-3]] = ast.parse(fh.read(), path)
-    assert unreferenced(trees, perfbench_names()) == []
+    return trees
+
+
+def test_every_public_name_is_reached():
+    assert unreferenced(src_trees(), perfbench_names()) == []
+
+
+def test_every_public_method_is_read():
+    assert unread_methods(src_trees(), perfbench_attributes()) == []

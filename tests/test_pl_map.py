@@ -20,7 +20,7 @@ from robsat.pl_map import (
     vector_norm,
 )
 
-from helpers import expand, path_map, random_complex, random_map, random_point_in
+from helpers import as_dict, expand, path_map, random_complex, random_map, random_point_in, scaled
 from reference_oracles import evaluate, grid_min_check, has_root
 
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
@@ -42,8 +42,8 @@ class TestCriticalValue:
             CriticalValue(True, Fraction(9, 4))
 
     def test_scaling(self):
-        assert CriticalValue.sqrt_of(2).scaled(3) == CriticalValue.sqrt_of(18)
-        assert CriticalValue.rat(Fraction(1, 2)).scaled(4) == CriticalValue.rat(2)
+        assert scaled(CriticalValue.sqrt_of(2), 3) == CriticalValue.sqrt_of(18)
+        assert scaled(CriticalValue.rat(Fraction(1, 2)), 4) == CriticalValue.rat(2)
 
 
 class TestEvaluate:
@@ -80,7 +80,7 @@ class TestSimplexMin:
         f = path_map([-1, 1])
         pt, cv = simplex_min(f, Simplex.of([0, 1]), Norm.LINF)
         assert cv == CriticalValue.rat(0)
-        assert pt.as_dict() == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+        assert as_dict(pt) == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
     def test_vertex_simplex_l2(self):
         f = PLMap(closure([[7]]), 2, {7: (3, -4)})
@@ -92,14 +92,14 @@ class TestSimplexMin:
         f = PLMap(t, 2, {1: (1, 0), 2: (0, 1), 3: (1, 1)})
         pt, cv = simplex_min(f, Simplex.of([1, 2, 3]), Norm.LINF)
         assert cv == CriticalValue.rat(Fraction(1, 2))
-        assert pt.as_dict() == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert as_dict(pt) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_deterministic_on_ties(self):
         # |f| constant on the edge: the lexicographically smallest argmin wins.
         f = path_map([1, 1])
         pt, cv = simplex_min(f, Simplex.of([0, 1]), Norm.LINF)
         assert cv == CriticalValue.rat(1)
-        assert pt.as_dict() == {1: Fraction(1)}
+        assert as_dict(pt) == {1: Fraction(1)}
 
     @pytest.mark.parametrize("norm", ALL_NORMS)
     def test_grid_oracle_dominates(self, norm):

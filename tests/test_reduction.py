@@ -33,8 +33,10 @@ from helpers import (
     random_map,
     random_point_in,
     ref_sign_refinement,
+    ref_simplicial_approximation,
     ref_split_inequality_levels,
     ref_split_level,
+    ref_validate,
 )
 from reference_oracles import evaluate
 
@@ -125,7 +127,7 @@ class TestSplitLevel:
     def trace_pair(self):
         f = vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
         chi = build_chi(f, CriticalValue.rat(1), Norm.LINF)
-        return split_level(f, chi, Norm.LINF)
+        return split_level(f, chi)
 
     def test_worked_trace(self):
         pair = self.trace_pair()
@@ -138,12 +140,12 @@ class TestSplitLevel:
 
     def test_all_zero_chi(self):
         f = path_map([0, 0, 0])
-        pair = split_level(f, {v: Fraction(0) for v in f.complex.vertices}, Norm.LINF)
+        pair = split_level(f, {v: Fraction(0) for v in f.complex.vertices})
         assert pair.x == f.complex and pair.a.is_empty()
 
     def test_all_one_chi(self):
         f = path_map([5, 5])
-        pair = split_level(f, {v: Fraction(1) for v in f.complex.vertices}, Norm.LINF)
+        pair = split_level(f, {v: Fraction(1) for v in f.complex.vertices})
         assert pair.x.is_empty() and pair.a.is_empty()
 
     def test_no_01_edges_after(self):
@@ -172,7 +174,7 @@ class TestSplitLevel:
 class TestSignRefinement:
     def make_pair(self, f, chi=None):
         chi = chi or {v: HALF for v in f.complex.vertices}
-        return LevelPair(f, chi, Norm.LINF)
+        return LevelPair(f, chi)
 
     def test_splits_sign_change(self):
         cx = closure([[1, 2]])
@@ -201,7 +203,7 @@ class TestSimplicialApproximation:
     def run_pipeline(self, values, alpha):
         f = vertexwise_extremal_subdivision(path_map(values), Norm.LINF)
         chi = build_chi(f, CriticalValue.rat(alpha), Norm.LINF)
-        pair = split_level(f, chi, Norm.LINF)
+        pair = split_level(f, chi)
         return simplicial_approximation(sign_refinement(pair))
 
     def test_worked_labels(self):
@@ -212,7 +214,7 @@ class TestSimplicialApproximation:
         cx = closure([[5]])
         for value, label in [((0, 5), 2), ((2, -2), 1), ((-3, 1), -1)]:
             f = PLMap(cx, 2, {5: value})
-            pair = LevelPair(f, {5: HALF}, Norm.LINF)
+            pair = LevelPair(f, {5: HALF})
             fmap = simplicial_approximation(pair)
             assert fmap.assignment[5] == label
 
@@ -225,7 +227,7 @@ class TestSimplicialApproximation:
             alpha = CriticalValue.rat(Fraction(rng.randint(1, 3), 2))
             f1 = vertexwise_extremal_subdivision(f, Norm.LINF)
             chi = build_chi(f1, alpha, Norm.LINF)
-            pair = split_level(f1, chi, Norm.LINF)
+            pair = split_level(f1, chi)
             if pair.a.is_empty():
                 continue
             pair = sign_refinement(pair)
@@ -271,12 +273,12 @@ class TestExactChecks:
     def test_root_on_a(self):
         f = PLMap(closure([[1, 2]]), 2, {1: (1, 1), 2: (0, 0)})
         with pytest.raises(ReductionError, match="root"):
-            LevelPair(f, {1: HALF, 2: HALF}, Norm.LINF).validate()
+            LevelPair(f, {1: HALF, 2: HALF}).validate()
 
     def test_a_simplex_not_weakly_signed(self):
         f = PLMap(closure([[1, 2]]), 2, {1: (1, 1), 2: (-1, 1)})
         with pytest.raises(ReductionError, match="not weakly signed"):
-            LevelPair(f, {1: HALF, 2: HALF}, Norm.LINF).validate()
+            LevelPair(f, {1: HALF, 2: HALF}).validate()
 
     def test_extremality_postcondition(self, monkeypatch):
         monkeypatch.setattr(reduction, "_interior_argmin", lambda f, s, norm: None)
@@ -327,11 +329,11 @@ def test_star_crossings_matches_rescan_loops(norm, n):
             alpha = CriticalValue.rat(1)
         chi = build_chi(f1, alpha, norm)
 
-        ref = ref_split_level(f1, chi, norm)
+        ref = ref_split_level(f1, chi)
         f2, new = star_crossings(f1, {v: chi[v] - HALF for v in f1.complex.vertices})
         assert f2 == ref.f
         assert new == sorted(set(ref.f.complex.vertices) - set(f1.complex.vertices))
-        pair = split_level(f1, chi, norm)
+        pair = split_level(f1, chi)
         assert_same_pair(pair, ref)
         assert_same_pair(sign_refinement(pair), ref_sign_refinement(ref))
 
@@ -341,3 +343,62 @@ def test_star_crossings_matches_rescan_loops(norm, n):
         assert _split_inequality_levels(h, n, level) == ref_split_inequality_levels(h, n, level)
 
     check()
+
+
+def random_level_pair(rng: random.Random, n: int) -> LevelPair:
+    """A pair with arbitrary chi labels on a complex of dimension 0-3.  Each
+    coordinate of f is either one-signed or of mixed sign across the
+    vertices, and zero a quarter of the time, so random pairs pass and fail
+    each check of the level pair."""
+    cx = random_complex(rng, max_dim=3, max_vertices=6, n_maximal=3)
+    signs = [rng.choice((1, -1, None)) for _ in range(n)]
+    values = {v: tuple(Fraction(rng.randint(0, 3) * (sign or rng.choice((1, -1))))
+                       for sign in signs)
+              for v in cx.vertices}
+    chi = {v: rng.choice((Fraction(0), HALF, HALF, HALF, Fraction(1))) for v in cx.vertices}
+    return LevelPair(PLMap(cx, n, values), chi)
+
+
+def sphere_labels(approximate, pair):
+    """The assignment `approximate` gives the pair, or None if it raises."""
+    try:
+        return approximate(pair).assignment
+    except ReductionError:
+        return None
+
+
+def test_edge_local_checks_match_per_simplex_reference():
+    """The edge-local `LevelPair.validate` and `simplicial_approximation`
+    raise on exactly the random pairs on which the per-simplex versions they
+    replaced raise, and otherwise give the same sphere map.  The sphere map
+    is also compared alone on pairs with no root on A, which is all it
+    assumes, so that its open-star check is exercised beyond what
+    validation leaves to fail."""
+    seen = {"raised": 0, "mapped": 0, "open star raised": 0}  # "mapped": with an A-edge
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.sampled_from(list(Norm)))
+    def check(seed, n, norm):
+        pair = random_level_pair(random.Random(seed), n)
+
+        def new(p):
+            p.validate()
+            return simplicial_approximation(p)
+
+        def ref(p):
+            ref_validate(p, norm)
+            return ref_simplicial_approximation(p)
+
+        labels = sphere_labels(new, pair)
+        assert labels == sphere_labels(ref, pair)
+        if labels is None:
+            seen["raised"] += 1
+        else:
+            seen["mapped"] += bool(pair.a.k_simplices(1))
+        if all(any(pair.f.value(v)) for v in pair.a.vertices):
+            labels = sphere_labels(simplicial_approximation, pair)
+            assert labels == sphere_labels(ref_simplicial_approximation, pair)
+            seen["open star raised"] += labels is None
+
+    check()
+    assert min(seen.values()) >= 30, seen

@@ -17,7 +17,7 @@ from robsat.robustness import (
     robustness,
 )
 
-from helpers import path_map, random_complex, random_map, scale_map
+from helpers import path_map, random_complex, random_map, scale_map, scaled
 
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
 
@@ -121,7 +121,7 @@ class TestRobustness:
                 r2 = robustness(scale_map(f, c), norm)
                 assert r1.tag == r2.tag
                 if r1.tag == RobustnessTag.VALUE:
-                    assert r2.value == r1.value.scaled(c)
+                    assert r2.value == scaled(r1.value, c)
 
 
 class TestMonotonicity:
