@@ -1,10 +1,9 @@
 """Exact combinatorial engine for finite abstract simplicial complexes.
 
-A complex stores every simplex (hereditarily closed) plus, for each vertex, its
-exact barycentric expansion over the vertices of the complex it was originally
-built from.  Subdivision never needs ambient geometry: new vertices are exact
-rational convex combinations of original vertices, and piecewise-linear data
-extends by linearity.
+A complex is its set of simplices, hereditarily closed, and nothing more.
+Subdivision never needs ambient geometry: a starring names its new vertex's
+position carrier-locally, piecewise-linear data extends by linearity there,
+and where a new vertex sits in the original space is never used.
 
 Conventions fixed here and used by every other module:
 
@@ -102,39 +101,18 @@ class BaryPoint:
     def from_dict(cls, d) -> "BaryPoint":
         return cls(tuple(sorted((v, Fraction(w)) for v, w in d.items() if Fraction(w) != 0)))
 
-    @classmethod
-    def vertex(cls, v: VertexId) -> "BaryPoint":
-        return cls(((v, Fraction(1)),))
-
     @property
     def support(self) -> tuple[VertexId, ...]:
         return tuple(v for v, _ in self.weights)
 
-    @classmethod
-    def combine(cls, parts) -> "BaryPoint":
-        """Convex combination of (coefficient, BaryPoint) pairs."""
-        acc: dict[VertexId, Fraction] = {}
-        for coeff, point in parts:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            for v, w in point.weights:
-                acc[v] = acc.get(v, Fraction(0)) + coeff * w
-        return cls.from_dict(acc)
-
 
 class Complex:
-    """Finite abstract simplicial complex, immutable after construction.
+    """Finite abstract simplicial complex, immutable after construction."""
 
-    `coords` maps every vertex to its barycentric expansion over the original
-    vertex set; original vertices map to themselves.
-    """
+    __slots__ = ("_simplices", "_by_dim", "_vertices")
 
-    __slots__ = ("_simplices", "_coords", "_by_dim", "_vertices")
-
-    def __init__(self, simplices, coords):
+    def __init__(self, simplices):
         self._simplices = frozenset(simplices)
-        self._coords = dict(coords)
         by_dim: dict[int, list[Simplex]] = {}
         verts = set()
         for s in self._simplices:
@@ -144,9 +122,6 @@ class Complex:
             by_dim[k].sort(key=attrgetter("vertices"))
         self._by_dim = by_dim
         self._vertices = tuple(sorted(verts))
-        missing = verts - set(self._coords)
-        if missing:
-            raise ValueError(f"vertices without coordinates: {sorted(missing)}")
 
     # -- basic queries ----------------------------------------------------
 
@@ -162,13 +137,6 @@ class Complex:
     def dim(self) -> int:
         return max(self._by_dim) if self._by_dim else -1
 
-    def coord(self, v: VertexId) -> BaryPoint:
-        return self._coords[v]
-
-    @property
-    def coords(self) -> dict[VertexId, BaryPoint]:
-        return dict(self._coords)
-
     def k_simplices(self, k: int) -> list[Simplex]:
         return list(self._by_dim.get(k, []))
 
@@ -179,11 +147,7 @@ class Complex:
         return len(self._simplices)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Complex)
-            and self._simplices == other._simplices
-            and self._coords == other._coords
-        )
+        return isinstance(other, Complex) and self._simplices == other._simplices
 
     def __hash__(self) -> int:
         return hash(self._simplices)
@@ -204,15 +168,13 @@ class Complex:
 
 
 def closure(simplices) -> Complex:
-    """Hereditary closure of the given simplices, on original vertices."""
+    """Hereditary closure of the given simplices."""
     all_faces: set[Simplex] = set()
-    verts: set[VertexId] = set()
     for s in simplices:
         if not isinstance(s, Simplex):
             s = Simplex.of(s)
         all_faces.update(s.faces())
-        verts.update(s.vertices)
-    return Complex(all_faces, {v: BaryPoint.vertex(v) for v in verts})
+    return Complex(all_faces)
 
 
 def star_at_point(c: Complex,
@@ -221,25 +183,23 @@ def star_at_point(c: Complex,
     replaces the carrier and its cofaces by cones over a new vertex at
     `point`, which is carrier-local and interior (positive weight on every
     carrier vertex); each carrier must be in the state the earlier starrings
-    left.  A new vertex stores its expansion over original vertices, so
-    lineage composes.  The starrings edit one simplex set, whose vertex ->
-    cofaces index finds each carrier's cofaces, and the complex is built
-    once.  Returns it and the new vertex ids in starring order.
+    left.  New vertices are numbered on from the largest vertex of c.  The
+    starrings edit one simplex set, whose vertex -> cofaces index finds each
+    carrier's cofaces, and the complex is built once.  Returns it and the new
+    vertex ids in starring order.
     """
     simplices = set(c.simplices)
-    coords = c.coords
     cofaces: dict[VertexId, set[Simplex]] = defaultdict(set)
     for s in simplices:
         for v in s.vertices:
             cofaces[v].add(s)
     new_ids = []
-    for new_id, (carrier, point) in enumerate(stars, (max(coords) + 1) if coords else 0):
+    for new_id, (carrier, point) in enumerate(stars, (c.vertices[-1] + 1) if c.vertices else 0):
         if carrier not in simplices:
             raise ValueError(f"carrier {carrier} not in complex")
         carrier_set = set(carrier.vertices)
         if set(point.support) != carrier_set:
             raise ValueError("point must be interior to the carrier (full support)")
-        coords[new_id] = BaryPoint.combine((w, coords[v]) for v, w in point.weights)
         removed = set.intersection(*(cofaces[v] for v in carrier.vertices))
         # cones over the faces of the removed simplices that miss a carrier vertex
         added = {Simplex(face.vertices + (new_id,)) for t in removed for face in t.faces()
@@ -254,7 +214,7 @@ def star_at_point(c: Complex,
         simplices -= removed
         simplices |= added
         new_ids.append(new_id)
-    return Complex(simplices, coords), new_ids
+    return Complex(simplices), new_ids
 
 
 def full_subcomplex(c: Complex, keep) -> Complex:
@@ -262,9 +222,7 @@ def full_subcomplex(c: Complex, keep) -> Complex:
     if not callable(keep):
         keep_set = set(keep)
         keep = keep_set.__contains__
-    simplices = {s for s in c.simplices if all(keep(v) for v in s.vertices)}
-    verts = {v for s in simplices for v in s.vertices}
-    return Complex(simplices, {v: c.coord(v) for v in verts})
+    return Complex(s for s in c.simplices if all(keep(v) for v in s.vertices))
 
 
 def barycenter(s: Simplex) -> BaryPoint:
@@ -272,8 +230,8 @@ def barycenter(s: Simplex) -> BaryPoint:
     return BaryPoint(tuple((v, w) for v in s.vertices))
 
 
-def make_full(x: Complex, a: Complex) -> tuple[Complex, Complex]:
-    """Subdivide x so that a becomes a full subcomplex; a itself is untouched.
+def make_full(x: Complex, a: Complex) -> Complex:
+    """Subdivide x so that a becomes a full subcomplex of the result.
 
     Every simplex of x that is not in a but has all vertices in V(a) is starred
     at its barycenter, in decreasing dimension.  New vertices fall outside V(a),
@@ -285,7 +243,7 @@ def make_full(x: Complex, a: Complex) -> tuple[Complex, Complex]:
     violations = sorted((s for s in x.simplices
                          if s not in a.simplices and set(s.vertices) <= a_verts),
                         key=lambda s: (-s.dim, s.vertices))
-    return star_at_point(x, [(s, barycenter(s)) for s in violations])[0], a
+    return star_at_point(x, [(s, barycenter(s)) for s in violations])[0]
 
 
 def connected_components(c: Complex) -> list[set[VertexId]]:

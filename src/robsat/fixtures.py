@@ -36,7 +36,7 @@ def fixture_from_extension(x: Complex, a: Complex, fmap: SphereMap,
         fmap.image(v)  # raises if the map does not cover A
     n = fmap.n
     model = SphereModel(n)
-    x2, _ = make_full(x, a)
+    x2 = make_full(x, a)
     k = kappa(norm, n)
     a_verts = set(a.vertices)
     values = {}

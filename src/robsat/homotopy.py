@@ -49,15 +49,15 @@ class ExtendVerdict:
 
 @dataclass
 class DiophantineSystem:
-    """Integer system M x = b with human-readable variable labels."""
+    """Integer system M x = b in `ncols` unknowns."""
 
     matrix: list[list[int]] = field(default_factory=list)
     rhs: list[int] = field(default_factory=list)
-    labels: list[str] = field(default_factory=list)
+    ncols: int = 0
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.matrix), len(self.labels)
+        return len(self.matrix), self.ncols
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -176,8 +176,7 @@ def build_extension_system(x: Complex, a: Complex, z: IntCochain) -> tuple[Dioph
                 row[j] -= (-1) ** i
         matrix.append(row)
         rhs.append(z(sigma))
-    labels = [f"w{list(s.vertices)}" for s in w_ix] + [f"u{list(s.vertices)}" for s in u_ix]
-    return DiophantineSystem(matrix, rhs, labels), w_ix, u_ix
+    return DiophantineSystem(matrix, rhs, width), w_ix, u_ix
 
 
 def verify_extension_certificate(x: Complex, a: Complex, z: IntCochain,

@@ -152,8 +152,6 @@ def parse_instance(data: dict) -> Instance:
         a_complex = _simplex_list(data["a_simplices"], "a_simplices")
         if not a_complex.simplices <= cx.simplices:
             raise ParseError("a_simplices is not a subcomplex")
-        a_complex = Complex(a_complex.simplices,
-                            {v: cx.coord(v) for v in a_complex.vertices})
     sphere_map = None
     if "sphere_map" in data:
         if a_complex is None:

@@ -263,19 +263,17 @@ def simplicial_approximation(pair: LevelPair) -> SphereMap:
     vertex w of star(v, A), strictly at v itself.  That star's vertices are v
     and its A-neighbours, and s_v * f_{i_v}(v) = max_j |f_j(v)| > 0 since
     `LevelPair.validate` found no root on A, so the check reads both ends of
-    every A-edge."""
+    every A-edge.  A map that passes is simplicial: labels +i at v and -i at
+    w on one A-simplex sit on its A-edge (v, w), where s_v * f_i(w) < 0."""
     f = pair.f
     assignment: dict[VertexId, int] = {}
     for v in pair.a.vertices:
         val = f.value(v)
         best = max(range(f.n), key=lambda i: (abs(val[i]), -i))
         assignment[v] = (best + 1) if val[best] > 0 else -(best + 1)
-    fmap = SphereMap(pair.a, f.n, assignment)
-    if not fmap.is_simplicial():
-        raise ReductionError("sphere image of an A-simplex contains antipodal vertices")
     for e in pair.a.k_simplices(1):
         for v, w in (e.vertices, e.vertices[::-1]):
             lab = assignment[v]
             if (1 if lab > 0 else -1) * f.value(w)[abs(lab) - 1] < 0:
                 raise ReductionError(f"open-star condition fails at {v} (witness {w})")
-    return fmap
+    return SphereMap(pair.a, f.n, assignment)

@@ -70,7 +70,6 @@ def annulus_octagon():
     ann = closure(tris)
     a = closure([[k, (k + 1) % 8] for k in range(8)]
                 + [[8 + k, 8 + (k + 1) % 8] for k in range(8)])
-    a = Complex(a.simplices, {v: ann.coord(v) for v in a.vertices})
     return ann, a
 
 
@@ -90,7 +89,6 @@ def disk_square():
     degree-1 simplicial map onto the cross-polytope circle."""
     disk = closure([[0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 3, 4]])
     bdry = closure([[0, 1], [1, 2], [2, 3], [0, 3]])
-    bdry = Complex(bdry.simplices, {v: disk.coord(v) for v in bdry.vertices})
     return disk, bdry
 
 
@@ -280,17 +278,6 @@ def compose_automorphism(fmap: SphereMap, signed_perm: dict[int, int]) -> Sphere
     return SphereMap(fmap.domain, fmap.n, out)
 
 
-def contains_point(c: Complex, target: BaryPoint) -> bool:
-    from reference_oracles import locate  # reference_oracles imports this module
-
-    return locate(c, target) is not None
-
-
-def expand(c: Complex, point: BaryPoint) -> BaryPoint:
-    """Re-express a point given over c's vertices in original coordinates."""
-    return BaryPoint.combine((w, c.coord(v)) for v, w in point.weights)
-
-
 def scaled(cv: CriticalValue, c) -> CriticalValue:
     c = Fraction(c)
     if c < 0:
@@ -315,6 +302,61 @@ def as_dict(point: BaryPoint) -> dict[VertexId, Fraction]:
 def scale_map(f: PLMap, c) -> PLMap:
     c = Fraction(c)
     return PLMap(f.complex, f.n, {v: tuple(c * x for x in val) for v, val in f.values.items()})
+
+
+# -- the barycentric lineage ------------------------------------------------
+#
+# robsat never needs to know where a new vertex sits in the original space, so
+# a complex carries no coordinates.  The tests that check that a subdivision
+# keeps the point set or the function keep the lineage themselves: a mapping
+# vid -> BaryPoint over the original vertices, built from the starrings they
+# pass to `star_at_point` or `star_with_values`.  None, or a vertex missing
+# from the mapping, stands for the identity: an original vertex is itself.
+
+def vertex(v: VertexId) -> BaryPoint:
+    return BaryPoint(((v, Fraction(1)),))
+
+
+def combine(parts) -> BaryPoint:
+    """Convex combination of (coefficient, BaryPoint) pairs."""
+    acc: dict[VertexId, Fraction] = {}
+    for coeff, point in parts:
+        coeff = Fraction(coeff)
+        if coeff == 0:
+            continue
+        for v, w in point.weights:
+            acc[v] = acc.get(v, Fraction(0)) + coeff * w
+    return BaryPoint.from_dict(acc)
+
+
+def origin(lineage, v: VertexId) -> BaryPoint:
+    """v's expansion over the original vertices."""
+    return lineage[v] if lineage and v in lineage else vertex(v)
+
+
+def expand(point: BaryPoint, lineage=None) -> BaryPoint:
+    """Re-express a point given over a complex's vertices in original
+    coordinates."""
+    return combine((w, origin(lineage, v)) for v, w in point.weights)
+
+
+def extend_lineage(lineage, stars, new_ids) -> dict[VertexId, BaryPoint]:
+    """The lineage after a starring batch: `stars` as passed to
+    `star_at_point` or `star_with_values`, `new_ids` as returned.  Each new
+    vertex is its carrier-local point expanded through the vertices before
+    it, so lineage composes across batches."""
+    out = dict(lineage or {})
+    for (_, point), vid in zip(stars, new_ids, strict=True):
+        out[vid] = expand(point, out)
+    return out
+
+
+def contains_point(c: Complex, target: BaryPoint, lineage=None) -> bool:
+    """Whether `target` (original coordinates) lies in |c|, where `lineage`
+    expands c's vertices over the original ones (see `extend_lineage`)."""
+    from reference_oracles import locate  # reference_oracles imports this module
+
+    return locate(c, target, lineage) is not None
 
 
 # -- test-only reference: the rescan-after-each-star loops -----------------
@@ -382,16 +424,13 @@ def ref_star_at_point(c: Complex, carrier: Simplex, point: BaryPoint):
     new vertex placed at `point`.
 
     `point` is given in carrier-local barycentric coordinates and must be
-    interior (positive weight on every carrier vertex). The stored coordinate
-    of the new vertex is the expansion over original vertices, so lineage
-    composes across repeated subdivision.
+    interior (positive weight on every carrier vertex).
     """
     if carrier not in c:
         raise ValueError(f"carrier {carrier} not in complex")
     if set(point.support) != set(carrier.vertices):
         raise ValueError("point must be interior to the carrier (full support)")
-    new_id = (max(c.coords) + 1) if c.coords else 0
-    new_coord = expand(c, point)
+    new_id = (c.vertices[-1] + 1) if c.vertices else 0
 
     carrier_set = set(carrier.vertices)
     removed = [t for t in c.simplices if carrier_set <= set(t.vertices)]
@@ -405,9 +444,7 @@ def ref_star_at_point(c: Complex, carrier: Simplex, point: BaryPoint):
                 for rk in range(len(rest) + 1):
                     for rc in combinations(rest, rk):
                         added.add(Simplex.of((new_id,) + fc + rc))
-    coords = c.coords
-    coords[new_id] = new_coord
-    return Complex(kept | added, coords), new_id
+    return Complex(kept | added), new_id
 
 
 def ref_star_with_values(f: PLMap, carrier: Simplex, point: BaryPoint):

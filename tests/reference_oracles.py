@@ -18,23 +18,25 @@ from robsat.homotopy import pullback_cocycle
 from robsat.pl_map import CriticalValue, Norm, PLMap, global_min, vector_norm
 from robsat.reduction import SphereMap
 
-from helpers import as_dict, weight
+from helpers import as_dict, origin, weight
 
 
 # -- point location and evaluation --------------------------------------------
 
-def local_coordinates(c: Complex, s: Simplex, target: BaryPoint):
-    """Barycentric coordinates of `target` (original coords) within simplex s.
+def local_coordinates(s: Simplex, target: BaryPoint, lineage=None):
+    """Barycentric coordinates of `target` (original coords) within simplex s,
+    whose vertices `lineage` expands over the original ones (identity when
+    None; see `helpers.extend_lineage`).
 
     Returns the weight dict over s's vertices, or None when target is not
     in the closed hull of s.
     """
-    ids = sorted({v for vert in s.vertices for v, _ in c._coords[vert].weights}
+    ids = sorted({v for vert in s.vertices for v in origin(lineage, vert).support}
                  | set(target.support))
     rows = []
     rhs = []
     for oid in ids:
-        rows.append([weight(c._coords[vert], oid) for vert in s.vertices])
+        rows.append([weight(origin(lineage, vert), oid) for vert in s.vertices])
         rhs.append(weight(target, oid))
     rows.append([Fraction(1)] * len(s.vertices))
     rhs.append(Fraction(1))
@@ -44,18 +46,19 @@ def local_coordinates(c: Complex, s: Simplex, target: BaryPoint):
     return {vert: x for vert, x in zip(s.vertices, sol) if x != 0}
 
 
-def locate(c: Complex, target: BaryPoint):
-    """Find a simplex whose hull contains `target` (original coordinates).
+def locate(c: Complex, target: BaryPoint, lineage=None):
+    """Find a simplex whose hull contains `target` (original coordinates),
+    with c's vertices expanded by `lineage`.
 
     Returns (simplex, local weight dict) or None. Deterministic: maximal
     simplices are scanned in sorted order.
     """
     support = set(target.support)
     for s in c.maximal_simplices():
-        carrier = {v for vert in s.vertices for v, _ in c._coords[vert].weights}
+        carrier = {v for vert in s.vertices for v in origin(lineage, vert).support}
         if not support <= carrier:
             continue
-        local = local_coordinates(c, s, target)
+        local = local_coordinates(s, target, lineage)
         if local is not None:
             return s, local
     return None
@@ -95,23 +98,17 @@ def grid_locate(grid: FreudenthalGrid, point):
     return simplex, weights
 
 
-def evaluate(f: PLMap, p: BaryPoint) -> tuple[Fraction, ...]:
+def evaluate(f: PLMap, p: BaryPoint, lineage=None) -> tuple[Fraction, ...]:
     """Value of f at a point.
 
     If p's support spans a simplex of f's complex the interpolation is direct;
-    otherwise p is treated as a point in original coordinates and located.
+    otherwise p is treated as a point in original coordinates and located,
+    with the vertices of f's complex expanded by `lineage`.
     """
-    support = p.support
-    direct = None
-    if all(v in f.complex.coords for v in support):
-        try:
-            s = Simplex.of(support)
-        except ValueError:
-            s = None
-        if s is not None and s in f.complex:
-            direct = as_dict(p)
-    if direct is None:
-        hit = locate(f.complex, p)
+    if Simplex(p.support) in f.complex:
+        direct = as_dict(p)
+    else:
+        hit = locate(f.complex, p, lineage)
         if hit is None:
             raise ValueError("point not supported in the complex")
         _, direct = hit

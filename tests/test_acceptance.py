@@ -209,7 +209,7 @@ def test_08_integer_algebra():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
         rhs = [rng.randint(-5, 5) for _ in range(m)]
-        s = smith_solve(DiophantineSystem(mat, rhs, [f"x{i}" for i in range(n)]))
+        s = smith_solve(DiophantineSystem(mat, rhs, n))
         b = brute_diophantine(mat, rhs, 10)
         if b is not None:
             assert s is not None

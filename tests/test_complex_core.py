@@ -23,11 +23,11 @@ from robsat.pl_map import PLMap, star_with_values
 from robsat.reduction import derived_subdivision
 
 from helpers import (
-    as_dict,
     coboundary,
     contains_point,
-    expand,
+    extend_lineage,
     matrix_rank,
+    origin,
     random_complex,
     random_interior_point,
     random_map,
@@ -36,6 +36,7 @@ from helpers import (
     ref_star_with_values,
     weight,
 )
+from reference_oracles import evaluate
 
 
 def mid(u, v):
@@ -70,7 +71,7 @@ class TestStarAtPoint:
     def test_edge_midpoint(self):
         c, (v,) = star_at_point(closure([[1, 2]]), [(Simplex.of([1, 2]), mid(1, 2))])
         assert len(c.k_simplices(1)) == 2
-        assert as_dict(c.coord(v)) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert v == 3  # numbered on from the largest vertex
 
     def test_triangle_barycenter(self):
         t = Simplex.of([1, 2, 3])
@@ -91,17 +92,21 @@ class TestStarAtPoint:
         rng = random.Random(11)
         c = closure([[1, 2, 3], [3, 4]])
         t = Simplex.of([1, 2, 3])
-        c2, _ = star_at_point(c, [(t, random_interior_point(rng, t))])
-        c3, _ = star_at_point(c2, [(Simplex.of([3, 4]), mid(3, 4))])
+        stars = [(t, random_interior_point(rng, t))]
+        c2, new = star_at_point(c, stars)
+        lineage2 = extend_lineage(None, stars, new)
+        stars = [(Simplex.of([3, 4]), mid(3, 4))]
+        c3, new = star_at_point(c2, stars)
+        lineage3 = extend_lineage(lineage2, stars, new)
         for _ in range(334):  # three membership queries each: >1000 point checks
             carrier = random.Random(rng.random()).choice(sorted(c.simplices))
-            p = expand(c, random_point_in(rng, carrier))
+            p = random_point_in(rng, carrier)  # c is not subdivided: original coordinates
             assert contains_point(c, p)
-            assert contains_point(c2, p)
-            assert contains_point(c3, p)
+            assert contains_point(c2, p, lineage2)
+            assert contains_point(c3, p, lineage3)
         outside = BaryPoint.from_dict({1: Fraction(1, 2), 4: Fraction(1, 2)})
         assert not contains_point(c, outside)
-        assert not contains_point(c3, outside)
+        assert not contains_point(c3, outside, lineage3)
 
 
 def barycentric_pick(f, s):
@@ -125,9 +130,16 @@ class TestDerivedSubdivision:
         assert derived_subdivision(f, lambda f, s: None) == f
 
     def test_lineage_recomposes(self):
-        out = derived_subdivision(identity_map(closure([[1, 2, 3]])), barycentric_pick)
+        c = closure([[1, 2, 3]])
+        out = derived_subdivision(identity_map(c), barycentric_pick)
+        # the derived pass's starrings, made on c in its order
+        stars = [(s, barycenter(s)) for s in sorted(c.simplices, key=lambda x: (-x.dim, x.vertices))
+                 if s.dim > 0]
+        new = sorted(set(out.complex.vertices) - set(c.vertices))
+        assert star_at_point(c, stars) == (out.complex, new)
+        lineage = extend_lineage(None, stars, new)
         for v in out.complex.vertices:
-            point = out.complex.coord(v)
+            point = origin(lineage, v)
             assert sum(w for _, w in point.weights) == 1
             assert set(point.support) <= {1, 2, 3}
             # the interpolated coordinate map agrees with the lineage
@@ -206,8 +218,9 @@ class TestBatchStarring:
     @pytest.mark.parametrize("pattern", [derived_batch, crossing_batch, make_full_batch,
                                          chained_batch])
     def test_batch_matches_sequential_starrings(self, pattern):
-        """One batch gives the simplices, coordinates, values and new vertex
-        ids of the same starrings made one call at a time."""
+        """One batch gives the simplices, values and new vertex ids of the
+        same starrings made one call at a time, and the value at each new
+        vertex is f at the point the lineage puts it."""
         @settings(derandomize=True, deadline=None, max_examples=60)
         @given(st.integers(0, 2 ** 32), st.integers(1, 3))
         def check(seed, n):
@@ -221,11 +234,13 @@ class TestBatchStarring:
                 ref, vid = ref_star_with_values(ref, carrier, point)
                 ref_new.append(vid)
             assert g.complex.simplices == ref.complex.simplices
-            assert g.complex.coords == ref.complex.coords
             assert g.complex.k_simplices(1) == ref.complex.k_simplices(1)
             assert g.values == ref.values
             assert new == ref_new
             assert star_at_point(c, stars) == (ref.complex, ref_new)
+            lineage = extend_lineage(None, stars, new)
+            for vid in new:
+                assert evaluate(f, lineage[vid]) == g.value(vid)
 
         check()
 
@@ -262,18 +277,18 @@ class TestMakeFull:
     def test_edge_violation(self):
         x = closure([[1, 2]])
         a = closure([[1], [2]])
-        x2, a2 = make_full(x, a)
+        x2 = make_full(x, a)
         assert len(x2.k_simplices(1)) == 2
         assert full_subcomplex(x2, set(a.vertices)).simplices == a.simplices
 
     def test_already_full_identity(self):
         x = closure([[1, 2, 3]])
         a = closure([[1, 2]])
-        x2, _ = make_full(x, a)
+        x2 = make_full(x, a)
         assert x2 == x
 
     def test_hollow_triangle_in_filled(self):
-        x, _ = make_full(closure([[1, 2, 3]]), closure([[1], [2], [3]]))
+        x = make_full(closure([[1, 2, 3]]), closure([[1], [2], [3]]))
         assert full_subcomplex(x, {1, 2, 3}).simplices == closure([[1], [2], [3]]).simplices
 
     def test_roundtrip_property_random(self):
@@ -286,9 +301,8 @@ class TestMakeFull:
                 a_set.update(s.faces())
             if not a_set:
                 continue
-            a = Complex(a_set, {v: x.coord(v)
-                                for s in a_set for v in s.vertices})
-            x2, _ = make_full(x, a)
+            a = Complex(a_set)
+            x2 = make_full(x, a)
             assert full_subcomplex(x2, set(a.vertices)).simplices == a.simplices
 
 

@@ -53,7 +53,7 @@ class TestFixture:
 
     def test_empty_a_gives_zero_map(self):
         disk, _ = disk_square()
-        empty = Complex(frozenset(), {})
+        empty = Complex(frozenset())
         f = fixture_from_extension(disk, empty, SphereMap(empty, 2, {}), Norm.LINF)
         assert all(v == (0, 0) for v in f.values.values())
 

@@ -41,14 +41,14 @@ from reference_oracles import brute_diophantine, winding_oracle
 
 class TestSmithSolve:
     def test_examples(self):
-        assert smith_solve(DiophantineSystem([[2]], [4], ["x"])) == [2]
-        assert smith_solve(DiophantineSystem([[2]], [3], ["x"])) is None
-        sol = smith_solve(DiophantineSystem([[2, 3]], [1], ["x", "y"]))
+        assert smith_solve(DiophantineSystem([[2]], [4], 1)) == [2]
+        assert smith_solve(DiophantineSystem([[2]], [3], 1)) is None
+        sol = smith_solve(DiophantineSystem([[2, 3]], [1], 2))
         assert sol is not None and 2 * sol[0] + 3 * sol[1] == 1
 
     def test_empty_system(self):
-        assert smith_solve(DiophantineSystem([], [], [])) == []
-        assert smith_solve(DiophantineSystem([[0, 0]], [1], ["x", "y"])) is None
+        assert smith_solve(DiophantineSystem([], [], 0)) == []
+        assert smith_solve(DiophantineSystem([[0, 0]], [1], 2)) is None
 
     def test_against_brute_force(self):
         rng = random.Random(10)
@@ -56,7 +56,7 @@ class TestSmithSolve:
             m, n = rng.randint(1, 3), rng.randint(1, 3)
             mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
             rhs = [rng.randint(-4, 4) for _ in range(m)]
-            s = smith_solve(DiophantineSystem(mat, rhs, [f"x{i}" for i in range(n)]))
+            s = smith_solve(DiophantineSystem(mat, rhs, n))
             bt = brute_diophantine(mat, rhs, 8)
             if bt is not None:
                 assert s is not None
@@ -85,7 +85,7 @@ class TestPullback:
 class TestCocycleExtension:
     def test_empty_a(self):
         disk, _ = disk_square()
-        empty = Complex(frozenset(), {})
+        empty = Complex(frozenset())
         z = IntCochain(1)
         assert cocycle_extension_solvable(disk, empty, z) is not None
 
@@ -135,7 +135,7 @@ class TestDecideExtension:
 
     def test_empty_a_extends(self):
         disk, _ = disk_square()
-        empty = Complex(frozenset(), {})
+        empty = Complex(frozenset())
         v = decide_extension(disk, empty, SphereMap(empty, 2, {}), 2)
         assert v.tag == ExtendTag.EXTENDS
 
@@ -150,9 +150,8 @@ class TestDecideExtension:
     def test_unknown_beyond_range(self):
         # X contains a 4-simplex, n = 3, constant map: solvable system, honest Unknown.
         faces = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
-        octa = closure(faces)
+        a = closure(faces)
         x = closure([f + [6] for f in faces] + [[6, 7, 8, 9, 10]])
-        a = Complex(octa.simplices, {v: x.coord(v) for v in octa.vertices})
         const = SphereMap(a, 3, {v: 1 for v in a.vertices})
         v = decide_extension(x, a, const, 3)
         assert v.tag == ExtendTag.UNKNOWN
@@ -160,9 +159,8 @@ class TestDecideExtension:
     def test_hopf_flag(self):
         # octahedron boundary as A inside its cone: dim X = 3 = n
         faces = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
-        octa = closure(faces)
+        a = closure(faces)
         x = closure([f + [6] for f in faces])
-        a = Complex(octa.simplices, {v: x.coord(v) for v in octa.vertices})
         const = SphereMap(a, 3, {v: 1 for v in a.vertices})
         assert decide_extension(x, a, const, 3, assume_hopf=True).tag == ExtendTag.EXTENDS
         assert decide_extension(x, a, const, 3, assume_hopf=False).tag == ExtendTag.UNKNOWN
@@ -171,9 +169,8 @@ class TestDecideExtension:
         # the identity sphere map on A = boundary of the octahedron does not
         # extend over the cone (nonzero degree), and the system detects it
         faces = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
-        octa = closure(faces)
+        a = closure(faces)
         x = closure([f + [6] for f in faces])
-        a = Complex(octa.simplices, {v: x.coord(v) for v in octa.vertices})
         labels = {0: 1, 1: -1, 2: 2, 3: -2, 4: 3, 5: -3}
         ident = SphereMap(a, 3, labels)
         assert ident.is_simplicial()
@@ -294,7 +291,6 @@ class TestDegree:
             apex = ncyc
             cone = closure([e + [apex] for e in base_edges])
             base = closure(base_edges)
-            base = Complex(base.simplices, {v: cone.coord(v) for v in base.vertices})
             cycle = boundary_cycle_chain(list(range(ncyc)))
             for _ in range(8):
                 labels = {v: rng.choice((1, 2, -1, -2)) for v in base.vertices}
@@ -365,7 +361,7 @@ def diophantine_systems(draw):
         rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
     else:
         rhs = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
-    return DiophantineSystem(rows, rhs, [f"x{j}" for j in range(n)])
+    return DiophantineSystem(rows, rhs, n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)

@@ -20,7 +20,16 @@ from robsat.pl_map import (
     vector_norm,
 )
 
-from helpers import as_dict, expand, path_map, random_complex, random_map, random_point_in, scaled
+from helpers import (
+    as_dict,
+    extend_lineage,
+    path_map,
+    random_complex,
+    random_map,
+    random_point_in,
+    scaled,
+    vertex,
+)
 from reference_oracles import evaluate, grid_min_check, has_root
 
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
@@ -49,7 +58,7 @@ class TestCriticalValue:
 class TestEvaluate:
     def test_vertex_point(self):
         f = path_map([0, 2])
-        assert evaluate(f, BaryPoint.vertex(0)) == (0,)
+        assert evaluate(f, vertex(0)) == (0,)
 
     def test_edge_midpoint(self):
         f = path_map([0, 2])
@@ -196,23 +205,29 @@ class TestRootsAndDistance:
 class TestRestrictInterpolate:
     def test_star_edge_zero(self):
         f = path_map([-1, 1])
-        f2, (vid,) = star_with_values(
-            f, [(Simplex.of([0, 1]), BaryPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}))])
+        stars = [(Simplex.of([0, 1]), BaryPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}))]
+        f2, new = star_with_values(f, stars)
+        (vid,) = new
         assert f2.value(vid) == (0,)
         # the interpolated value is f at the new vertex's location
-        assert evaluate(f, f2.complex.coord(vid)) == f2.value(vid)
+        assert evaluate(f, extend_lineage(None, stars, new)[vid]) == f2.value(vid)
         assert all(f2.value(v) == f.value(v) for v in f.complex.vertices)
 
     def test_identity_subdivision(self):
+        # an empty batch returns f itself, whose lineage is the identity
         f = path_map([-1, 1])
+        f2, new = star_with_values(f, [])
+        assert f2 is f and new == []
         for v in f.complex.vertices:
-            assert evaluate(f, f.complex.coord(v)) == f.value(v)
+            assert evaluate(f, vertex(v)) == f.value(v)
 
     def test_agrees_pointwise(self):
         rng = random.Random(21)
         t = closure([[1, 2, 3]])
         f = PLMap(t, 2, {1: (3, 0), 2: (0, 3), 3: (0, 0)})
-        f2, _ = star_with_values(f, [(Simplex.of([1, 2, 3]), barycenter(Simplex.of([1, 2, 3])))])
+        stars = [(Simplex.of([1, 2, 3]), barycenter(Simplex.of([1, 2, 3])))]
+        f2, new = star_with_values(f, stars)
+        lineage = extend_lineage(None, stars, new)
         for _ in range(50):
-            p = expand(f.complex, random_point_in(rng, Simplex.of([1, 2, 3])))
-            assert evaluate(f, p) == evaluate(f2, p)
+            p = random_point_in(rng, Simplex.of([1, 2, 3]))  # t is not subdivided
+            assert evaluate(f, p) == evaluate(f2, p, lineage)
