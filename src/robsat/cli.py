@@ -306,11 +306,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built once per process: parse_args leaves the parser unchanged, and each
+# call starts from a fresh namespace of the defaults.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     start = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         doc, code = args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)

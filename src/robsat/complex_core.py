@@ -159,12 +159,12 @@ class Complex:
         return not self._simplices
 
     def maximal_simplices(self) -> list[Simplex]:
-        out = []
-        for s in sorted(self._simplices, key=lambda x: (-x.dim, x.vertices)):
-            sv = set(s.vertices)
-            if not any(sv < set(t.vertices) for t in out):
-                out.append(s)
-        return sorted(out)
+        """The simplices that are no simplex's codimension-1 face, sorted.
+        In a face-closed complex these are exactly the maximal ones: a
+        proper coface of s has a face one dimension up that contains s."""
+        facets = {t.vertices[:i] + t.vertices[i + 1:]
+                  for t in self._simplices for i in range(len(t.vertices))}
+        return sorted(s for s in self._simplices if s.vertices not in facets)
 
 
 def closure(simplices) -> Complex:

@@ -10,6 +10,10 @@ made deterministic by lexicographic refinement over barycentric coordinates,
 which `linprog.solve_lp` runs from the optimal basis of the same solve.  The
 value, and the argmin when it lies below every vertex value, are cached per
 simplex, so the extremal subdivision never solves a simplex twice.
+
+Most simplices need no solve at all: when a subgradient of the norm at a
+least-norm vertex value proves that vertex value minimal (a few exact dot
+products), the minimum is that vertex norm and no LP or KKT system runs.
 """
 
 from __future__ import annotations
@@ -224,12 +228,42 @@ def _simplex_min(ys, n, norm: Norm, refine_below=None):
     return cv, (tuple(x[:d1]) if refined(cv) else None)
 
 
+def _vertex_attains_min(ys, y0, norm: Norm) -> bool:
+    """Whether one subgradient g of the norm at the vertex value y0 has
+    g.y >= |y0| at every vertex value y.  Then |y| >= g.y >= |y0| on the
+    whole simplex (by convexity; Rockafellar, Convex Analysis, Thm. 27.4),
+    so y0 attains the minimum.  For l2 (g = y0/|y0|) this is also necessary:
+    it is the optimality test of Wolfe's min-norm-point method.  For l1 the
+    test uses g = sign(y0), sign 0 on zero coordinates; for linf,
+    g = sign(y0_i) e_i for some coordinate i attaining |y0|."""
+    if not any(y0):
+        return True
+    if norm == Norm.L2:
+        sq = sum(a * a for a in y0)
+        return all(sum(a * b for a, b in zip(y0, y)) >= sq for y in ys)
+    if norm == Norm.L1:
+        g = [(a > 0) - (a < 0) for a in y0]
+        m = sum(abs(a) for a in y0)
+        return all(sum(gi * b for gi, b in zip(g, y) if gi) >= m for y in ys)
+    m = max(abs(a) for a in y0)
+    return any(all((y[i] if a > 0 else -y[i]) >= m for y in ys)
+               for i, a in enumerate(y0) if abs(a) == m)
+
+
 @lru_cache(maxsize=1 << 16)
 def _min_value_cached(ys: tuple, n: int, norm: Norm):
     """(min, minimizer or None) of |f| over a simplex with vertex values ys.
     The minimizer is refined only when the minimum lies below every vertex
-    value, the one case in which the extremal subdivision stars it."""
-    return _simplex_min(ys, n, norm, min(vector_norm(y, norm) for y in ys))
+    value, the one case in which the extremal subdivision stars it.
+
+    No LP or KKT system is solved when a vertex value y0 of least norm passes
+    `_vertex_attains_min`: the minimum is then |y0|, not below every vertex
+    value, and (|y0|, None) is what the solve would return."""
+    norms = [vector_norm(y, norm) for y in ys]
+    m0 = min(norms)
+    if _vertex_attains_min(ys, ys[norms.index(m0)], norm):
+        return m0, None
+    return _simplex_min(ys, n, norm, m0)
 
 
 def simplex_min_value(f: PLMap, s: Simplex, norm: Norm) -> CriticalValue:

@@ -634,3 +634,18 @@ def ref_simplicial_approximation(pair: LevelPair) -> SphereMap:
             if val < 0 or (w == v and val == 0):
                 raise ReductionError(f"open-star condition fails at {v} (witness {w})")
     return fmap
+
+
+# -- test-only reference: the pairwise maximal-simplex scan ---------------
+#
+# `Complex.maximal_simplices` before it read maximality off codimension-1
+# faces, kept verbatim as a function of the complex: largest simplices
+# first, each tested against every maximal simplex found so far.
+
+def ref_maximal_simplices(c: Complex) -> list[Simplex]:
+    out = []
+    for s in sorted(c.simplices, key=lambda x: (-x.dim, x.vertices)):
+        sv = set(s.vertices)
+        if not any(sv < set(t.vertices) for t in out):
+            out.append(s)
+    return sorted(out)

@@ -40,6 +40,19 @@ class TestDecide:
         assert doc["verdict"] == "RobustNo"
         assert doc["witness"] is not None
 
+    def test_parser_reuse_carries_no_arguments_over(self, capsys):
+        """main() parses with one parser per process: a call after a
+        --witness call and a usage error starts from the defaults again."""
+        code, doc = run(capsys, "decide", "-i", instance("path_identity.json"),
+                        "--alpha", "2", "--witness", "--seed", "3")
+        assert code == EXIT_DECIDED and doc["witness"] is not None
+        assert main(["decide", "--alpha", "2"]) == EXIT_USAGE
+        assert "usage" in capsys.readouterr().err
+        code, doc = run(capsys, "decide", "-i", instance("path_identity.json"),
+                        "--alpha", "2")
+        assert code == EXIT_DECIDED and doc["verdict"] == "RobustNo"
+        assert doc["witness"] is None
+
     def test_inequality_instance(self, capsys):
         code, doc = run(capsys, "decide", "-i", instance("path_with_inequality.json"))
         assert code == EXIT_DECIDED

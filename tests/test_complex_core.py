@@ -32,6 +32,7 @@ from helpers import (
     random_interior_point,
     random_map,
     random_point_in,
+    ref_maximal_simplices,
     ref_star_at_point,
     ref_star_with_values,
     weight,
@@ -212,6 +213,23 @@ def chained_batch(rng, c):
         out.append((s, p))
         c, _ = ref_star_at_point(c, s, p)
     return out
+
+
+class TestMaximalSimplices:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+                    min_size=1, max_size=6))
+    def test_matches_pairwise_scan(self, simplex_set):
+        """On the closure of any simplex set, the simplices that are no
+        simplex's facet are the ones the pairwise scan finds maximal."""
+        c = closure(simplex_set)
+        assert c.maximal_simplices() == ref_maximal_simplices(c)
+
+    def test_examples(self):
+        c = closure([[0, 1, 2], [2, 3], [4], [1, 2, 5]])
+        assert c.maximal_simplices() == [Simplex.of(s) for s in
+                                         [[0, 1, 2], [1, 2, 5], [2, 3], [4]]]
+        assert Complex(frozenset()).maximal_simplices() == []
 
 
 class TestBatchStarring:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robsat.complex_core import BaryPoint, Simplex, barycenter, closure
 from robsat.pl_map import (
@@ -11,6 +13,9 @@ from robsat.pl_map import (
     CriticalValue,
     Norm,
     PLMap,
+    _min_value_cached,
+    _simplex_min,
+    _vertex_attains_min,
     critical_values,
     global_min,
     map_distance,
@@ -155,6 +160,69 @@ class TestSimplexMin:
             for _ in range(100):
                 p = random_point_in(rng, s)
                 assert not (vmax < vector_norm(evaluate(f, p), norm))
+
+
+@st.composite
+def simplex_values(draw):
+    """(vertex values of a simplex of dimension 0-3, n) with n = 1-3.  Small
+    half-integer coordinates make zero coordinates, y0 = 0 and vertex-norm
+    ties common; the vertices draw from a pool with replacement, which
+    repeats vertex values."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3).map(lambda k: Fraction(k, 2))
+    pool = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))), n
+
+
+def vals(*ys):
+    return tuple(tuple(Fraction(x) for x in y) for y in ys), len(ys[0])
+
+
+class TestVertexCertificate:
+    """`_min_value_cached` skips the LP or KKT solve when a subgradient at a
+    least-norm vertex value proves that vertex minimal."""
+
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    @given(simplex_values(), st.sampled_from(ALL_NORMS))
+    @example(vals((0, 0), (1, 2)), Norm.L1)                   # y0 = 0
+    @example(vals((1, 1), (-1, 1)), Norm.LINF)                # the second tied coordinate certifies
+    @example(vals((1, 0), (0, 1)), Norm.L1)                   # minimum at a vertex, test too weak
+    @example(vals((1, 0), (0, 1)), Norm.L2)                   # minimum below both vertices
+    @example(vals((1, 0), (1, 0), (2, 1)), Norm.L2)           # repeated vertex value
+    @example(vals((2, 0, 1), (0, 2, 1), (1, 1, 2), (2, 2, 0)), Norm.L1)
+    def test_matches_the_solve(self, case, norm):
+        """The same (value, minimizer or None) as the solve bounded by the
+        least vertex norm, so the refined bit and any refined minimizer
+        agree too."""
+        ys, n = case
+        m0 = min(vector_norm(y, norm) for y in ys)
+        assert _min_value_cached.__wrapped__(ys, n, norm) == _simplex_min(ys, n, norm, m0)
+
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    @given(simplex_values(), st.sampled_from(ALL_NORMS))
+    @example(vals((1, 1), (-1, 1)), Norm.LINF)
+    @example(vals((0, 0), (1, 2)), Norm.L2)
+    def test_certified_vertex_is_the_minimum(self, case, norm):
+        """A vertex value the test certifies has the norm of the unbounded
+        solve's minimum."""
+        ys, n = case
+        for y in ys:
+            if _vertex_attains_min(ys, y, norm):
+                assert _simplex_min(ys, n, norm)[0] == vector_norm(y, norm)
+
+    @pytest.mark.parametrize("case, norm, certified", [
+        (vals((0, 0), (1, 2)), Norm.L1, True),
+        (vals((1, 0), (1, 1)), Norm.L2, True),
+        (vals((1, 0), (0, 1)), Norm.L2, False),
+        (vals((1, 1), (2, 1)), Norm.L1, True),
+        (vals((1, 0), (0, 1)), Norm.L1, False),
+        (vals((1, 1), (1, -1)), Norm.LINF, True),
+        (vals((1, 1), (-1, 1)), Norm.LINF, True),
+        (vals((1, 1), (-1, -1)), Norm.LINF, False),
+    ])
+    def test_examples(self, case, norm, certified):
+        ys, _ = case
+        assert _vertex_attains_min(ys, ys[0], norm) is certified
 
 
 class TestCriticalValues:
