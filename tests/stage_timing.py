@@ -2,13 +2,13 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 tests/stage_timing.py [--json]
+    PYTHONPATH=src python3 tests/stage_timing.py
 
 G(r) is f(x, y) = (x^2 - y - 1/4, x + y^2 - 1/3) sampled exactly on
 `freudenthal_grid([(-1, 1), (-1, 1)], r)`.  For each r in 8, 16, 32, norm
 (linf, l2) and alpha (1/8, 3/2) it
 calls the `reduction` and `homotopy` functions in the order `decide_robsat`
-runs them and prints one table row:
+runs them and records one row:
 
 * K -> K': simplex counts before and after the vertex-extremal subdivision,
   and a sha256 prefix over the subdivided complex and its vertex values, so
@@ -19,14 +19,12 @@ runs them and prints one table row:
 * Smith: `smith_solve` on the cocycle-extension system, with its shape;
 * ext.: the whole `decide_extension` call, certificate re-check included.
 
-Each time is the least of 3 runs, in seconds.  --json
-prints the rows as one JSON list instead of a markdown table.  pytest does
-not collect this file.
+Each time is the least of 3 runs, in seconds.  The rows are printed as one
+JSON list.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
@@ -95,30 +93,10 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     return row
 
 
-def markdown(rows) -> str:
-    def sec(row, key):
-        return f"{row[key]:.3f}" if key in row else "—"
-
-    lines = ["| workload | K → K' | digest | extremal | split | sign | Smith (system) | ext. |",
-             "| --- | --- | --- | --- | --- | --- | --- | --- |"]
-    for row in rows:
-        system = "×".join(map(str, row["system"])) if "system" in row else "—"
-        lines.append(
-            f"| G({row['r']}) {row['norm']} α={row['alpha']} "
-            f"| {row['simplices_in']} → {row['simplices_out']} | {row['extremal_digest']} "
-            f"| {sec(row, 'extremal_s')} | {sec(row, 'split_s')} | {sec(row, 'sign_s')} "
-            f"| {sec(row, 'smith_s')} ({system}) | {sec(row, 'ext_s')} |")
-    return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="stage times of G(r) decisions")
-    parser.add_argument("--json", action="store_true",
-                        help="print the rows as one JSON list")
-    args = parser.parse_args(argv)
+def main() -> int:
     rows = [stage_row(r, norm, alpha)
             for r in RESOLUTIONS for norm in NORMS for alpha in ALPHAS]
-    print(json.dumps(rows, indent=1) if args.json else markdown(rows))
+    print(json.dumps(rows, indent=1))
     return 0
 
 
