@@ -17,10 +17,10 @@ import time
 from fractions import Fraction
 
 from . import instance_io
-from .complex_core import IntCochain, Simplex
+from .complex_core import IntCochain, Simplex, permutation_parity
 from .fixtures import fixture_from_extension
 from .homotopy import ExtendTag, decide_extension, degree
-from .instance_io import Instance, ParseError, format_critical_value, parse_rational
+from .instance_io import Instance, ParseError, _integer, format_critical_value, parse_rational
 from .oracles import WitnessSearchConfig, perturbation_witness
 from .pl_map import CriticalValue, Norm, critical_values
 from .robustness import (
@@ -77,8 +77,6 @@ def _certificate_json(ev):
     out = {"tag": ev.tag.value, "reason": ev.reason}
     if ev.w is not None:
         out["w"] = {str(list(s.vertices)): v for s, v in ev.w.values.items()}
-    if ev.u is not None:
-        out["u"] = {str(list(s.vertices)): v for s, v in ev.u.values.items()}
     if ev.vertex_extension is not None:
         out["vertex_extension"] = {str(k): v for k, v in ev.vertex_extension.items()}
     return out
@@ -147,6 +145,28 @@ def cmd_extend(args) -> tuple[dict, int]:
     return doc, EXIT_UNKNOWN if verdict.tag is ExtendTag.UNKNOWN else EXIT_DECIDED
 
 
+def _parse_cycle(raw: str, dim: int) -> IntCochain:
+    """An integer chain from a JSON list of [vertex-id list, coefficient]
+    pairs.  A vertex list in another order than sorted carries the sign of
+    its permutation, and repeated simplices add up."""
+    try:
+        entries = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad --cycle: {exc}") from exc
+    if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], list) for e in entries):
+        raise ParseError("bad --cycle: expected a list of [vertex-id list, coefficient] pairs")
+    chain: dict[Simplex, int] = {}
+    try:
+        for verts, coeff in entries:
+            verts = [_integer(v, "a vertex id") for v in verts]
+            s = Simplex.of(verts)
+            chain[s] = chain.get(s, 0) + permutation_parity(verts) * _integer(coeff, "a coefficient")
+        return IntCochain(dim, chain)
+    except ValueError as exc:
+        raise ParseError(f"bad --cycle: {exc}") from exc
+
+
 def cmd_degree(args) -> tuple[dict, int]:
     instance = _load(args.input)
     if instance.sphere_map is None:
@@ -158,12 +178,7 @@ def cmd_degree(args) -> tuple[dict, int]:
                 raw = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {raw[1:]}: {exc}") from exc
-    try:
-        entries = json.loads(raw)
-        cycle = IntCochain(instance.n - 1, {Simplex.of(int(v) for v in verts): int(coeff)
-                                            for verts, coeff in entries})
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad --cycle: {exc}") from exc
+    cycle = _parse_cycle(raw, instance.n - 1)
     try:
         deg = degree(cycle, instance.sphere_map)
     except ValueError as exc:

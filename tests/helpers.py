@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from robsat.complex_core import BaryPoint, Complex, Simplex, VertexId, closure, full_subcomplex
+from robsat.complex_core import BaryPoint, Complex, IntCochain, Simplex, VertexId, closure, full_subcomplex
 from robsat.exactlinalg import ExactnessError
 from robsat.homotopy import DiophantineSystem, _xgcd
 from robsat.intervals import Interval
@@ -462,10 +462,74 @@ def ref_star_with_values(f: PLMap, carrier: Simplex, point: BaryPoint):
     return PLMap(c2, f.n, values), vid
 
 
+# -- integer systems: dense rows to sparse rows and back -------------------
+
+def sparse_system(matrix, rhs, ncols: int) -> DiophantineSystem:
+    """The system of a dense integer matrix: each row keeps its nonzero
+    entries as (column, coefficient) pairs."""
+    return DiophantineSystem([[(j, v) for j, v in enumerate(row) if v] for row in matrix],
+                             list(rhs), ncols)
+
+
+def dense_matrix(system: DiophantineSystem) -> list[list[int]]:
+    m, n = system.shape
+    out = [[0] * n for _ in range(m)]
+    for dense, row in zip(out, system.matrix):
+        for j, v in row:
+            dense[j] += v
+    return out
+
+
+def solves(system: DiophantineSystem, x: list[int]) -> bool:
+    """Whether x is an integer solution of the system."""
+    return len(x) == system.ncols and all(
+        sum(v * x[j] for j, v in row) == b for row, b in zip(system.matrix, system.rhs))
+
+
+# -- test-only reference: the cocycle system with u unknowns ---------------
+#
+# `homotopy.build_extension_system` before the u unknowns were dropped, kept
+# verbatim except that it returns sparse rows.  Its system is
+#
+#     delta_X w = 0,    w|_A - delta_A u = z,
+#
+# in w on all (n-1)-simplices of X and u on the (n-2)-simplices of A.  The
+# differential test checks that it is solvable exactly when robsat's u-free
+# system is.
+
+def ref_build_extension_system(x: Complex, a: Complex, z: IntCochain):
+    """Returns (system, w_index, u_index)."""
+    n = z.degree + 1
+    w_ix = x.k_simplices(n - 1)
+    u_ix = a.k_simplices(n - 2) if n >= 2 else []
+    w_pos = {s: j for j, s in enumerate(w_ix)}
+    u_pos = {s: len(w_ix) + j for j, s in enumerate(u_ix)}
+    width = len(w_ix) + len(u_ix)
+    matrix: list[list[int]] = []
+    rhs: list[int] = []
+    for tau in x.k_simplices(n):
+        row = [0] * width
+        for i, face in tau.boundary():
+            row[w_pos[face]] += (-1) ** i
+        matrix.append(row)
+        rhs.append(0)
+    for sigma in a.k_simplices(n - 1):
+        row = [0] * width
+        row[w_pos[sigma]] += 1
+        for i, face in sigma.boundary():
+            j = u_pos.get(face)
+            if j is not None:
+                row[j] -= (-1) ** i
+        matrix.append(row)
+        rhs.append(z(sigma))
+    return sparse_system(matrix, rhs, width), w_ix, u_ix
+
+
 # -- test-only reference: the two-sided Smith diagonalisation -------------
 #
 # robsat's `homotopy.smith_solve` before it became a one-sided column
-# elimination, kept verbatim (renamed) so the differential test can compare
+# elimination, kept verbatim (renamed, and reading the sparse rows through
+# `dense_matrix` and `solves`) so the differential test can compare
 # solvability against it.
 
 def ref_smith_solve(system: DiophantineSystem) -> list[int] | None:
@@ -476,7 +540,7 @@ def ref_smith_solve(system: DiophantineSystem) -> list[int] | None:
     be mapped back), then solves the diagonal system by exact division.
     """
     m, n = system.shape
-    d = [list(row) for row in system.matrix]
+    d = dense_matrix(system)
     b = list(system.rhs)
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -570,8 +634,7 @@ def ref_smith_solve(system: DiophantineSystem) -> list[int] | None:
                 return None
             y[i] = b[i] // di
     x = [sum(t[i][j] * y[j] for j in range(n)) for i in range(n)]
-    if any(sum(mr[j] * x[j] for j in range(n)) != bi
-           for mr, bi in zip(system.matrix, system.rhs)):
+    if not solves(system, x):
         raise ExactnessError("smith_solve produced a non-solution")
     return x
 

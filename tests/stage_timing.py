@@ -85,7 +85,7 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     if pair.a.is_empty():
         return row  # the decision short-circuits: no system to solve
     fmap = simplicial_approximation(pair)
-    system, _, _ = build_extension_system(pair.x, pair.a, pullback_cocycle(fmap))
+    system, _ = build_extension_system(pair.x, pair.a, pullback_cocycle(fmap))
     row["smith_s"], _ = best_of(lambda: smith_solve(system))
     row["system"] = list(system.shape)
     row["ext_s"], ev = best_of(lambda: decide_extension(pair.x, pair.a, fmap, f.n))

@@ -258,6 +258,32 @@ class TestErrorPaths:
         assert code == EXIT_PARSE and captured.out == ""
         assert err["error"] == "parse" and message in err["message"]
 
+    @pytest.mark.parametrize("cycle", [
+        "[[[0,1],1.5],[[1,2],1.5],[[2,3],1.5],[[0,3],-1.5]]",  # once truncated to 1
+        "[[[0,1],true],[[1,2],1],[[2,3],1],[[0,3],-1]]",
+        '[[[0,1],"1"],[[1,2],1],[[2,3],1],[[0,3],-1]]',
+        '[[["0",1],1],[[1,2],1],[[2,3],1],[[0,3],-1]]',
+        "[[[0,1.0],1],[[1,2],1],[[2,3],1],[[0,3],-1]]",
+        "{}",
+        '{"0": 1}',
+        "1",
+        '[["01",1]]',
+        "[[[0,1],1,1]]",
+    ])
+    def test_degree_cycle_needs_integers_in_a_list(self, capsys, cycle):
+        code = main(["degree", "-i", instance("disk_degree1.json"), "--cycle", cycle])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == ""
+        assert json.loads(captured.err)["error"] == "parse"
+
+    def test_degree_cycle_orientation_follows_vertex_order(self, capsys):
+        # [1,0] with -1 and [3,0] with 1 are the README's cycle, reoriented
+        for cycle in ("[[[0,1],1],[[1,2],1],[[2,3],1],[[0,3],-1]]",
+                      "[[[1,0],-1],[[1,2],1],[[2,3],1],[[3,0],1]]",
+                      "[[[0,1],1],[[1,2],1],[[2,3],2],[[3,2],1],[[0,3],-1]]"):
+            code, doc = run(capsys, "degree", "-i", instance("disk_degree1.json"), "--cycle", cycle)
+            assert code == EXIT_DECIDED and doc["degree"] == 1
+
     def test_bad_degree_cycle_names_the_vertex_list(self, capsys):
         # every --cycle message names a simplex as a plain vertex list
         main(["degree", "-i", instance("disk_degree1.json"), "--cycle", "[[[0,1,2],1]]"])

@@ -5,7 +5,7 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robsat.complex_core import (
@@ -13,8 +13,10 @@ from robsat.complex_core import (
     IntCochain,
     Simplex,
     closure,
+    apply_coboundary,
     full_subcomplex,
 )
+from robsat.grid import freudenthal_grid
 from robsat.homotopy import (
     DiophantineSystem,
     ExtendTag,
@@ -34,21 +36,25 @@ from helpers import (
     annulus_sphere_map,
     boundary_cycle_chain,
     disk_square,
+    dense_matrix,
+    ref_build_extension_system,
     ref_smith_solve,
+    solves,
+    sparse_system,
 )
 from reference_oracles import brute_diophantine, winding_oracle
 
 
 class TestSmithSolve:
     def test_examples(self):
-        assert smith_solve(DiophantineSystem([[2]], [4], 1)) == [2]
-        assert smith_solve(DiophantineSystem([[2]], [3], 1)) is None
-        sol = smith_solve(DiophantineSystem([[2, 3]], [1], 2))
+        assert smith_solve(sparse_system([[2]], [4], 1)) == [2]
+        assert smith_solve(sparse_system([[2]], [3], 1)) is None
+        sol = smith_solve(sparse_system([[2, 3]], [1], 2))
         assert sol is not None and 2 * sol[0] + 3 * sol[1] == 1
 
     def test_empty_system(self):
         assert smith_solve(DiophantineSystem([], [], 0)) == []
-        assert smith_solve(DiophantineSystem([[0, 0]], [1], 2)) is None
+        assert smith_solve(sparse_system([[0, 0]], [1], 2)) is None
 
     def test_against_brute_force(self):
         rng = random.Random(10)
@@ -56,7 +62,7 @@ class TestSmithSolve:
             m, n = rng.randint(1, 3), rng.randint(1, 3)
             mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
             rhs = [rng.randint(-4, 4) for _ in range(m)]
-            s = smith_solve(DiophantineSystem(mat, rhs, n))
+            s = smith_solve(sparse_system(mat, rhs, n))
             bt = brute_diophantine(mat, rhs, 8)
             if bt is not None:
                 assert s is not None
@@ -92,9 +98,9 @@ class TestCocycleExtension:
     def test_annulus_equal_windings_solvable(self):
         ann, a = annulus_octagon()
         z = pullback_cocycle(annulus_sphere_map(a, 1, 1))
-        sol = cocycle_extension_solvable(ann, a, z)
-        assert sol is not None
-        assert verify_extension_certificate(ann, a, z, *sol)
+        w = cocycle_extension_solvable(ann, a, z)
+        assert w is not None
+        assert verify_extension_certificate(ann, a, z, w)
 
     def test_annulus_mismatched_windings_unsolvable(self):
         ann, a = annulus_octagon()
@@ -107,8 +113,8 @@ class TestCocycleExtension:
         ident = SphereMap(bdry, 2, {0: 1, 1: 2, 2: -1, 3: -2})
         z = pullback_cocycle(ident)
         assert cocycle_extension_solvable(disk, bdry, z) is None
-        system, _, _ = build_extension_system(disk, bdry, z)
-        assert brute_diophantine(system.matrix, system.rhs, 2) is None
+        system, _ = build_extension_system(disk, bdry, z)
+        assert brute_diophantine(dense_matrix(system), system.rhs, 2) is None
 
 
 class TestDecideExtension:
@@ -145,7 +151,7 @@ class TestDecideExtension:
         v = decide_extension(disk, bdry, const, 2)
         assert v.tag == ExtendTag.EXTENDS
         z = pullback_cocycle(const)
-        assert verify_extension_certificate(disk, bdry, z, v.w, v.u)
+        assert verify_extension_certificate(disk, bdry, z, v.w)
 
     def test_unknown_beyond_range(self):
         # X contains a 4-simplex, n = 3, constant map: solvable system, honest Unknown.
@@ -311,7 +317,10 @@ def test_certificate_check_survives_optimize():
         from robsat.exactlinalg import ExactnessError
         inst = instance_io.load_file(sys.argv[1])
         solve = homotopy.smith_solve
-        homotopy.smith_solve = lambda system: [x + 1 for x in solve(system)]
+        # one changed unknown: adding 1 to every unknown of this annulus
+        # system is another solution: it adds the coboundary of the 0-cochain
+        # that is 1 on the inner ring
+        homotopy.smith_solve = lambda system: [x + (j == 0) for j, x in enumerate(solve(system))]
         try:
             homotopy.decide_extension(inst.complex, inst.a_complex, inst.sphere_map, inst.n)
         except ExactnessError:
@@ -330,9 +339,10 @@ def test_certificate_check_survives_optimize():
 
 @st.composite
 def diophantine_systems(draw):
-    """Random systems (m, n in 0..6, non-unit entries, zero rows, rows that
-    are multiples or sums of earlier ones, consistent or random right-hand
-    sides) and the extension systems of the annulus and disk fixtures."""
+    """Random systems (m, n in 0..6, unit and non-unit entries, zero rows,
+    rows that are multiples or sums of earlier ones, consistent or random
+    right-hand sides) and the extension systems of the annulus and disk
+    fixtures."""
     kind = draw(st.sampled_from(["random", "annulus", "disk"]))
     if kind == "annulus":
         ann, a = annulus_octagon()
@@ -361,17 +371,100 @@ def diophantine_systems(draw):
         rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
     else:
         rhs = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
-    return DiophantineSystem(rows, rhs, n)
+    return sparse_system(rows, rhs, n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(diophantine_systems())
 def test_column_elimination_matches_smith_reference(system):
-    """The one-sided column elimination decides solvability exactly as the
-    two-sided Smith diagonalisation it replaced, and its solutions solve."""
+    """The collapse-first elimination decides solvability exactly as the
+    two-sided Smith diagonalisation, and its solutions solve."""
     x = smith_solve(system)
     assert (x is None) == (ref_smith_solve(system) is None)
     if x is not None:
-        assert len(x) == system.shape[1]
-        assert all(sum(a * xj for a, xj in zip(row, x)) == bi
-                   for row, bi in zip(system.matrix, system.rhs))
+        assert solves(system, x)
+
+
+NON_UNITS = [0, 2, 3, 4, 5, 6, 7, 8, 9, -2, -3, -4, -5, -6, -7, -8, -9]
+
+
+@st.composite
+def non_unit_systems(draw):
+    """Systems with no entry of absolute value 1, so there is neither a
+    free-face nor a unit pivot and every elimination is a Bezout column step
+    on the residual; consistent or random right-hand sides."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [draw(st.lists(st.sampled_from(NON_UNITS), min_size=n, max_size=n))
+            for _ in range(m)]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    return sparse_system(rows, rhs, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@example(sparse_system([[2, 3]], [1], 2))  # solvable through one Bezout step
+@example(sparse_system([[6, 10, 15]], [1], 3))  # gcd 1 only over all three
+@example(sparse_system([[2, 4]], [1], 2))  # torsion: solvable over Q, not Z
+@example(sparse_system([[2, 2], [2, -2]], [2, 0], 2))  # torsion across rows
+@example(sparse_system([[2, 0], [0, 3]], [4, 3], 2))  # non-unit free columns
+@given(non_unit_systems())
+def test_non_unit_pivots_match_smith_reference(system):
+    x = smith_solve(system)
+    assert (x is None) == (ref_smith_solve(system) is None)
+    if x is not None:
+        assert solves(system, x)
+
+
+def _grid_pair(rng):
+    """A random pair of full subcomplexes A of X of a small Freudenthal grid
+    (square or cube) and a simplicial sphere map on A, or None."""
+    dim = rng.choice((2, 3))
+    grid = freudenthal_grid([(0, 1)] * dim, 3 if dim == 2 else 2).complex
+    keep = [v for v in grid.vertices if rng.random() < 0.8]
+    x = full_subcomplex(grid, keep)
+    a = full_subcomplex(x, [v for v in keep if rng.random() < 0.5])
+    n = rng.choice((2, dim))
+    labels: dict = {}
+    for v in a.vertices:
+        near = {labels.get(u) for e in a.k_simplices(1) if v in e.vertices for u in e.vertices}
+        allowed = [s * i for i in range(1, n + 1) for s in (1, -1) if -s * i not in near]
+        if not allowed:
+            return None
+        labels[v] = rng.choice(allowed)
+    fmap = SphereMap(a, n, labels)
+    return (x, a, fmap) if fmap.is_simplicial() else None
+
+
+def test_u_free_system_is_solvable_iff_the_u_system_is():
+    """The system without u unknowns is solvable exactly when the old one
+    with u is, its w passes the certificate check, and the old (w, u) turns
+    into a u-free certificate w - delta_X u."""
+    ann, a = annulus_octagon()
+    disk, bdry = disk_square()
+    pairs = [(ann, a, annulus_sphere_map(a, wo, wi)) for wo in (-1, 0, 2) for wi in (-1, 0, 2)]
+    pairs += [(disk, bdry, SphereMap(bdry, 2, dict(enumerate(labels))))
+              for labels in ([1, 2, -1, -2], [1, 1, 1, 1], [1, 2, 1, 2], [2, -1, -2, 1])]
+    rng = random.Random(11)
+    while len(pairs) < 60:
+        pair = _grid_pair(rng)
+        if pair is not None:
+            pairs.append(pair)
+    seen = set()
+    for x, sub, fmap in pairs:
+        z = pullback_cocycle(fmap)
+        old, w_ix, u_ix = ref_build_extension_system(x, sub, z)
+        old_sol = ref_smith_solve(old)
+        w = cocycle_extension_solvable(x, sub, z)
+        assert (w is None) == (old_sol is None)
+        seen.add(w is None)
+        if w is None:
+            continue
+        assert verify_extension_certificate(x, sub, z, w)
+        w_old = IntCochain(z.degree, dict(zip(w_ix, old_sol)))
+        du = apply_coboundary(x, IntCochain(z.degree - 1, dict(zip(u_ix, old_sol[len(w_ix):]))))
+        shifted = IntCochain(z.degree, {s: w_old(s) - du(s) for s in w_ix})
+        assert verify_extension_certificate(x, sub, z, shifted)
+    assert seen == {True, False}

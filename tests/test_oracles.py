@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from robsat.complex_core import Simplex, closure
-from robsat.homotopy import DiophantineSystem, smith_solve
+from robsat.homotopy import smith_solve
 from robsat.oracles import WitnessSearchConfig, perturbation_witness
 from robsat.pl_map import CriticalValue, Norm, global_min, map_distance, simplex_min
 from robsat.reduction import SphereMap
 from robsat.robustness import RobTag, decide_robsat
 
-from helpers import disk_square, path_map, random_complex, random_map
+from helpers import disk_square, path_map, random_complex, random_map, sparse_system
 from reference_oracles import brute_diophantine, grid_min_check, winding_oracle
 
 CFG = WitnessSearchConfig(trials=100, seed=7, step=Fraction(1, 4))
@@ -122,7 +122,7 @@ class TestBruteDiophantine:
             m, n = rng.randint(1, 3), rng.randint(1, 4)
             mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
             rhs = [rng.randint(-5, 5) for _ in range(m)]
-            s = smith_solve(DiophantineSystem(mat, rhs, n))
+            s = smith_solve(sparse_system(mat, rhs, n))
             b = brute_diophantine(mat, rhs, 6)
             if b is not None:
                 assert s is not None

@@ -5,19 +5,22 @@ Run from the repository root:
     PYTHONPATH=src python3 tests/workload_digest.py
 
 For every op of one pass over each workload's templates, at the workloads'
-default seed, it prints the workload, the op index and a sha256 over the op's
-answer:
+default seed, it prints the workload, the op index and two sha256 digests
+over the op's answer:
 
 * grid-decide: verdict, reason, witness values and the extension
-  certificate (w, u, vertex_extension);
+  certificate (w, vertex_extension);
 * robustness-sweep: the robustness tag and value (and interval ends);
 * small-corpus: the CLI's exit code, its JSON document without "timings",
   and stderr.
 
-Each digest also covers the workload's own answer check (its answer text and
-the reason it gives for a wrong answer, if any).  The last line of a workload
-is a sha256 over its op digests.  Two checkouts that print the same lines
-gave the same answers.  The workloads come from perfbench/workloads.py, which
+The first digest covers all of it; the second leaves out the extension
+certificates (every "w", "u" and "vertex_extension" entry), so it stays the
+same when only the certificate changes.  Each digest also covers the
+workload's own answer check (its answer text and the reason it gives for a
+wrong answer, if any).  The last line of a workload gives a sha256 over each
+column of op digests.  Two checkouts that print the same lines gave the same
+answers.  The workloads come from perfbench/workloads.py, which
 this script only imports.  pytest does not collect this file.
 """
 
@@ -69,29 +72,45 @@ def op_payload(name: str, result):
     return canon(result)
 
 
+CERTIFICATE_KEYS = ("w", "u", "vertex_extension")
+
+
+def without_certificates(obj):
+    """The canonical payload with every certificate entry dropped."""
+    if isinstance(obj, dict):
+        return {k: without_certificates(v) for k, v in obj.items() if k not in CERTIFICATE_KEYS}
+    if isinstance(obj, list):
+        return [without_certificates(x) for x in obj]
+    return obj
+
+
 def digest(obj) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_workload(name: str, seed: int) -> list[str]:
+def run_workload(name: str, seed: int) -> list[tuple[str, str]]:
+    """(full digest, certificate-free digest) of each op."""
     with tempfile.TemporaryDirectory() as scratch:
         wl = WORKLOADS[name](seed, scratch, None)
         lines = []
         for k in range(wl.pass_ops):
             result = wl.run(k)
             answer, error = wl.answer(k, result)
-            lines.append(digest({"op": op_payload(name, result),
-                                 "answer": answer, "error": error}))
+            payload = op_payload(name, result)
+            lines.append((digest({"op": payload, "answer": answer, "error": error}),
+                          digest({"op": without_certificates(payload),
+                                  "answer": answer, "error": error})))
     return lines
 
 
 def main() -> int:
     for name in WORKLOADS:
         lines = run_workload(name, DEFAULT_SEED)
-        for k, line in enumerate(lines):
-            print(f"{name} {k} {line}")
-        print(f"{name} all({len(lines)}) {digest(lines)}")
+        for k, (full, answers) in enumerate(lines):
+            print(f"{name} {k} {full} {answers}")
+        full, answers = zip(*lines)
+        print(f"{name} all({len(lines)}) {digest(list(full))} {digest(list(answers))}")
     return 0
 
 if __name__ == "__main__":
