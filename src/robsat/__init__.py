@@ -27,7 +27,6 @@ from .pl_map import (
     PLMap,
     critical_values,
     global_min,
-    norm_compare,
     simplex_min,
 )
 from .reduction import (
@@ -35,7 +34,6 @@ from .reduction import (
     SphereMap,
     SphereModel,
     build_chi,
-    derived_subdivision,
     sign_refinement,
     simplicial_approximation,
     split_level,

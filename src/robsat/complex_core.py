@@ -65,9 +65,16 @@ class Simplex:
                 yield Simplex(sub)
 
     def boundary(self):
-        """Codimension-1 faces in deletion order: (i, face with i-th vertex removed)."""
-        for i in range(len(self.vertices)):
-            yield i, Simplex(self.vertices[:i] + self.vertices[i + 1:])
+        """Codimension-1 faces in deletion order, each with its incidence sign:
+        ((-1)^i, face with the i-th vertex removed).  The faces of a valid
+        simplex are valid, so they are built without re-validation."""
+        v = self.vertices
+        if len(v) == 1:
+            raise ValueError("empty simplex")
+        for i in range(len(v)):
+            face = object.__new__(Simplex)
+            object.__setattr__(face, "vertices", v[:i] + v[i + 1:])
+            yield -1 if i % 2 else 1, face
 
     def __iter__(self):
         return iter(self.vertices)
@@ -294,8 +301,8 @@ def apply_coboundary(c: Complex, cochain: IntCochain) -> IntCochain:
     out: dict[Simplex, int] = {}
     for tau in c.k_simplices(cochain.degree + 1):
         acc = 0
-        for i, face in tau.boundary():
-            acc += (-1) ** i * cochain(face)
+        for sign, face in tau.boundary():
+            acc += sign * cochain(face)
         if acc:
             out[tau] = acc
     return IntCochain(cochain.degree + 1, out)
@@ -305,6 +312,6 @@ def chain_boundary(c: Complex, chain: IntCochain) -> IntCochain:
     """Boundary of an integer chain (stored in the same container as cochains)."""
     out: dict[Simplex, int] = {}
     for s, coeff in chain.values.items():
-        for i, face in s.boundary():
-            out[face] = out.get(face, 0) + (-1) ** i * coeff
+        for sign, face in s.boundary():
+            out[face] = out.get(face, 0) + sign * coeff
     return IntCochain(chain.degree - 1, out)

@@ -256,8 +256,7 @@ def build_extension_system(x: Complex, a: Complex, z: IntCochain) -> tuple[Dioph
         if tau in a:
             continue
         row, b = [], 0
-        for i, face in tau.boundary():
-            sign = -1 if i % 2 else 1
+        for sign, face in tau.boundary():
             j = w_pos.get(face)
             if j is None:
                 b -= sign * z(face)

@@ -116,12 +116,3 @@ def solve_lp(a_rows, b, c, lex=0, lex_below=None):
     for row, j in zip(t, basis):
         x[j] = Fraction(row[-1], d)
     return value, x
-
-
-def feasible_point(a_rows, b, nvars):
-    """A point with a_rows @ x = b, x >= 0, or None if none exists."""
-    try:
-        _, x = solve_lp(a_rows, b, [0] * nvars)
-    except LPInfeasible:
-        return None
-    return x

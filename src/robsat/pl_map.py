@@ -7,13 +7,16 @@ minimum is the square root of a rational, stored squared.  Both solvers run
 on fraction-free integer tableaus (see `exactlinalg`), and the LP pivots
 follow Bland's rule exactly as the rational simplex would.  Argmin points are
 made deterministic by lexicographic refinement over barycentric coordinates,
-which `linprog.solve_lp` runs from the optimal basis of the same solve.  The
-value, and the argmin when it lies below every vertex value, are cached per
-simplex, so the extremal subdivision never solves a simplex twice.
+which `linprog.solve_lp` runs from the optimal basis of the same solve.
 
 Most simplices need no solve at all: when a subgradient of the norm at a
 least-norm vertex value proves that vertex value minimal (a few exact dot
-products), the minimum is that vertex norm and no LP or KKT system runs.
+products, `_vertex_attains_min`), the minimum is that vertex norm and no LP
+or KKT system runs.  The extremal subdivision runs that test itself, with
+the vertex norms read from one table per map, and only the simplices that
+fail it reach `_min_value_cached`, which keeps the value and, when it lies
+below every vertex value, the argmin, keyed by the vertex values so that
+the decisions of one map at several alphas share them.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ from math import isqrt
 
 from . import exactlinalg
 from .complex_core import BaryPoint, Complex, Simplex, VertexId, star_at_point
-from .linprog import feasible_point, solve_lp
-
-LT, EQ, GT = -1, 0, 1
+from .linprog import solve_lp
 
 
 class Norm(str, Enum):
@@ -78,6 +79,8 @@ class CriticalValue:
         return self.q if self.is_sqrt else self.q * self.q
 
     def __lt__(self, other: "CriticalValue") -> bool:
+        if not (self.is_sqrt or other.is_sqrt):
+            return self.q < other.q  # both nonnegative, so squaring keeps the order
         return self.square() < other.square()
 
     def is_zero(self) -> bool:
@@ -98,14 +101,6 @@ def vector_norm(y, norm: Norm) -> CriticalValue:
     if norm == Norm.LINF:
         return CriticalValue.rat(max((abs(v) for v in ys), default=Fraction(0)))
     return CriticalValue.sqrt_of(sum(v * v for v in ys))
-
-
-def norm_compare(y, norm: Norm, a: CriticalValue) -> int:
-    """Exact trichotomy |y| vs a: one of LT, EQ, GT."""
-    v = vector_norm(y, norm)
-    if v == a:
-        return EQ
-    return LT if v < a else GT
 
 
 class PLMap:
@@ -167,7 +162,11 @@ def _min_l2(ys, n):
     vector sum lam y attaining it (unique, by strict convexity).
 
     Minimizers over the affine hull of each face solve a rational KKT system;
-    faces whose solutions are all infeasible are covered by their subfaces.
+    a face whose solution is infeasible is covered by its subfaces.  So is a
+    face whose KKT system is singular: its vertex values are affinely
+    dependent, and by Caratheodory the minimizer lies in the relative
+    interior of an affinely independent subface, whose KKT system is
+    nonsingular with positive weights.
     """
     gram = [[2 * sum(a[i] * b[i] for i in range(n)) for b in ys] for a in ys]
     best_sq = best_y = None
@@ -182,16 +181,8 @@ def _min_l2(ys, n):
                 raise exactlinalg.ExactnessError(
                     "KKT system of a bounded-below QP is inconsistent")
             lam = sol[:k]
-            if any(x < 0 for x in lam):
-                if unique:
-                    continue
-                # Singular KKT: look for a feasible solution with an LP
-                # (mu free, split into two nonnegative parts).
-                split = [row + [int(a < k)] for a, row in enumerate(rows)]
-                point = feasible_point(split, rhs, k + 2)
-                if point is None:
-                    continue
-                lam = point[:k]
+            if not unique or any(x < 0 for x in lam):
+                continue
             yv = [sum(w * y[i] for w, y in zip(lam, ys_f)) for i in range(n)]
             sq = sum(v * v for v in yv)
             if best_sq is None or sq < best_sq:
@@ -235,9 +226,11 @@ def _vertex_attains_min(ys, y0, norm: Norm) -> bool:
     so y0 attains the minimum.  For l2 (g = y0/|y0|) this is also necessary:
     it is the optimality test of Wolfe's min-norm-point method.  For l1 the
     test uses g = sign(y0), sign 0 on zero coordinates; for linf,
-    g = sign(y0_i) e_i for some coordinate i attaining |y0|."""
+    g = sign(y0_i) e_i for some coordinate i attaining |y0|.  Each g has
+    g.y0 = |y0|, so y0 itself (the object in ys) is not tested."""
     if not any(y0):
         return True
+    ys = [y for y in ys if y is not y0]
     if norm == Norm.L2:
         sq = sum(a * a for a in y0)
         return all(sum(a * b for a, b in zip(y0, y)) >= sq for y in ys)
@@ -274,15 +267,6 @@ def simplex_min_value(f: PLMap, s: Simplex, norm: Norm) -> CriticalValue:
     if s not in f.complex:
         raise ValueError(f"simplex {s} not in complex")
     return _min_value_cached(tuple(f.value(v) for v in s.vertices), f.n, norm)[0]
-
-
-def min_below_vertices(f: PLMap, s: Simplex, norm: Norm) -> bool:
-    """Whether min |f| over a simplex lies strictly below |f| at each of its
-    vertices: the cached minimizer is refined exactly then, so this reads
-    that bit with no vertex norms recomputed on a cache hit."""
-    if s not in f.complex:
-        raise ValueError(f"simplex {s} not in complex")
-    return _min_value_cached(tuple(f.value(v) for v in s.vertices), f.n, norm)[1] is not None
 
 
 def simplex_min(f: PLMap, s: Simplex, norm: Norm) -> tuple[BaryPoint, CriticalValue]:

@@ -25,20 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 from .complex_core import BaryPoint, Complex, Simplex, VertexId, full_subcomplex
 from .pl_map import (
-    EQ,
-    GT,
-    LT,
     CriticalValue,
     Norm,
     PLMap,
-    min_below_vertices,
-    norm_compare,
+    _min_value_cached,
+    _vertex_attains_min,
     simplex_min,
     star_with_values,
+    vector_norm,
 )
 
 HALF = Fraction(1, 2)
@@ -143,66 +141,96 @@ class LevelPair:
                 raise ReductionError(f"f has a root at the A-vertex {v}")
 
 
-def _interior_argmin(f: PLMap, s: Simplex, norm: Norm):
-    if not min_below_vertices(f, s, norm):
-        return None  # a vertex already attains the minimum
+def _new_cones(c: Complex, first_new: VertexId) -> list[Simplex]:
+    """The simplices of c of dimension >= 1 with a vertex numbered first_new
+    or later, in pick order.  A pass numbers its new vertices on from the
+    largest old one, so these are the cones the last pass created."""
+    return sorted((s for s in c.simplices if len(s.vertices) > 1 and s.vertices[-1] >= first_new),
+                  key=lambda s: (-s.dim, s.vertices))
+
+
+def _interior_argmin(f: PLMap, s: Simplex, norm: Norm) -> BaryPoint | None:
+    """The lexicographic argmin of |f| over s, a simplex whose minimum lies
+    below every vertex value, if it is interior to s, else None."""
     point, _ = simplex_min(f, s, norm)
-    if len(point.support) == len(s.vertices):
-        return point
-    return None
-
-
-def derived_subdivision(f: PLMap, pick) -> PLMap:
-    """Star every simplex of f's complex that `pick(f, s)` assigns a
-    carrier-local interior point (None for no starring), largest dimension
-    first, interpolating f at each new vertex.  All picks are made on f
-    before the first starring."""
-    chosen = [(s, p) for s in sorted(f.complex.simplices, key=lambda x: (-x.dim, x.vertices))
-              if (p := pick(f, s)) is not None]
-    return star_with_values(f, chosen)[0]
+    return point if len(point.support) == len(s.vertices) else None
 
 
 class _VertexExtremal(PLMap):
     """A map that `vertexwise_extremal_subdivision` made vertex-extremal for
-    `norm`."""
+    `norm`, with its table of vertex norms |f(v)|."""
 
-    __slots__ = ("norm",)
+    __slots__ = ("norm", "vertex_norms")
 
-    def __init__(self, f: PLMap, norm: Norm):
+    def __init__(self, f: PLMap, norm: Norm, vertex_norms: dict[VertexId, CriticalValue]):
         super().__init__(f.complex, f.n, f.values)
         self.norm = norm
+        self.vertex_norms = vertex_norms
 
 
 def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     """Subdivide until every simplex attains min |f| at one of its vertices.
 
-    Each pass is a derived pass starring interior argmins.  One pass need not
-    suffice: a simplex whose lexicographic argmin lies on a proper face is not
-    starred itself, and the cones that starring its other faces creates can
-    have their minimum below every vertex again.  So passes repeat until one
-    stars nothing.  Some pass always has a starring to make while a simplex
-    has its minimum below every vertex (a smallest face attaining that
-    minimum has it in its interior), and the postcondition is re-checked
-    exactly on the cached minima, raising `ReductionError` if it fails.  The
-    result remembers the norm, and subdividing it again for that norm returns
-    it unchanged, so a map decided at several alphas is subdivided once.
+    Each pass examines simplices in order of decreasing dimension: a simplex
+    passes when `_vertex_attains_min` certifies a least-norm vertex value
+    (the vertex norms come from one table, extended with each pass's new
+    vertices) or else when its cached minimum is not below every vertex
+    value.  A simplex that fails is starred at its argmin if that is
+    interior; all picks are made before the pass stars them, as one batch.
+
+    Pass 1 examines every simplex of dimension >= 1, and pass k+1 only the
+    cones on pass k's new vertices: a simplex that survives a pass unchanged
+    is vertex-extremal.  By induction, suppose the survivors of pass k-1
+    are.  A simplex s examined in pass k with its minimum below every vertex
+    value has a lexicographic argmin p in the interior of some face F, and p
+    is also F's lexicographic argmin, below every vertex value of F.  So F
+    is no survivor of pass k-1: it was examined in pass k and picked, and
+    starring F replaces s.  One pass need not suffice, since the cones that
+    starring F creates can again have their minimum below every vertex;
+    passes repeat until one stars nothing.
+
+    The postcondition is exact over the result: every simplex of dimension
+    >= 1 must have been examined in this call and passed, or
+    `ReductionError` is raised.  The result keeps the norm and the vertex
+    norm table (`build_chi` reads it), and subdividing it again for that
+    norm returns it unchanged, so a map decided at several alphas is
+    subdivided once.
     """
     if isinstance(f, _VertexExtremal) and f.norm == norm:
         return f
-    pick = partial(_interior_argmin, norm=norm)
-    out = f
-    while (nxt := derived_subdivision(out, pick)) is not out:
-        out = nxt
-    bad = [s for s in out.complex.simplices if min_below_vertices(out, s, norm)]
+    values = f.values
+    norms = {v: vector_norm(y, norm) for v, y in values.items()}
+    extremal: set[Simplex] = set()
+    out, new = f, f.complex.vertices
+    while new:
+        picks = []
+        for s in _new_cones(out.complex, new[0]):
+            ys = tuple(values[v] for v in s.vertices)
+            y0 = values[min(s.vertices, key=norms.__getitem__)]
+            if _vertex_attains_min(ys, y0, norm) or _min_value_cached(ys, f.n, norm)[1] is None:
+                extremal.add(s)
+            elif (p := _interior_argmin(out, s, norm)) is not None:
+                picks.append((s, p))
+        out, new = star_with_values(out, picks)
+        for v in new:
+            values[v] = out.value(v)
+            norms[v] = vector_norm(values[v], norm)
+    bad = sorted(s for s in out.complex.simplices if s.dim and s not in extremal)
     if bad:
-        raise ReductionError(f"vertex-extremality failed, nothing to star: {bad[:3]}")
-    return _VertexExtremal(out, norm)
+        raise ReductionError(f"vertex-extremality failed, not certified: {bad[:3]}")
+    return _VertexExtremal(out, norm, norms)
 
 
 def build_chi(f: PLMap, alpha: CriticalValue, norm: Norm) -> dict[VertexId, Fraction]:
-    """chi(v) = 0, 1/2, 1 as |f(v)| compares below, equal, above alpha."""
-    label = {LT: Fraction(0), EQ: HALF, GT: Fraction(1)}
-    return {v: label[norm_compare(f.value(v), norm, alpha)] for v in f.complex.vertices}
+    """chi(v) = 0, 1/2, 1 as |f(v)| compares below, equal, above alpha.  The
+    norms of a map from `vertexwise_extremal_subdivision` are read from its
+    table."""
+    if isinstance(f, _VertexExtremal) and f.norm == norm:
+        norms = f.vertex_norms
+    else:
+        norms = {v: vector_norm(f.value(v), norm) for v in f.complex.vertices}
+    zero, one = Fraction(0), Fraction(1)
+    return {v: HALF if cv == alpha else zero if cv < alpha else one for v, cv in norms.items()}
 
 
 def star_crossings(f: PLMap, h: dict[VertexId, Fraction]) -> tuple[PLMap, list[VertexId]]:

@@ -260,10 +260,10 @@ def coboundary(c: Complex, k: int):
     rows = []
     for tau in rows_ix:
         row = [0] * len(cols)
-        for i, face in tau.boundary():
+        for sign, face in tau.boundary():
             j = col_pos.get(face)
             if j is not None:
-                row[j] += (-1) ** i
+                row[j] += sign
         rows.append(row)
     return rows, rows_ix, cols
 
@@ -509,17 +509,17 @@ def ref_build_extension_system(x: Complex, a: Complex, z: IntCochain):
     rhs: list[int] = []
     for tau in x.k_simplices(n):
         row = [0] * width
-        for i, face in tau.boundary():
-            row[w_pos[face]] += (-1) ** i
+        for sign, face in tau.boundary():
+            row[w_pos[face]] += sign
         matrix.append(row)
         rhs.append(0)
     for sigma in a.k_simplices(n - 1):
         row = [0] * width
         row[w_pos[sigma]] += 1
-        for i, face in sigma.boundary():
+        for sign, face in sigma.boundary():
             j = u_pos.get(face)
             if j is not None:
-                row[j] -= (-1) ** i
+                row[j] -= sign
         matrix.append(row)
         rhs.append(z(sigma))
     return sparse_system(matrix, rhs, width), w_ix, u_ix

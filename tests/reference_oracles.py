@@ -3,20 +3,33 @@
 They are deliberately independent of the main code paths: the winding oracle
 walks boundary cycles, the grid check samples simplices densely, the
 Diophantine check enumerates a box, and point location solves for barycentric
-coordinates directly.  None of them is on a path robsat runs.
+coordinates directly.  The extremal subdivision that re-examines every
+simplex in every derived pass, and the Euclidean simplex minimum with its LP
+fallback on singular KKT faces, are the versions robsat's faster paths
+replaced.  None of them is on a path robsat runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from robsat import exactlinalg
 from robsat.complex_core import BaryPoint, Complex, Simplex, VertexId, connected_components
 from robsat.grid import FreudenthalGrid
 from robsat.homotopy import pullback_cocycle
-from robsat.pl_map import CriticalValue, Norm, PLMap, global_min, vector_norm
-from robsat.reduction import SphereMap
+from robsat.linprog import LPInfeasible, solve_lp
+from robsat.pl_map import (
+    CriticalValue,
+    Norm,
+    PLMap,
+    _min_value_cached,
+    global_min,
+    simplex_min,
+    star_with_values,
+    vector_norm,
+)
+from robsat.reduction import ReductionError, SphereMap
 
 from helpers import as_dict, origin, weight
 
@@ -215,3 +228,72 @@ def brute_diophantine(matrix, rhs, bound: int) -> list[int] | None:
         if hit is not None:
             return list(hit) + list(xs)
     return None
+
+
+# -- the extremal subdivision and the l2 minimum, as they were -----------------
+
+def derived_subdivision(f: PLMap, pick) -> PLMap:
+    """Star every simplex of f's complex that `pick(f, s)` assigns a
+    carrier-local interior point (None for no starring), largest dimension
+    first, interpolating f at each new vertex.  All picks are made on f
+    before the first starring."""
+    chosen = [(s, p) for s in sorted(f.complex.simplices, key=lambda x: (-x.dim, x.vertices))
+              if (p := pick(f, s)) is not None]
+    return star_with_values(f, chosen)[0]
+
+
+def min_below_vertices(f: PLMap, s: Simplex, norm: Norm) -> bool:
+    """Whether min |f| over s lies strictly below |f| at each of its vertices."""
+    return _min_value_cached(tuple(f.value(v) for v in s.vertices), f.n, norm)[1] is not None
+
+
+def interior_argmin(f: PLMap, s: Simplex, norm: Norm):
+    if not min_below_vertices(f, s, norm):
+        return None  # a vertex already attains the minimum
+    point, _ = simplex_min(f, s, norm)
+    if len(point.support) == len(s.vertices):
+        return point
+    return None
+
+
+def ref_vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
+    """Derived passes over every simplex until one stars nothing, then a
+    re-check of every simplex's minimum."""
+    out = f
+    while (nxt := derived_subdivision(out, lambda g, s: interior_argmin(g, s, norm))) is not out:
+        out = nxt
+    bad = [s for s in out.complex.simplices if min_below_vertices(out, s, norm)]
+    if bad:
+        raise ReductionError(f"vertex-extremality failed, nothing to star: {bad[:3]}")
+    return out
+
+
+def ref_min_l2(ys, n):
+    """Exact min of |sum lam y|_2^2 over the standard simplex and the value
+    vector attaining it, by the KKT system of every face; a face with a
+    singular KKT system and an infeasible solution gets an LP feasibility
+    solve (mu free, split into two nonnegative parts)."""
+    gram = [[2 * sum(a[i] * b[i] for i in range(n)) for b in ys] for a in ys]
+    best_sq = best_y = None
+    for k in range(1, len(ys) + 1):
+        for face in combinations(range(len(ys)), k):
+            ys_f = [ys[j] for j in face]
+            rows = [[gram[a][b] for b in face] + [-1] for a in face]
+            rows.append([1] * k + [0])
+            rhs = [0] * k + [1]
+            sol, unique = exactlinalg.solve(rows, rhs)
+            lam = sol[:k]
+            if any(x < 0 for x in lam):
+                if unique:
+                    continue
+                split = [row + [int(a < k)] for a, row in enumerate(rows)]
+                try:
+                    _, point = solve_lp(split, rhs, [0] * (k + 2))
+                except LPInfeasible:
+                    continue
+                lam = point[:k]
+            yv = [sum(w * y[i] for w, y in zip(lam, ys_f)) for i in range(n)]
+            sq = sum(v * v for v in yv)
+            if best_sq is None or sq < best_sq:
+                best_sq, best_y = sq, yv
+    return best_sq, best_y

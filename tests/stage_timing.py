@@ -13,8 +13,10 @@ runs them and records one row:
 * K -> K': simplex counts before and after the vertex-extremal subdivision,
   and a sha256 prefix over the subdivided complex and its vertex values, so
   two checkouts that print the same prefix built the same subdivision;
-* extremal: `vertexwise_extremal_subdivision`, with `_min_value_cached`
-  cleared before each run, so every simplex minimum is computed cold;
+* extremal: `vertexwise_extremal_subdivision`, with every functools cache
+  of the robsat modules it runs (`_min_value_cached`) cleared before each
+  run, so every simplex minimum is computed cold; its vertex-norm table is
+  built anew by each call;
 * split, sign: `split_level` and `sign_refinement` (which validates);
 * Smith: `smith_solve` on the cocycle-extension system, with its shape;
 * ext.: the whole `decide_extension` call, certificate re-check included.
@@ -31,7 +33,7 @@ import sys
 import time
 from fractions import Fraction
 
-from robsat import pl_map
+from robsat import complex_core, exactlinalg, linprog, pl_map, reduction
 from robsat.grid import freudenthal_grid
 from robsat.homotopy import build_extension_system, decide_extension, pullback_cocycle, smith_solve
 from robsat.pl_map import CriticalValue, Norm
@@ -65,6 +67,14 @@ def best_of(fn, before=None):
     return best, out
 
 
+def clear_caches() -> None:
+    """Clear every functools cache in the modules the extremal stage runs."""
+    for module in (complex_core, exactlinalg, linprog, pl_map, reduction):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
 def map_digest(f) -> str:
     text = json.dumps([sorted(s.vertices for s in f.complex.simplices),
                        sorted((v, [str(x) for x in y]) for v, y in f.values.items())])
@@ -77,7 +87,7 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     f, _ = sample_polynomial(polys, grid, norm)
     row = {"r": r, "norm": norm.value, "alpha": str(alpha), "simplices_in": len(f.complex)}
     t, f1 = best_of(lambda: vertexwise_extremal_subdivision(f, norm),
-                    before=pl_map._min_value_cached.cache_clear)
+                    before=clear_caches)
     row.update(simplices_out=len(f1.complex), extremal_digest=map_digest(f1), extremal_s=t)
     chi = build_chi(f1, CriticalValue.rat(alpha), norm)
     row["split_s"], pair = best_of(lambda: split_level(f1, chi))

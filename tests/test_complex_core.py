@@ -20,7 +20,6 @@ from robsat.complex_core import (
     star_at_point,
 )
 from robsat.pl_map import PLMap, star_with_values
-from robsat.reduction import derived_subdivision
 
 from helpers import (
     coboundary,
@@ -37,7 +36,7 @@ from helpers import (
     ref_star_with_values,
     weight,
 )
-from reference_oracles import evaluate
+from reference_oracles import derived_subdivision, evaluate
 
 
 def mid(u, v):
@@ -332,6 +331,17 @@ class TestComponents:
 
 
 class TestCoboundary:
+    def test_boundary_signs_and_faces(self):
+        """Faces in deletion order with alternating signs, equal (and
+        hashing equal) to the validated simplices on the same vertices."""
+        want = [(1, Simplex.of([3, 5, 8])), (-1, Simplex.of([1, 5, 8])),
+                (1, Simplex.of([1, 3, 8])), (-1, Simplex.of([1, 3, 5]))]
+        faces = list(Simplex.of([1, 3, 5, 8]).boundary())
+        assert faces == want
+        assert [hash(face) for _, face in faces] == [hash(face) for _, face in want]
+        with pytest.raises(ValueError, match="empty simplex"):
+            list(Simplex.of([4]).boundary())
+
     def test_edge_convention(self):
         c = closure([[1, 2]])
         d = apply_coboundary(c, IntCochain(0, {Simplex.of([2]): 1}))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from robsat.complex_core import Simplex, closure
 from robsat.exactlinalg import ExactnessError, pivot, solve
-from robsat.linprog import LPInfeasible, LPUnbounded, feasible_point, solve_lp
+from robsat.linprog import LPInfeasible, LPUnbounded, solve_lp
 from robsat.pl_map import Norm, PLMap, _norm_lp, simplex_min
 
 from helpers import RefInfeasible, RefUnbounded, ref_lex_min, ref_solve, ref_solve_lp, weight
@@ -121,11 +121,6 @@ def test_solve_matches_reference(m, n, data):
         rows.append([p - q for p, q in zip(rows[0], rows[-1])])
     rhs = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
     assert solve(rows, rhs) == ref_solve(rows, rhs)
-
-
-def test_feasible_point():
-    assert feasible_point([[1, 1]], [Fraction(1, 2)], 2) == [Fraction(1, 2), 0]
-    assert feasible_point([[1, 1]], [-1], 2) is None
 
 
 def test_inexact_division_raises():

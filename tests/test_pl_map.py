@@ -1,25 +1,24 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from robsat import exactlinalg
 from robsat.complex_core import BaryPoint, Simplex, barycenter, closure
 from robsat.pl_map import (
-    EQ,
-    GT,
-    LT,
     CriticalValue,
     Norm,
     PLMap,
+    _min_l2,
     _min_value_cached,
     _simplex_min,
     _vertex_attains_min,
     critical_values,
     global_min,
     map_distance,
-    norm_compare,
     simplex_min,
     star_with_values,
     vector_norm,
@@ -35,9 +34,16 @@ from helpers import (
     scaled,
     vertex,
 )
-from reference_oracles import evaluate, grid_min_check, has_root
+from reference_oracles import evaluate, grid_min_check, has_root, ref_min_l2
 
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
+
+
+def critical_value_strategy():
+    """Rational values and square roots of small nonnegative rationals, so
+    that equal squares and near ties of the two kinds are common."""
+    q = st.fractions(min_value=0, max_value=4, max_denominator=6)
+    return st.one_of(q.map(CriticalValue.rat), q.map(CriticalValue.sqrt_of))
 
 
 class TestCriticalValue:
@@ -59,6 +65,19 @@ class TestCriticalValue:
         assert scaled(CriticalValue.sqrt_of(2), 3) == CriticalValue.sqrt_of(18)
         assert scaled(CriticalValue.rat(Fraction(1, 2)), 4) == CriticalValue.rat(2)
 
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.lists(critical_value_strategy(), min_size=2, max_size=2))
+    @example([CriticalValue.rat(Fraction(1, 2)), CriticalValue.rat(Fraction(1, 3))])
+    @example([CriticalValue.rat(2), CriticalValue.sqrt_of(5)])
+    @example([CriticalValue.sqrt_of(3), CriticalValue.sqrt_of(2)])
+    def test_order_is_the_order_of_squares(self, pair):
+        """The rational fast path of `<` orders rational, square-root and
+        mixed pairs as comparing `square()` does."""
+        a, b = pair
+        assert (a < b) == (a.square() < b.square())
+        assert (a <= b) == (a.square() <= b.square())
+        assert (a > b) == (a.square() > b.square())
+
 
 class TestEvaluate:
     def test_vertex_point(self):
@@ -79,14 +98,6 @@ class TestEvaluate:
         f = path_map([0, 1, 2])
         with pytest.raises(ValueError):
             evaluate(f, BaryPoint.from_dict({0: Fraction(1, 2), 2: Fraction(1, 2)}))
-
-
-class TestNormCompare:
-    def test_examples(self):
-        assert norm_compare((3, 4), Norm.L2, CriticalValue.rat(5)) == EQ
-        assert norm_compare((1, 1), Norm.LINF, CriticalValue.rat(1)) == EQ
-        assert norm_compare((1, 1), Norm.L1, CriticalValue.sqrt_of(5)) == LT
-        assert norm_compare((2, 0), Norm.L1, CriticalValue.rat(1)) == GT
 
 
 class TestSimplexMin:
@@ -223,6 +234,35 @@ class TestVertexCertificate:
     def test_examples(self, case, norm, certified):
         ys, _ = case
         assert _vertex_attains_min(ys, ys[0], norm) is certified
+
+
+def affinely_dependent(ys) -> bool:
+    """Whether the vertex values are affinely dependent, which is when some
+    face of two or more vertices has a singular KKT system."""
+    rows = [[1] * len(ys)] + [[y[i] for y in ys] for i in range(len(ys[0]))]
+    return not exactlinalg.solve(rows, [1, *ys[0]])[1]
+
+
+def test_min_l2_matches_the_lp_fallback():
+    """`_min_l2` skips every singular KKT face, where the version it replaced
+    solved an LP for a feasible point; both give the same (min^2, minimizer
+    value).  Both kinds of simplex must occur: with affinely dependent vertex
+    values (some face has a singular KKT system) and without."""
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    @given(simplex_values())
+    @example(vals((1, 0), (1, 0)))                            # repeated value
+    @example(vals((-1, -1), (1, 1), (2, 2)))                  # collinear through 0
+    @example(vals((1, 2), (2, 2), (3, 2), (2, 3)))            # three on a line
+    @example(vals((1, 1, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)))
+    def check(case):
+        ys, n = case
+        seen[affinely_dependent(ys)] += 1
+        assert _min_l2(ys, n) == ref_min_l2(ys, n)
+
+    check()
+    assert seen[True] >= 100 and seen[False] >= 100, seen
 
 
 class TestCriticalValues:

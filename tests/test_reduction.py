@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,12 @@ from helpers import (
     ref_split_level,
     ref_validate,
 )
-from reference_oracles import evaluate
+from reference_oracles import (
+    derived_subdivision,
+    evaluate,
+    interior_argmin,
+    ref_vertexwise_extremal_subdivision,
+)
 
 HALF = Fraction(1, 2)
 
@@ -97,6 +103,43 @@ class TestExtremalSubdivision:
             for s in f.complex.simplices:
                 _, cv = simplex_min(f, s, norm)
                 assert cv == min(vector_norm(f.value(v), norm) for v in s.vertices)
+
+
+def map_on_simplex_set(rng: random.Random) -> PLMap:
+    """A map on the closure of one to three random simplices of dimension
+    1-3 on at most six vertices, with n = 1-3 and half-integer coordinates
+    in [-5, 5].  The vertex values come from a pool of at most six, so
+    norms tie and values repeat."""
+    n = rng.randint(1, 3)
+    cx = closure([rng.sample(range(6), rng.randint(2, 4)) for _ in range(rng.randint(1, 3))])
+    pool = [tuple(Fraction(rng.randint(-10, 10), 2) for _ in range(n))
+            for _ in range(rng.randint(1, 6))]
+    return PLMap(cx, n, {v: rng.choice(pool) for v in cx.vertices})
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_extremal_stage_matches_derived_pass_loop(norm):
+    """The stage that examines only the cones of the last pass, with one
+    vertex-norm table, gives exactly what the derived-pass loop over every
+    simplex gave: the same simplices and vertex values, new vertex ids
+    included, and its table holds |f(v)| at every vertex."""
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 2 ** 32))
+    def check(seed):
+        f = map_on_simplex_set(random.Random(seed))
+        ref = ref_vertexwise_extremal_subdivision(f, norm)
+        out = vertexwise_extremal_subdivision(f, norm)
+        assert out.complex.simplices == ref.complex.simplices
+        assert out.values == ref.values
+        assert out.vertex_norms == {v: vector_norm(y, norm) for v, y in ref.values.items()}
+        one_pass = derived_subdivision(f, lambda g, s: interior_argmin(g, s, norm))
+        seen["starred"] += one_pass is not f
+        seen["more passes"] += one_pass != ref
+
+    check()
+    assert seen["starred"] >= 60 and seen["more passes"] >= 5, seen
 
 
 class TestBuildChi:
@@ -282,7 +325,17 @@ class TestExactChecks:
             LevelPair(f, {1: HALF, 2: HALF}).validate()
 
     def test_extremality_postcondition(self, monkeypatch):
+        # the picks star nothing, so the edges through the root stay
         monkeypatch.setattr(reduction, "_interior_argmin", lambda f, s, norm: None)
+        with pytest.raises(ReductionError, match="vertex-extremality"):
+            vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
+
+    def test_unexamined_cones_fail_the_postcondition(self, monkeypatch):
+        # pass 1 stars both edges at their zeros; pass 2 then examines no
+        # cone, so the four new edges are never certified
+        new_cones = reduction._new_cones
+        monkeypatch.setattr(reduction, "_new_cones",
+                            lambda c, first: new_cones(c, first) if first == c.vertices[0] else [])
         with pytest.raises(ReductionError, match="vertex-extremality"):
             vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
 
@@ -297,7 +350,7 @@ class TestExactChecks:
              f"{__file__}::TestExactChecks", "-k", "not optimize"],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "4 passed" in proc.stdout
+        assert "5 passed" in proc.stdout
 
 
 def assert_same_pair(pair, ref):
