@@ -72,15 +72,20 @@ class Simplex:
         if len(v) == 1:
             raise ValueError("empty simplex")
         for i in range(len(v)):
-            face = object.__new__(Simplex)
-            object.__setattr__(face, "vertices", v[:i] + v[i + 1:])
-            yield -1 if i % 2 else 1, face
+            yield -1 if i % 2 else 1, _sorted_simplex(v[:i] + v[i + 1:])
 
     def __iter__(self):
         return iter(self.vertices)
 
     def __len__(self):
         return len(self.vertices)
+
+
+def _sorted_simplex(vertices: tuple[VertexId, ...]) -> Simplex:
+    """A Simplex on vertices known to be strictly sorted, not re-validated."""
+    s = object.__new__(Simplex)
+    object.__setattr__(s, "vertices", vertices)
+    return s
 
 
 @dataclass(frozen=True)
@@ -184,34 +189,41 @@ def closure(simplices) -> Complex:
     return Complex(all_faces)
 
 
-def star_at_point(c: Complex,
-                  stars: list[tuple[Simplex, BaryPoint]]) -> tuple[Complex, list[VertexId]]:
+def star_at_point(c: Complex, stars: list[tuple[Simplex, BaryPoint]],
+                  first_id: VertexId | None = None) -> tuple[Complex, list[VertexId]]:
     """Starring subdivision, applied in order: each (carrier, point) pair
     replaces the carrier and its cofaces by cones over a new vertex at
     `point`, which is carrier-local and interior (positive weight on every
     carrier vertex); each carrier must be in the state the earlier starrings
-    left.  New vertices are numbered on from the largest vertex of c.  The
-    starrings edit one simplex set, whose vertex -> cofaces index finds each
-    carrier's cofaces, and the complex is built once.  Returns it and the new
-    vertex ids in starring order.
+    left.  New vertices are numbered on from first_id, by default one past
+    the largest vertex of c.  The starrings edit one simplex set, whose
+    vertex -> cofaces index finds each carrier's cofaces, and the complex is
+    built once.  Returns it and the new vertex ids in starring order.
     """
+    top = c.vertices[-1] if c.vertices else -1
+    if first_id is None:
+        first_id = top + 1
+    elif first_id <= top:
+        raise ValueError(f"new vertex id {first_id} is not above the largest vertex {top}")
     simplices = set(c.simplices)
     cofaces: dict[VertexId, set[Simplex]] = defaultdict(set)
     for s in simplices:
         for v in s.vertices:
             cofaces[v].add(s)
     new_ids = []
-    for new_id, (carrier, point) in enumerate(stars, (c.vertices[-1] + 1) if c.vertices else 0):
+    for new_id, (carrier, point) in enumerate(stars, first_id):
         if carrier not in simplices:
             raise ValueError(f"carrier {carrier} not in complex")
         carrier_set = set(carrier.vertices)
         if set(point.support) != carrier_set:
             raise ValueError("point must be interior to the carrier (full support)")
         removed = set.intersection(*(cofaces[v] for v in carrier.vertices))
-        # cones over the faces of the removed simplices that miss a carrier vertex
-        added = {Simplex(face.vertices + (new_id,)) for t in removed for face in t.faces()
-                 if not carrier_set.issubset(face.vertices)}
-        added.add(Simplex((new_id,)))
+        # cones over the faces of the removed simplices that miss a carrier
+        # vertex: sorted faces, then new_id, which exceeds every vertex
+        added = {_sorted_simplex(face + (new_id,)) for t in removed
+                 for k in range(1, len(t.vertices) + 1)
+                 for face in combinations(t.vertices, k) if not carrier_set.issubset(face)}
+        added.add(_sorted_simplex((new_id,)))
         for t in removed:
             for v in t.vertices:
                 cofaces[v].discard(t)
@@ -225,11 +237,9 @@ def star_at_point(c: Complex,
 
 
 def full_subcomplex(c: Complex, keep) -> Complex:
-    """Simplices all of whose vertices satisfy `keep` (a predicate or a set)."""
-    if not callable(keep):
-        keep_set = set(keep)
-        keep = keep_set.__contains__
-    return Complex(s for s in c.simplices if all(keep(v) for v in s.vertices))
+    """Simplices all of whose vertices are in `keep`, a vertex set."""
+    keep = set(keep)
+    return Complex(s for s in c.simplices if keep.issuperset(s.vertices))
 
 
 def barycenter(s: Simplex) -> BaryPoint:
@@ -309,7 +319,10 @@ def apply_coboundary(c: Complex, cochain: IntCochain) -> IntCochain:
 
 
 def chain_boundary(c: Complex, chain: IntCochain) -> IntCochain:
-    """Boundary of an integer chain (stored in the same container as cochains)."""
+    """Boundary of an integer chain (stored in the same container as cochains);
+    that of a 0-chain is the empty (-1)-chain."""
+    if chain.degree == 0:
+        return IntCochain(-1)
     out: dict[Simplex, int] = {}
     for s, coeff in chain.values.items():
         for sign, face in s.boundary():

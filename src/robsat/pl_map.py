@@ -12,11 +12,11 @@ which `linprog.solve_lp` runs from the optimal basis of the same solve.
 Most simplices need no solve at all: when a subgradient of the norm at a
 least-norm vertex value proves that vertex value minimal (a few exact dot
 products, `_vertex_attains_min`), the minimum is that vertex norm and no LP
-or KKT system runs.  The extremal subdivision runs that test itself, with
-the vertex norms read from one table per map, and only the simplices that
-fail it reach `_min_value_cached`, which keeps the value and, when it lies
-below every vertex value, the argmin, keyed by the vertex values so that
-the decisions of one map at several alphas share them.
+or KKT system runs.  `_min_value_cached` runs that test first; the
+extremal subdivision runs it itself, with the vertex norms read from one
+table per map, and sends only the simplices that fail it to the solve.
+Solves are cached on the vertex values, so the decisions of one map at
+several alphas, and its critical values, share them.
 """
 
 from __future__ import annotations
@@ -140,6 +140,13 @@ class PLMap:
         return f"PLMap(n={self.n}, {self.complex!r})"
 
 
+def _exact_map(complex_: Complex, n: int, values: dict) -> PLMap:
+    """A PLMap on exact values, n Fractions per vertex of complex_, as given."""
+    f = object.__new__(PLMap)
+    f.complex, f.n, f._values = complex_, n, values
+    return f
+
+
 def _norm_lp(ys, n, norm: Norm):
     """The epigraph LP of min |sum lam_j y_j| over the standard simplex, as
     (rows, rhs, cost).  Variable order: lam (d+1), t (1 or n), slacks (2n)."""
@@ -190,10 +197,12 @@ def _min_l2(ys, n):
     return best_sq, best_y
 
 
+@lru_cache(maxsize=1 << 16)
 def _simplex_min(ys, n, norm: Norm, refine_below=None):
     """(min |f|, its lexicographically smallest minimizer in barycentric
     coordinates) over the simplex with vertex values ys.  Given refine_below,
     the minimizer is computed only when the minimum lies below it, else None.
+    Cached, so the extremal stage and `_min_value_cached` share their solves.
     """
     d1 = len(ys)
 
@@ -247,7 +256,7 @@ def _vertex_attains_min(ys, y0, norm: Norm) -> bool:
 def _min_value_cached(ys: tuple, n: int, norm: Norm):
     """(min, minimizer or None) of |f| over a simplex with vertex values ys.
     The minimizer is refined only when the minimum lies below every vertex
-    value, the one case in which the extremal subdivision stars it.
+    value: the solve is the one the extremal stage runs when the test fails.
 
     No LP or KKT system is solved when a vertex value y0 of least norm passes
     `_vertex_attains_min`: the minimum is then |y0|, not below every vertex
@@ -269,19 +278,20 @@ def simplex_min_value(f: PLMap, s: Simplex, norm: Norm) -> CriticalValue:
     return _min_value_cached(tuple(f.value(v) for v in s.vertices), f.n, norm)[0]
 
 
-def simplex_min(f: PLMap, s: Simplex, norm: Norm) -> tuple[BaryPoint, CriticalValue]:
+def simplex_min(f: PLMap, s: Simplex, norm: Norm,
+                refine_below=None) -> tuple[BaryPoint | None, CriticalValue]:
     """Exact minimizer and minimum of |f| over a simplex of f's complex.
 
     The returned point is in carrier-local barycentric coordinates and is the
-    lexicographically smallest minimizer, so repeated runs agree.  A minimizer
-    below every vertex value comes from the cache, with no second solve.
+    lexicographically smallest minimizer, so repeated runs agree.  Given
+    refine_below, the point is computed only when the minimum lies below it,
+    else it is None.
     """
     if s not in f.complex:
         raise ValueError(f"simplex {s} not in complex")
-    ys = tuple(f.value(v) for v in s.vertices)
-    cv, lam = _min_value_cached(ys, f.n, norm)
+    cv, lam = _simplex_min(tuple(f.value(v) for v in s.vertices), f.n, norm, refine_below)
     if lam is None:
-        cv, lam = _simplex_min(ys, f.n, norm)
+        return None, cv
     return BaryPoint.from_dict({v: w for v, w in zip(s.vertices, lam) if w != 0}), cv
 
 
@@ -329,16 +339,18 @@ def map_distance(f: PLMap, g: PLMap, norm: Norm) -> CriticalValue:
     return best
 
 
-def star_with_values(f: PLMap,
-                     stars: list[tuple[Simplex, BaryPoint]]) -> tuple[PLMap, list[VertexId]]:
+def star_with_values(f: PLMap, stars: list[tuple[Simplex, BaryPoint]],
+                     first_id: VertexId | None = None) -> tuple[PLMap, list[VertexId]]:
     """`complex_core.star_at_point` on f's complex, with f interpolated at
     each new vertex.  Returns (new PLMap, new vertex ids in starring order);
     an empty batch returns f itself."""
     if not stars:
         return f, []
-    c2, new_ids = star_at_point(f.complex, stars)
+    c2, new_ids = star_at_point(f.complex, stars, first_id)
     values = f.values
     for (_, point), vid in zip(stars, new_ids):
         values[vid] = tuple(sum(w * values[v][i] for v, w in point.weights)
                             for i in range(f.n))
-    return PLMap(c2, f.n, values), new_ids
+    if len(values) != len(c2.vertices):  # starring a 0-simplex removes its vertex
+        values = {v: values[v] for v in c2.vertices}
+    return _exact_map(c2, f.n, values), new_ids

@@ -13,7 +13,8 @@ The pipeline has three stages, each an exact subdivision or relabelling:
    simplex of A, at which point the vertexwise rule v -> sign * e_index is a
    simplicial approximation into the boundary of the cross polytope.
 
-X and A are derived from the final chi labels (`LevelPair`), built once and
+After the level split is checked for 0-1 edges, only X is kept: the level
+pair (`LevelPair`) lives on X, A is cut from it once, and the pair is
 validated once, after sign refinement.  Each subdivision is one batched
 `star_at_point` call per pass (one for the derived pass, one per crossing
 pass), and everything is validated by exact rational checks rather than
@@ -32,7 +33,7 @@ from .pl_map import (
     CriticalValue,
     Norm,
     PLMap,
-    _min_value_cached,
+    _exact_map,
     _vertex_attains_min,
     simplex_min,
     star_with_values,
@@ -100,37 +101,35 @@ class SphereMap:
 class LevelPair:
     """The combinatorial stand-in for (|f|^-1 [0, alpha], |f|^-1 {alpha}).
 
-    `f` lives on the ambient (subdivided) complex; X and A are the full
-    subcomplexes on the chi <= 1/2 and chi = 1/2 vertices, built on first use.
-    No norm is needed: every check reads f at the vertices and edges of A.
+    The pair lives on X: `f` and chi are defined on X, and A, the full
+    subcomplex on the chi = 1/2 vertices, is cut from X on first use.  The
+    0-1 edge check runs in `split_level`, before the cut.  `first_id` is the
+    id of the next starred vertex (None: one past X's largest).
     """
 
     f: PLMap
     chi: dict[VertexId, Fraction]
+    first_id: VertexId | None = None
 
-    @cached_property
+    @property
     def x(self) -> Complex:
-        return full_subcomplex(self.f.complex, lambda v: self.chi[v] <= HALF)
+        return self.f.complex
 
     @cached_property
     def a(self) -> Complex:
-        return full_subcomplex(self.f.complex, lambda v: self.chi[v] == HALF)
+        return full_subcomplex(self.f.complex, {v for v, c in self.chi.items() if c == HALF})
 
     def validate(self) -> None:
-        """No edge joins chi 0 to chi 1, every A-simplex is weakly signed in
-        every coordinate of f, and f has no root on A.
+        """Every A-simplex is weakly signed in every coordinate of f, and f
+        has no root on A.
 
-        The last two are checked exactly on the edges and vertices of A: a
+        Both are checked exactly on the edges and vertices of A: a
         simplex has a strict sign change in coordinate i iff one of its edges
         does; and if a weakly signed simplex has f(p) = sum_v lambda_v f(v) = 0,
         the terms of each coordinate share a sign, so each term is 0 and every
         vertex of p's support is a root.
         """
         f = self.f
-        for e in f.complex.k_simplices(1):
-            u, w = e.vertices
-            if {self.chi[u], self.chi[w]} == {Fraction(0), Fraction(1)}:
-                raise ReductionError(f"0-1 edge survived: {e}")
         for e in self.a.k_simplices(1):
             yu, yw = (f.value(v) for v in e.vertices)
             for i in range(f.n):
@@ -149,13 +148,6 @@ def _new_cones(c: Complex, first_new: VertexId) -> list[Simplex]:
                   key=lambda s: (-s.dim, s.vertices))
 
 
-def _interior_argmin(f: PLMap, s: Simplex, norm: Norm) -> BaryPoint | None:
-    """The lexicographic argmin of |f| over s, a simplex whose minimum lies
-    below every vertex value, if it is interior to s, else None."""
-    point, _ = simplex_min(f, s, norm)
-    return point if len(point.support) == len(s.vertices) else None
-
-
 class _VertexExtremal(PLMap):
     """A map that `vertexwise_extremal_subdivision` made vertex-extremal for
     `norm`, with its table of vertex norms |f(v)|."""
@@ -163,7 +155,7 @@ class _VertexExtremal(PLMap):
     __slots__ = ("norm", "vertex_norms")
 
     def __init__(self, f: PLMap, norm: Norm, vertex_norms: dict[VertexId, CriticalValue]):
-        super().__init__(f.complex, f.n, f.values)
+        self.complex, self.n, self._values = f.complex, f.n, f._values
         self.norm = norm
         self.vertex_norms = vertex_norms
 
@@ -174,9 +166,10 @@ def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     Each pass examines simplices in order of decreasing dimension: a simplex
     passes when `_vertex_attains_min` certifies a least-norm vertex value
     (the vertex norms come from one table, extended with each pass's new
-    vertices) or else when its cached minimum is not below every vertex
-    value.  A simplex that fails is starred at its argmin if that is
-    interior; all picks are made before the pass stars them, as one batch.
+    vertices) or else when `simplex_min`, refined only below the least
+    vertex norm, finds its minimum not below every vertex value.  A simplex
+    that fails is starred at its argmin if that is interior; all picks are
+    made before the pass stars them, as one batch.
 
     Pass 1 examines every simplex of dimension >= 1, and pass k+1 only the
     cones on pass k's new vertices: a simplex that survives a pass unchanged
@@ -205,11 +198,13 @@ def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     while new:
         picks = []
         for s in _new_cones(out.complex, new[0]):
-            ys = tuple(values[v] for v in s.vertices)
-            y0 = values[min(s.vertices, key=norms.__getitem__)]
-            if _vertex_attains_min(ys, y0, norm) or _min_value_cached(ys, f.n, norm)[1] is None:
+            v0 = min(s.vertices, key=norms.__getitem__)
+            p = None
+            if not _vertex_attains_min(tuple(values[v] for v in s.vertices), values[v0], norm):
+                p, _ = simplex_min(out, s, norm, norms[v0])
+            if p is None:
                 extremal.add(s)
-            elif (p := _interior_argmin(out, s, norm)) is not None:
+            elif len(p.support) == len(s.vertices):
                 picks.append((s, p))
         out, new = star_with_values(out, picks)
         for v in new:
@@ -233,13 +228,14 @@ def build_chi(f: PLMap, alpha: CriticalValue, norm: Norm) -> dict[VertexId, Frac
     return {v: HALF if cv == alpha else zero if cv < alpha else one for v, cv in norms.items()}
 
 
-def star_crossings(f: PLMap, h: dict[VertexId, Fraction]) -> tuple[PLMap, list[VertexId]]:
+def star_crossings(f: PLMap, h: dict[VertexId, Fraction],
+                   first_id: VertexId | None = None) -> tuple[PLMap, list[VertexId]]:
     """Star every edge (u, w) with h(u) * h(w) < 0 at the zero of the linear
     extension of h, t = h(u) / (h(u) - h(w)) along u -> w.
 
     One scan in sorted edge order finds them all: a starring removes no other
     edge, and h vanishes at the new vertex, so no new edge crosses.  Returns
-    the subdivided map and the new vertex ids in starring order.
+    the subdivided map and the new vertex ids, numbered on from first_id.
     """
     stars = []
     for e in f.complex.k_simplices(1):
@@ -247,18 +243,30 @@ def star_crossings(f: PLMap, h: dict[VertexId, Fraction]) -> tuple[PLMap, list[V
         if h[u] * h[w] < 0:
             t = h[u] / (h[u] - h[w])
             stars.append((e, BaryPoint.from_dict({u: 1 - t, w: t})))
-    return star_with_values(f, stars)
+    return star_with_values(f, stars, first_id)
 
 
 def split_level(f: PLMap, chi: dict[VertexId, Fraction]) -> LevelPair:
-    """Star each 0-1 edge at its chi-midpoint (the crossings of chi - 1/2).
+    """Star each 0-1 edge at its chi-midpoint (the crossings of chi - 1/2),
+    check that no 0-1 edge is left, and keep only X, the full subcomplex on
+    the chi <= 1/2 vertices: the extension problem reads nothing outside it.
 
     The new vertex of a starring gets chi = 1/2, the interpolated value of
-    the piecewise-linear chi at the midpoint.  The pair is validated by
-    `sign_refinement`, which every decision runs next.
+    the piecewise-linear chi at the midpoint.  Later starrings number on
+    from the split complex's largest vertex, whether or not it was cut.
+    `sign_refinement`, which every decision runs next, validates the pair.
     """
     f, new = star_crossings(f, {v: chi[v] - HALF for v in f.complex.vertices})
-    return LevelPair(f, {**chi, **dict.fromkeys(new, HALF)})
+    chi = {**chi, **dict.fromkeys(new, HALF)}
+    above = {v for v in f.complex.vertices if chi[v] > HALF}
+    for e in f.complex.k_simplices(1):
+        u, w = e.vertices
+        if (u in above) != (w in above) and HALF not in (chi[u], chi[w]):
+            raise ReductionError(f"0-1 edge survived: {e}")
+    x = full_subcomplex(f.complex, set(f.complex.vertices) - above)
+    return LevelPair(_exact_map(x, f.n, {v: f.value(v) for v in x.vertices}),
+                     {v: chi[v] for v in x.vertices},
+                     f.complex.vertices[-1] + 1 if f.complex.vertices else None)
 
 
 def sign_refinement(pair: LevelPair) -> LevelPair:
@@ -273,11 +281,13 @@ def sign_refinement(pair: LevelPair) -> LevelPair:
     """
     f = pair.f
     chi = dict(pair.chi)
+    first = pair.first_id
     for i in range(f.n):
         f, new = star_crossings(f, {v: f.value(v)[i] if chi[v] == HALF else 0
-                                    for v in f.complex.vertices})
+                                    for v in f.complex.vertices}, first)
         chi.update(dict.fromkeys(new, HALF))
-    out = LevelPair(f, chi)
+        first = new[-1] + 1 if new else first
+    out = LevelPair(f, chi, first)
     out.validate()
     return out
 

@@ -393,7 +393,7 @@ def ref_sign_refinement(pair):
             t = fu / (fu - fw)
             f, (vid,) = star_with_values(f, [(e, BaryPoint.from_dict({u: 1 - t, w: t}))])
             chi[vid] = half
-            a = full_subcomplex(f.complex, lambda v: chi[v] == half)
+            a = full_subcomplex(f.complex, {v for v in f.complex.vertices if chi[v] == half})
     return LevelPair(f, chi)
 
 

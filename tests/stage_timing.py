@@ -14,10 +14,14 @@ runs them and records one row:
   and a sha256 prefix over the subdivided complex and its vertex values, so
   two checkouts that print the same prefix built the same subdivision;
 * extremal: `vertexwise_extremal_subdivision`, with every functools cache
-  of the robsat modules it runs (`_min_value_cached`) cleared before each
-  run, so every simplex minimum is computed cold; its vertex-norm table is
-  built anew by each call;
-* split, sign: `split_level` and `sign_refinement` (which validates);
+  of the robsat modules it runs (`_min_value_cached`, `_simplex_min`)
+  cleared before each run, so every simplex minimum is computed cold; its
+  vertex-norm table is built anew by each call;
+* split, sign: `split_level` (which cuts X out of the split complex) and
+  `sign_refinement` (which validates);
+* level: `split_level`, `sign_refinement` and building the pair's X and A,
+  together (X is built in `split_level`, so `split_s` and `sign_s` alone
+  would misplace its cost), and the simplex count of X;
 * Smith: `smith_solve` on the cocycle-extension system, with its shape;
 * ext.: the whole `decide_extension` call, certificate re-check included.
 
@@ -75,6 +79,13 @@ def clear_caches() -> None:
                 obj.cache_clear()
 
 
+def level_pair(f1, chi):
+    """The validated level pair, with its X and A built."""
+    pair = sign_refinement(split_level(f1, chi))
+    _ = pair.x, pair.a  # built on first use
+    return pair
+
+
 def map_digest(f) -> str:
     text = json.dumps([sorted(s.vertices for s in f.complex.simplices),
                        sorted((v, [str(x) for x in y]) for v, y in f.values.items())])
@@ -92,6 +103,8 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     chi = build_chi(f1, CriticalValue.rat(alpha), norm)
     row["split_s"], pair = best_of(lambda: split_level(f1, chi))
     row["sign_s"], pair = best_of(lambda: sign_refinement(pair))
+    row["level_s"], pair = best_of(lambda: level_pair(f1, chi))
+    row["x_simplices"] = len(pair.x)
     if pair.a.is_empty():
         return row  # the decision short-circuits: no system to solve
     fmap = simplicial_approximation(pair)

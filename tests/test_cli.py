@@ -128,6 +128,16 @@ class TestOtherCommands:
                         "--cycle", "[[[0,1],1],[[1,2],1],[[2,3],1],[[0,3],-1]]")
         assert code == EXIT_DECIDED and doc["degree"] == 1
 
+    def test_degree_of_a_zero_cycle(self, capsys, tmp_path):
+        # n = 1: the cycle is a 0-chain on A, the ends of a path
+        path = tmp_path / "n1.json"
+        path.write_text(json.dumps({
+            "version": 1, "n": 1, "norm": "linf", "vertices": [{"id": v} for v in range(3)],
+            "simplices": [[0, 1], [1, 2]], "a_simplices": [[0], [2]],
+            "sphere_map": {"0": 1, "2": -1}}))
+        code, doc = run(capsys, "degree", "-i", str(path), "--cycle", "[[[0],1],[[2],3]]")
+        assert code == EXIT_DECIDED and doc["degree"] == 1
+
     def test_critical_values(self, capsys):
         code, doc = run(capsys, "critical-values", "-i", instance("square_identity.json"))
         assert doc["critical_values"] == ["0", "1/2", "1"]

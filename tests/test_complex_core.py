@@ -73,6 +73,13 @@ class TestStarAtPoint:
         assert len(c.k_simplices(1)) == 2
         assert v == 3  # numbered on from the largest vertex
 
+    def test_numbered_from_first_id(self):
+        edge = Simplex.of([1, 2])
+        c, (v,) = star_at_point(closure([[1, 2]]), [(edge, mid(1, 2))], first_id=7)
+        assert v == 7 and Simplex.of([1, 7]) in c
+        with pytest.raises(ValueError, match="not above the largest vertex"):
+            star_at_point(closure([[1, 2]]), [(edge, mid(1, 2))], first_id=2)
+
     def test_triangle_barycenter(self):
         t = Simplex.of([1, 2, 3])
         c, _ = star_at_point(closure([[1, 2, 3]]), [(t, barycenter(t))])

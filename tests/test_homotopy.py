@@ -12,6 +12,7 @@ from robsat.complex_core import (
     Complex,
     IntCochain,
     Simplex,
+    chain_boundary,
     closure,
     apply_coboundary,
     full_subcomplex,
@@ -273,6 +274,16 @@ class TestDegree:
         cycle = boundary_cycle_chain([0, 1, 2, 3])
         doubled = IntCochain(1, {s: 2 * c for s, c in cycle.values.items()})
         assert degree(doubled, ident) == 2
+
+    def test_zero_chains_are_cycles(self):
+        # n = 1: a 0-chain has the empty (-1)-chain as boundary, while a
+        # vertex still has no codimension-1 face
+        s0 = SphereMap(closure([[0], [1]]), 1, {0: 1, 1: -1})
+        assert degree(IntCochain(0, {Simplex((0,)): 1}), s0) == 1
+        assert degree(IntCochain(0, {Simplex((0,)): 2, Simplex((1,)): 5}), s0) == 2
+        assert chain_boundary(s0.domain, IntCochain(0, {Simplex((1,)): 1})).degree == -1
+        with pytest.raises(ValueError, match="empty simplex"):
+            list(Simplex((0,)).boundary())
 
     def test_rejects_non_cycle(self):
         _, bdry = disk_square()

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robsat import reduction
-from robsat.complex_core import closure, connected_components
+from robsat import pl_map, reduction
+from robsat.complex_core import closure, connected_components, full_subcomplex
 from robsat.pl_map import CriticalValue, Norm, PLMap, simplex_min, vector_norm
 from robsat.reduction import (
     LevelPair,
@@ -37,6 +37,7 @@ from helpers import (
     ref_split_inequality_levels,
     ref_split_level,
     ref_validate,
+    vertex,
 )
 from reference_oracles import (
     derived_subdivision,
@@ -122,15 +123,27 @@ def test_extremal_stage_matches_derived_pass_loop(norm):
     """The stage that examines only the cones of the last pass, with one
     vertex-norm table, gives exactly what the derived-pass loop over every
     simplex gave: the same simplices and vertex values, new vertex ids
-    included, and its table holds |f(v)| at every vertex."""
+    included, and its table holds |f(v)| at every vertex.  It computes
+    each vertex norm once: the simplices that fail its subgradient test go
+    straight to the solve, which computes no vertex norm again."""
     seen = Counter()
+
+    def counted_norm(y, nm):
+        seen["vector_norm calls"] += 1
+        return vector_norm(y, nm)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(0, 2 ** 32))
     def check(seed):
         f = map_on_simplex_set(random.Random(seed))
         ref = ref_vertexwise_extremal_subdivision(f, norm)
-        out = vertexwise_extremal_subdivision(f, norm)
+        seen["vector_norm calls"] = 0
+        pl_map._min_value_cached.cache_clear()  # the reference filled it
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "vector_norm", counted_norm)
+            mp.setattr(pl_map, "vector_norm", counted_norm)
+            out = vertexwise_extremal_subdivision(f, norm)
+        assert seen.pop("vector_norm calls") == len(out.complex.vertices)
         assert out.complex.simplices == ref.complex.simplices
         assert out.values == ref.values
         assert out.vertex_norms == {v: vector_norm(y, norm) for v, y in ref.values.items()}
@@ -191,20 +204,25 @@ class TestSplitLevel:
         assert pair.x.is_empty() and pair.a.is_empty()
 
     def test_no_01_edges_after(self):
+        # the pair keeps only X, where no vertex has chi = 1
         pair = self.trace_pair()
-        for e in pair.f.complex.k_simplices(1):
-            u, w = e.vertices
-            assert {pair.chi[u], pair.chi[w]} != {Fraction(0), Fraction(1)}
+        assert set(pair.chi) == set(pair.f.complex.vertices)
+        assert all(c <= HALF for c in pair.chi.values())
 
     def test_pointwise_proxy(self):
         # p in |X| implies chi(p) <= 1/2, and p in |A| iff chi(p) = 1/2.
-        # Points are carrier-local in the ambient complex: X and A are full
+        # Points are carrier-local in the split complex: X and A are full
         # subcomplexes of it, so p lies in |X| iff its support simplex is in X,
         # which is what locating p with the identity lineage tests.
         rng = random.Random(3)
         pair = self.trace_pair()
-        ambient = pair.f.complex
-        chi_map = PLMap(ambient, 1, {v: (pair.chi[v],) for v in ambient.vertices})
+        f = vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
+        chi = build_chi(f, CriticalValue.rat(1), Norm.LINF)
+        split, new = star_crossings(f, {v: chi[v] - HALF for v in f.complex.vertices})
+        chi.update(dict.fromkeys(new, HALF))
+        ambient = split.complex
+        assert pair.x.simplices < ambient.simplices
+        chi_map = PLMap(ambient, 1, {v: (chi[v],) for v in ambient.vertices})
         for _ in range(1000):
             carrier = rng.choice(sorted(ambient.simplices))
             p = random_point_in(rng, carrier)
@@ -325,8 +343,10 @@ class TestExactChecks:
             LevelPair(f, {1: HALF, 2: HALF}).validate()
 
     def test_extremality_postcondition(self, monkeypatch):
-        # the picks star nothing, so the edges through the root stay
-        monkeypatch.setattr(reduction, "_interior_argmin", lambda f, s, norm: None)
+        # every argmin is put at a vertex of its simplex, so the picks star
+        # nothing and the edges through the root stay
+        monkeypatch.setattr(reduction, "simplex_min",
+                            lambda f, s, norm, below: (vertex(s.vertices[0]), below))
         with pytest.raises(ReductionError, match="vertex-extremality"):
             vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
 
@@ -354,10 +374,16 @@ class TestExactChecks:
 
 
 def assert_same_pair(pair, ref):
-    assert pair.f.complex.simplices == ref.f.complex.simplices
-    assert pair.f.values == ref.f.values
-    assert pair.chi == ref.chi
-    assert pair.x.simplices == ref.x.simplices
+    """pair, which lives on X, is ref (on the ambient complex) cut to X, the
+    full subcomplex on ref's chi <= 1/2 vertices: the same simplices, vertex
+    ids, values and chi there, and the same A; and its next starring gets
+    the id that ref's next starring would get."""
+    keep = {v for v, c in ref.chi.items() if c <= HALF}
+    assert pair.x is pair.f.complex
+    assert pair.first_id == ref.f.complex.vertices[-1] + 1
+    assert pair.x.simplices == full_subcomplex(ref.f.complex, keep).simplices
+    assert pair.f.values == {v: y for v, y in ref.f.values.items() if v in keep}
+    assert pair.chi == {v: c for v, c in ref.chi.items() if v in keep}
     assert pair.a.simplices == ref.a.simplices
 
 
@@ -367,17 +393,28 @@ def test_star_crossings_matches_rescan_loops(norm, n):
     """The one-scan crossing routine gives exactly what the rescan-after-
     each-star loops it replaced gave: the same simplices, values, chi and
     new vertex ids, for the level split, the sign refinement and the
-    inequality levels (k = 0, 1, 2 constraints)."""
+    inequality levels (k = 0, 1, 2 constraints).  The level pair lives on X
+    and the references on the ambient complex, so the pairs are compared on
+    X.  Cases where the split stars nothing and the largest vertex has
+    chi = 1, so that it is cut, must occur: there the pair's next id must
+    still go on past the cut vertex."""
+    seen = Counter()
+
     @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(st.integers(0, 2 ** 32), st.integers(0, 2))
-    def check(seed, k):
+    @given(st.integers(0, 2 ** 32), st.integers(0, 2), st.booleans())
+    def check(seed, k, least):
         rng = random.Random(seed)
         cx = random_complex(rng, max_dim=2, max_vertices=6, n_maximal=3)
         f = random_map(rng, cx, n)
         f1 = vertexwise_extremal_subdivision(f, norm)
-        # alpha at some vertex's norm puts chi = 1/2 labels on the input
-        alpha = rng.choice([vector_norm(f1.value(v), norm) for v in f1.complex.vertices]
-                           + [CriticalValue.rat(Fraction(rng.randint(1, 8), 2))])
+        norms = [vector_norm(f1.value(v), norm) for v in f1.complex.vertices]
+        positive = [cv for cv in norms if not cv.is_zero()]
+        if least and positive:
+            # chi >= 1/2 at every vertex, so the split stars nothing
+            alpha = min(positive)
+        else:
+            # alpha at some vertex's norm puts chi = 1/2 labels on the input
+            alpha = rng.choice(norms + [CriticalValue.rat(Fraction(rng.randint(1, 8), 2))])
         if alpha.is_zero():
             alpha = CriticalValue.rat(1)
         chi = build_chi(f1, alpha, norm)
@@ -388,7 +425,10 @@ def test_star_crossings_matches_rescan_loops(norm, n):
         assert new == sorted(set(ref.f.complex.vertices) - set(f1.complex.vertices))
         pair = split_level(f1, chi)
         assert_same_pair(pair, ref)
-        assert_same_pair(sign_refinement(pair), ref_sign_refinement(ref))
+        refined, ref_refined = sign_refinement(pair), ref_sign_refinement(ref)
+        assert_same_pair(refined, ref_refined)
+        seen["split stars nothing, top vertex cut"] += (
+            not new and chi[f1.complex.vertices[-1]] == 1)
 
         g = random_map(rng, cx, k)
         h = PLMap(cx, n + k, {v: f.value(v) + g.value(v) for v in cx.vertices})
@@ -396,10 +436,28 @@ def test_star_crossings_matches_rescan_loops(norm, n):
         assert _split_inequality_levels(h, n, level) == ref_split_inequality_levels(h, n, level)
 
     check()
+    # For n = 1 the extremal stage stars every sign change at a root, and
+    # the last root starred is the largest vertex, with chi = 0.
+    assert n == 1 or seen["split stars nothing, top vertex cut"] >= 5, seen
+
+
+def test_numbering_goes_on_past_a_cut_vertex():
+    """The split stars nothing and cuts the largest vertex 2 (chi = 1); the
+    sign refinement then stars the A-edge (0, 1), whose second coordinate
+    changes sign at constant max norm, and numbers the new vertex 3."""
+    f = PLMap(closure([[0, 1], [1, 2]]), 2, {0: (2, 1), 1: (2, -1), 2: (5, 5)})
+    assert vertexwise_extremal_subdivision(f, Norm.LINF).complex == f.complex
+    chi = build_chi(f, CriticalValue.rat(2), Norm.LINF)
+    pair = split_level(f, chi)
+    assert pair.x.vertices == (0, 1) and pair.first_id == 3
+    refined = sign_refinement(pair)
+    assert refined.f.values == {0: (2, 1), 1: (2, -1), 3: (2, 0)}
+    assert_same_pair(refined, ref_sign_refinement(ref_split_level(f, chi)))
 
 
 def random_level_pair(rng: random.Random, n: int) -> LevelPair:
-    """A pair with arbitrary chi labels on a complex of dimension 0-3.  Each
+    """A pair with arbitrary chi labels 0 and 1/2 on a complex of dimension
+    0-3; the pair lives on X, so no vertex has chi = 1.  Each
     coordinate of f is either one-signed or of mixed sign across the
     vertices, and zero a quarter of the time, so random pairs pass and fail
     each check of the level pair."""
@@ -408,7 +466,7 @@ def random_level_pair(rng: random.Random, n: int) -> LevelPair:
     values = {v: tuple(Fraction(rng.randint(0, 3) * (sign or rng.choice((1, -1))))
                        for sign in signs)
               for v in cx.vertices}
-    chi = {v: rng.choice((Fraction(0), HALF, HALF, HALF, Fraction(1))) for v in cx.vertices}
+    chi = {v: rng.choice((Fraction(0), HALF, HALF, HALF)) for v in cx.vertices}
     return LevelPair(PLMap(cx, n, values), chi)
 
 
