@@ -20,11 +20,6 @@ class Interval:
         x = Fraction(x)
         return cls(x, x)
 
-    @classmethod
-    def of(cls, a, b) -> "Interval":
-        a, b = Fraction(a), Fraction(b)
-        return cls(min(a, b), max(a, b))
-
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor, isqrt
 
 from .pl_map import CriticalValue, Norm, PLMap, global_min, map_distance, vector_norm
 from .reduction import ReductionError
@@ -55,6 +56,21 @@ def _shift(f: PLMap, delta: tuple[Fraction, ...]) -> PLMap:
                  {v: tuple(a + d for a, d in zip(f.value(v), delta)) for v in f.complex.vertices})
 
 
+def _lattice_bound(alpha: CriticalValue, step: Fraction) -> int:
+    """The largest k with k * step <= alpha: floor(sqrt(x)) is
+    floor(sqrt(floor(x))), here for x = alpha^2 / step^2."""
+    return isqrt(floor(alpha.square() / (step * step)))
+
+
+def _shift_magnitudes(alpha: CriticalValue, step: Fraction):
+    """The axis-shift magnitudes, largest first, yielded one at a time: alpha,
+    alpha - step, ... while positive, or for a square-root alpha the lattice
+    multiples of step up to alpha."""
+    if alpha.is_sqrt:
+        return (k * step for k in range(_lattice_bound(alpha, step), 0, -1))
+    return (alpha.q - k * step for k in range(ceil(alpha.q / step)))
+
+
 def perturbation_witness(f: PLMap, alpha, cfg: WitnessSearchConfig,
                          norm: Norm = Norm.LINF) -> PLMap | None:
     """Search for a rootless g with ||f - g|| <= alpha on the same complex.
@@ -84,20 +100,7 @@ def perturbation_witness(f: PLMap, alpha, cfg: WitnessSearchConfig,
 
     if accept(f):
         return f
-    magnitudes = []
-    if not alpha.is_sqrt:
-        m = alpha.q
-        while m > 0:
-            magnitudes.append(m)
-            m -= cfg.step
-    else:
-        # sqrt alpha: use lattice multiples of step below alpha
-        m = cfg.step
-        while not alpha < CriticalValue.rat(m):
-            magnitudes.append(m)
-            m += cfg.step
-        magnitudes.reverse()
-    for mag in magnitudes:
+    for mag in _shift_magnitudes(alpha, cfg.step):
         for i in range(f.n):
             for sign in (1, -1):
                 delta = tuple(sign * mag if j == i else Fraction(0) for j in range(f.n))
@@ -105,9 +108,7 @@ def perturbation_witness(f: PLMap, alpha, cfg: WitnessSearchConfig,
                 if accept(g):
                     return g
     rng = random.Random(cfg.seed)
-    bound = 0
-    while not alpha < CriticalValue.rat(cfg.step * (bound + 1)):
-        bound += 1
+    bound = _lattice_bound(alpha, cfg.step)
     base = f.values
     for _ in range(cfg.trials):
         values = {}

@@ -9,14 +9,14 @@ follow Bland's rule exactly as the rational simplex would.  Argmin points are
 made deterministic by lexicographic refinement over barycentric coordinates,
 which `linprog.solve_lp` runs from the optimal basis of the same solve.
 
-Most simplices need no solve at all: when a subgradient of the norm at a
-least-norm vertex value proves that vertex value minimal (a few exact dot
-products, `_vertex_attains_min`), the minimum is that vertex norm and no LP
-or KKT system runs.  `_min_value_cached` runs that test first; the
-extremal subdivision runs it itself, with the vertex norms read from one
-table per map, and sends only the simplices that fail it to the solve.
-Solves are cached on the vertex values, so the decisions of one map at
-several alphas, and its critical values, share them.
+Each map holds its vertex norms |f(v)|, one table per norm, computed once
+(`PLMap.vertex_norms`).  `simplex_min` is the one routine that computes a
+minimum: when a subgradient of the norm at a least-norm vertex value proves
+that vertex value minimal (a few exact dot products, `_vertex_attains_min`),
+the minimum is that vertex norm and no LP or KKT system runs; otherwise it
+runs the solve, which refines the argmin only when the minimum lies below
+every vertex value.  Solves are cached on the vertex values, so the
+decisions of one map at several alphas, and its critical values, share them.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ class CriticalValue:
     def is_zero(self) -> bool:
         return self.q == 0
 
-    def __float__(self) -> float:
-        return float(self.q) ** 0.5 if self.is_sqrt else float(self.q)
-
     def __str__(self) -> str:
         return f"sqrt({self.q})" if self.is_sqrt else str(self.q)
 
@@ -106,7 +103,7 @@ def vector_norm(y, norm: Norm) -> CriticalValue:
 class PLMap:
     """A map |K| -> Q^n determined by rational values on the vertices."""
 
-    __slots__ = ("complex", "n", "_values")
+    __slots__ = ("complex", "n", "_values", "_norms")
 
     def __init__(self, complex_: Complex, n: int, values):
         self.complex = complex_
@@ -120,9 +117,17 @@ class PLMap:
                 raise ValueError(f"value at vertex {v} has length {len(vec)}, expected {n}")
             vals[v] = vec
         self._values = vals
+        self._norms = {}
 
     def value(self, v: VertexId) -> tuple[Fraction, ...]:
         return self._values[v]
+
+    def vertex_norms(self, norm: Norm) -> dict[VertexId, CriticalValue]:
+        """|f(v)| for every vertex v, computed once per map and norm."""
+        table = self._norms.get(norm)
+        if table is None:
+            table = self._norms[norm] = {v: vector_norm(y, norm) for v, y in self._values.items()}
+        return table
 
     @property
     def values(self) -> dict[VertexId, tuple[Fraction, ...]]:
@@ -143,7 +148,7 @@ class PLMap:
 def _exact_map(complex_: Complex, n: int, values: dict) -> PLMap:
     """A PLMap on exact values, n Fractions per vertex of complex_, as given."""
     f = object.__new__(PLMap)
-    f.complex, f.n, f._values = complex_, n, values
+    f.complex, f.n, f._values, f._norms = complex_, n, values, {}
     return f
 
 
@@ -198,34 +203,26 @@ def _min_l2(ys, n):
 
 
 @lru_cache(maxsize=1 << 16)
-def _simplex_min(ys, n, norm: Norm, refine_below=None):
+def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
     """(min |f|, its lexicographically smallest minimizer in barycentric
-    coordinates) over the simplex with vertex values ys.  Given refine_below,
-    the minimizer is computed only when the minimum lies below it, else None.
-    Cached, so the extremal stage and `_min_value_cached` share their solves.
+    coordinates) over the simplex with vertex values ys, the minimizer only
+    when the minimum lies below `below`, else None.  Cached, so the decisions
+    of one map and its critical values share their solves.
     """
     d1 = len(ys)
-
-    def refined(cv):
-        return refine_below is None or cv < refine_below
-
-    if d1 == 1:
-        cv = vector_norm(ys[0], norm)
-        return cv, ((Fraction(1),) if refined(cv) else None)
     if norm == Norm.L2:
         sq, best_y = _min_l2(ys, n)
         cv = CriticalValue.sqrt_of(sq)
-        if not refined(cv):
+        if not cv < below:
             return cv, None
         # The minimizers are the points of the simplex that hit best_y.
         rows = [[1] * d1] + [[y[i] for y in ys] for i in range(n)]
         _, lam = solve_lp(rows, [1] + best_y, [0] * d1, lex=d1)
         return cv, tuple(lam)
     rows, rhs, cost = _norm_lp(ys, n, norm)
-    bound = None if refine_below is None else refine_below.q
-    m, x = solve_lp(rows, rhs, cost, lex=d1, lex_below=bound)
+    m, x = solve_lp(rows, rhs, cost, lex=d1, lex_below=below.q)
     cv = CriticalValue.rat(m)
-    return cv, (tuple(x[:d1]) if refined(cv) else None)
+    return cv, (tuple(x[:d1]) if cv < below else None)
 
 
 def _vertex_attains_min(ys, y0, norm: Norm) -> bool:
@@ -252,44 +249,28 @@ def _vertex_attains_min(ys, y0, norm: Norm) -> bool:
                for i, a in enumerate(y0) if abs(a) == m)
 
 
-@lru_cache(maxsize=1 << 16)
-def _min_value_cached(ys: tuple, n: int, norm: Norm):
-    """(min, minimizer or None) of |f| over a simplex with vertex values ys.
-    The minimizer is refined only when the minimum lies below every vertex
-    value: the solve is the one the extremal stage runs when the test fails.
-
-    No LP or KKT system is solved when a vertex value y0 of least norm passes
-    `_vertex_attains_min`: the minimum is then |y0|, not below every vertex
-    value, and (|y0|, None) is what the solve would return."""
-    norms = [vector_norm(y, norm) for y in ys]
-    m0 = min(norms)
-    if _vertex_attains_min(ys, ys[norms.index(m0)], norm):
-        return m0, None
-    return _simplex_min(ys, n, norm, m0)
-
-
 def simplex_min_value(f: PLMap, s: Simplex, norm: Norm) -> CriticalValue:
-    """Exact minimum of |f| over a simplex.
-
-    Results are cached on the vertex-value tuple, which recurs heavily across
-    the alpha sweep of a robustness computation."""
-    if s not in f.complex:
-        raise ValueError(f"simplex {s} not in complex")
-    return _min_value_cached(tuple(f.value(v) for v in s.vertices), f.n, norm)[0]
+    """Exact minimum of |f| over a simplex of f's complex."""
+    return simplex_min(f, s, norm)[1]
 
 
-def simplex_min(f: PLMap, s: Simplex, norm: Norm,
-                refine_below=None) -> tuple[BaryPoint | None, CriticalValue]:
-    """Exact minimizer and minimum of |f| over a simplex of f's complex.
+def simplex_min(f: PLMap, s: Simplex, norm: Norm) -> tuple[BaryPoint | None, CriticalValue]:
+    """(argmin or None, minimum) of |f| over a simplex of f's complex.
 
-    The returned point is in carrier-local barycentric coordinates and is the
-    lexicographically smallest minimizer, so repeated runs agree.  Given
-    refine_below, the point is computed only when the minimum lies below it,
-    else it is None.
+    No LP or KKT system is solved when a least-norm vertex value y0 passes
+    `_vertex_attains_min`: the minimum is then |y0| and the point None.
+    Otherwise the solve runs, and the point is the lexicographically smallest
+    minimizer, in carrier-local barycentric coordinates, when the minimum
+    lies below every vertex value, else None.
     """
     if s not in f.complex:
         raise ValueError(f"simplex {s} not in complex")
-    cv, lam = _simplex_min(tuple(f.value(v) for v in s.vertices), f.n, norm, refine_below)
+    values, norms = f._values, f.vertex_norms(norm)
+    v0 = min(s.vertices, key=norms.__getitem__)
+    ys = tuple(values[v] for v in s.vertices)
+    if _vertex_attains_min(ys, values[v0], norm):
+        return None, norms[v0]
+    cv, lam = _simplex_min(ys, f.n, norm, norms[v0])
     if lam is None:
         return None, cv
     return BaryPoint.from_dict({v: w for v, w in zip(s.vertices, lam) if w != 0}), cv
@@ -317,12 +298,7 @@ def global_min(f: PLMap, norm: Norm) -> CriticalValue:
 def max_vertex_norm(f: PLMap, norm: Norm) -> CriticalValue:
     """max over vertices of |f(v)|; equals max over |K| since |f| is convex
     per simplex."""
-    best = CriticalValue.rat(0)
-    for v in f.complex.vertices:
-        cv = vector_norm(f.value(v), norm)
-        if best < cv:
-            best = cv
-    return best
+    return max(f.vertex_norms(norm).values(), default=CriticalValue.rat(0))
 
 
 def map_distance(f: PLMap, g: PLMap, norm: Norm) -> CriticalValue:

@@ -34,7 +34,6 @@ from .pl_map import (
     Norm,
     PLMap,
     _exact_map,
-    _vertex_attains_min,
     simplex_min,
     star_with_values,
     vector_norm,
@@ -150,26 +149,25 @@ def _new_cones(c: Complex, first_new: VertexId) -> list[Simplex]:
 
 class _VertexExtremal(PLMap):
     """A map that `vertexwise_extremal_subdivision` made vertex-extremal for
-    `norm`, with its table of vertex norms |f(v)|."""
+    `norm`."""
 
-    __slots__ = ("norm", "vertex_norms")
+    __slots__ = ("norm",)
 
-    def __init__(self, f: PLMap, norm: Norm, vertex_norms: dict[VertexId, CriticalValue]):
-        self.complex, self.n, self._values = f.complex, f.n, f._values
+    def __init__(self, f: PLMap, norm: Norm):
+        self.complex, self.n, self._values, self._norms = f.complex, f.n, f._values, f._norms
         self.norm = norm
-        self.vertex_norms = vertex_norms
 
 
 def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     """Subdivide until every simplex attains min |f| at one of its vertices.
 
     Each pass examines simplices in order of decreasing dimension: a simplex
-    passes when `_vertex_attains_min` certifies a least-norm vertex value
-    (the vertex norms come from one table, extended with each pass's new
-    vertices) or else when `simplex_min`, refined only below the least
-    vertex norm, finds its minimum not below every vertex value.  A simplex
-    that fails is starred at its argmin if that is interior; all picks are
-    made before the pass stars them, as one batch.
+    passes when `simplex_min` returns no argmin, that is when its minimum is
+    not below every vertex value.  A simplex that fails is starred at its
+    argmin if that is interior; all picks are made before the pass stars
+    them, as one batch.  The vertex norm table of each pass's map is the
+    previous one extended with the pass's new vertices, so each vertex norm
+    is computed once.
 
     Pass 1 examines every simplex of dimension >= 1, and pass k+1 only the
     cones on pass k's new vertices: a simplex that survives a pass unchanged
@@ -184,63 +182,54 @@ def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
 
     The postcondition is exact over the result: every simplex of dimension
     >= 1 must have been examined in this call and passed, or
-    `ReductionError` is raised.  The result keeps the norm and the vertex
-    norm table (`build_chi` reads it), and subdividing it again for that
-    norm returns it unchanged, so a map decided at several alphas is
-    subdivided once.
+    `ReductionError` is raised.  The result keeps the norm and its vertex
+    norm table, and subdividing it again for that norm returns it unchanged,
+    so a map decided at several alphas is subdivided once.
     """
     if isinstance(f, _VertexExtremal) and f.norm == norm:
         return f
-    values = f.values
-    norms = {v: vector_norm(y, norm) for v, y in values.items()}
+    norms = f.vertex_norms(norm)
     extremal: set[Simplex] = set()
     out, new = f, f.complex.vertices
     while new:
         picks = []
         for s in _new_cones(out.complex, new[0]):
-            v0 = min(s.vertices, key=norms.__getitem__)
-            p = None
-            if not _vertex_attains_min(tuple(values[v] for v in s.vertices), values[v0], norm):
-                p, _ = simplex_min(out, s, norm, norms[v0])
+            p, _ = simplex_min(out, s, norm)
             if p is None:
                 extremal.add(s)
             elif len(p.support) == len(s.vertices):
                 picks.append((s, p))
         out, new = star_with_values(out, picks)
-        for v in new:
-            values[v] = out.value(v)
-            norms[v] = vector_norm(values[v], norm)
+        if new:
+            norms = out._norms[norm] = {**norms, **{v: vector_norm(out.value(v), norm)
+                                                    for v in new}}
     bad = sorted(s for s in out.complex.simplices if s.dim and s not in extremal)
     if bad:
         raise ReductionError(f"vertex-extremality failed, not certified: {bad[:3]}")
-    return _VertexExtremal(out, norm, norms)
+    return _VertexExtremal(out, norm)
 
 
 def build_chi(f: PLMap, alpha: CriticalValue, norm: Norm) -> dict[VertexId, Fraction]:
-    """chi(v) = 0, 1/2, 1 as |f(v)| compares below, equal, above alpha.  The
-    norms of a map from `vertexwise_extremal_subdivision` are read from its
-    table."""
-    if isinstance(f, _VertexExtremal) and f.norm == norm:
-        norms = f.vertex_norms
-    else:
-        norms = {v: vector_norm(f.value(v), norm) for v in f.complex.vertices}
+    """chi(v) = 0, 1/2, 1 as |f(v)| compares below, equal, above alpha."""
     zero, one = Fraction(0), Fraction(1)
-    return {v: HALF if cv == alpha else zero if cv < alpha else one for v, cv in norms.items()}
+    return {v: HALF if cv == alpha else zero if cv < alpha else one
+            for v, cv in f.vertex_norms(norm).items()}
 
 
 def star_crossings(f: PLMap, h: dict[VertexId, Fraction],
                    first_id: VertexId | None = None) -> tuple[PLMap, list[VertexId]]:
-    """Star every edge (u, w) with h(u) * h(w) < 0 at the zero of the linear
-    extension of h, t = h(u) / (h(u) - h(w)) along u -> w.
+    """Star every edge (u, w) on which h has strictly opposite signs at the
+    zero of the linear extension of h, t = h(u) / (h(u) - h(w)) along u -> w.
 
     One scan in sorted edge order finds them all: a starring removes no other
     edge, and h vanishes at the new vertex, so no new edge crosses.  Returns
     the subdivided map and the new vertex ids, numbered on from first_id.
     """
+    sign = {v: (x > 0) - (x < 0) for v, x in h.items()}
     stars = []
     for e in f.complex.k_simplices(1):
         u, w = e.vertices
-        if h[u] * h[w] < 0:
+        if sign[u] * sign[w] < 0:
             t = h[u] / (h[u] - h[w])
             stars.append((e, BaryPoint.from_dict({u: 1 - t, w: t})))
     return star_with_values(f, stars, first_id)

@@ -291,6 +291,11 @@ def contains(interval: Interval, x) -> bool:
     return interval.lo <= Fraction(x) <= interval.hi
 
 
+def interval_of(a, b) -> Interval:
+    a, b = Fraction(a), Fraction(b)
+    return Interval(min(a, b), max(a, b))
+
+
 def weight(point: BaryPoint, v: VertexId) -> Fraction:
     return dict(point.weights).get(v, Fraction(0))
 

@@ -23,7 +23,6 @@ from robsat.pl_map import (
     CriticalValue,
     Norm,
     PLMap,
-    _min_value_cached,
     global_min,
     simplex_min,
     star_with_values,
@@ -244,7 +243,7 @@ def derived_subdivision(f: PLMap, pick) -> PLMap:
 
 def min_below_vertices(f: PLMap, s: Simplex, norm: Norm) -> bool:
     """Whether min |f| over s lies strictly below |f| at each of its vertices."""
-    return _min_value_cached(tuple(f.value(v) for v in s.vertices), f.n, norm)[1] is not None
+    return simplex_min(f, s, norm)[0] is not None
 
 
 def interior_argmin(f: PLMap, s: Simplex, norm: Norm):

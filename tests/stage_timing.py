@@ -14,9 +14,10 @@ runs them and records one row:
   and a sha256 prefix over the subdivided complex and its vertex values, so
   two checkouts that print the same prefix built the same subdivision;
 * extremal: `vertexwise_extremal_subdivision`, with every functools cache
-  of the robsat modules it runs (`_min_value_cached`, `_simplex_min`)
-  cleared before each run, so every simplex minimum is computed cold; its
-  vertex-norm table is built anew by each call;
+  of the robsat modules it runs (`_simplex_min`) cleared before each run,
+  and run on a fresh copy of the sampled map, whose vertex-norm tables
+  (`PLMap.vertex_norms`) are empty, so every vertex norm and simplex
+  minimum is computed cold;
 * split, sign: `split_level` (which cuts X out of the split complex) and
   `sign_refinement` (which validates);
 * level: `split_level`, `sign_refinement` and building the pair's X and A,
@@ -40,7 +41,7 @@ from fractions import Fraction
 from robsat import complex_core, exactlinalg, linprog, pl_map, reduction
 from robsat.grid import freudenthal_grid
 from robsat.homotopy import build_extension_system, decide_extension, pullback_cocycle, smith_solve
-from robsat.pl_map import CriticalValue, Norm
+from robsat.pl_map import CriticalValue, Norm, PLMap
 from robsat.polynomials import parse_polynomial
 from robsat.reduction import (
     build_chi,
@@ -97,8 +98,13 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     polys = [parse_polynomial(e, ["x", "y"]) for e in EXPRS]
     f, _ = sample_polynomial(polys, grid, norm)
     row = {"r": r, "norm": norm.value, "alpha": str(alpha), "simplices_in": len(f.complex)}
-    t, f1 = best_of(lambda: vertexwise_extremal_subdivision(f, norm),
-                    before=clear_caches)
+    cold = []
+
+    def fresh_map():
+        clear_caches()
+        cold[:] = [PLMap(f.complex, f.n, f.values)]
+
+    t, f1 = best_of(lambda: vertexwise_extremal_subdivision(cold[0], norm), before=fresh_map)
     row.update(simplices_out=len(f1.complex), extremal_digest=map_digest(f1), extremal_s=t)
     chi = build_chi(f1, CriticalValue.rat(alpha), norm)
     row["split_s"], pair = best_of(lambda: split_level(f1, chi))

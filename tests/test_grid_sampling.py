@@ -5,12 +5,11 @@ import pytest
 
 from robsat.complex_core import BaryPoint
 from robsat.grid import freudenthal_grid
-from robsat.intervals import Interval
 from robsat.pl_map import Norm
 from robsat.polynomials import Polynomial, PolynomialError, parse_polynomial
 from robsat.sampling import SampledTag, decide_sampled, sample_polynomial
 
-from helpers import contains
+from helpers import contains, interval_of
 from reference_oracles import evaluate, grid_locate
 
 
@@ -57,13 +56,13 @@ class TestGrid:
 
 class TestIntervals:
     def test_arithmetic(self):
-        a = Interval.of(-1, 2)
-        b = Interval.of(3, 4)
-        assert (a + b) == Interval.of(2, 6)
-        assert (a * b) == Interval.of(-4, 8)
-        assert a.power(2) == Interval.of(0, 4)
-        assert Interval.of(-3, -2).power(2) == Interval.of(4, 9)
-        assert a.power(3) == Interval.of(-1, 8)
+        a = interval_of(-1, 2)
+        b = interval_of(3, 4)
+        assert (a + b) == interval_of(2, 6)
+        assert (a * b) == interval_of(-4, 8)
+        assert a.power(2) == interval_of(0, 4)
+        assert interval_of(-3, -2).power(2) == interval_of(4, 9)
+        assert a.power(3) == interval_of(-1, 8)
 
 
 class TestPolynomials:
@@ -84,7 +83,7 @@ class TestPolynomials:
     def test_interval_eval_contains_samples(self):
         rng = random.Random(14)
         p = parse_polynomial("x**2*y - 3*x + y**3/2", ["x", "y"])
-        box = [Interval.of(-1, 1), Interval.of(0, 2)]
+        box = [interval_of(-1, 1), interval_of(0, 2)]
         rng_box = p.interval_eval(box)
         for _ in range(200):
             x = Fraction(rng.randint(-4, 4), 4)

@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robsat.complex_core import Simplex, closure
 from robsat.exactlinalg import ExactnessError, pivot, solve
 from robsat.linprog import LPInfeasible, LPUnbounded, solve_lp
-from robsat.pl_map import Norm, PLMap, _norm_lp, simplex_min
+from robsat.pl_map import CriticalValue, Norm, _norm_lp, _simplex_min
 
-from helpers import RefInfeasible, RefUnbounded, ref_lex_min, ref_solve, ref_solve_lp, weight
+from helpers import RefInfeasible, RefUnbounded, ref_lex_min, ref_solve, ref_solve_lp
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -151,13 +150,13 @@ def test_lex_argmin_matches_sequential_lps(norm):
     @settings(SETTINGS, max_examples=60)
     @given(st.integers(1, 3), st.integers(1, 3), st.data())
     def check(dim, n, data):
-        ys = [tuple(data.draw(st.lists(rationals, min_size=n, max_size=n)))
-              for _ in range(dim + 1)]
-        s = Simplex.of(list(range(dim + 1)))
-        f = PLMap(closure([list(range(dim + 1))]), n, dict(enumerate(ys)))
-        point, value = simplex_min(f, s, norm)
-        lam = [weight(point, v) for v in s.vertices]
-        assert lam == _old_argmin(ys, n, norm, value, lam)
+        ys = tuple(tuple(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+                   for _ in range(dim + 1))
+        # 1 + |ys[0]|_1 is above the minimum in every norm, so the argmin is
+        # refined wherever it lies
+        above = CriticalValue.rat(1 + sum(abs(x) for x in ys[0]))
+        value, lam = _simplex_min(ys, n, norm, above)
+        assert list(lam) == _old_argmin(ys, n, norm, value, lam)
 
     check()
 

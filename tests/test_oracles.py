@@ -1,11 +1,19 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robsat.complex_core import Simplex, closure
 from robsat.homotopy import smith_solve
-from robsat.oracles import WitnessSearchConfig, perturbation_witness
+from robsat.oracles import (
+    WitnessSearchConfig,
+    _lattice_bound,
+    _shift_magnitudes,
+    perturbation_witness,
+)
 from robsat.pl_map import CriticalValue, Norm, global_min, map_distance, simplex_min
 from robsat.reduction import SphereMap
 from robsat.robustness import RobTag, decide_robsat
@@ -58,6 +66,19 @@ class TestPerturbationWitness:
             if verdict.tag == RobTag.ROBUST_YES:
                 assert witness is None
 
+    def test_first_shift_needs_no_ladder(self):
+        """The first shift, by +alpha, is accepted; the 400,000 smaller
+        magnitudes that alpha = 10^5 and step 1/4 give are never built."""
+        f = path_map([3, -1, 3])
+        tracemalloc.start()
+        try:
+            g = perturbation_witness(f, 10 ** 5, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g is not None and g.value(1) == (Fraction(10 ** 5 - 1),)
+        assert peak < 1 << 20, peak
+
     def test_never_contradicts_robust_yes_on_shipped_corpus(self):
         import glob
         import os
@@ -77,6 +98,44 @@ class TestPerturbationWitness:
                 assert perturbation_witness(inst.f, inst.alpha, CFG, inst.norm) is None
                 checked += 1
         assert checked >= 3
+
+
+def counted_ladder(alpha: CriticalValue, step: Fraction):
+    """(the shift magnitudes, the random-trial bound), built one step at a
+    time as the witness search once did."""
+    magnitudes = []
+    if not alpha.is_sqrt:
+        m = alpha.q
+        while m > 0:
+            magnitudes.append(m)
+            m -= step
+    else:
+        m = step
+        while not alpha < CriticalValue.rat(m):
+            magnitudes.append(m)
+            m += step
+        magnitudes.reverse()
+    bound = 0
+    while not alpha < CriticalValue.rat(step * (bound + 1)):
+        bound += 1
+    return magnitudes, bound
+
+
+positive_q = st.fractions(min_value=0, max_value=20, max_denominator=12).filter(lambda q: q > 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.one_of(positive_q.map(CriticalValue.rat), positive_q.map(CriticalValue.sqrt_of)),
+       st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12))
+@example(CriticalValue.rat(1), Fraction(1, 4))           # alpha is a lattice point
+@example(CriticalValue.sqrt_of(2), Fraction(1, 4))
+@example(CriticalValue.sqrt_of(Fraction(1, 3)), Fraction(3))  # bound 0, no sqrt shift
+def test_lattice_ladder_matches_the_counting_loops(alpha, step):
+    """The lazy magnitudes and the closed-form bound equal what the
+    counting loops give, for rational and square-root alphas."""
+    magnitudes, bound = counted_ladder(alpha, step)
+    assert list(_shift_magnitudes(alpha, step)) == magnitudes
+    assert _lattice_bound(alpha, step) == bound
 
 
 class TestWindingOracle:

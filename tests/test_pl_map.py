@@ -6,14 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robsat import exactlinalg
+from robsat import exactlinalg, pl_map
 from robsat.complex_core import BaryPoint, Simplex, barycenter, closure
 from robsat.pl_map import (
     CriticalValue,
     Norm,
     PLMap,
     _min_l2,
-    _min_value_cached,
     _simplex_min,
     _vertex_attains_min,
     critical_values,
@@ -33,6 +32,7 @@ from helpers import (
     random_point_in,
     scaled,
     vertex,
+    weight,
 )
 from reference_oracles import evaluate, grid_min_check, has_root, ref_min_l2
 
@@ -120,11 +120,12 @@ class TestSimplexMin:
         assert as_dict(pt) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_deterministic_on_ties(self):
-        # |f| constant on the edge: the lexicographically smallest argmin wins.
-        f = path_map([1, 1])
-        pt, cv = simplex_min(f, Simplex.of([0, 1]), Norm.LINF)
-        assert cv == CriticalValue.rat(1)
-        assert as_dict(pt) == {1: Fraction(1)}
+        # |f| constant on the edge: the lexicographically smallest argmin
+        # wins.  `simplex_min` returns no point for a minimum at a vertex, so
+        # the solve runs with a bound above the minimum.
+        ys, n = vals((1,), (1,))
+        assert _simplex_min(ys, n, Norm.LINF, CriticalValue.rat(2)) == (
+            CriticalValue.rat(1), (Fraction(0), Fraction(1)))
 
     @pytest.mark.parametrize("norm", ALL_NORMS)
     def test_grid_oracle_dominates(self, norm):
@@ -190,7 +191,7 @@ def vals(*ys):
 
 
 class TestVertexCertificate:
-    """`_min_value_cached` skips the LP or KKT solve when a subgradient at a
+    """`simplex_min` skips the LP or KKT solve when a subgradient at a
     least-norm vertex value proves that vertex minimal."""
 
     @settings(derandomize=True, deadline=None, max_examples=1500)
@@ -202,24 +203,29 @@ class TestVertexCertificate:
     @example(vals((1, 0), (1, 0), (2, 1)), Norm.L2)           # repeated vertex value
     @example(vals((2, 0, 1), (0, 2, 1), (1, 1, 2), (2, 2, 0)), Norm.L1)
     def test_matches_the_solve(self, case, norm):
-        """The same (value, minimizer or None) as the solve bounded by the
-        least vertex norm, so the refined bit and any refined minimizer
-        agree too."""
+        """`simplex_min` on a map with one simplex gives the same value and
+        minimizer or None as the solve bounded by the least vertex norm, so
+        the refined bit and any refined minimizer agree too."""
         ys, n = case
         m0 = min(vector_norm(y, norm) for y in ys)
-        assert _min_value_cached.__wrapped__(ys, n, norm) == _simplex_min(ys, n, norm, m0)
+        s = Simplex.of(list(range(len(ys))))
+        point, cv = simplex_min(PLMap(closure([s.vertices]), n, dict(enumerate(ys))), s, norm)
+        lam = None if point is None else tuple(weight(point, v) for v in s.vertices)
+        assert (cv, lam) == _simplex_min(ys, n, norm, m0)
 
     @settings(derandomize=True, deadline=None, max_examples=1500)
     @given(simplex_values(), st.sampled_from(ALL_NORMS))
     @example(vals((1, 1), (-1, 1)), Norm.LINF)
     @example(vals((0, 0), (1, 2)), Norm.L2)
     def test_certified_vertex_is_the_minimum(self, case, norm):
-        """A vertex value the test certifies has the norm of the unbounded
-        solve's minimum."""
+        """A vertex value the test certifies has the norm of the solve's
+        minimum (the bound, here the least vertex norm, decides only whether
+        the minimizer is refined)."""
         ys, n = case
+        m0 = min(vector_norm(y, norm) for y in ys)
         for y in ys:
             if _vertex_attains_min(ys, y, norm):
-                assert _simplex_min(ys, n, norm)[0] == vector_norm(y, norm)
+                assert _simplex_min(ys, n, norm, m0)[0] == vector_norm(y, norm)
 
     @pytest.mark.parametrize("case, norm, certified", [
         (vals((0, 0), (1, 2)), Norm.L1, True),
@@ -278,6 +284,24 @@ class TestCriticalValues:
     def test_zero_map(self):
         f = path_map([0, 0])
         assert critical_values(f, Norm.LINF) == [CriticalValue.rat(0)]
+
+    @pytest.mark.parametrize("norm", ALL_NORMS)
+    def test_one_vertex_norm_per_vertex(self, norm, monkeypatch):
+        """Every simplex reads its vertex norms from the map's table, which
+        computes each once, also across calls."""
+        calls = Counter()
+
+        def counted_norm(y, nm):
+            calls["vector_norm"] += 1
+            return vector_norm(y, nm)
+
+        rng = random.Random(23)
+        cx = random_complex(rng, max_dim=3, max_vertices=6, n_maximal=3)
+        f = random_map(rng, cx, n=2)
+        monkeypatch.setattr(pl_map, "vector_norm", counted_norm)
+        for _ in range(2):
+            critical_values(f, norm)
+            assert calls["vector_norm"] == len(cx.vertices)
 
     def test_global_min_subdivision_invariant(self):
         rng = random.Random(12)

@@ -120,12 +120,13 @@ def map_on_simplex_set(rng: random.Random) -> PLMap:
 
 @pytest.mark.parametrize("norm", list(Norm))
 def test_extremal_stage_matches_derived_pass_loop(norm):
-    """The stage that examines only the cones of the last pass, with one
-    vertex-norm table, gives exactly what the derived-pass loop over every
-    simplex gave: the same simplices and vertex values, new vertex ids
-    included, and its table holds |f(v)| at every vertex.  It computes
-    each vertex norm once: the simplices that fail its subgradient test go
-    straight to the solve, which computes no vertex norm again."""
+    """The stage that examines only the cones of the last pass gives
+    exactly what the derived-pass loop over every simplex gave: the same
+    simplices and vertex values, new vertex ids included, and its map's
+    vertex-norm table holds |f(v)| at exactly its vertices.  It computes
+    each vertex norm once: each pass extends the previous pass's table with
+    its new vertices, and `simplex_min` reads the table of the map it is
+    given."""
     seen = Counter()
 
     def counted_norm(y, nm):
@@ -138,15 +139,15 @@ def test_extremal_stage_matches_derived_pass_loop(norm):
         f = map_on_simplex_set(random.Random(seed))
         ref = ref_vertexwise_extremal_subdivision(f, norm)
         seen["vector_norm calls"] = 0
-        pl_map._min_value_cached.cache_clear()  # the reference filled it
+        cold = PLMap(f.complex, f.n, f.values)  # the reference filled f's table
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reduction, "vector_norm", counted_norm)
             mp.setattr(pl_map, "vector_norm", counted_norm)
-            out = vertexwise_extremal_subdivision(f, norm)
+            out = vertexwise_extremal_subdivision(cold, norm)
         assert seen.pop("vector_norm calls") == len(out.complex.vertices)
         assert out.complex.simplices == ref.complex.simplices
         assert out.values == ref.values
-        assert out.vertex_norms == {v: vector_norm(y, norm) for v, y in ref.values.items()}
+        assert out.vertex_norms(norm) == {v: vector_norm(y, norm) for v, y in ref.values.items()}
         one_pass = derived_subdivision(f, lambda g, s: interior_argmin(g, s, norm))
         seen["starred"] += one_pass is not f
         seen["more passes"] += one_pass != ref
@@ -346,7 +347,8 @@ class TestExactChecks:
         # every argmin is put at a vertex of its simplex, so the picks star
         # nothing and the edges through the root stay
         monkeypatch.setattr(reduction, "simplex_min",
-                            lambda f, s, norm, below: (vertex(s.vertices[0]), below))
+                            lambda f, s, norm: (vertex(s.vertices[0]),
+                                                f.vertex_norms(norm)[s.vertices[0]]))
         with pytest.raises(ReductionError, match="vertex-extremality"):
             vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
 
