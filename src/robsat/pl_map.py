@@ -16,7 +16,8 @@ that vertex value minimal (a few exact dot products, `_vertex_attains_min`),
 the minimum is that vertex norm and no LP or KKT system runs; otherwise it
 runs the solve, which refines the argmin only when the minimum lies below
 every vertex value.  Solves are cached on the vertex values, so the
-decisions of one map at several alphas, and its critical values, share them.
+decisions of one map at several alphas, and its critical values, share them;
+the cache is bounded by about the working set of one such computation.
 """
 
 from __future__ import annotations
@@ -202,12 +203,17 @@ def _min_l2(ys, n):
     return best_sq, best_y
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 10)
 def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
     """(min |f|, its lexicographically smallest minimizer in barycentric
     coordinates) over the simplex with vertex values ys, the minimizer only
     when the minimum lies below `below`, else None.  Cached, so the decisions
     of one map and its critical values share their solves.
+
+    The cache holds 1,024 solves: one robustness computation on G(32) makes
+    401, and its hits are on solves of the same computation.  A larger cache
+    only keeps dead maps' vertex values alive, and each full garbage
+    collection then walks them all, so its pauses grow with every solve.
     """
     d1 = len(ys)
     if norm == Norm.L2:
