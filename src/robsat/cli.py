@@ -88,6 +88,15 @@ def _require_f(instance: Instance):
     return instance.f
 
 
+def _require_f_alone(instance: Instance, command: str):
+    """f, for a subcommand that answers for f alone: an instance with g
+    constraints is a usage error there, since only `decide` reads g."""
+    if instance.g is not None:
+        raise UsageError(f"{command} answers for f alone and would drop the instance's "
+                         "g constraints; use decide, the subcommand that reads g")
+    return _require_f(instance)
+
+
 def cmd_decide(args) -> tuple[dict, int]:
     instance = _load(args.input)
     f = _require_f(instance)
@@ -117,7 +126,7 @@ def cmd_decide(args) -> tuple[dict, int]:
 
 def cmd_robustness(args) -> tuple[dict, int]:
     instance = _load(args.input)
-    f = _require_f(instance)
+    f = _require_f_alone(instance, "robustness")
     result = robustness(f, instance.norm, assume_hopf=args.assume_hopf)
     doc: dict = {"result": result.tag.value, "norm": instance.norm.value}
     code = EXIT_DECIDED
@@ -196,7 +205,7 @@ def cmd_critical_values(args) -> tuple[dict, int]:
 
 def cmd_components(args) -> tuple[dict, int]:
     instance = _load(args.input)
-    f = _require_f(instance)
+    f = _require_f_alone(instance, "components")
     alpha = _alpha_from(args, instance)
     comps = locate_components(f, alpha, instance.norm, assume_hopf=args.assume_hopf)
     return {

@@ -111,7 +111,8 @@ class BaryPoint:
 
     @classmethod
     def from_dict(cls, d) -> "BaryPoint":
-        return cls(tuple(sorted((v, Fraction(w)) for v, w in d.items() if Fraction(w) != 0)))
+        weights = ((v, Fraction(w)) for v, w in d.items())
+        return cls(tuple(sorted((v, w) for v, w in weights if w != 0)))
 
     @property
     def support(self) -> tuple[VertexId, ...]:

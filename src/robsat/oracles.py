@@ -51,9 +51,8 @@ def _sign_definite(simplex_vertices, n: int, values) -> bool:
     return True
 
 
-def _shift(f: PLMap, delta: tuple[Fraction, ...]) -> PLMap:
-    return PLMap(f.complex, f.n,
-                 {v: tuple(a + d for a, d in zip(f.value(v), delta)) for v in f.complex.vertices})
+def _shift(values, delta: tuple[Fraction, ...]) -> dict:
+    return {v: tuple(a + d for a, d in zip(y, delta)) for v, y in values.items()}
 
 
 def _lattice_bound(alpha: CriticalValue, step: Fraction) -> int:
@@ -95,31 +94,30 @@ def perturbation_witness(f: PLMap, alpha, cfg: WitnessSearchConfig,
             raise ReductionError("a sign-definite perturbation has a root")
         return g
 
-    def accept(g: PLMap) -> bool:
-        return accept_values(g.values) is not None
-
-    if accept(f):
+    base = f.values
+    if accept_values(base) is not None:
         return f
     for mag in _shift_magnitudes(alpha, cfg.step):
         for i in range(f.n):
             for sign in (1, -1):
                 delta = tuple(sign * mag if j == i else Fraction(0) for j in range(f.n))
-                g = _shift(f, delta)
-                if accept(g):
+                g = accept_values(_shift(base, delta))
+                if g is not None:
                     return g
     rng = random.Random(cfg.seed)
     bound = _lattice_bound(alpha, cfg.step)
-    base = f.values
+    p, q = cfg.step.numerator, cfg.step.denominator
     for _ in range(cfg.trials):
         values = {}
         for v in f.complex.vertices:
             for _attempt in range(20):
-                delta = tuple(cfg.step * rng.randint(-bound, bound) for _ in range(f.n))
-                if not alpha < vector_norm(delta, norm):
+                # the lattice shift step * k, as the integer vector p * k over q
+                delta = [p * rng.randint(-bound, bound) for _ in range(f.n)]
+                if not alpha < vector_norm(delta, norm, q):
                     break
             else:
-                delta = tuple(Fraction(0) for _ in range(f.n))
-            values[v] = tuple(a + d for a, d in zip(base[v], delta))
+                delta = [0] * f.n
+            values[v] = tuple(a + Fraction(d, q) for a, d in zip(base[v], delta))
         g = accept_values(values)
         if g is not None:
             return g

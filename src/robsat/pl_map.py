@@ -18,6 +18,15 @@ runs the solve, which refines the argmin only when the minimum lies below
 every vertex value.  Solves are cached on the vertex values, so the
 decisions of one map at several alphas, and its critical values, share them;
 the cache is bounded by about the working set of one such computation.
+
+A map stores each vertex value as one reduced integer pair (nums, den): a
+tuple of ints and one positive int with gcd(den, *nums) = 1, the value being
+nums / den.  The exact kernels read the pairs: vertex norms, the vertex test
+(cross-multiplied by the positive denominators), the solves (one integer
+matrix per simplex, over the lcm of its vertex denominators) and the
+interpolation at a starred vertex, which one gcd keeps reduced.  A sign, or a
+comparison of two coordinates of one vertex, reads the numerators alone.
+`PLMap.value` and `PLMap.values` build the Fraction view on demand.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from . import exactlinalg
 from .complex_core import BaryPoint, Complex, Simplex, VertexId, star_at_point
@@ -91,101 +100,116 @@ class CriticalValue:
         return f"sqrt({self.q})" if self.is_sqrt else str(self.q)
 
 
-def vector_norm(y, norm: Norm) -> CriticalValue:
-    """Exact |y| as a CriticalValue."""
-    ys = [Fraction(v) for v in y]
-    if norm == Norm.L1:
-        return CriticalValue.rat(sum(abs(v) for v in ys))
-    if norm == Norm.LINF:
-        return CriticalValue.rat(max((abs(v) for v in ys), default=Fraction(0)))
-    return CriticalValue.sqrt_of(sum(v * v for v in ys))
+def vector_norm(y, norm: Norm, den: int = 1) -> CriticalValue:
+    """Exact |y| / den as a CriticalValue, for rational (or integer) entries y
+    and a positive integer den."""
+    if norm == Norm.L2:
+        return CriticalValue.sqrt_of(Fraction(sum(v * v for v in y), den * den))
+    size = sum(map(abs, y)) if norm == Norm.L1 else max(map(abs, y), default=0)
+    return CriticalValue(False, Fraction(size, den))
+
+
+def _pair(vec) -> tuple[tuple[int, ...], int]:
+    """The reduced pair (nums, den) of a rational vector: den is the lcm of
+    the entries' reduced denominators, so gcd(den, *nums) = 1."""
+    qs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    den = lcm(*[q.denominator for q in qs])
+    return tuple(q.numerator * (den // q.denominator) for q in qs), den
 
 
 class PLMap:
-    """A map |K| -> Q^n determined by rational values on the vertices."""
+    """A map |K| -> Q^n determined by rational values on the vertices, each
+    stored as a reduced pair (nums, den)."""
 
-    __slots__ = ("complex", "n", "_values", "_norms")
+    __slots__ = ("complex", "n", "_pairs", "_norms")
 
     def __init__(self, complex_: Complex, n: int, values):
         self.complex = complex_
         self.n = n
-        vals = {}
+        pairs = {}
         for v in complex_.vertices:
             if v not in values:
                 raise ValueError(f"vertex {v} has no value")
-            vec = tuple(Fraction(x) for x in values[v])
+            vec = values[v]
             if len(vec) != n:
                 raise ValueError(f"value at vertex {v} has length {len(vec)}, expected {n}")
-            vals[v] = vec
-        self._values = vals
+            pairs[v] = _pair(vec)
+        self._pairs = pairs
         self._norms = {}
 
     def value(self, v: VertexId) -> tuple[Fraction, ...]:
-        return self._values[v]
+        nums, den = self._pairs[v]
+        return tuple(Fraction(a, den) for a in nums)
 
     def vertex_norms(self, norm: Norm) -> dict[VertexId, CriticalValue]:
         """|f(v)| for every vertex v, computed once per map and norm."""
         table = self._norms.get(norm)
         if table is None:
-            table = self._norms[norm] = {v: vector_norm(y, norm) for v, y in self._values.items()}
+            table = self._norms[norm] = {v: vector_norm(nums, norm, den)
+                                         for v, (nums, den) in self._pairs.items()}
         return table
 
     @property
     def values(self) -> dict[VertexId, tuple[Fraction, ...]]:
-        return dict(self._values)
+        return {v: self.value(v) for v in self._pairs}
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PLMap)
             and self.n == other.n
             and self.complex == other.complex
-            and self._values == other._values
+            and self._pairs == other._pairs
         )
 
     def __repr__(self) -> str:
         return f"PLMap(n={self.n}, {self.complex!r})"
 
 
-def _exact_map(complex_: Complex, n: int, values: dict) -> PLMap:
-    """A PLMap on exact values, n Fractions per vertex of complex_, as given."""
+def _exact_map(complex_: Complex, n: int, pairs: dict) -> PLMap:
+    """A PLMap on reduced pairs, one per vertex of complex_, as given."""
     f = object.__new__(PLMap)
-    f.complex, f.n, f._values, f._norms = complex_, n, values, {}
+    f.complex, f.n, f._pairs, f._norms = complex_, n, pairs, {}
     return f
 
 
-def _norm_lp(ys, n, norm: Norm):
-    """The epigraph LP of min |sum lam_j y_j| over the standard simplex, as
-    (rows, rhs, cost).  Variable order: lam (d+1), t (1 or n), slacks (2n)."""
+def _norm_lp(ys, scale, n, norm: Norm):
+    """The epigraph LP of min |sum lam_j y_j / scale| over the standard
+    simplex, for integer vectors y_j and a positive integer scale, as
+    (rows, rhs, cost).  Variable order: lam (d+1), t (1 or n), slacks (2n).
+    Each row is scale * t -+ y.lam - s = 0, so t is the true value and the
+    slacks are scaled by `scale`."""
     d1 = len(ys)
     ts = 1 if norm == Norm.LINF else n
     width = d1 + ts + 2 * n
     rows = [[1] * d1 + [0] * (width - d1)]
     for i in range(n):
         t_col = d1 if norm == Norm.LINF else d1 + i
-        for up in (1, 0):  # t - y.lam - s_up = 0, then t + y.lam - s_lo = 0
+        for up in (1, 0):  # scale t - y.lam - s_up = 0, then scale t + y.lam - s_lo = 0
             row = [-y[i] if up else y[i] for y in ys] + [0] * (width - d1)
-            row[t_col] = 1
+            row[t_col] = scale
             row[d1 + ts + 2 * i + 1 - up] = -1
             rows.append(row)
     return rows, [1] + [0] * (2 * n), [0] * d1 + [1] * ts + [0] * (2 * n)
 
 
 def _min_l2(ys, n):
-    """Exact min of |sum lam y|_2^2 over the standard simplex, and the value
-    vector sum lam y attaining it (unique, by strict convexity).
+    """Exact min of |sum lam y|_2^2 over the standard simplex, for integer
+    vectors y, and the value vector sum lam y attaining it (unique, by strict
+    convexity).
 
-    Minimizers over the affine hull of each face solve a rational KKT system;
-    a face whose solution is infeasible is covered by its subfaces.  So is a
-    face whose KKT system is singular: its vertex values are affinely
-    dependent, and by Caratheodory the minimizer lies in the relative
-    interior of an affinely independent subface, whose KKT system is
-    nonsingular with positive weights.
+    Minimizers over the affine hull of each face solve a KKT system on the
+    integer Gram matrix G = 2 (y_a . y_b); a face whose solution is
+    infeasible is covered by its subfaces.  So is a face whose KKT system is
+    singular: its vertex values are affinely dependent, and by Caratheodory
+    the minimizer lies in the relative interior of an affinely independent
+    subface, whose KKT system is nonsingular with positive weights.  The
+    KKT multiplier mu gives the face's squared minimum: G lam = mu 1 and
+    sum lam = 1 make lam^T G lam = mu, which is twice |sum lam y|^2.
     """
     gram = [[2 * sum(a[i] * b[i] for i in range(n)) for b in ys] for a in ys]
-    best_sq = best_y = None
+    best_mu = best = None
     for k in range(1, len(ys) + 1):
         for face in combinations(range(len(ys)), k):
-            ys_f = [ys[j] for j in face]
             rows = [[gram[a][b] for b in face] + [-1] for a in face]
             rows.append([1] * k + [0])
             rhs = [0] * k + [1]
@@ -193,22 +217,24 @@ def _min_l2(ys, n):
             if sol is None:
                 raise exactlinalg.ExactnessError(
                     "KKT system of a bounded-below QP is inconsistent")
-            lam = sol[:k]
+            lam, mu = sol[:k], sol[k]
             if not unique or any(x < 0 for x in lam):
                 continue
-            yv = [sum(w * y[i] for w, y in zip(lam, ys_f)) for i in range(n)]
-            sq = sum(v * v for v in yv)
-            if best_sq is None or sq < best_sq:
-                best_sq, best_y = sq, yv
-    return best_sq, best_y
+            if best_mu is None or mu < best_mu:
+                best_mu, best = mu, (face, lam)
+    face, lam = best
+    return best_mu / 2, [sum(w * ys[j][i] for w, j in zip(lam, face)) for i in range(n)]
 
 
 @lru_cache(maxsize=1 << 10)
 def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
     """(min |f|, its lexicographically smallest minimizer in barycentric
-    coordinates) over the simplex with vertex values ys, the minimizer only
-    when the minimum lies below `below`, else None.  Cached, so the decisions
-    of one map and its critical values share their solves.
+    coordinates) over the simplex with vertex values ys, reduced pairs, the
+    minimizer only when the minimum lies below `below`, else None.  Cached,
+    so the decisions of one map and its critical values share their solves.
+
+    The solves read one integer matrix: the vertex values times the lcm of
+    their denominators.
 
     The cache holds 1,024 solves: one robustness computation on G(32) makes
     401, and its hits are on solves of the same computation.  A larger cache
@@ -216,16 +242,18 @@ def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
     collection then walks them all, so its pauses grow with every solve.
     """
     d1 = len(ys)
+    scale = lcm(*[den for _, den in ys])
+    ys = [[a * (scale // den) for a in nums] for nums, den in ys]
     if norm == Norm.L2:
         sq, best_y = _min_l2(ys, n)
-        cv = CriticalValue.sqrt_of(sq)
+        cv = CriticalValue.sqrt_of(sq / (scale * scale))
         if not cv < below:
             return cv, None
         # The minimizers are the points of the simplex that hit best_y.
         rows = [[1] * d1] + [[y[i] for y in ys] for i in range(n)]
         _, lam = solve_lp(rows, [1] + best_y, [0] * d1, lex=d1)
         return cv, tuple(lam)
-    rows, rhs, cost = _norm_lp(ys, n, norm)
+    rows, rhs, cost = _norm_lp(ys, scale, n, norm)
     m, x = solve_lp(rows, rhs, cost, lex=d1, lex_below=below.q)
     cv = CriticalValue.rat(m)
     return cv, (tuple(x[:d1]) if cv < below else None)
@@ -239,20 +267,25 @@ def _vertex_attains_min(ys, y0, norm: Norm) -> bool:
     it is the optimality test of Wolfe's min-norm-point method.  For l1 the
     test uses g = sign(y0), sign 0 on zero coordinates; for linf,
     g = sign(y0_i) e_i for some coordinate i attaining |y0|.  Each g has
-    g.y0 = |y0|, so y0 itself (the object in ys) is not tested."""
-    if not any(y0):
+    g.y0 = |y0|, so y0 itself (the object in ys) is not tested.
+
+    The values are reduced pairs; with y0 = a / da and y = b / db, each
+    inequality is multiplied by the positive denominators: g.b da >= |a| db
+    for l1 and linf, a.b da >= |a|^2 db for l2."""
+    a, da = y0
+    if not any(a):
         return True
     ys = [y for y in ys if y is not y0]
     if norm == Norm.L2:
-        sq = sum(a * a for a in y0)
-        return all(sum(a * b for a, b in zip(y0, y)) >= sq for y in ys)
+        sq = sum(x * x for x in a)
+        return all(sum(x * z for x, z in zip(a, b)) * da >= sq * db for b, db in ys)
     if norm == Norm.L1:
-        g = [(a > 0) - (a < 0) for a in y0]
-        m = sum(abs(a) for a in y0)
-        return all(sum(gi * b for gi, b in zip(g, y) if gi) >= m for y in ys)
-    m = max(abs(a) for a in y0)
-    return any(all((y[i] if a > 0 else -y[i]) >= m for y in ys)
-               for i, a in enumerate(y0) if abs(a) == m)
+        m = sum(map(abs, a))
+        return all(sum(z if x > 0 else -z for x, z in zip(a, b) if x) * da >= m * db
+                   for b, db in ys)
+    m = max(map(abs, a))
+    return any(all((b[i] if x > 0 else -b[i]) * da >= m * db for b, db in ys)
+               for i, x in enumerate(a) if abs(x) == m)
 
 
 def simplex_min_value(f: PLMap, s: Simplex, norm: Norm) -> CriticalValue:
@@ -271,7 +304,7 @@ def simplex_min(f: PLMap, s: Simplex, norm: Norm) -> tuple[BaryPoint | None, Cri
     """
     if s not in f.complex:
         raise ValueError(f"simplex {s} not in complex")
-    values, norms = f._values, f.vertex_norms(norm)
+    values, norms = f._pairs, f.vertex_norms(norm)
     v0 = min(s.vertices, key=norms.__getitem__)
     ys = tuple(values[v] for v in s.vertices)
     if _vertex_attains_min(ys, values[v0], norm):
@@ -314,8 +347,8 @@ def map_distance(f: PLMap, g: PLMap, norm: Norm) -> CriticalValue:
         raise ValueError("maps live on different complexes")
     best = CriticalValue.rat(0)
     for v in f.complex.vertices:
-        diff = tuple(a - b for a, b in zip(f.value(v), g.value(v)))
-        cv = vector_norm(diff, norm)
+        (a, da), (b, db) = f._pairs[v], g._pairs[v]
+        cv = vector_norm([x * db - z * da for x, z in zip(a, b)], norm, da * db)
         if best < cv:
             best = cv
     return best
@@ -329,10 +362,23 @@ def star_with_values(f: PLMap, stars: list[tuple[Simplex, BaryPoint]],
     if not stars:
         return f, []
     c2, new_ids = star_at_point(f.complex, stars, first_id)
-    values = f.values
+    pairs = dict(f._pairs)
     for (_, point), vid in zip(stars, new_ids):
-        values[vid] = tuple(sum(w * values[v][i] for v, w in point.weights)
-                            for i in range(f.n))
-    if len(values) != len(c2.vertices):  # starring a 0-simplex removes its vertex
-        values = {v: values[v] for v in c2.vertices}
-    return _exact_map(c2, f.n, values), new_ids
+        pairs[vid] = _interpolate(pairs, point, f.n)
+    if len(pairs) != len(c2.vertices):  # starring a 0-simplex removes its vertex
+        pairs = {v: pairs[v] for v in c2.vertices}
+    return _exact_map(c2, f.n, pairs), new_ids
+
+
+def _interpolate(pairs, point: BaryPoint, n: int) -> tuple[tuple[int, ...], int]:
+    """The reduced pair of sum_v w_v f(v) over the point's weights: the terms
+    w_v nums_v / den_v are brought to the lcm of their denominators, and one
+    gcd reduces the sum."""
+    terms = [(w.numerator, w.denominator * pairs[v][1], pairs[v][0]) for v, w in point.weights]
+    den = lcm(*[q for _, q, _ in terms])
+    acc = [0] * n
+    for p, q, nums in terms:
+        k = p * (den // q)
+        acc = [x + k * y for x, y in zip(acc, nums)]
+    g = gcd(den, *acc)
+    return tuple(x // g for x in acc), den // g

@@ -87,7 +87,8 @@ class Polynomial:
         for e, c in self.terms:
             term = c
             for x, k in zip(point, e):
-                term *= x ** k
+                if k:
+                    term *= x ** k
             total += term
         return total
 

@@ -128,14 +128,14 @@ class LevelPair:
         the terms of each coordinate share a sign, so each term is 0 and every
         vertex of p's support is a root.
         """
-        f = self.f
+        pairs = self.f._pairs  # a sign is the sign of a numerator
         for e in self.a.k_simplices(1):
-            yu, yw = (f.value(v) for v in e.vertices)
-            for i in range(f.n):
-                if yu[i] * yw[i] < 0:
+            (yu, _), (yw, _) = (pairs[v] for v in e.vertices)
+            for i, (a, b) in enumerate(zip(yu, yw)):
+                if a * b < 0:
                     raise ReductionError(f"A-edge {e} not weakly signed in coordinate {i}")
         for v in self.a.vertices:
-            if all(x == 0 for x in f.value(v)):
+            if not any(pairs[v][0]):
                 raise ReductionError(f"f has a root at the A-vertex {v}")
 
 
@@ -154,7 +154,7 @@ class _VertexExtremal(PLMap):
     __slots__ = ("norm",)
 
     def __init__(self, f: PLMap, norm: Norm):
-        self.complex, self.n, self._values, self._norms = f.complex, f.n, f._values, f._norms
+        self.complex, self.n, self._pairs, self._norms = f.complex, f.n, f._pairs, f._norms
         self.norm = norm
 
 
@@ -201,7 +201,8 @@ def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
                 picks.append((s, p))
         out, new = star_with_values(out, picks)
         if new:
-            norms = out._norms[norm] = {**norms, **{v: vector_norm(out.value(v), norm)
+            pairs = out._pairs
+            norms = out._norms[norm] = {**norms, **{v: vector_norm(pairs[v][0], norm, pairs[v][1])
                                                     for v in new}}
     bad = sorted(s for s in out.complex.simplices if s.dim and s not in extremal)
     if bad:
@@ -216,21 +217,23 @@ def build_chi(f: PLMap, alpha: CriticalValue, norm: Norm) -> dict[VertexId, Frac
             for v, cv in f.vertex_norms(norm).items()}
 
 
-def star_crossings(f: PLMap, h: dict[VertexId, Fraction],
+def star_crossings(f: PLMap, h: dict[VertexId, tuple[int, int]],
                    first_id: VertexId | None = None) -> tuple[PLMap, list[VertexId]]:
     """Star every edge (u, w) on which h has strictly opposite signs at the
     zero of the linear extension of h, t = h(u) / (h(u) - h(w)) along u -> w.
+    Each h(v) is a pair (num, den) with den > 0, so its sign is the sign of
+    num, and t = num_u den_w / (num_u den_w - num_w den_u).
 
     One scan in sorted edge order finds them all: a starring removes no other
     edge, and h vanishes at the new vertex, so no new edge crosses.  Returns
     the subdivided map and the new vertex ids, numbered on from first_id.
     """
-    sign = {v: (x > 0) - (x < 0) for v, x in h.items()}
     stars = []
     for e in f.complex.k_simplices(1):
         u, w = e.vertices
-        if sign[u] * sign[w] < 0:
-            t = h[u] / (h[u] - h[w])
+        (a, da), (b, db) = h[u], h[w]
+        if a * b < 0:
+            t = Fraction(a * db, a * db - b * da)
             stars.append((e, BaryPoint.from_dict({u: 1 - t, w: t})))
     return star_with_values(f, stars, first_id)
 
@@ -245,7 +248,8 @@ def split_level(f: PLMap, chi: dict[VertexId, Fraction]) -> LevelPair:
     from the split complex's largest vertex, whether or not it was cut.
     `sign_refinement`, which every decision runs next, validates the pair.
     """
-    f, new = star_crossings(f, {v: chi[v] - HALF for v in f.complex.vertices})
+    f, new = star_crossings(f, {v: ((chi[v] > HALF) - (chi[v] < HALF), 1)
+                                for v in f.complex.vertices})
     chi = {**chi, **dict.fromkeys(new, HALF)}
     above = {v for v in f.complex.vertices if chi[v] > HALF}
     for e in f.complex.k_simplices(1):
@@ -253,7 +257,7 @@ def split_level(f: PLMap, chi: dict[VertexId, Fraction]) -> LevelPair:
         if (u in above) != (w in above) and HALF not in (chi[u], chi[w]):
             raise ReductionError(f"0-1 edge survived: {e}")
     x = full_subcomplex(f.complex, set(f.complex.vertices) - above)
-    return LevelPair(_exact_map(x, f.n, {v: f.value(v) for v in x.vertices}),
+    return LevelPair(_exact_map(x, f.n, {v: f._pairs[v] for v in x.vertices}),
                      {v: chi[v] for v in x.vertices},
                      f.complex.vertices[-1] + 1 if f.complex.vertices else None)
 
@@ -270,11 +274,13 @@ def sign_refinement(pair: LevelPair) -> LevelPair:
     """
     f = pair.f
     chi = dict(pair.chi)
+    on_a = {v for v, c in chi.items() if c == HALF}
     first = pair.first_id
     for i in range(f.n):
-        f, new = star_crossings(f, {v: f.value(v)[i] if chi[v] == HALF else 0
-                                    for v in f.complex.vertices}, first)
+        f, new = star_crossings(f, {v: (nums[i], den) if v in on_a else (0, 1)
+                                    for v, (nums, den) in f._pairs.items()}, first)
         chi.update(dict.fromkeys(new, HALF))
+        on_a.update(new)
         first = new[-1] + 1 if new else first
     out = LevelPair(f, chi, first)
     out.validate()
@@ -292,15 +298,15 @@ def simplicial_approximation(pair: LevelPair) -> SphereMap:
     `LevelPair.validate` found no root on A, so the check reads both ends of
     every A-edge.  A map that passes is simplicial: labels +i at v and -i at
     w on one A-simplex sit on its A-edge (v, w), where s_v * f_i(w) < 0."""
-    f = pair.f
+    n, pairs = pair.f.n, pair.f._pairs  # one denominator per vertex: numerators compare
     assignment: dict[VertexId, int] = {}
     for v in pair.a.vertices:
-        val = f.value(v)
-        best = max(range(f.n), key=lambda i: (abs(val[i]), -i))
+        val = pairs[v][0]
+        best = max(range(n), key=lambda i: (abs(val[i]), -i))
         assignment[v] = (best + 1) if val[best] > 0 else -(best + 1)
     for e in pair.a.k_simplices(1):
         for v, w in (e.vertices, e.vertices[::-1]):
             lab = assignment[v]
-            if (1 if lab > 0 else -1) * f.value(w)[abs(lab) - 1] < 0:
+            if (1 if lab > 0 else -1) * pairs[w][0][abs(lab) - 1] < 0:
                 raise ReductionError(f"open-star condition fails at {v} (witness {w})")
-    return SphereMap(pair.a, f.n, assignment)
+    return SphereMap(pair.a, n, assignment)

@@ -248,12 +248,17 @@ def _split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> PLMap:
     """Star every edge on which some constraint component g_i + alpha changes
     sign strictly, at its zero; the new vertex has g_i = -alpha exactly.
     Afterwards every simplex is weakly signed in each g_i + alpha, which is
-    re-checked exactly on every edge."""
+    re-checked exactly on every edge.  With alpha = p / q, g_i + alpha at a
+    vertex value nums / den is (q nums_i + p den) / (q den), whose sign is
+    that of its numerator."""
+    p, q = alpha.numerator, alpha.denominator
     for i in range(n, h.n):
-        h, _ = star_crossings(h, {v: h.value(v)[i] + alpha for v in h.complex.vertices})
+        h, _ = star_crossings(h, {v: (q * nums[i] + p * den, q * den)
+                                  for v, (nums, den) in h._pairs.items()})
+    pairs = h._pairs
     for e in h.complex.k_simplices(1):
-        u, w = e.vertices
-        if any((h.value(u)[i] + alpha) * (h.value(w)[i] + alpha) < 0 for i in range(n, h.n)):
+        (a, da), (b, db) = (pairs[v] for v in e.vertices)
+        if any((q * a[i] + p * da) * (q * b[i] + p * db) < 0 for i in range(n, h.n)):
             raise ReductionError(f"inequality level splitting left the mixed edge {e}")
     return h
 
@@ -282,10 +287,9 @@ def decide_with_inequalities(f: PLMap, g: PLMap, alpha, norm: Norm = Norm.LINF,
     combined = PLMap(f.complex, f.n + g.n,
                      {v: f.value(v) + g.value(v) for v in f.complex.vertices})
     combined = _split_inequality_levels(combined, f.n, alpha_q)
-    keep = {
-        v for v in combined.complex.vertices
-        if all(combined.value(v)[i] <= -alpha_q for i in range(f.n, f.n + g.n))
-    }
+    p, q = alpha_q.numerator, alpha_q.denominator
+    keep = {v for v, (nums, den) in combined._pairs.items()
+            if all(q * nums[i] + p * den <= 0 for i in range(f.n, combined.n))}
     domain = full_subcomplex(combined.complex, keep)
     if domain.is_empty():
         return RobVerdict(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from robsat.complex_core import BaryPoint, Complex, IntCochain, Simplex, VertexId, closure, full_subcomplex
 from robsat.exactlinalg import ExactnessError
@@ -15,6 +16,10 @@ from robsat.pl_map import CriticalValue, PLMap, simplex_min_value, star_with_val
 from robsat.reduction import LevelPair, ReductionError, SphereMap
 
 PATH3 = closure([[0, 1], [1, 2]])
+
+# Pairwise coprime denominators for vertex values that reduced integer pairs
+# must carry exactly.
+LARGE_PRIMES = (7919, 7927, 104723, 104729, 1299709, 15485863)
 
 
 def path_map(values, n=1) -> PLMap:
@@ -302,6 +307,15 @@ def weight(point: BaryPoint, v: VertexId) -> Fraction:
 
 def as_dict(point: BaryPoint) -> dict[VertexId, Fraction]:
     return dict(point.weights)
+
+
+def assert_canonical(f: PLMap) -> None:
+    """Every vertex value of f is stored as a reduced pair: a tuple of n ints
+    and a positive int denominator with gcd(den, *nums) = 1."""
+    for v, (nums, den) in f._pairs.items():
+        assert type(den) is int and den > 0, (v, den)
+        assert len(nums) == f.n and all(type(a) is int for a in nums), (v, nums)
+        assert gcd(den, *nums) == 1, (v, nums, den)
 
 
 def scale_map(f: PLMap, c) -> PLMap:

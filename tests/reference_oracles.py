@@ -6,7 +6,9 @@ Diophantine check enumerates a box, and point location solves for barycentric
 coordinates directly.  The extremal subdivision that re-examines every
 simplex in every derived pass, and the Euclidean simplex minimum with its LP
 fallback on singular KKT faces, are the versions robsat's faster paths
-replaced.  None of them is on a path robsat runs.
+replaced, and so are the Fraction kernels that integer vertex values
+replaced: the vertex test, the epigraph LP and the simplex minimum on
+rational vertex values.  None of them is on a path robsat runs.
 """
 
 from __future__ import annotations
@@ -296,3 +298,62 @@ def ref_min_l2(ys, n):
             if best_sq is None or sq < best_sq:
                 best_sq, best_y = sq, yv
     return best_sq, best_y
+
+
+# -- the simplex minimum on rational vertex values -----------------------------
+
+def ref_norm_lp(ys, n, norm: Norm):
+    """The epigraph LP of min |sum lam_j y_j| over the standard simplex on
+    rational vertex values, as (rows, rhs, cost).  Variable order: lam (d+1),
+    t (1 or n), slacks (2n)."""
+    d1 = len(ys)
+    ts = 1 if norm == Norm.LINF else n
+    width = d1 + ts + 2 * n
+    rows = [[1] * d1 + [0] * (width - d1)]
+    for i in range(n):
+        t_col = d1 if norm == Norm.LINF else d1 + i
+        for up in (1, 0):  # t - y.lam - s_up = 0, then t + y.lam - s_lo = 0
+            row = [-y[i] if up else y[i] for y in ys] + [0] * (width - d1)
+            row[t_col] = 1
+            row[d1 + ts + 2 * i + 1 - up] = -1
+            rows.append(row)
+    return rows, [1] + [0] * (2 * n), [0] * d1 + [1] * ts + [0] * (2 * n)
+
+
+def ref_vertex_attains_min(ys, y0, norm: Norm) -> bool:
+    """The subgradient test of `pl_map._vertex_attains_min` on rational
+    vertex values: g.y >= |y0| at every vertex value y other than y0 (the
+    object in ys), for g = y0/|y0| (l2), sign(y0) (l1), or sign(y0_i) e_i at
+    some coordinate i attaining |y0| (linf)."""
+    if not any(y0):
+        return True
+    ys = [y for y in ys if y is not y0]
+    if norm == Norm.L2:
+        sq = sum(a * a for a in y0)
+        return all(sum(a * b for a, b in zip(y0, y)) >= sq for y in ys)
+    if norm == Norm.L1:
+        g = [(a > 0) - (a < 0) for a in y0]
+        m = sum(abs(a) for a in y0)
+        return all(sum(gi * b for gi, b in zip(g, y) if gi) >= m for y in ys)
+    m = max(abs(a) for a in y0)
+    return any(all((y[i] if a > 0 else -y[i]) >= m for y in ys)
+               for i, a in enumerate(y0) if abs(a) == m)
+
+
+def ref_simplex_min(ys, n, norm: Norm, below: CriticalValue):
+    """`pl_map._simplex_min` on rational vertex values, uncached: (min |f|,
+    its lexicographically smallest minimizer when the minimum lies below
+    `below`, else None)."""
+    d1 = len(ys)
+    if norm == Norm.L2:
+        sq, best_y = ref_min_l2(ys, n)
+        cv = CriticalValue.sqrt_of(sq)
+        if not cv < below:
+            return cv, None
+        rows = [[1] * d1] + [[y[i] for y in ys] for i in range(n)]
+        _, lam = solve_lp(rows, [1] + best_y, [0] * d1, lex=d1)
+        return cv, tuple(lam)
+    rows, rhs, cost = ref_norm_lp(ys, n, norm)
+    m, x = solve_lp(rows, rhs, cost, lex=d1, lex_below=below.q)
+    cv = CriticalValue.rat(m)
+    return cv, (tuple(x[:d1]) if cv < below else None)

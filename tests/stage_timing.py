@@ -18,6 +18,9 @@ runs them and records one row:
   and run on a fresh copy of the sampled map, whose vertex-norm tables
   (`PLMap.vertex_norms`) are empty, so every vertex norm and simplex
   minimum is computed cold;
+* fraction_share: the share of self time spent in `fractions.py` and
+  `math.gcd` during one more cold extremal run, under cProfile (the
+  profiled run is not one of the timed ones);
 * split, sign: `split_level` (which cuts X out of the split complex) and
   `sign_refinement` (which validates);
 * level: `split_level`, `sign_refinement` and building the pair's X and A,
@@ -32,8 +35,10 @@ JSON list.  pytest does not collect this file.
 
 from __future__ import annotations
 
+import cProfile
 import hashlib
 import json
+import pstats
 import sys
 import time
 from fractions import Fraction
@@ -80,6 +85,18 @@ def clear_caches() -> None:
                 obj.cache_clear()
 
 
+def fraction_share(cold_map, norm: Norm) -> float:
+    """Share of self time in fractions.py and math.gcd while cProfile runs
+    one extremal stage on cold_map."""
+    prof = cProfile.Profile()
+    prof.runcall(vertexwise_extremal_subdivision, cold_map, norm)
+    stats = pstats.Stats(prof).stats  # (file, line, name) -> (cc, nc, self, cum, callers)
+    total = sum(row[2] for row in stats.values())
+    rational = sum(row[2] for (path, _, name), row in stats.items()
+                   if path.endswith("fractions.py") or name == "<built-in method math.gcd>")
+    return round(rational / total, 3)
+
+
 def level_pair(f1, chi):
     """The validated level pair, with its X and A built."""
     pair = sign_refinement(split_level(f1, chi))
@@ -106,6 +123,8 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
 
     t, f1 = best_of(lambda: vertexwise_extremal_subdivision(cold[0], norm), before=fresh_map)
     row.update(simplices_out=len(f1.complex), extremal_digest=map_digest(f1), extremal_s=t)
+    fresh_map()
+    row["fraction_share"] = fraction_share(cold[0], norm)
     chi = build_chi(f1, CriticalValue.rat(alpha), norm)
     row["split_s"], pair = best_of(lambda: split_level(f1, chi))
     row["sign_s"], pair = best_of(lambda: sign_refinement(pair))

@@ -76,7 +76,22 @@ class TestDecide:
         assert doc["verdict"] == "RobustNo"
 
 
+def assert_g_is_a_usage_error(capsys, *argv):
+    """The subcommand exits 64 with one usage-error document that names
+    decide, and prints no answer."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and not captured.out.strip()
+    err = json.loads(captured.err)
+    assert err["error"] == "usage" and "decide" in err["message"]
+
+
 class TestRobustness:
+    def test_inequality_instance_is_a_usage_error(self, capsys):
+        # decide says RobustNo here at alpha 1; robustness of f alone is 1
+        assert_g_is_a_usage_error(capsys, "robustness",
+                                  "-i", instance("path_with_inequality.json"))
+
     def test_value(self, capsys):
         code, doc = run(capsys, "robustness", "-i", instance("path_3_-1_3.json"))
         assert code == EXIT_DECIDED
@@ -146,6 +161,11 @@ class TestOtherCommands:
         code, doc = run(capsys, "components", "-i", instance("two_paths.json"))
         assert len(doc["components"]) == 2
         assert all(c["verdict"] == "RobustYes" for c in doc["components"])
+
+    def test_components_of_an_inequality_instance_is_a_usage_error(self, capsys):
+        # decide says RobustNo at alpha 1; f alone has a RobustYes component
+        assert_g_is_a_usage_error(capsys, "components",
+                                  "-i", instance("path_with_inequality.json"), "--alpha", "1")
 
     def test_sample_grid(self, capsys):
         code, doc = run(capsys, "sample-grid", "--vars", "x",

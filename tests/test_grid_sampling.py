@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robsat.complex_core import BaryPoint
 from robsat.grid import freudenthal_grid
@@ -79,6 +81,25 @@ class TestPolynomials:
     def test_rejects_non_polynomials(self, bad):
         with pytest.raises(PolynomialError):
             parse_polynomial(bad, ["x", "y"])
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(1, 3), st.data())
+    def test_eval_at_matches_term_by_term(self, nvars, data):
+        """`eval_at`, which skips zero exponents, equals the sum over the
+        terms of c * prod x_i ** k_i, zero exponents and zero coordinates
+        included."""
+        rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+        exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+        terms = data.draw(st.dictionaries(exponents, rationals, max_size=6))
+        point = data.draw(st.lists(rationals, min_size=nvars, max_size=nvars))
+        p = Polynomial.from_dict(nvars, terms)
+        naive = Fraction(0)
+        for e, c in p.terms:
+            term = c
+            for x, k in zip(point, e):
+                term *= x ** k
+            naive += term
+        assert p.eval_at(point) == naive
 
     def test_interval_eval_contains_samples(self):
         rng = random.Random(14)

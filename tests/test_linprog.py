@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from robsat.exactlinalg import ExactnessError, pivot, solve
 from robsat.linprog import LPInfeasible, LPUnbounded, solve_lp
-from robsat.pl_map import CriticalValue, Norm, _norm_lp, _simplex_min
+from robsat.pl_map import CriticalValue, Norm, _pair, _simplex_min
 
 from helpers import RefInfeasible, RefUnbounded, ref_lex_min, ref_solve, ref_solve_lp
+from reference_oracles import ref_norm_lp
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -139,7 +140,7 @@ def _old_argmin(ys, n, norm, value, lam):
         assert sum(v * v for v in best_y) == value.square()
         rows = [[1] * d1] + [[y[i] for y in ys] for i in range(n)]
         return ref_lex_min(rows, [1] + best_y, d1, d1)
-    rows, rhs, cost = _norm_lp(ys, n, norm)
+    rows, rhs, cost = ref_norm_lp(ys, n, norm)
     m, _ = ref_solve_lp(rows, rhs, cost)
     assert m == value.q
     return ref_lex_min(rows + [cost], rhs + [m], d1, len(cost))
@@ -155,7 +156,7 @@ def test_lex_argmin_matches_sequential_lps(norm):
         # 1 + |ys[0]|_1 is above the minimum in every norm, so the argmin is
         # refined wherever it lies
         above = CriticalValue.rat(1 + sum(abs(x) for x in ys[0]))
-        value, lam = _simplex_min(ys, n, norm, above)
+        value, lam = _simplex_min(tuple(_pair(y) for y in ys), n, norm, above)
         assert list(lam) == _old_argmin(ys, n, norm, value, lam)
 
     check()

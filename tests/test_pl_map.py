@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from robsat.pl_map import (
     Norm,
     PLMap,
     _min_l2,
+    _pair,
     _simplex_min,
     _vertex_attains_min,
     critical_values,
@@ -24,7 +26,9 @@ from robsat.pl_map import (
 )
 
 from helpers import (
+    LARGE_PRIMES,
     as_dict,
+    assert_canonical,
     extend_lineage,
     path_map,
     random_complex,
@@ -34,7 +38,14 @@ from helpers import (
     vertex,
     weight,
 )
-from reference_oracles import evaluate, grid_min_check, has_root, ref_min_l2
+from reference_oracles import (
+    evaluate,
+    grid_min_check,
+    has_root,
+    ref_min_l2,
+    ref_simplex_min,
+    ref_vertex_attains_min,
+)
 
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
 
@@ -124,7 +135,7 @@ class TestSimplexMin:
         # wins.  `simplex_min` returns no point for a minimum at a vertex, so
         # the solve runs with a bound above the minimum.
         ys, n = vals((1,), (1,))
-        assert _simplex_min(ys, n, Norm.LINF, CriticalValue.rat(2)) == (
+        assert _simplex_min(pairs(ys), n, Norm.LINF, CriticalValue.rat(2)) == (
             CriticalValue.rat(1), (Fraction(0), Fraction(1)))
 
     @pytest.mark.parametrize("norm", ALL_NORMS)
@@ -186,8 +197,42 @@ def simplex_values(draw):
     return tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))), n
 
 
+@st.composite
+def coprime_simplex_values(draw):
+    """(vertex values of a simplex of dimension 0-3, n) with n = 1-3, like
+    `simplex_values`, but each pool entry may be moved by -1/p, 0 or 1/p in
+    each coordinate for its own large prime p, so the vertex denominators
+    are large and pairwise coprime.  Entries left unmoved keep the zero
+    vectors and norm ties; repeated entries repeat vertex values."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3).map(lambda k: Fraction(k, 2))
+    primes = draw(st.permutations(LARGE_PRIMES))
+    pool = []
+    for p in primes[:draw(st.integers(1, 4))]:
+        y = draw(st.tuples(*[coord] * n))
+        if draw(st.booleans()):
+            y = tuple(x + Fraction(draw(st.integers(-1, 1)), p) for x in y)
+        pool.append(y)
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))), n
+
+
+def any_simplex_values():
+    return st.one_of(simplex_values(), coprime_simplex_values())
+
+
 def vals(*ys):
     return tuple(tuple(Fraction(x) for x in y) for y in ys), len(ys[0])
+
+
+def pairs(ys):
+    """The reduced pairs (nums, den) of rational vertex values."""
+    return tuple(_pair(y) for y in ys)
+
+
+def integer_matrix(ys):
+    """(the vertex values times the lcm of their denominators, that lcm)."""
+    scale = lcm(*(x.denominator for y in ys for x in y))
+    return [[int(x * scale) for x in y] for y in ys], scale
 
 
 class TestVertexCertificate:
@@ -211,7 +256,7 @@ class TestVertexCertificate:
         s = Simplex.of(list(range(len(ys))))
         point, cv = simplex_min(PLMap(closure([s.vertices]), n, dict(enumerate(ys))), s, norm)
         lam = None if point is None else tuple(weight(point, v) for v in s.vertices)
-        assert (cv, lam) == _simplex_min(ys, n, norm, m0)
+        assert (cv, lam) == _simplex_min(pairs(ys), n, norm, m0)
 
     @settings(derandomize=True, deadline=None, max_examples=1500)
     @given(simplex_values(), st.sampled_from(ALL_NORMS))
@@ -223,9 +268,10 @@ class TestVertexCertificate:
         the minimizer is refined)."""
         ys, n = case
         m0 = min(vector_norm(y, norm) for y in ys)
-        for y in ys:
-            if _vertex_attains_min(ys, y, norm):
-                assert _simplex_min(ys, n, norm, m0)[0] == vector_norm(y, norm)
+        ps = pairs(ys)
+        for y, p in zip(ys, ps):
+            if _vertex_attains_min(ps, p, norm):
+                assert _simplex_min(ps, n, norm, m0)[0] == vector_norm(y, norm)
 
     @pytest.mark.parametrize("case, norm, certified", [
         (vals((0, 0), (1, 2)), Norm.L1, True),
@@ -238,8 +284,62 @@ class TestVertexCertificate:
         (vals((1, 1), (-1, -1)), Norm.LINF, False),
     ])
     def test_examples(self, case, norm, certified):
+        ps = pairs(case[0])
+        assert _vertex_attains_min(ps, ps[0], norm) is certified
+
+
+class TestIntegerKernels:
+    """The kernels on reduced integer pairs give exactly what the Fraction
+    kernels they replaced give, on draws with zero vectors, vertex-norm ties
+    and large pairwise coprime vertex denominators."""
+
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    @given(any_simplex_values(), st.sampled_from(ALL_NORMS))
+    @example(vals((0, 0), (Fraction(1, 7919), 2)), Norm.L2)
+    @example(vals((Fraction(1, 7919), 1), (1, Fraction(-1, 7927))), Norm.LINF)
+    @example(vals((Fraction(3, 104723), 1), (Fraction(1, 104729), 1)), Norm.L1)
+    def test_vertex_test(self, case, norm):
         ys, _ = case
-        assert _vertex_attains_min(ys, ys[0], norm) is certified
+        ps = pairs(ys)
+        for y, p in zip(ys, ps):
+            assert _vertex_attains_min(ps, p, norm) is ref_vertex_attains_min(ys, y, norm)
+
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(any_simplex_values(), st.sampled_from(ALL_NORMS), st.booleans())
+    @example(vals((Fraction(1, 7919), 0), (0, Fraction(1, 7927))), Norm.L2, True)
+    @example(vals((Fraction(-1, 104723), 1), (Fraction(1, 104729), 1)), Norm.LINF, True)
+    def test_simplex_min(self, case, norm, refine):
+        """The same minimum, and the same minimizer or None, with the least
+        vertex norm as the bound or (refine) a bound above the minimum."""
+        ys, n = case
+        below = min(vector_norm(y, norm) for y in ys)
+        if refine:
+            below = CriticalValue.rat(1 + sum(abs(x) for x in ys[0]))
+        assert _simplex_min(pairs(ys), n, norm, below) == ref_simplex_min(ys, n, norm, below)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(coprime_simplex_values(), st.data())
+    def test_star_with_values(self, case, data):
+        """A batch of two starrings, the second on an edge of the first's new
+        vertex, interpolates f in Fractions at both new vertices, and every
+        pair stays reduced."""
+        ys, n = case
+        d1 = len(ys)
+        f = PLMap(closure([range(d1)]), n, dict(enumerate(ys)))
+        weights = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=d1, max_size=d1))
+        p1 = BaryPoint.from_dict({v: Fraction(w, sum(weights)) for v, w in enumerate(weights)})
+        k = data.draw(st.integers(1, 10 ** 6))
+        p2 = BaryPoint.from_dict({0: Fraction(k, k + 7919), d1: Fraction(7919, k + 7919)})
+        stars = [(Simplex(tuple(range(d1))), p1), (Simplex.of([0, d1]), p2)]
+        if d1 == 1:
+            stars = stars[:1]
+        f2, new = star_with_values(f, stars)
+        assert_canonical(f2)
+        expected = evaluate(f, p1)
+        assert f2.value(new[0]) == expected
+        if len(new) == 2:
+            assert f2.value(new[1]) == tuple(p2.weights[0][1] * a + p2.weights[1][1] * b
+                                             for a, b in zip(ys[0], expected))
 
 
 def affinely_dependent(ys) -> bool:
@@ -257,15 +357,20 @@ def test_min_l2_matches_the_lp_fallback():
     seen = Counter()
 
     @settings(derandomize=True, deadline=None, max_examples=1500)
-    @given(simplex_values())
+    @given(any_simplex_values())
     @example(vals((1, 0), (1, 0)))                            # repeated value
     @example(vals((-1, -1), (1, 1), (2, 2)))                  # collinear through 0
     @example(vals((1, 2), (2, 2), (3, 2), (2, 3)))            # three on a line
     @example(vals((1, 1, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)))
     def check(case):
+        """`_min_l2` reads integer vertex values: the rational ones times the
+        lcm of their denominators, which scales the minimum's square by the
+        lcm squared and its value vector by the lcm."""
         ys, n = case
         seen[affinely_dependent(ys)] += 1
-        assert _min_l2(ys, n) == ref_min_l2(ys, n)
+        matrix, scale = integer_matrix(ys)
+        sq, y = _min_l2(matrix, n)
+        assert (sq / scale ** 2, [v / scale for v in y]) == ref_min_l2(ys, n)
 
     check()
     assert seen[True] >= 100 and seen[False] >= 100, seen
@@ -291,9 +396,9 @@ class TestCriticalValues:
         computes each once, also across calls."""
         calls = Counter()
 
-        def counted_norm(y, nm):
+        def counted_norm(*args):
             calls["vector_norm"] += 1
-            return vector_norm(y, nm)
+            return vector_norm(*args)
 
         rng = random.Random(23)
         cx = random_complex(rng, max_dim=3, max_vertices=6, n_maximal=3)

@@ -26,6 +26,8 @@ from robsat.reduction import (
 from robsat.robustness import RobTag, _split_inequality_levels, decide_robsat
 
 from helpers import (
+    LARGE_PRIMES,
+    assert_canonical,
     compose_automorphism,
     contains_point,
     path_map,
@@ -47,6 +49,12 @@ from reference_oracles import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def as_pairs(h):
+    """A rational function on vertices as the (num, den) pairs that
+    `star_crossings` reads."""
+    return {v: (Fraction(x).numerator, Fraction(x).denominator) for v, x in h.items()}
 
 
 class TestSphereModel:
@@ -129,9 +137,9 @@ def test_extremal_stage_matches_derived_pass_loop(norm):
     given."""
     seen = Counter()
 
-    def counted_norm(y, nm):
+    def counted_norm(*args):
         seen["vector_norm calls"] += 1
-        return vector_norm(y, nm)
+        return vector_norm(*args)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(0, 2 ** 32))
@@ -145,6 +153,7 @@ def test_extremal_stage_matches_derived_pass_loop(norm):
             mp.setattr(pl_map, "vector_norm", counted_norm)
             out = vertexwise_extremal_subdivision(cold, norm)
         assert seen.pop("vector_norm calls") == len(out.complex.vertices)
+        assert_canonical(out)
         assert out.complex.simplices == ref.complex.simplices
         assert out.values == ref.values
         assert out.vertex_norms(norm) == {v: vector_norm(y, norm) for v, y in ref.values.items()}
@@ -219,7 +228,7 @@ class TestSplitLevel:
         pair = self.trace_pair()
         f = vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
         chi = build_chi(f, CriticalValue.rat(1), Norm.LINF)
-        split, new = star_crossings(f, {v: chi[v] - HALF for v in f.complex.vertices})
+        split, new = star_crossings(f, as_pairs({v: chi[v] - HALF for v in f.complex.vertices}))
         chi.update(dict.fromkeys(new, HALF))
         ambient = split.complex
         assert pair.x.simplices < ambient.simplices
@@ -375,6 +384,65 @@ class TestExactChecks:
         assert "5 passed" in proc.stdout
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32))
+def test_star_crossings_matches_fraction_interpolation(seed):
+    """With f and h over large, pairwise coprime vertex denominators,
+    `star_crossings` stars exactly the edges on which h changes sign
+    strictly, in sorted order, and each new vertex gets the Fraction
+    interpolation (1 - t) f(u) + t f(w) at t = h(u) / (h(u) - h(w)), stored
+    as a reduced pair."""
+    rng = random.Random(seed)
+    cx = random_complex(rng, max_dim=2, max_vertices=6, n_maximal=3)
+    n = rng.randint(1, 3)
+    f = PLMap(cx, n, {v: tuple(Fraction(rng.randint(-5, 5), p) for _ in range(n))
+                      for v, p in zip(cx.vertices, rng.sample(LARGE_PRIMES, len(cx.vertices)))})
+    h = {v: Fraction(rng.randint(-3, 3), p)
+         for v, p in zip(cx.vertices, rng.sample(LARGE_PRIMES, len(cx.vertices)))}
+    f2, new = star_crossings(f, as_pairs(h))
+    crossing = [e for e in cx.k_simplices(1) if h[e.vertices[0]] * h[e.vertices[1]] < 0]
+    assert len(new) == len(crossing)
+    for e, vid in zip(crossing, new):
+        u, w = e.vertices
+        t = h[u] / (h[u] - h[w])
+        assert f2.value(vid) == tuple((1 - t) * a + t * b for a, b in zip(f.value(u), f.value(w)))
+    assert_canonical(f2)
+
+
+def coprime_map(rng: random.Random, cx, n: int) -> PLMap:
+    """A map with small numerators over one large prime per vertex."""
+    return PLMap(cx, n, {v: tuple(Fraction(rng.randint(-5, 5), p) for _ in range(n))
+                         for v, p in zip(cx.vertices, rng.sample(LARGE_PRIMES, len(cx.vertices)))})
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_stages_store_reduced_pairs(norm):
+    """The extremal stage, the level split, sign refinement and the
+    inequality-level split store every vertex value as a reduced pair, on
+    maps over large, pairwise coprime vertex denominators."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        cx = random_complex(rng, max_dim=2, max_vertices=6, n_maximal=3)
+        n = rng.randint(1, 3)
+        f = coprime_map(rng, cx, n)
+        f1 = vertexwise_extremal_subdivision(f, norm)
+        positive = sorted(cv for cv in f1.vertex_norms(norm).values() if not cv.is_zero())
+        alpha = rng.choice(positive) if positive else CriticalValue.rat(1)
+        pair = split_level(f1, build_chi(f1, alpha, norm))
+        refined = sign_refinement(pair)
+        g = coprime_map(rng, cx, rng.randint(1, 2))
+        h = PLMap(cx, n + g.n, {v: f.value(v) + g.value(v) for v in cx.vertices})
+        level = Fraction(rng.randint(0, 8), rng.choice(LARGE_PRIMES))
+        split_h = _split_inequality_levels(h, n, level)
+        for m in (f1, pair.f, refined.f, split_h):
+            assert_canonical(m)
+
+    check()
+
+
 def assert_same_pair(pair, ref):
     """pair, which lives on X, is ref (on the ambient complex) cut to X, the
     full subcomplex on ref's chi <= 1/2 vertices: the same simplices, vertex
@@ -422,7 +490,7 @@ def test_star_crossings_matches_rescan_loops(norm, n):
         chi = build_chi(f1, alpha, norm)
 
         ref = ref_split_level(f1, chi)
-        f2, new = star_crossings(f1, {v: chi[v] - HALF for v in f1.complex.vertices})
+        f2, new = star_crossings(f1, as_pairs({v: chi[v] - HALF for v in f1.complex.vertices}))
         assert f2 == ref.f
         assert new == sorted(set(ref.f.complex.vertices) - set(f1.complex.vertices))
         pair = split_level(f1, chi)
