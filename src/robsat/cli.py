@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -26,6 +27,7 @@ from .pl_map import CriticalValue, Norm, critical_values
 from .robustness import (
     RobTag,
     RobustnessTag,
+    _validate_witness,
     decide_robsat,
     decide_with_inequalities,
     locate_components,
@@ -110,6 +112,8 @@ def cmd_decide(args) -> tuple[dict, int]:
                                            assume_hopf=args.assume_hopf)
         if verdict.tag is RobTag.ROBUST_NO and cfg is not None and verdict.witness is None:
             verdict.witness = perturbation_witness(f, alpha, cfg, instance.norm)
+            if verdict.witness is not None:
+                _validate_witness(f, verdict.witness, alpha, instance.norm)
     else:
         verdict = decide_robsat(f, alpha, instance.norm,
                                 assume_hopf=args.assume_hopf, witness_config=cfg)
@@ -340,22 +344,20 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         doc, code = args.func(args)
-    except UsageError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(json.dumps({"error": "parse", "message": str(exc)}), file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        # semantic misuse (alpha <= 0, wrong norm for inequalities, ...)
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
+        doc["timings"] = {"total_s": round(time.perf_counter() - start, 6)}
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except (UsageError, ValueError) as exc:
+        # a ValueError other than ParseError is semantic misuse (alpha <= 0, ...)
+        kind, code = ("parse", EXIT_PARSE) if isinstance(exc, ParseError) else ("usage", EXIT_USAGE)
+        print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+        return code
     except Exception as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout closed: exit's flush goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(json.dumps({"error": "internal", "type": type(exc).__name__,
                           "message": str(exc)}), file=sys.stderr)
         return EXIT_INTERNAL
-    doc["timings"] = {"total_s": round(time.perf_counter() - start, 6)}
-    print(json.dumps(doc, indent=2, sort_keys=True))
     return code
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
-from .pl_map import CriticalValue, Norm, PLMap, global_min, map_distance, vector_norm
-from .reduction import ReductionError
+from .pl_map import CriticalValue, Norm, PLMap, vector_norm
 
 
 @dataclass(frozen=True)
@@ -76,34 +75,24 @@ def perturbation_witness(f: PLMap, alpha, cfg: WitnessSearchConfig,
 
     Trial order (deterministic): f itself, then constant shifts along signed
     coordinate axes with lattice magnitudes from alpha downward, then `trials`
-    random vertexwise lattice perturbations.  Candidates are accepted only via
-    an exact sign-definiteness proof, then revalidated with the exact global
-    minimum; a None result proves nothing.
+    random vertexwise lattice perturbations, each within alpha by
+    construction.  A candidate is accepted only via an exact
+    sign-definiteness proof; the caller re-checks a returned witness once,
+    with the exact global minimum and distance.  None proves nothing.
     """
     if not isinstance(alpha, CriticalValue):
         alpha = CriticalValue.rat(Fraction(alpha))
     top = [s.vertices for s in f.complex.maximal_simplices()]
-
-    def accept_values(values) -> PLMap | None:
-        if not _sign_definite(top, f.n, values):
-            return None
-        g = PLMap(f.complex, f.n, values)
-        if alpha < map_distance(f, g, norm):
-            return None
-        if global_min(g, norm).is_zero():
-            raise ReductionError("a sign-definite perturbation has a root")
-        return g
-
     base = f.values
-    if accept_values(base) is not None:
+    if _sign_definite(top, f.n, base):
         return f
     for mag in _shift_magnitudes(alpha, cfg.step):
         for i in range(f.n):
             for sign in (1, -1):
                 delta = tuple(sign * mag if j == i else Fraction(0) for j in range(f.n))
-                g = accept_values(_shift(base, delta))
-                if g is not None:
-                    return g
+                values = _shift(base, delta)
+                if _sign_definite(top, f.n, values):
+                    return PLMap(f.complex, f.n, values)
     rng = random.Random(cfg.seed)
     bound = _lattice_bound(alpha, cfg.step)
     p, q = cfg.step.numerator, cfg.step.denominator
@@ -118,8 +107,7 @@ def perturbation_witness(f: PLMap, alpha, cfg: WitnessSearchConfig,
             else:
                 delta = [0] * f.n
             values[v] = tuple(a + Fraction(d, q) for a, d in zip(base[v], delta))
-        g = accept_values(values)
-        if g is not None:
-            return g
+        if _sign_definite(top, f.n, values):
+            return PLMap(f.complex, f.n, values)
     return None
 

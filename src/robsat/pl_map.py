@@ -380,5 +380,10 @@ def _interpolate(pairs, point: BaryPoint, n: int) -> tuple[tuple[int, ...], int]
     for p, q, nums in terms:
         k = p * (den // q)
         acc = [x + k * y for x, y in zip(acc, nums)]
-    g = gcd(den, *acc)
-    return tuple(x // g for x in acc), den // g
+    return _reduced(acc, den)
+
+
+def _reduced(nums, den) -> tuple[tuple[int, ...], int]:
+    """The pair (nums, den) divided by gcd(den, *nums)."""
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g

@@ -6,20 +6,21 @@ The pipeline has three stages, each an exact subdivision or relabelling:
    starring interior argmins, largest dimension first; the maximum is at a
    vertex automatically, |f| being convex on each simplex);
 2. classify vertices by comparing |f(v)| with alpha (the chi labels 0, 1/2, 1);
-3. star every edge on which a vertexwise function h changes sign strictly,
-   at the zero of h (`star_crossings`): first h = chi - 1/2, so that the
+3. star every edge on which a pass h, a vertexwise function, changes sign
+   strictly, at the zero of h, with one `star_crossings` call per stage that
+   runs the stage's passes in order: first h = chi - 1/2, so that the
    sublevel and level sets become full subcomplexes (X and A), then each
    coordinate of f on A, so that every coordinate is weakly signed on every
    simplex of A, at which point the vertexwise rule v -> sign * e_index is a
    simplicial approximation into the boundary of the cross polytope.
 
-After the level split is checked for 0-1 edges, only X is kept: the level
-pair (`LevelPair`) lives on X, A is cut from it once, and the pair is
-validated once, after sign refinement.  Each subdivision is one batched
-`star_at_point` call per pass (one for the derived pass, one per crossing
-pass), and everything is validated by exact rational checks rather than
-trusted.  The checks on the level pair are edge-local and norm-free: they
-read f only at the vertices and edges of A (see `LevelPair.validate`).
+After the level split re-runs its pass's `crossings` scan to check for 0-1
+edges, only X is kept: the level pair (`LevelPair`) lives on X, A is cut
+from it once, and the pair is validated once, after sign refinement.  Each
+pass stars in one batched `star_at_point` call, and everything is validated
+by exact rational checks rather than trusted.  The checks on the level pair
+are edge-local and norm-free: they read f only at the vertices and edges of
+A (see `LevelPair.validate`).
 """
 
 from __future__ import annotations
@@ -217,25 +218,35 @@ def build_chi(f: PLMap, alpha: CriticalValue, norm: Norm) -> dict[VertexId, Frac
             for v, cv in f.vertex_norms(norm).items()}
 
 
-def star_crossings(f: PLMap, h: dict[VertexId, tuple[int, int]],
-                   first_id: VertexId | None = None) -> tuple[PLMap, list[VertexId]]:
-    """Star every edge (u, w) on which h has strictly opposite signs at the
-    zero of the linear extension of h, t = h(u) / (h(u) - h(w)) along u -> w.
-    Each h(v) is a pair (num, den) with den > 0, so its sign is the sign of
-    num, and t = num_u den_w / (num_u den_w - num_w den_u).
-
-    One scan in sorted edge order finds them all: a starring removes no other
-    edge, and h vanishes at the new vertex, so no new edge crosses.  Returns
-    the subdivided map and the new vertex ids, numbered on from first_id.
-    """
-    stars = []
+def crossings(f: PLMap, h) -> list[tuple[Simplex, BaryPoint]]:
+    """The edges (u, w) of f's complex on which the pass h has strictly
+    opposite signs, in sorted order, each with the zero of the linear
+    extension of h, t = h(u) / (h(u) - h(w)) along u -> w.  h maps a vertex
+    and its reduced pair to a pair (num, den) with den > 0, so its sign is
+    the sign of num, and t = num_u den_w / (num_u den_w - num_w den_u)."""
+    hv = {v: h(v, y) for v, y in f._pairs.items()}
+    out = []
     for e in f.complex.k_simplices(1):
         u, w = e.vertices
-        (a, da), (b, db) = h[u], h[w]
+        (a, da), (b, db) = hv[u], hv[w]
         if a * b < 0:
             t = Fraction(a * db, a * db - b * da)
-            stars.append((e, BaryPoint.from_dict({u: 1 - t, w: t})))
-    return star_with_values(f, stars, first_id)
+            out.append((e, BaryPoint.from_dict({u: 1 - t, w: t})))
+    return out
+
+
+def star_crossings(f: PLMap, passes, first_id: VertexId | None = None
+                   ) -> tuple[PLMap, list[VertexId]]:
+    """Run a stage's passes in order, each starring its `crossings` in one
+    batch; a later pass reads the pairs that earlier ones interpolated.  One
+    scan per pass suffices: a starring removes no other edge, and h vanishes
+    at the new vertex, so no new edge crosses.  Returns the map and the new
+    ids in starring order, numbered on from first_id across the passes."""
+    new: list[VertexId] = []
+    for h in passes:
+        f, ids = star_with_values(f, crossings(f, h), new[-1] + 1 if new else first_id)
+        new += ids
+    return f, new
 
 
 def split_level(f: PLMap, chi: dict[VertexId, Fraction]) -> LevelPair:
@@ -244,19 +255,17 @@ def split_level(f: PLMap, chi: dict[VertexId, Fraction]) -> LevelPair:
     the chi <= 1/2 vertices: the extension problem reads nothing outside it.
 
     The new vertex of a starring gets chi = 1/2, the interpolated value of
-    the piecewise-linear chi at the midpoint.  Later starrings number on
-    from the split complex's largest vertex, whether or not it was cut.
-    `sign_refinement`, which every decision runs next, validates the pair.
+    the piecewise-linear chi at the midpoint; the check re-runs the pass.
+    Later starrings number on from the split complex's largest vertex, cut
+    or not.  `sign_refinement`, which every decision runs next, validates
+    the pair.
     """
-    f, new = star_crossings(f, {v: ((chi[v] > HALF) - (chi[v] < HALF), 1)
-                                for v in f.complex.vertices})
-    chi = {**chi, **dict.fromkeys(new, HALF)}
-    above = {v for v in f.complex.vertices if chi[v] > HALF}
-    for e in f.complex.k_simplices(1):
-        u, w = e.vertices
-        if (u in above) != (w in above) and HALF not in (chi[u], chi[w]):
-            raise ReductionError(f"0-1 edge survived: {e}")
-    x = full_subcomplex(f.complex, set(f.complex.vertices) - above)
+    passes = [lambda v, _: (2 * chi[v].numerator - chi[v].denominator, 2 * chi[v].denominator)]
+    f, new = star_crossings(f, passes)
+    chi = {**chi, **dict.fromkeys(new, HALF)}  # read by the pass in the check
+    if left := crossings(f, passes[0]):
+        raise ReductionError(f"0-1 edge survived: {left[0][0]}")
+    x = full_subcomplex(f.complex, {v for v in f.complex.vertices if chi[v] <= HALF})
     return LevelPair(_exact_map(x, f.n, {v: f._pairs[v] for v in x.vertices}),
                      {v: chi[v] for v in x.vertices},
                      f.complex.vertices[-1] + 1 if f.complex.vertices else None)
@@ -266,23 +275,18 @@ def sign_refinement(pair: LevelPair) -> LevelPair:
     """Star A-edges with strict per-coordinate sign changes at the zero point,
     and validate the result.
 
-    Coordinates are processed in order; pass i stars the crossings of f_i on
-    A (h = f_i on A-vertices, 0 elsewhere), and its new vertices join A.
-    Later passes star only edges that pass i left weakly signed, and a convex
-    combination of weakly-signed values keeps the weak sign, so pass i's
-    postcondition persists; `LevelPair.validate` re-checks it exactly.
+    One `star_crossings` call runs pass i = f_i, 0 off A, for each
+    coordinate in order: it crosses on A-edges only (A is full in X), so
+    every new vertex lies on A.  Later passes star only edges that pass i
+    left weakly signed, and a convex combination of weakly-signed values
+    keeps the weak sign, so pass i's postcondition persists;
+    `LevelPair.validate` re-checks it exactly.
     """
-    f = pair.f
-    chi = dict(pair.chi)
-    on_a = {v for v, c in chi.items() if c == HALF}
-    first = pair.first_id
-    for i in range(f.n):
-        f, new = star_crossings(f, {v: (nums[i], den) if v in on_a else (0, 1)
-                                    for v, (nums, den) in f._pairs.items()}, first)
-        chi.update(dict.fromkeys(new, HALF))
-        on_a.update(new)
-        first = new[-1] + 1 if new else first
-    out = LevelPair(f, chi, first)
+    off = {v for v, c in pair.chi.items() if c != HALF}
+    f, new = star_crossings(pair.f, [lambda v, y, i=i: (0, 1) if v in off else (y[0][i], y[1])
+                                     for i in range(pair.f.n)], pair.first_id)
+    out = LevelPair(f, {**pair.chi, **dict.fromkeys(new, HALF)},
+                    new[-1] + 1 if new else pair.first_id)
     out.validate()
     return out
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .complex_core import full_subcomplex
 from .homotopy import ExtendTag, ExtendVerdict, decide_extension
@@ -20,8 +21,11 @@ from .pl_map import (
     CriticalValue,
     Norm,
     PLMap,
+    _exact_map,
+    _reduced,
     critical_values,
     global_min,
+    map_distance,
     max_vertex_norm,
 )
 from .reduction import (
@@ -29,6 +33,7 @@ from .reduction import (
     ReductionError,
     SphereMap,
     build_chi,
+    crossings,
     sign_refinement,
     simplicial_approximation,
     split_level,
@@ -98,9 +103,7 @@ def reduce_to_extension(f: PLMap, alpha, norm: Norm) -> ReductionOutcome:
     f1 = vertexwise_extremal_subdivision(f, norm)
     chi = build_chi(f1, alpha, norm)
     if all(v == 1 for v in chi.values()):
-        if global_min(f, norm).is_zero():
-            raise ReductionError("|f| exceeds alpha at every vertex of a vertex-extremal "
-                                 "subdivision, yet f has a root")
+        # f1 is vertex-extremal; `decide_robsat` re-checks the witness f exactly
         return ReductionOutcome(shortcut=RobVerdict(
             RobTag.ROBUST_NO,
             reason="|f| exceeds alpha everywhere; f is its own rootless perturbation",
@@ -158,8 +161,7 @@ def decide_robsat(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True,
 
 
 def _validate_witness(f: PLMap, g: PLMap, alpha: CriticalValue, norm: Norm) -> None:
-    from .pl_map import map_distance
-
+    """The one exact re-check of a witness g: rootless, and within alpha of f."""
     if global_min(g, norm).is_zero():
         raise ReductionError("witness has a root")
     if alpha < map_distance(f, g, norm):
@@ -244,23 +246,20 @@ def locate_components(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True):
     return results
 
 
-def _split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> PLMap:
+def _split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> tuple[PLMap, list]:
     """Star every edge on which some constraint component g_i + alpha changes
     sign strictly, at its zero; the new vertex has g_i = -alpha exactly.
-    Afterwards every simplex is weakly signed in each g_i + alpha, which is
-    re-checked exactly on every edge.  With alpha = p / q, g_i + alpha at a
-    vertex value nums / den is (q nums_i + p den) / (q den), whose sign is
-    that of its numerator."""
+    Afterwards every simplex is weakly signed in each g_i + alpha, which the
+    passes' crossing scans re-check on every edge.  Returns the map and the
+    passes: with alpha = p / q, pass i maps a vertex value nums / den to
+    g_i + alpha = (q nums_i + p den, q den)."""
     p, q = alpha.numerator, alpha.denominator
-    for i in range(n, h.n):
-        h, _ = star_crossings(h, {v: (q * nums[i] + p * den, q * den)
-                                  for v, (nums, den) in h._pairs.items()})
-    pairs = h._pairs
-    for e in h.complex.k_simplices(1):
-        (a, da), (b, db) = (pairs[v] for v in e.vertices)
-        if any((q * a[i] + p * da) * (q * b[i] + p * db) < 0 for i in range(n, h.n)):
-            raise ReductionError(f"inequality level splitting left the mixed edge {e}")
-    return h
+    passes = [lambda v, y, i=i: (q * y[0][i] + p * y[1], q * y[1]) for i in range(n, h.n)]
+    h, _ = star_crossings(h, passes)
+    left = [e for level in passes for e, _ in crossings(h, level)]
+    if left:
+        raise ReductionError(f"inequality level splitting left the mixed edge {left[0]}")
+    return h, passes
 
 
 def decide_with_inequalities(f: PLMap, g: PLMap, alpha, norm: Norm = Norm.LINF,
@@ -279,23 +278,25 @@ def decide_with_inequalities(f: PLMap, g: PLMap, alpha, norm: Norm = Norm.LINF,
     alpha_cv = _coerce_alpha(alpha)
     if alpha_cv.is_sqrt:
         raise ValueError("alpha must be rational for inequality systems")
-    alpha_q = alpha_cv.q
     if g.n == 0:
         return decide_robsat(f, alpha_cv, norm, assume_hopf=assume_hopf)
     if f.complex != g.complex:
         raise ValueError("f and g must live on the same complex")
-    combined = PLMap(f.complex, f.n + g.n,
-                     {v: f.value(v) + g.value(v) for v in f.complex.vertices})
-    combined = _split_inequality_levels(combined, f.n, alpha_q)
-    p, q = alpha_q.numerator, alpha_q.denominator
-    keep = {v for v, (nums, den) in combined._pairs.items()
-            if all(q * nums[i] + p * den <= 0 for i in range(f.n, combined.n))}
+    joined = {}  # (f, g) over the lcm of the two reduced denominators is reduced
+    for v in f.complex.vertices:
+        (a, da), (b, db) = f._pairs[v], g._pairs[v]
+        d = lcm(da, db)
+        joined[v] = tuple(x * (d // da) for x in a) + tuple(x * (d // db) for x in b), d
+    combined, passes = _split_inequality_levels(_exact_map(f.complex, f.n + g.n, joined),
+                                                f.n, alpha_cv.q)
+    keep = {v for v, y in combined._pairs.items() if all(level(v, y)[0] <= 0 for level in passes)}
     domain = full_subcomplex(combined.complex, keep)
     if domain.is_empty():
         return RobVerdict(
             RobTag.ROBUST_NO,
             reason="the constrained region {g <= -alpha} is empty")
-    f_u = PLMap(domain, f.n, {v: combined.value(v)[: f.n] for v in domain.vertices})
+    f_u = _exact_map(domain, f.n, {v: _reduced(nums[: f.n], den)
+                                   for v, (nums, den) in combined._pairs.items() if v in keep})
     verdict = decide_robsat(f_u, alpha_cv, norm, assume_hopf=assume_hopf)
     # A witness here would be f_u, which lives on U's subdivided vertices,
     # not on the instance's complex.

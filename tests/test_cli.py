@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 
 import pytest
 
-from robsat import cli
+from robsat import cli, oracles, pl_map
+from robsat.pl_map import PLMap
 from robsat.cli import EXIT_DECIDED, EXIT_INTERNAL, EXIT_PARSE, EXIT_UNKNOWN, EXIT_USAGE, main
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -13,6 +15,11 @@ INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
 
 def instance(name):
     return os.path.join(INSTANCE_DIR, name)
+
+
+def constant_map(f, value):
+    """The constant map `value` on f's complex."""
+    return PLMap(f.complex, f.n, {v: (value,) * f.n for v in f.complex.vertices})
 
 
 def run(capsys, *argv):
@@ -331,3 +338,67 @@ class TestErrorPaths:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "internal" and "boom" in err["message"]
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_is_an_internal_error(self, unbuffered):
+        """A reader that closed its end before the document is written: the
+        write (or, with a buffered stdout, the flush) fails with EPIPE, and
+        the CLI exits 70 with its JSON document on stderr and no traceback."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "robsat.cli", "decide", "-i",
+                 instance("path_with_inequality.json"), "--alpha", "1"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_INTERNAL, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["type"] == "BrokenPipeError"
+
+
+class TestWitnessRecheck:
+    @pytest.mark.parametrize("witness", [
+        lambda f: f,  # has a root
+        lambda f: constant_map(f, 9),  # rootless, but farther than alpha
+    ])
+    def test_bad_witness_of_an_inequality_instance_exits_70(self, capsys, monkeypatch,
+                                                              witness):
+        """The inequality path of `robsat decide` re-checks the searched
+        witness exactly, as `decide_robsat` does for f alone."""
+        monkeypatch.setattr(cli, "perturbation_witness",
+                            lambda f, alpha, cfg, norm: witness(f))
+        code = main(["decide", "-i", instance("path_with_inequality.json"), "--alpha", "1",
+                     "--witness"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL and captured.out == ""
+        assert json.loads(captured.err)["type"] == "ReductionError"
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "-i", instance("path_identity.json"), "--alpha", "2", "--witness"],
+        ["decide", "-i", instance("path_with_inequality.json"), "--alpha", "2", "--witness"],
+        ["decide", "-i", "{tmp}/rootless.json", "--alpha", "1"],  # the witness is f itself
+    ])
+    def test_one_exact_recheck_per_printed_witness(self, capsys, monkeypatch, tmp_path, argv):
+        (tmp_path / "rootless.json").write_text(json.dumps({
+            "version": 1, "n": 1, "norm": "linf", "simplices": [[0, 1], [1, 2]],
+            "vertices": [{"id": i, "f": [x]} for i, x in enumerate(["5", "2", "3"])]}))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        robustness = import_module("robsat.robustness")  # robsat.robustness is the function
+        calls = {"global_min": 0, "map_distance": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(pl_map, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            for module in (pl_map, robustness, oracles):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        code, doc = run(capsys, *argv)
+        assert code == EXIT_DECIDED and doc["witness"] is not None
+        assert calls == {"global_min": 1, "map_distance": 1}

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,13 @@ from robsat.reduction import (
     star_crossings,
     vertexwise_extremal_subdivision,
 )
-from robsat.robustness import RobTag, _split_inequality_levels, decide_robsat
+from robsat.robustness import (
+    RobTag,
+    RobVerdict,
+    _split_inequality_levels,
+    decide_robsat,
+    decide_with_inequalities,
+)
 
 from helpers import (
     LARGE_PRIMES,
@@ -49,12 +56,14 @@ from reference_oracles import (
 )
 
 HALF = Fraction(1, 2)
+robustness = import_module("robsat.robustness")  # robsat.robustness is the function
 
 
-def as_pairs(h):
-    """A rational function on vertices as the (num, den) pairs that
-    `star_crossings` reads."""
-    return {v: (Fraction(x).numerator, Fraction(x).denominator) for v, x in h.items()}
+def as_pass(h):
+    """A rational function on vertices as a `star_crossings` pass: vertex
+    and pair to h's (num, den)."""
+    pairs = {v: (Fraction(x).numerator, Fraction(x).denominator) for v, x in h.items()}
+    return lambda v, _: pairs[v]
 
 
 class TestSphereModel:
@@ -228,7 +237,7 @@ class TestSplitLevel:
         pair = self.trace_pair()
         f = vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
         chi = build_chi(f, CriticalValue.rat(1), Norm.LINF)
-        split, new = star_crossings(f, as_pairs({v: chi[v] - HALF for v in f.complex.vertices}))
+        split, new = star_crossings(f, [as_pass({v: chi[v] - HALF for v in f.complex.vertices})])
         chi.update(dict.fromkeys(new, HALF))
         ambient = split.complex
         assert pair.x.simplices < ambient.simplices
@@ -338,9 +347,17 @@ class TestExactChecks:
     """Each exact check of the reduction, failed on purpose."""
 
     def test_surviving_01_edge(self, monkeypatch):
-        monkeypatch.setattr(reduction, "star_crossings", lambda f, h: (f, []))
+        monkeypatch.setattr(reduction, "star_crossings",
+                            lambda f, passes, first_id=None: (f, []))
         with pytest.raises(ReductionError, match="0-1 edge"):
             decide_robsat(path_map([3, -1, 3]), 1, Norm.LINF)
+
+    def test_surviving_mixed_edge(self, monkeypatch):
+        # g + 1 is (-2, 1, 2) on the path: the edge (0, 1) crosses
+        monkeypatch.setattr(robustness, "star_crossings",
+                            lambda f, passes, first_id=None: (f, []))
+        with pytest.raises(ReductionError, match="mixed edge"):
+            decide_with_inequalities(path_map([3, -1, 3]), path_map([-3, 0, 1]), 1)
 
     def test_root_on_a(self):
         f = PLMap(closure([[1, 2]]), 2, {1: (1, 1), 2: (0, 0)})
@@ -381,7 +398,7 @@ class TestExactChecks:
              f"{__file__}::TestExactChecks", "-k", "not optimize"],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "5 passed" in proc.stdout
+        assert "6 passed" in proc.stdout
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -399,7 +416,7 @@ def test_star_crossings_matches_fraction_interpolation(seed):
                       for v, p in zip(cx.vertices, rng.sample(LARGE_PRIMES, len(cx.vertices)))})
     h = {v: Fraction(rng.randint(-3, 3), p)
          for v, p in zip(cx.vertices, rng.sample(LARGE_PRIMES, len(cx.vertices)))}
-    f2, new = star_crossings(f, as_pairs(h))
+    f2, new = star_crossings(f, [as_pass(h)])
     crossing = [e for e in cx.k_simplices(1) if h[e.vertices[0]] * h[e.vertices[1]] < 0]
     assert len(new) == len(crossing)
     for e, vid in zip(crossing, new):
@@ -436,11 +453,54 @@ def test_stages_store_reduced_pairs(norm):
         g = coprime_map(rng, cx, rng.randint(1, 2))
         h = PLMap(cx, n + g.n, {v: f.value(v) + g.value(v) for v in cx.vertices})
         level = Fraction(rng.randint(0, 8), rng.choice(LARGE_PRIMES))
-        split_h = _split_inequality_levels(h, n, level)
+        split_h, _ = _split_inequality_levels(h, n, level)
         for m in (f1, pair.f, refined.f, split_h):
             assert_canonical(m)
 
     check()
+
+
+def test_inequality_maps_are_built_from_pairs(monkeypatch):
+    """`decide_with_inequalities` joins f and g, and restricts the split map
+    to f's coordinates on U, in integer pair arithmetic: both maps equal the
+    ones the Fraction view gives, stored as reduced pairs.  Restrictions
+    whose pairs the cut to f's coordinates leaves unreduced must occur."""
+    seen, captured = Counter(), {}
+    split_levels = robustness._split_inequality_levels
+
+    def capture_split(h, n, alpha):
+        captured["joined"] = h
+        captured["split"], passes = split_levels(h, n, alpha)
+        return captured["split"], passes
+
+    def capture_decide(f_u, alpha, norm, assume_hopf=True):
+        captured["f_u"] = f_u
+        return RobVerdict(RobTag.UNKNOWN)
+
+    monkeypatch.setattr(robustness, "_split_inequality_levels", capture_split)
+    monkeypatch.setattr(robustness, "decide_robsat", capture_decide)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 2))
+    def check(seed, n, k):
+        rng = random.Random(seed)
+        cx = random_complex(rng, max_dim=2, max_vertices=6, n_maximal=3)
+        f, g = (rng.choice((coprime_map, random_map))(rng, cx, m) for m in (n, k))
+        captured.clear()
+        decide_with_inequalities(f, g, Fraction(rng.randint(0, 8), rng.choice((1, 2, 7919))) or 1)
+        joined = captured["joined"]
+        assert joined == PLMap(cx, n + k, {v: f.value(v) + g.value(v) for v in cx.vertices})
+        assert_canonical(joined)
+        if "f_u" in captured:
+            f_u, split = captured["f_u"], captured["split"]
+            assert f_u == PLMap(f_u.complex, n,
+                                {v: split.value(v)[:n] for v in f_u.complex.vertices})
+            assert_canonical(f_u)
+            seen["reduced on U"] += any(f_u._pairs[v][1] != split._pairs[v][1]
+                                        for v in f_u.complex.vertices)
+
+    check()
+    assert seen["reduced on U"] >= 10, seen
 
 
 def assert_same_pair(pair, ref):
@@ -490,7 +550,7 @@ def test_star_crossings_matches_rescan_loops(norm, n):
         chi = build_chi(f1, alpha, norm)
 
         ref = ref_split_level(f1, chi)
-        f2, new = star_crossings(f1, as_pairs({v: chi[v] - HALF for v in f1.complex.vertices}))
+        f2, new = star_crossings(f1, [as_pass({v: chi[v] - HALF for v in f1.complex.vertices})])
         assert f2 == ref.f
         assert new == sorted(set(ref.f.complex.vertices) - set(f1.complex.vertices))
         pair = split_level(f1, chi)
@@ -503,12 +563,91 @@ def test_star_crossings_matches_rescan_loops(norm, n):
         g = random_map(rng, cx, k)
         h = PLMap(cx, n + k, {v: f.value(v) + g.value(v) for v in cx.vertices})
         level = Fraction(rng.randint(0, 8), 2)
-        assert _split_inequality_levels(h, n, level) == ref_split_inequality_levels(h, n, level)
+        assert _split_inequality_levels(h, n, level)[0] == ref_split_inequality_levels(h, n, level)
 
     check()
     # For n = 1 the extremal stage stars every sign change at a root, and
     # the last root starred is the largest vertex, with chi = 0.
     assert n == 1 or seen["split stars nothing, top vertex cut"] >= 5, seen
+
+
+def sign_passes(pair: LevelPair) -> list:
+    """sign_refinement's passes: f_i, 0 off A."""
+    off = {v for v, c in pair.chi.items() if c != HALF}
+    return [lambda v, y, i=i: (0, 1) if v in off else (y[0][i], y[1]) for i in range(pair.f.n)]
+
+
+def pass_by_pass(f, passes, first_id):
+    """star_crossings called once per pass, each numbering on from the last;
+    also the number of passes that starred."""
+    new, starring = [], 0
+    for h in passes:
+        f, ids = star_crossings(f, [h], new[-1] + 1 if new else first_id)
+        new += ids
+        starring += bool(ids)
+    return f, new, starring
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_call_runs_the_passes_in_order(n):
+    """One k-pass `star_crossings` call gives the same map and new ids as k
+    one-pass calls, each numbering on from the last, for the sign-refinement
+    passes (k = n) and the inequality-level passes (k = 1-3); and both
+    equal the rescan-after-each-star references.  Calls in which at least
+    two passes star, so that a pass reads the pairs an earlier one
+    interpolated and numbers on from its last id, must occur."""
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 3))
+    def check(seed, k, gap):
+        rng = random.Random(seed)
+        cx = random_complex(rng, max_dim=2, max_vertices=6, n_maximal=3)
+        f = random_map(rng, cx, n)
+        pair = LevelPair(f, {v: rng.choice((Fraction(0), HALF, HALF)) for v in cx.vertices})
+        first = cx.vertices[-1] + 1 + gap
+        passes = sign_passes(pair)
+        out, new = star_crossings(f, passes, first)
+        *by_pass, starring = pass_by_pass(f, passes, first)
+        assert (out, new) == tuple(by_pass)
+        seen["sign passes"] += starring > 1
+        ref = ref_sign_refinement(pair)
+        assert star_crossings(f, passes) == (ref.f, sorted(set(ref.f.complex.vertices)
+                                                          - set(cx.vertices)))
+
+        h = PLMap(cx, n + k, {v: f.value(v) + random_map(rng, cx, k).value(v)
+                              for v in cx.vertices})
+        level = Fraction(rng.randint(0, 4), 2)
+        split, passes = _split_inequality_levels(h, n, level)
+        assert split == ref_split_inequality_levels(h, n, level)
+        out, new = star_crossings(h, passes, first)
+        *by_pass, starring = pass_by_pass(h, passes, first)
+        assert (out, new) == tuple(by_pass)
+        seen["level passes"] += starring > 1
+
+    check()
+    assert seen["sign passes"] >= (0 if n == 1 else 10) and seen["level passes"] >= 10, seen
+
+
+def test_each_level_stage_calls_star_crossings_once(monkeypatch):
+    """A decision calls `star_crossings` once per level stage: one pass for
+    the level split, n for the sign refinement and g.n for the inequality
+    levels."""
+    calls = []
+
+    def counted(f, passes, first_id=None):
+        calls.append(len(passes))
+        return star_crossings(f, passes, first_id)
+
+    monkeypatch.setattr(reduction, "star_crossings", counted)
+    monkeypatch.setattr(robustness, "star_crossings", counted)
+    f = PLMap(closure([[0, 1], [1, 2]]), 2, {0: (3, 2), 1: (-1, -2), 2: (3, 1)})
+    decide_robsat(f, 1, Norm.LINF)
+    assert calls == [1, 2]
+    calls.clear()
+    g = PLMap(f.complex, 3, {0: (-3, -3, -1), 1: (-3, -2, -2), 2: (-1, -3, 0)})
+    decide_with_inequalities(f, g, 1)
+    assert calls == [3, 1, 2]
 
 
 def test_numbering_goes_on_past_a_cut_vertex():
