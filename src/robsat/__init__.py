@@ -32,7 +32,6 @@ from .pl_map import (
 from .reduction import (
     LevelPair,
     SphereMap,
-    SphereModel,
     build_chi,
     sign_refinement,
     simplicial_approximation,

@@ -1,9 +1,10 @@
 """Exact combinatorial engine for finite abstract simplicial complexes.
 
 A complex is its set of simplices, hereditarily closed, and nothing more.
-Subdivision never needs ambient geometry: a starring names its new vertex's
-position carrier-locally, piecewise-linear data extends by linearity there,
-and where a new vertex sits in the original space is never used.
+Subdivision never needs ambient geometry: a starring is its carrier alone,
+the caller stores piecewise-linear data at the new vertex (`pl_map` keeps
+its value there), and where a new vertex sits in the original space is
+never used.
 
 Conventions fixed here and used by every other module:
 
@@ -190,16 +191,16 @@ def closure(simplices) -> Complex:
     return Complex(all_faces)
 
 
-def star_at_point(c: Complex, stars: list[tuple[Simplex, BaryPoint]],
+def star_at_point(c: Complex, carriers: list[Simplex],
                   first_id: VertexId | None = None) -> tuple[Complex, list[VertexId]]:
-    """Starring subdivision, applied in order: each (carrier, point) pair
-    replaces the carrier and its cofaces by cones over a new vertex at
-    `point`, which is carrier-local and interior (positive weight on every
-    carrier vertex); each carrier must be in the state the earlier starrings
-    left.  New vertices are numbered on from first_id, by default one past
-    the largest vertex of c.  The starrings edit one simplex set, whose
-    vertex -> cofaces index finds each carrier's cofaces, and the complex is
-    built once.  Returns it and the new vertex ids in starring order.
+    """Starring subdivision, applied in order: each carrier and its cofaces
+    are replaced by cones over a new vertex; each carrier must be in the
+    state the earlier starrings left.  Where in the carrier the new vertex
+    sits is the caller's business (see `pl_map.star_with_values`).  New
+    vertices are numbered on from first_id, by default one past the largest
+    vertex of c.  The starrings edit one simplex set, whose vertex ->
+    cofaces index finds each carrier's cofaces, and the complex is built
+    once.  Returns it and the new vertex ids in starring order.
     """
     top = c.vertices[-1] if c.vertices else -1
     if first_id is None:
@@ -212,12 +213,10 @@ def star_at_point(c: Complex, stars: list[tuple[Simplex, BaryPoint]],
         for v in s.vertices:
             cofaces[v].add(s)
     new_ids = []
-    for new_id, (carrier, point) in enumerate(stars, first_id):
+    for new_id, carrier in enumerate(carriers, first_id):
         if carrier not in simplices:
             raise ValueError(f"carrier {carrier} not in complex")
         carrier_set = set(carrier.vertices)
-        if set(point.support) != carrier_set:
-            raise ValueError("point must be interior to the carrier (full support)")
         removed = set.intersection(*(cofaces[v] for v in carrier.vertices))
         # cones over the faces of the removed simplices that miss a carrier
         # vertex: sorted faces, then new_id, which exceeds every vertex
@@ -243,17 +242,12 @@ def full_subcomplex(c: Complex, keep) -> Complex:
     return Complex(s for s in c.simplices if keep.issuperset(s.vertices))
 
 
-def barycenter(s: Simplex) -> BaryPoint:
-    w = Fraction(1, len(s.vertices))
-    return BaryPoint(tuple((v, w) for v in s.vertices))
-
-
 def make_full(x: Complex, a: Complex) -> Complex:
     """Subdivide x so that a becomes a full subcomplex of the result.
 
-    Every simplex of x that is not in a but has all vertices in V(a) is starred
-    at its barycenter, in decreasing dimension.  New vertices fall outside V(a),
-    so each starring removes one violation and introduces none.
+    Every simplex of x that is not in a but has all vertices in V(a) is
+    starred, in decreasing dimension.  New vertices fall outside V(a), so
+    each starring removes one violation and introduces none.
     """
     if not a.simplices <= x.simplices:
         raise ValueError("a must be a subcomplex of x")
@@ -261,7 +255,7 @@ def make_full(x: Complex, a: Complex) -> Complex:
     violations = sorted((s for s in x.simplices
                          if s not in a.simplices and set(s.vertices) <= a_verts),
                         key=lambda s: (-s.dim, s.vertices))
-    return star_at_point(x, [(s, barycenter(s)) for s in violations])[0]
+    return star_at_point(x, violations)[0]
 
 
 def connected_components(c: Complex) -> list[set[VertexId]]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .complex_core import Complex, make_full
 from .pl_map import CriticalValue, Norm, PLMap, simplex_min_value
-from .reduction import ReductionError, SphereMap, SphereModel
+from .reduction import ReductionError, SphereMap
 
 
 def kappa(norm: Norm, n: int) -> Fraction:
@@ -35,16 +35,15 @@ def fixture_from_extension(x: Complex, a: Complex, fmap: SphereMap,
     for v in a.vertices:
         fmap.image(v)  # raises if the map does not cover A
     n = fmap.n
-    model = SphereModel(n)
     x2 = make_full(x, a)
     k = kappa(norm, n)
     a_verts = set(a.vertices)
     values = {}
     for v in x2.vertices:
-        if v in a_verts:
-            values[v] = tuple(k * c for c in model.coordinates(fmap.image(v)))
-        else:
-            values[v] = tuple(Fraction(0) for _ in range(n))
+        values[v] = [Fraction(0)] * n
+        if v in a_verts:  # kappa * sign * e_i for the label sign * i
+            label = fmap.image(v)
+            values[v][abs(label) - 1] = k if label > 0 else -k
     f = PLMap(x2, n, values)
     one = CriticalValue.rat(1)
     for s in a.simplices:

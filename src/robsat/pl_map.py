@@ -24,9 +24,11 @@ tuple of ints and one positive int with gcd(den, *nums) = 1, the value being
 nums / den.  The exact kernels read the pairs: vertex norms, the vertex test
 (cross-multiplied by the positive denominators), the solves (one integer
 matrix per simplex, over the lcm of its vertex denominators) and the
-interpolation at a starred vertex, which one gcd keeps reduced.  A sign, or a
-comparison of two coordinates of one vertex, reads the numerators alone.
-`PLMap.value` and `PLMap.values` build the Fraction view on demand.
+interpolation at the extremal stage's picks, which one gcd keeps reduced.
+A sign, or a comparison of two coordinates of one vertex, reads the
+numerators alone.  A starring (`star_with_values`) is a carrier and the new
+vertex's pair, which its caller computes.  `PLMap.value` and `PLMap.values`
+build the Fraction view on demand.
 """
 
 from __future__ import annotations
@@ -354,26 +356,26 @@ def map_distance(f: PLMap, g: PLMap, norm: Norm) -> CriticalValue:
     return best
 
 
-def star_with_values(f: PLMap, stars: list[tuple[Simplex, BaryPoint]],
+def star_with_values(f: PLMap, stars: list[tuple[Simplex, tuple[tuple[int, ...], int]]],
                      first_id: VertexId | None = None) -> tuple[PLMap, list[VertexId]]:
-    """`complex_core.star_at_point` on f's complex, with f interpolated at
-    each new vertex.  Returns (new PLMap, new vertex ids in starring order);
-    an empty batch returns f itself."""
+    """`complex_core.star_at_point` on f's complex: each star is a carrier
+    and f's value at its new vertex, a reduced pair, stored as given.
+    Returns (new PLMap, new vertex ids in starring order); an empty batch
+    returns f itself."""
     if not stars:
         return f, []
-    c2, new_ids = star_at_point(f.complex, stars, first_id)
+    c2, new_ids = star_at_point(f.complex, [carrier for carrier, _ in stars], first_id)
     pairs = dict(f._pairs)
-    for (_, point), vid in zip(stars, new_ids):
-        pairs[vid] = _interpolate(pairs, point, f.n)
+    pairs.update(zip(new_ids, (y for _, y in stars)))
     if len(pairs) != len(c2.vertices):  # starring a 0-simplex removes its vertex
         pairs = {v: pairs[v] for v in c2.vertices}
     return _exact_map(c2, f.n, pairs), new_ids
 
 
 def _interpolate(pairs, point: BaryPoint, n: int) -> tuple[tuple[int, ...], int]:
-    """The reduced pair of sum_v w_v f(v) over the point's weights: the terms
-    w_v nums_v / den_v are brought to the lcm of their denominators, and one
-    gcd reduces the sum."""
+    """The reduced pair of sum_v w_v f(v) over the point's weights, f's value
+    at an extremal pick: the terms w_v nums_v / den_v are brought to the lcm
+    of their denominators, and one gcd reduces the sum."""
     terms = [(w.numerator, w.denominator * pairs[v][1], pairs[v][0]) for v, w in point.weights]
     den = lcm(*[q for _, q, _ in terms])
     acc = [0] * n

@@ -17,10 +17,15 @@ The pipeline has three stages, each an exact subdivision or relabelling:
 After the level split re-runs its pass's `crossings` scan to check for 0-1
 edges, only X is kept: the level pair (`LevelPair`) lives on X, A is cut
 from it once, and the pair is validated once, after sign refinement.  Each
-pass stars in one batched `star_at_point` call, and everything is validated
-by exact rational checks rather than trusted.  The checks on the level pair
-are edge-local and norm-free: they read f only at the vertices and edges of
-A (see `LevelPair.validate`).
+pass stars in one batched `star_with_values` call, and everything is
+validated by exact rational checks rather than trusted.
+
+A starring is a carrier and f's value at the new vertex.  Only the extremal
+stage has a point, `simplex_min`'s argmin, and interpolates f there; a
+crossing's value, f at the zero of h, is computed from the two endpoint
+pairs in integers.  The checks on the level pair are edge-local and
+norm-free: they read f only at the vertices and edges of A (see
+`LevelPair.validate`).
 """
 
 from __future__ import annotations
@@ -29,12 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .complex_core import BaryPoint, Complex, Simplex, VertexId, full_subcomplex
+from .complex_core import Complex, Simplex, VertexId, full_subcomplex
 from .pl_map import (
     CriticalValue,
     Norm,
     PLMap,
     _exact_map,
+    _interpolate,
+    _reduced,
     simplex_min,
     star_with_values,
     vector_norm,
@@ -47,29 +54,12 @@ class ReductionError(Exception):
     """An exact invariant of the pipeline failed; indicates an upstream bug."""
 
 
-@dataclass(frozen=True)
-class SphereModel:
-    """Boundary of the cross polytope: vertices are the signed unit vectors,
-    simplices the antipodal-free subsets.  Vertex +i stands for +e_i, -i for
-    -e_i.  The distinguished oriented top simplex is (1, 2, ..., n)."""
-
-    n: int
-
-    def is_simplex(self, labels) -> bool:
-        labels = list(labels)
-        if not 1 <= len(set(labels)) == len(labels) <= self.n:
-            return False
-        return not any(-x in labels for x in labels)
-
-    def coordinates(self, label: int) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.n
-        out[abs(label) - 1] = Fraction(1 if label > 0 else -1)
-        return tuple(out)
-
-
 class SphereMap:
-    """Simplicial map from a complex into the cross-polytope sphere, stored as
-    a vertexwise signed-index assignment."""
+    """Simplicial map from a complex into the boundary of the cross polytope,
+    whose vertices are the signed unit vectors (label +i stands for +e_i, -i
+    for -e_i, 1 <= i <= n) and whose simplices are the antipodal-free label
+    sets; stored as a vertexwise label assignment.  The distinguished
+    oriented top simplex is (1, 2, ..., n)."""
 
     __slots__ = ("domain", "n", "assignment")
 
@@ -77,11 +67,10 @@ class SphereMap:
         self.domain = domain
         self.n = n
         self.assignment = dict(assignment)
-        model = SphereModel(n)
         for v in domain.vertices:
             if v not in self.assignment:
                 raise ValueError(f"vertex {v} has no sphere image")
-            if not model.is_simplex([self.assignment[v]]):
+            if not 1 <= abs(self.assignment[v]) <= n:
                 raise ValueError(f"bad sphere vertex {self.assignment[v]}")
 
     def image(self, v: VertexId) -> int:
@@ -89,10 +78,9 @@ class SphereMap:
 
     def is_simplicial(self) -> bool:
         """Image vertex sets are antipodal-free (collapses are allowed)."""
-        model = SphereModel(self.n)
         for s in self.domain.simplices:
             labels = {self.assignment[v] for v in s.vertices}
-            if not model.is_simplex(labels):
+            if any(-x in labels for x in labels):
                 return False
         return True
 
@@ -199,7 +187,7 @@ def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
             if p is None:
                 extremal.add(s)
             elif len(p.support) == len(s.vertices):
-                picks.append((s, p))
+                picks.append((s, _interpolate(out._pairs, p, out.n)))
         out, new = star_with_values(out, picks)
         if new:
             pairs = out._pairs
@@ -218,27 +206,34 @@ def build_chi(f: PLMap, alpha: CriticalValue, norm: Norm) -> dict[VertexId, Frac
             for v, cv in f.vertex_norms(norm).items()}
 
 
-def crossings(f: PLMap, h) -> list[tuple[Simplex, BaryPoint]]:
+def crossings(f: PLMap, h) -> list[tuple[Simplex, tuple[tuple[int, ...], int]]]:
     """The edges (u, w) of f's complex on which the pass h has strictly
-    opposite signs, in sorted order, each with the zero of the linear
-    extension of h, t = h(u) / (h(u) - h(w)) along u -> w.  h maps a vertex
-    and its reduced pair to a pair (num, den) with den > 0, so its sign is
-    the sign of num, and t = num_u den_w / (num_u den_w - num_w den_u)."""
-    hv = {v: h(v, y) for v, y in f._pairs.items()}
+    opposite signs, in sorted order, each with the reduced pair of f at the
+    zero of the linear extension of h.  h maps a vertex and its reduced pair
+    to a pair (num, den) with den > 0, so its sign is the sign of num.
+
+    With h(u) = a / da and h(w) = b / db, p = |a| db and q = |b| da are
+    positive and the zero is (q f(u) + p f(w)) / (p + q); over du dw, the
+    vertex values' denominators, its denominator (p + q) du dw is positive,
+    as a reduced pair's must be."""
+    pairs = f._pairs
+    hv = {v: h(v, y) for v, y in pairs.items()}
     out = []
     for e in f.complex.k_simplices(1):
         u, w = e.vertices
         (a, da), (b, db) = hv[u], hv[w]
         if a * b < 0:
-            t = Fraction(a * db, a * db - b * da)
-            out.append((e, BaryPoint.from_dict({u: 1 - t, w: t})))
+            p, q = abs(a) * db, abs(b) * da
+            (yu, du), (yw, dw) = pairs[u], pairs[w]
+            out.append((e, _reduced([q * dw * x + p * du * z for x, z in zip(yu, yw)],
+                                    (p + q) * du * dw)))
     return out
 
 
 def star_crossings(f: PLMap, passes, first_id: VertexId | None = None
                    ) -> tuple[PLMap, list[VertexId]]:
     """Run a stage's passes in order, each starring its `crossings` in one
-    batch; a later pass reads the pairs that earlier ones interpolated.  One
+    batch; a later pass reads the pairs that earlier ones stored.  One
     scan per pass suffices: a starring removes no other edge, and h vanishes
     at the new vertex, so no new edge crosses.  Returns the map and the new
     ids in starring order, numbered on from first_id across the passes."""

@@ -12,7 +12,7 @@ from robsat.complex_core import BaryPoint, Complex, IntCochain, Simplex, VertexI
 from robsat.exactlinalg import ExactnessError
 from robsat.homotopy import DiophantineSystem, _xgcd
 from robsat.intervals import Interval
-from robsat.pl_map import CriticalValue, PLMap, simplex_min_value, star_with_values
+from robsat.pl_map import CriticalValue, PLMap, _pair, simplex_min_value, star_with_values
 from robsat.reduction import LevelPair, ReductionError, SphereMap
 
 PATH3 = closure([[0, 1], [1, 2]])
@@ -48,6 +48,11 @@ def random_interior_point(rng: random.Random, s: Simplex) -> BaryPoint:
     weights = [rng.randint(1, 5) for _ in s.vertices]
     total = sum(weights)
     return BaryPoint.from_dict({v: Fraction(w, total) for v, w in zip(s.vertices, weights)})
+
+
+def barycenter(s: Simplex) -> BaryPoint:
+    w = Fraction(1, len(s.vertices))
+    return BaryPoint(tuple((v, w) for v in s.vertices))
 
 
 def random_point_in(rng: random.Random, s: Simplex) -> BaryPoint:
@@ -328,8 +333,8 @@ def scale_map(f: PLMap, c) -> PLMap:
 # robsat never needs to know where a new vertex sits in the original space, so
 # a complex carries no coordinates.  The tests that check that a subdivision
 # keeps the point set or the function keep the lineage themselves: a mapping
-# vid -> BaryPoint over the original vertices, built from the starrings they
-# pass to `star_at_point` or `star_with_values`.  None, or a vertex missing
+# vid -> BaryPoint over the original vertices, built from the (carrier, point)
+# starrings they make (see `carriers` and `point_stars`).  None, or a vertex missing
 # from the mapping, stands for the identity: an original vertex is itself.
 
 def vertex(v: VertexId) -> BaryPoint:
@@ -360,13 +365,35 @@ def expand(point: BaryPoint, lineage=None) -> BaryPoint:
 
 
 def extend_lineage(lineage, stars, new_ids) -> dict[VertexId, BaryPoint]:
-    """The lineage after a starring batch: `stars` as passed to
-    `star_at_point` or `star_with_values`, `new_ids` as returned.  Each new
+    """The lineage after a starring batch: `stars` as (carrier, point) pairs,
+    `new_ids` as `star_at_point` or `star_with_values` returned them.  Each new
     vertex is its carrier-local point expanded through the vertices before
     it, so lineage composes across batches."""
     out = dict(lineage or {})
     for (_, point), vid in zip(stars, new_ids, strict=True):
         out[vid] = expand(point, out)
+    return out
+
+
+def carriers(stars) -> list[Simplex]:
+    """The carriers of (carrier, point) stars, as `star_at_point` takes them."""
+    return [s for s, _ in stars]
+
+
+def point_stars(f: PLMap, stars):
+    """(carrier, point) stars as `star_with_values` takes them: each carrier
+    with f at its point, interpolated in Fractions, as a reduced pair.  A
+    point may weight the new vertices of earlier stars in the batch, which
+    are numbered on from one past f's largest vertex, as `star_with_values`
+    numbers them by default."""
+    values = f.values
+    vid = (f.complex.vertices or (-1,))[-1] + 1
+    out = []
+    for carrier, point in stars:
+        values[vid] = tuple(sum((w * values[v][i] for v, w in point.weights), Fraction(0))
+                            for i in range(f.n))
+        out.append((carrier, _pair(values[vid])))
+        vid += 1
     return out
 
 
@@ -393,7 +420,8 @@ def ref_split_level(f: PLMap, chi):
         if e is None:
             break
         u, w = e.vertices
-        f, (vid,) = star_with_values(f, [(e, BaryPoint.from_dict({u: half, w: half}))])
+        stars = point_stars(f, [(e, BaryPoint.from_dict({u: half, w: half}))])
+        f, (vid,) = star_with_values(f, stars)
         chi[vid] = half
     return LevelPair(f, chi)
 
@@ -410,7 +438,8 @@ def ref_sign_refinement(pair):
             u, w = e.vertices
             fu, fw = f.value(u)[i], f.value(w)[i]
             t = fu / (fu - fw)
-            f, (vid,) = star_with_values(f, [(e, BaryPoint.from_dict({u: 1 - t, w: t}))])
+            stars = point_stars(f, [(e, BaryPoint.from_dict({u: 1 - t, w: t}))])
+            f, (vid,) = star_with_values(f, stars)
             chi[vid] = half
             a = full_subcomplex(f.complex, {v for v in f.complex.vertices if chi[v] == half})
     return LevelPair(f, chi)
@@ -427,7 +456,8 @@ def ref_split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> PLMap:
             u, w = e.vertices
             a, b = h.value(u)[i] + alpha, h.value(w)[i] + alpha
             t = a / (a - b)
-            h, _ = star_with_values(h, [(e, BaryPoint.from_dict({u: 1 - t, w: t}))])
+            stars = point_stars(h, [(e, BaryPoint.from_dict({u: 1 - t, w: t}))])
+            h, _ = star_with_values(h, stars)
     return h
 
 

@@ -32,7 +32,7 @@ from robsat.pl_map import (
 )
 from robsat.reduction import ReductionError, SphereMap
 
-from helpers import as_dict, origin, weight
+from helpers import as_dict, origin, point_stars, weight
 
 
 # -- point location and evaluation --------------------------------------------
@@ -240,7 +240,7 @@ def derived_subdivision(f: PLMap, pick) -> PLMap:
     before the first starring."""
     chosen = [(s, p) for s in sorted(f.complex.simplices, key=lambda x: (-x.dim, x.vertices))
               if (p := pick(f, s)) is not None]
-    return star_with_values(f, chosen)[0]
+    return star_with_values(f, point_stars(f, chosen))[0]
 
 
 def min_below_vertices(f: PLMap, s: Simplex, norm: Norm) -> bool:

@@ -11,7 +11,6 @@ from robsat.complex_core import (
     IntCochain,
     Simplex,
     apply_coboundary,
-    barycenter,
     closure,
     connected_components,
     full_subcomplex,
@@ -22,11 +21,14 @@ from robsat.complex_core import (
 from robsat.pl_map import PLMap, star_with_values
 
 from helpers import (
+    barycenter,
+    carriers,
     coboundary,
     contains_point,
     extend_lineage,
     matrix_rank,
     origin,
+    point_stars,
     random_complex,
     random_interior_point,
     random_map,
@@ -69,41 +71,35 @@ class TestClosure:
 
 class TestStarAtPoint:
     def test_edge_midpoint(self):
-        c, (v,) = star_at_point(closure([[1, 2]]), [(Simplex.of([1, 2]), mid(1, 2))])
+        c, (v,) = star_at_point(closure([[1, 2]]), [Simplex.of([1, 2])])
         assert len(c.k_simplices(1)) == 2
         assert v == 3  # numbered on from the largest vertex
 
     def test_numbered_from_first_id(self):
         edge = Simplex.of([1, 2])
-        c, (v,) = star_at_point(closure([[1, 2]]), [(edge, mid(1, 2))], first_id=7)
+        c, (v,) = star_at_point(closure([[1, 2]]), [edge], first_id=7)
         assert v == 7 and Simplex.of([1, 7]) in c
         with pytest.raises(ValueError, match="not above the largest vertex"):
-            star_at_point(closure([[1, 2]]), [(edge, mid(1, 2))], first_id=2)
+            star_at_point(closure([[1, 2]]), [edge], first_id=2)
 
     def test_triangle_barycenter(self):
-        t = Simplex.of([1, 2, 3])
-        c, _ = star_at_point(closure([[1, 2, 3]]), [(t, barycenter(t))])
+        c, _ = star_at_point(closure([[1, 2, 3]]), [Simplex.of([1, 2, 3])])
         assert len(c.k_simplices(2)) == 3
 
     def test_edge_of_triangle(self):
-        c, _ = star_at_point(closure([[1, 2, 3]]), [(Simplex.of([1, 2]), mid(1, 2))])
+        c, _ = star_at_point(closure([[1, 2, 3]]), [Simplex.of([1, 2])])
         assert len(c.k_simplices(2)) == 2
         assert len(c.k_simplices(1)) == 5
-
-    def test_requires_interior_point(self):
-        c = closure([[1, 2, 3]])
-        with pytest.raises(ValueError):
-            star_at_point(c, [(Simplex.of([1, 2, 3]), mid(1, 2))])
 
     def test_point_set_preserved(self):
         rng = random.Random(11)
         c = closure([[1, 2, 3], [3, 4]])
         t = Simplex.of([1, 2, 3])
         stars = [(t, random_interior_point(rng, t))]
-        c2, new = star_at_point(c, stars)
+        c2, new = star_at_point(c, carriers(stars))
         lineage2 = extend_lineage(None, stars, new)
         stars = [(Simplex.of([3, 4]), mid(3, 4))]
-        c3, new = star_at_point(c2, stars)
+        c3, new = star_at_point(c2, carriers(stars))
         lineage3 = extend_lineage(lineage2, stars, new)
         for _ in range(334):  # three membership queries each: >1000 point checks
             carrier = random.Random(rng.random()).choice(sorted(c.simplices))
@@ -143,7 +139,7 @@ class TestDerivedSubdivision:
         stars = [(s, barycenter(s)) for s in sorted(c.simplices, key=lambda x: (-x.dim, x.vertices))
                  if s.dim > 0]
         new = sorted(set(out.complex.vertices) - set(c.vertices))
-        assert star_at_point(c, stars) == (out.complex, new)
+        assert star_at_point(c, carriers(stars)) == (out.complex, new)
         lineage = extend_lineage(None, stars, new)
         for v in out.complex.vertices:
             point = origin(lineage, v)
@@ -157,7 +153,7 @@ class TestDerivedSubdivision:
         t = Simplex.of([1, 2])
         before = len(c)
         cofaces = sum(1 for s in c.simplices if set(t.vertices) <= set(s.vertices))
-        after, _ = star_at_point(c, [(t, mid(1, 2))])
+        after, _ = star_at_point(c, [t])
         assert len(after) <= before * (cofaces + 1)
 
 
@@ -171,7 +167,7 @@ class TestHereditaryClosure:
                 if not candidates:
                     break
                 s = rng.choice(candidates)
-                c, _ = star_at_point(c, [(s, random_interior_point(rng, s))])
+                c, _ = star_at_point(c, [s])
             for s in c.simplices:
                 for face in s.faces():
                     assert face in c
@@ -252,7 +248,7 @@ class TestBatchStarring:
             c = random_complex(rng, max_dim=3, max_vertices=6, n_maximal=3)
             f = random_map(rng, c, n)
             stars = pattern(rng, c)
-            g, new = star_with_values(f, stars)
+            g, new = star_with_values(f, point_stars(f, stars))
             ref, ref_new = f, []
             for carrier, point in stars:
                 ref, vid = ref_star_with_values(ref, carrier, point)
@@ -261,7 +257,7 @@ class TestBatchStarring:
             assert g.complex.k_simplices(1) == ref.complex.k_simplices(1)
             assert g.values == ref.values
             assert new == ref_new
-            assert star_at_point(c, stars) == (ref.complex, ref_new)
+            assert star_at_point(c, carriers(stars)) == (ref.complex, ref_new)
             lineage = extend_lineage(None, stars, new)
             for vid in new:
                 assert evaluate(f, lineage[vid]) == g.value(vid)
@@ -272,7 +268,7 @@ class TestBatchStarring:
         c = closure([[1, 2, 3]])
         t = Simplex.of([1, 2, 3])
         with pytest.raises(ValueError):
-            star_at_point(c, [(Simplex.of([1, 2]), mid(1, 2)), (t, barycenter(t))])
+            star_at_point(c, [Simplex.of([1, 2]), t])
 
     def test_removed_carrier_random(self):
         rng = random.Random(8)
@@ -284,8 +280,7 @@ class TestBatchStarring:
             coface = rng.choice([t for t in sorted(c.simplices)
                                  if set(s.vertices) <= set(t.vertices)])
             with pytest.raises(ValueError):
-                star_at_point(c, [(s, random_interior_point(rng, s)),
-                                  (coface, random_interior_point(rng, coface))])
+                star_at_point(c, [s, coface])
 
 
 class TestFullSubcomplex:

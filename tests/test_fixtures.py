@@ -44,6 +44,15 @@ class TestFixture:
         for s in bdry.simplices:
             assert not (simplex_min_value(f, s, Norm.LINF) < one)
 
+    def test_a_values_are_scaled_unit_vectors(self):
+        """An A-vertex labelled sign * i gets kappa * sign * e_i (kappa = 1
+        for l1); the vertex that makes A full gets 0."""
+        f = fixture_from_extension(closure([[0, 1]]), closure([[0], [1]]),
+                                   SphereMap(closure([[0], [1]]), 3, {0: 2, 1: -3}), Norm.L1)
+        assert f.value(0) == (0, 1, 0)
+        assert f.value(1) == (0, 0, -1)
+        assert f.value(2) == (0, 0, 0)
+
     def test_small_a_values_raise_reduction_error(self, monkeypatch):
         monkeypatch.setattr(fixtures, "kappa", lambda norm, n: Fraction(1, 2))
         disk, bdry = disk_square()

@@ -17,7 +17,7 @@ from robsat.pl_map import CriticalValue, Norm, star_with_values, vector_norm
 from robsat.reduction import vertexwise_extremal_subdivision
 from robsat.robustness import RobTag, decide_robsat
 
-from helpers import random_interior_point, random_map, scale_map, scaled
+from helpers import point_stars, random_interior_point, random_map, scale_map, scaled
 
 INVARIANT = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -55,7 +55,8 @@ def test_subdivision_invariance(inst, stars, data):
     g = f
     for _ in range(stars):
         carrier = rng.choice([s for s in g.complex.simplices if s.dim > 0])
-        g, _ = star_with_values(g, [(carrier, random_interior_point(rng, carrier))])
+        batch = [(carrier, random_interior_point(rng, carrier))]
+        g, _ = star_with_values(g, point_stars(g, batch))
     alpha = data.draw(st.sampled_from(alphas))
     assert decide_robsat(f, alpha, norm).tag == decide_robsat(g, alpha, norm).tag
 

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robsat import exactlinalg, pl_map
-from robsat.complex_core import BaryPoint, Simplex, barycenter, closure
+from robsat.complex_core import BaryPoint, Simplex, closure
 from robsat.pl_map import (
     CriticalValue,
     Norm,
     PLMap,
+    _interpolate,
     _min_l2,
     _pair,
     _simplex_min,
@@ -29,8 +30,10 @@ from helpers import (
     LARGE_PRIMES,
     as_dict,
     assert_canonical,
+    barycenter,
     extend_lineage,
     path_map,
+    point_stars,
     random_complex,
     random_map,
     random_point_in,
@@ -321,8 +324,9 @@ class TestIntegerKernels:
     @given(coprime_simplex_values(), st.data())
     def test_star_with_values(self, case, data):
         """A batch of two starrings, the second on an edge of the first's new
-        vertex, interpolates f in Fractions at both new vertices, and every
-        pair stays reduced."""
+        vertex, at values that `_interpolate` (the extremal stage's kernel)
+        computes: they are f interpolated in Fractions at both new vertices,
+        and every pair stays reduced."""
         ys, n = case
         d1 = len(ys)
         f = PLMap(closure([range(d1)]), n, dict(enumerate(ys)))
@@ -330,9 +334,10 @@ class TestIntegerKernels:
         p1 = BaryPoint.from_dict({v: Fraction(w, sum(weights)) for v, w in enumerate(weights)})
         k = data.draw(st.integers(1, 10 ** 6))
         p2 = BaryPoint.from_dict({0: Fraction(k, k + 7919), d1: Fraction(7919, k + 7919)})
-        stars = [(Simplex(tuple(range(d1))), p1), (Simplex.of([0, d1]), p2)]
-        if d1 == 1:
-            stars = stars[:1]
+        y1 = _interpolate(f._pairs, p1, n)
+        stars = [(Simplex(tuple(range(d1))), y1)]
+        if d1 > 1:
+            stars.append((Simplex.of([0, d1]), _interpolate({**f._pairs, d1: y1}, p2, n)))
         f2, new = star_with_values(f, stars)
         assert_canonical(f2)
         expected = evaluate(f, p1)
@@ -418,9 +423,9 @@ class TestCriticalValues:
                 if not edges:
                     continue
                 e = rng.choice(edges)
-                f2, _ = star_with_values(
+                f2, _ = star_with_values(f, point_stars(
                     f, [(e, BaryPoint.from_dict({e.vertices[0]: Fraction(1, 2),
-                                                 e.vertices[1]: Fraction(1, 2)}))])
+                                                 e.vertices[1]: Fraction(1, 2)}))]))
                 assert global_min(f, norm) == global_min(f2, norm)
                 # the refined critical set still contains the global minimum
                 assert global_min(f, norm) in critical_values(f2, norm)
@@ -443,7 +448,7 @@ class TestRestrictInterpolate:
     def test_star_edge_zero(self):
         f = path_map([-1, 1])
         stars = [(Simplex.of([0, 1]), BaryPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}))]
-        f2, new = star_with_values(f, stars)
+        f2, new = star_with_values(f, point_stars(f, stars))
         (vid,) = new
         assert f2.value(vid) == (0,)
         # the interpolated value is f at the new vertex's location
@@ -463,7 +468,7 @@ class TestRestrictInterpolate:
         t = closure([[1, 2, 3]])
         f = PLMap(t, 2, {1: (3, 0), 2: (0, 3), 3: (0, 0)})
         stars = [(Simplex.of([1, 2, 3]), barycenter(Simplex.of([1, 2, 3])))]
-        f2, new = star_with_values(f, stars)
+        f2, new = star_with_values(f, point_stars(f, stars))
         lineage = extend_lineage(None, stars, new)
         for _ in range(50):
             p = random_point_in(rng, Simplex.of([1, 2, 3]))  # t is not subdivided

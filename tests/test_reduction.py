@@ -16,7 +16,7 @@ from robsat.pl_map import CriticalValue, Norm, PLMap, simplex_min, vector_norm
 from robsat.reduction import (
     LevelPair,
     ReductionError,
-    SphereModel,
+    SphereMap,
     build_chi,
     sign_refinement,
     simplicial_approximation,
@@ -66,23 +66,29 @@ def as_pass(h):
     return lambda v, _: pairs[v]
 
 
-class TestSphereModel:
+class TestSphereMap:
     def test_antipodal_free(self):
-        m = SphereModel(2)
-        assert m.is_simplex([1])
-        assert m.is_simplex([1, 2])
-        assert not m.is_simplex([1, -1])
-        assert not m.is_simplex([1, 2, -1])
+        edge, tri = closure([[0, 1]]), closure([[0, 1, 2]])
+        assert SphereMap(closure([[0]]), 2, {0: 1}).is_simplicial()
+        assert SphereMap(edge, 2, {0: 1, 1: 2}).is_simplicial()
+        assert SphereMap(edge, 2, {0: 1, 1: 1}).is_simplicial()  # collapses are allowed
+        assert not SphereMap(edge, 2, {0: 1, 1: -1}).is_simplicial()
+        assert not SphereMap(tri, 2, {0: 1, 1: 2, 2: -1}).is_simplicial()
 
     def test_no_n_simplices(self):
-        m = SphereModel(3)
-        assert not m.is_simplex([1, 2, 3, -1])
-        assert m.is_simplex([1, 2, 3])  # dimension n-1 = 2
+        """n + 1 labels in range always hold an antipodal pair."""
+        tet = closure([[0, 1, 2, 3]])
+        assert not SphereMap(tet, 3, {0: 1, 1: 2, 2: 3, 3: -1}).is_simplicial()
+        assert SphereMap(closure([[0, 1, 2]]), 3, {0: 1, 1: 2, 2: 3}).is_simplicial()  # dim n-1
+        with pytest.raises(ValueError, match="bad sphere vertex 4"):
+            SphereMap(tet, 3, {0: 1, 1: 2, 2: 3, 3: 4})
 
-    def test_coordinates(self):
-        m = SphereModel(3)
-        assert m.coordinates(2) == (0, 1, 0)
-        assert m.coordinates(-3) == (0, 0, -1)
+    @pytest.mark.parametrize("labels", [{0: 5, 1: -7}, {0: 1, 1: -3}, {0: 0, 1: 1}])
+    def test_rejects_labels_out_of_range(self, labels):
+        """A label is +-i for 1 <= i <= n: no other label names a vertex of
+        the sphere."""
+        with pytest.raises(ValueError, match="bad sphere vertex"):
+            SphereMap(closure([[0, 1]]), 2, labels)
 
 
 class TestExtremalSubdivision:
