@@ -79,8 +79,6 @@ def _certificate_json(ev):
     out = {"tag": ev.tag.value, "reason": ev.reason}
     if ev.w is not None:
         out["w"] = {str(list(s.vertices)): v for s, v in ev.w.values.items()}
-    if ev.vertex_extension is not None:
-        out["vertex_extension"] = {str(k): v for k, v in ev.vertex_extension.items()}
     return out
 
 
@@ -110,13 +108,12 @@ def cmd_decide(args) -> tuple[dict, int]:
     if instance.g is not None:
         verdict = decide_with_inequalities(f, instance.g, alpha, instance.norm,
                                            assume_hopf=args.assume_hopf)
-        if verdict.tag is RobTag.ROBUST_NO and cfg is not None and verdict.witness is None:
-            verdict.witness = perturbation_witness(f, alpha, cfg, instance.norm)
-            if verdict.witness is not None:
-                _validate_witness(f, verdict.witness, alpha, instance.norm)
     else:
-        verdict = decide_robsat(f, alpha, instance.norm,
-                                assume_hopf=args.assume_hopf, witness_config=cfg)
+        verdict = decide_robsat(f, alpha, instance.norm, assume_hopf=args.assume_hopf)
+    if verdict.tag is RobTag.ROBUST_NO and cfg is not None and verdict.witness is None:
+        verdict.witness = perturbation_witness(f, alpha, cfg, instance.norm)
+        if verdict.witness is not None:
+            _validate_witness(f, verdict.witness, alpha, instance.norm)
     doc = {
         "verdict": verdict.tag.value,
         "reason": verdict.reason,

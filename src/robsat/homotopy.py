@@ -1,11 +1,12 @@
 """Extendability of sphere-valued simplicial maps over a pair (X, A).
 
-The decision is complete for target dimension n = 1 (constancy on components)
-and n = 2 (the cocycle class restricts from X iff the map extends, at any
-dimension of X).  For n >= 3 the same integer cocycle system is the primary
-obstruction: unsolvable always means no extension; solvable means an extension
-exists when dim X <= n (Hopf extension theorem, an assumption documented on
-the `assume_hopf` flag) and is otherwise reported as Unknown.
+One integer cocycle system decides every n.  It is complete for n <= 2: the
+map extends iff its cocycle class restricts from X, at any dimension of X
+(for n = 1 the class is in H^0, and the system says the labels are constant
+on the A-vertices of each component of X).  For n >= 3 it is the primary
+obstruction: unsolvable always means no extension; solvable means an
+extension exists when dim X <= n (Hopf extension theorem, an assumption
+documented on the `assume_hopf` flag) and is otherwise reported as Unknown.
 
 The sphere map pulls the fundamental cocycle back to an (n-1)-cocycle z on A,
 and its class restricts from X iff there is an integer (n-1)-cochain w on X
@@ -17,7 +18,8 @@ with
 u extended by zero.)  So the unknowns are w on the (n-1)-simplices of X that
 are not in A, one equation per n-simplex of X that is not in A; the equations
 of A's n-simplices hold because z is a cocycle.  Every Extends answer carries
-w, re-verified by exact arithmetic before it is returned.
+w; when A is not empty, w is re-verified by exact arithmetic before it is
+returned.
 
 `smith_solve` eliminates the system collapse-first.  A column in one equation
 only, with a unit coefficient, is a free (n-1)-face of one n-simplex:
@@ -39,7 +41,6 @@ from .complex_core import (
     Simplex,
     apply_coboundary,
     chain_boundary,
-    connected_components,
     permutation_parity,
 )
 from .exactlinalg import ExactnessError
@@ -57,7 +58,6 @@ class ExtendVerdict:
     tag: ExtendTag
     reason: str = ""
     w: IntCochain | None = None
-    vertex_extension: dict | None = None  # n = 1 certificate: a full vertex map
 
 
 @dataclass
@@ -288,36 +288,20 @@ def cocycle_extension_solvable(x: Complex, a: Complex, z: IntCochain) -> IntCoch
     return w
 
 
-def _decide_s0(x: Complex, a: Complex, fmap: SphereMap) -> ExtendVerdict:
-    assignment = {}
-    a_vertices = set(a.vertices)
-    for comp in connected_components(x):
-        labels = {fmap.image(v) for v in comp if v in a_vertices}
-        if len(labels) > 1:
-            return ExtendVerdict(
-                ExtendTag.NOT_EXTENDS,
-                reason=f"map not constant on the component containing vertex {min(comp)}",
-            )
-        lab = labels.pop() if labels else 1
-        for v in comp:
-            assignment[v] = lab
-    return ExtendVerdict(ExtendTag.EXTENDS, reason="constant on every component",
-                         vertex_extension=assignment)
-
-
 def decide_extension(x: Complex, a: Complex, fmap: SphereMap, n: int,
                      assume_hopf: bool = True) -> ExtendVerdict:
     """Decide whether fmap: A -> S^(n-1) extends to a continuous map on X.
 
-    Complete for n <= 2 and, under `assume_hopf`, for dim X <= n.  Otherwise
-    unsolvability of the cocycle system still certifies NotExtends; solvability
-    yields Unknown.
+    Complete for n <= 2 by one system, and, under `assume_hopf`, for
+    dim X <= n.  Otherwise unsolvability of the cocycle system still
+    certifies NotExtends; solvability yields Unknown.  Raises ValueError
+    unless fmap is a simplicial map from A into S^(n-1).
     """
+    if fmap.n != n or fmap.domain != a or not fmap.is_simplicial():
+        raise ValueError(f"fmap is not a simplicial map from A into S^{n - 1}")
     if a.is_empty():
         return ExtendVerdict(ExtendTag.EXTENDS, reason="A is empty",
                              w=IntCochain(max(n - 1, 0)))
-    if n == 1:
-        return _decide_s0(x, a, fmap)
     z = pullback_cocycle(fmap)
     w = cocycle_extension_solvable(x, a, z)
     if w is None:
@@ -325,7 +309,7 @@ def decide_extension(x: Complex, a: Complex, fmap: SphereMap, n: int,
             ExtendTag.NOT_EXTENDS,
             reason="the pulled-back cocycle does not extend over X (primary obstruction)",
         )
-    if n == 2:
+    if n <= 2:
         return ExtendVerdict(ExtendTag.EXTENDS, reason="cocycle class restricts from X",
                              w=w)
     if x.dim <= n:

@@ -70,15 +70,6 @@ class RobustnessResult:
     hi: CriticalValue | None = None
 
 
-@dataclass
-class ReductionOutcome:
-    """Either an early verdict or the refined pair plus its sphere map."""
-
-    shortcut: RobVerdict | None = None
-    pair: LevelPair | None = None
-    fmap: SphereMap | None = None
-
-
 def _coerce_alpha(alpha) -> CriticalValue:
     if isinstance(alpha, CriticalValue):
         cv = alpha
@@ -89,33 +80,19 @@ def _coerce_alpha(alpha) -> CriticalValue:
     return cv
 
 
-def reduce_to_extension(f: PLMap, alpha, norm: Norm) -> ReductionOutcome:
-    """Run the subdivision pipeline for one alpha.
-
-    Short-circuits: when the sublevel part X is empty, |f| > alpha everywhere
-    and f itself is a rootless perturbation of itself; when A is empty but X
-    is not, the empty map extends (constantly), so the instance is again not
-    robust.
-    """
+def reduce_to_extension(f: PLMap, alpha, norm: Norm) -> LevelPair | None:
+    """Run the subdivision pipeline for one alpha: the validated,
+    sign-refined level pair, or None when the sublevel part X is empty.  A
+    may be empty; `decide_extension` answers that case like any other."""
     if f.n < 1:
         raise ValueError("the map must have at least one component")
     alpha = _coerce_alpha(alpha)
     f1 = vertexwise_extremal_subdivision(f, norm)
     chi = build_chi(f1, alpha, norm)
     if all(v == 1 for v in chi.values()):
-        # f1 is vertex-extremal; `decide_robsat` re-checks the witness f exactly
-        return ReductionOutcome(shortcut=RobVerdict(
-            RobTag.ROBUST_NO,
-            reason="|f| exceeds alpha everywhere; f is its own rootless perturbation",
-            witness=f))
+        return None
     # Sign refinement stars nothing when A is empty, so it only validates.
-    pair = sign_refinement(split_level(f1, chi))
-    if pair.a.is_empty():
-        return ReductionOutcome(shortcut=RobVerdict(
-            RobTag.ROBUST_NO,
-            reason="the level subcomplex A is empty; the empty map extends"))
-    fmap = simplicial_approximation(pair)
-    return ReductionOutcome(pair=pair, fmap=fmap)
+    return sign_refinement(split_level(f1, chi))
 
 
 def _verdict_from_extension(ev: ExtendVerdict) -> RobVerdict:
@@ -126,13 +103,12 @@ def _verdict_from_extension(ev: ExtendVerdict) -> RobVerdict:
     return RobVerdict(RobTag.UNKNOWN, reason=ev.reason, extend=ev)
 
 
-def decide_robsat(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True,
-                  witness_config=None) -> RobVerdict:
+def decide_robsat(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True) -> RobVerdict:
     """Does every alpha-perturbation of f have a root?
 
     RobustYes means the sphere map on A does not extend over X; RobustNo means
-    it does (or that the pair degenerates); Unknown is possible only beyond
-    the decidable range (n >= 3 with dim X > n).
+    it does, or that X is empty; Unknown is possible only beyond the decidable
+    range (n >= 3 with dim X > n).
 
     >>> from robsat.complex_core import closure
     >>> from robsat.pl_map import PLMap, Norm
@@ -144,20 +120,18 @@ def decide_robsat(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True,
     'RobustNo'
     """
     alpha = _coerce_alpha(alpha)
-    outcome = reduce_to_extension(f, alpha, norm)
-    if outcome.shortcut is not None:
-        verdict = outcome.shortcut
-    else:
-        ev = decide_extension(outcome.pair.x, outcome.pair.a, outcome.fmap,
-                              f.n, assume_hopf=assume_hopf)
-        verdict = _verdict_from_extension(ev)
-    if verdict.tag is RobTag.ROBUST_NO and verdict.witness is None and witness_config is not None:
-        from .oracles import perturbation_witness
-
-        verdict.witness = perturbation_witness(f, alpha, witness_config, norm)
-    if verdict.witness is not None:
-        _validate_witness(f, verdict.witness, alpha, norm)
-    return verdict
+    pair = reduce_to_extension(f, alpha, norm)
+    if pair is None:
+        # |f| > alpha on the vertex-extremal subdivision's vertices, so f is a
+        # rootless perturbation of itself; the witness is re-checked exactly
+        _validate_witness(f, f, alpha, norm)
+        return RobVerdict(
+            RobTag.ROBUST_NO,
+            reason="|f| exceeds alpha everywhere; f is its own rootless perturbation",
+            witness=f)
+    ev = decide_extension(pair.x, pair.a, simplicial_approximation(pair), f.n,
+                          assume_hopf=assume_hopf)
+    return _verdict_from_extension(ev)
 
 
 def _validate_witness(f: PLMap, g: PLMap, alpha: CriticalValue, norm: Norm) -> None:
@@ -231,10 +205,10 @@ def locate_components(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True):
     from .complex_core import connected_components
 
     alpha = _coerce_alpha(alpha)
-    outcome = reduce_to_extension(f, alpha, norm)
-    if outcome.shortcut is not None:
+    pair = reduce_to_extension(f, alpha, norm)
+    if pair is None:
         return []
-    pair, fmap = outcome.pair, outcome.fmap
+    fmap = simplicial_approximation(pair)
     results = []
     for comp in connected_components(pair.x):
         x_i = full_subcomplex(pair.x, comp)

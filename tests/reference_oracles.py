@@ -2,8 +2,9 @@
 
 They are deliberately independent of the main code paths: the winding oracle
 walks boundary cycles, the grid check samples simplices densely, the
-Diophantine check enumerates a box, and point location solves for barycentric
-coordinates directly.  The extremal subdivision that re-examines every
+Diophantine check enumerates a box, the n = 1 rule reads the labels of each
+component, and point location solves for barycentric coordinates directly.
+The n = 1 rule is the one the cocycle system replaced.  The extremal subdivision that re-examines every
 simplex in every derived pass, and the Euclidean simplex minimum with its LP
 fallback on singular KKT faces, are the versions robsat's faster paths
 replaced, and so are the Fraction kernels that integer vertex values
@@ -175,6 +176,23 @@ def winding_oracle(a: Complex, fmap: SphereMap) -> list[int]:
             total += z(s) if u < v else -z(s)
         out.append(total)
     return out
+
+
+def ref_decide_s0(x: Complex, a: Complex, fmap: SphereMap) -> dict | None:
+    """The n = 1 rule that robsat decided apart from the cocycle system: a map
+    A -> S^0 extends iff it is constant on the A-vertices of each component
+    of X.  Returns a vertex map of X that extends it (label +1 on components
+    without A-vertices), or None when there is none."""
+    assignment = {}
+    a_vertices = set(a.vertices)
+    for comp in connected_components(x):
+        labels = {fmap.image(v) for v in comp if v in a_vertices}
+        if len(labels) > 1:
+            return None
+        lab = labels.pop() if labels else 1
+        for v in comp:
+            assignment[v] = lab
+    return assignment
 
 
 def grid_min_check(f: PLMap, s: Simplex, norm: Norm, resolution: int) -> CriticalValue:

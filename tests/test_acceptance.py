@@ -17,7 +17,12 @@ from robsat.instance_io import load_file
 from robsat.oracles import WitnessSearchConfig, perturbation_witness
 from robsat.pl_map import CriticalValue, Norm, PLMap, critical_values
 from robsat.polynomials import Polynomial
-from robsat.reduction import SphereMap, build_chi, vertexwise_extremal_subdivision
+from robsat.reduction import (
+    SphereMap,
+    build_chi,
+    simplicial_approximation,
+    vertexwise_extremal_subdivision,
+)
 from robsat.robustness import RobTag, RobustnessTag, decide_robsat, reduce_to_extension, robustness
 from robsat.sampling import SampledTag, decide_sampled, sample_polynomial
 from robsat.complex_core import BaryPoint
@@ -59,8 +64,8 @@ def test_02_worked_trace():
         Fraction(0): {Fraction(0)},
         Fraction(-1): {Fraction(1, 2)},
     }
-    outcome = reduce_to_extension(f, CriticalValue.rat(1), Norm.LINF)
-    labels = sorted(outcome.fmap.assignment.values())
+    fmap = simplicial_approximation(reduce_to_extension(f, CriticalValue.rat(1), Norm.LINF))
+    labels = sorted(fmap.assignment.values())
     assert labels == [-1, 1, 1]  # +e1, -e1, +e1 on the three A-vertices
     assert decide_robsat(f, 1, Norm.LINF).tag == RobTag.ROBUST_YES
     assert decide_robsat(f, 3, Norm.LINF).tag == RobTag.ROBUST_NO

@@ -370,11 +370,26 @@ class TestWitnessRecheck:
     ])
     def test_bad_witness_of_an_inequality_instance_exits_70(self, capsys, monkeypatch,
                                                               witness):
-        """The inequality path of `robsat decide` re-checks the searched
-        witness exactly, as `decide_robsat` does for f alone."""
+        """`robsat decide` re-checks the searched witness exactly on an
+        instance with g too."""
         monkeypatch.setattr(cli, "perturbation_witness",
                             lambda f, alpha, cfg, norm: witness(f))
         code = main(["decide", "-i", instance("path_with_inequality.json"), "--alpha", "1",
+                     "--witness"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL and captured.out == ""
+        assert json.loads(captured.err)["type"] == "ReductionError"
+
+    @pytest.mark.parametrize("witness", [
+        lambda f: f,  # has a root
+        lambda f: constant_map(f, 9),  # rootless, but farther than alpha
+    ])
+    def test_bad_witness_exits_70(self, capsys, monkeypatch, witness):
+        """An instance without g takes the same one witness search and
+        re-check as an instance with g."""
+        monkeypatch.setattr(cli, "perturbation_witness",
+                            lambda f, alpha, cfg, norm: witness(f))
+        code = main(["decide", "-i", instance("path_3_-1_3.json"), "--alpha", "4",
                      "--witness"])
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL and captured.out == ""

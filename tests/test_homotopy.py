@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from robsat import homotopy
 from robsat.complex_core import (
     Complex,
     IntCochain,
@@ -15,8 +16,10 @@ from robsat.complex_core import (
     chain_boundary,
     closure,
     apply_coboundary,
+    connected_components,
     full_subcomplex,
 )
+from robsat.exactlinalg import ExactnessError
 from robsat.grid import freudenthal_grid
 from robsat.homotopy import (
     DiophantineSystem,
@@ -38,12 +41,13 @@ from helpers import (
     boundary_cycle_chain,
     disk_square,
     dense_matrix,
+    random_complex,
     ref_build_extension_system,
     ref_smith_solve,
     solves,
     sparse_system,
 )
-from reference_oracles import brute_diophantine, winding_oracle
+from reference_oracles import brute_diophantine, ref_decide_s0, winding_oracle
 
 
 class TestSmithSolve:
@@ -124,16 +128,64 @@ class TestDecideExtension:
         a = full_subcomplex(p, {0, 2, 4})
         bad = SphereMap(a, 1, {0: 1, 2: -1, 4: 1})
         assert decide_extension(p, a, bad, 1).tag == ExtendTag.NOT_EXTENDS
-        good = SphereMap(a, 1, {0: -1, 2: -1, 4: -1})
-        verdict = decide_extension(p, a, good, 1)
-        assert verdict.tag == ExtendTag.EXTENDS
-        assert set(verdict.vertex_extension.values()) == {-1}
+        for label in (1, -1):
+            good = SphereMap(a, 1, {0: label, 2: label, 4: label})
+            verdict = decide_extension(p, a, good, 1)
+            assert verdict.tag == ExtendTag.EXTENDS
+            # z is 1 on +1 labels and 0 on -1 labels, and w is constant on the path
+            assert {verdict.w(v) for v in p.k_simplices(0)} == {int(label == 1)}
+            assert verify_extension_certificate(p, a, pullback_cocycle(good), verdict.w)
 
     def test_s0_two_components(self):
         p = closure([[0, 1], [5, 6]])
         a = full_subcomplex(p, {0, 5})
         mixed = SphereMap(a, 1, {0: 1, 5: -1})
         assert decide_extension(p, a, mixed, 1).tag == ExtendTag.EXTENDS
+
+    def test_s0_against_the_component_rule(self):
+        """n = 1 runs the cocycle system: its verdict is the reference rule's
+        (labels constant on the A-vertices of each component), and each w is
+        the reference's vertex map read as a 0-cocycle where A fixes it."""
+        rng = random.Random(18)
+        counts = {ExtendTag.EXTENDS: 0, ExtendTag.NOT_EXTENDS: 0}
+        for _ in range(300):
+            x = random_complex(rng, max_dim=2, max_vertices=8, n_maximal=10)
+            a = full_subcomplex(x, {v for v in x.vertices if rng.random() < 0.5})
+            # one label per component of A, so both ends of an A-edge agree
+            labels = {}
+            for comp in connected_components(a):
+                lab = rng.choice((1, -1))
+                labels.update((v, lab) for v in comp)
+            fmap = SphereMap(a, 1, labels)
+            verdict = decide_extension(x, a, fmap, 1)
+            ref = ref_decide_s0(x, a, fmap)
+            assert verdict.tag == (ExtendTag.NOT_EXTENDS if ref is None else ExtendTag.EXTENDS)
+            counts[verdict.tag] += 1
+            if ref is None:
+                continue
+            assert verify_extension_certificate(x, a, pullback_cocycle(fmap), verdict.w)
+            for comp in connected_components(x):
+                if any(v in labels for v in comp):
+                    assert all(verdict.w(Simplex.of([v])) == int(ref[v] == 1) for v in comp)
+        assert min(counts.values()) >= 20, counts
+
+    def test_s0_solution_is_rechecked(self, monkeypatch):
+        """A wrong solver answer at n = 1 fails the exact re-check of w."""
+        monkeypatch.setattr(homotopy, "smith_solve", lambda system: [7] * system.ncols)
+        p = closure([[0, 1], [1, 2]])
+        a = full_subcomplex(p, {0, 2})
+        with pytest.raises(ExactnessError):
+            decide_extension(p, a, SphereMap(a, 1, {0: 1, 2: 1}), 1)
+
+    @pytest.mark.parametrize("labels, domain, n", [
+        ({0: 1, 1: -1}, [[0, 1]], 2),  # the A-edge goes to antipodal labels
+        ({0: 1, 1: 2}, [[0, 1]], 3),  # a map into S^1 decided as one into S^2
+        ({0: 1, 1: 2}, [[0], [1]], 2),  # its domain is not A
+    ], ids=["antipodal", "other-sphere", "other-domain"])
+    def test_rejects_a_map_that_is_not_simplicial_from_a(self, labels, domain, n):
+        fmap = SphereMap(closure(domain), 2, labels)
+        with pytest.raises(ValueError):
+            decide_extension(closure([[0, 1, 2]]), closure([[0, 1]]), fmap, n)
 
     def test_disk_boundary_degree_one(self):
         disk, bdry = disk_square()

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from robsat import oracles
 from robsat.complex_core import closure
-from robsat.pl_map import CriticalValue, Norm, PLMap, critical_values, global_min
-from robsat.oracles import WitnessSearchConfig
-from robsat.reduction import ReductionError
+from robsat.pl_map import CriticalValue, Norm, PLMap, critical_values, global_min, map_distance
+from robsat.oracles import WitnessSearchConfig, perturbation_witness
 from robsat.robustness import (
     RobTag,
     RobustnessTag,
+    _validate_witness,
     decide_robsat,
     decide_with_inequalities,
     locate_components,
@@ -53,22 +52,12 @@ class TestDecideRobsat:
     def test_witness_search_attached(self):
         f = path_map([3, -1, 3])
         cfg = WitnessSearchConfig(trials=50, seed=1, step=Fraction(1, 2))
-        v = decide_robsat(f, 4, Norm.LINF, witness_config=cfg)
-        assert v.tag == RobTag.ROBUST_NO
-        assert v.witness is not None
-        assert not global_min(v.witness, Norm.LINF).is_zero()
-
-
-    @pytest.mark.parametrize("witness", [
-        lambda f: f,  # has a root
-        lambda f: path_map([9, 9, 9]),  # rootless, but farther than alpha
-    ])
-    def test_bad_witness_raises_reduction_error(self, monkeypatch, witness):
-        monkeypatch.setattr(oracles, "perturbation_witness",
-                            lambda f, alpha, cfg, norm: witness(f))
-        cfg = WitnessSearchConfig(trials=5, seed=1, step=Fraction(1, 2))
-        with pytest.raises(ReductionError):
-            decide_robsat(path_map([3, -1, 3]), 4, Norm.LINF, witness_config=cfg)
+        assert decide_robsat(f, 4, Norm.LINF).tag == RobTag.ROBUST_NO
+        alpha = CriticalValue.rat(4)
+        witness = perturbation_witness(f, alpha, cfg, Norm.LINF)
+        assert witness is not None
+        assert not global_min(witness, Norm.LINF).is_zero()
+        _validate_witness(f, witness, alpha, Norm.LINF)
 
 
 class TestRobustness:
@@ -205,7 +194,7 @@ class TestInequalities:
             decide_with_inequalities(f, g, Fraction(1, 2), Norm.L2)
 
     def test_empty_x_gives_no_witness_on_the_region(self):
-        # |f| > alpha on U = {g <= -alpha}; the shortcut witness there would
+        # |f| > alpha on U = {g <= -alpha}; the X-empty witness there would
         # be f on U's subdivided vertices, not a map on the instance.
         f = path_map([5, 5, 5])
         g = PLMap(f.complex, 1, {0: (-2,), 1: (0,), 2: (-2,)})
@@ -226,10 +215,11 @@ class TestWitnessValidity:
             cx = random_complex(rng, max_dim=2, max_vertices=5, n_maximal=2)
             f = random_map(rng, cx, n=1)
             alpha = Fraction(rng.randint(1, 4), 2)
-            v = decide_robsat(f, alpha, Norm.LINF, witness_config=cfg)
-            if v.witness is not None:
-                # decide_robsat revalidates internally; check independently too
-                from robsat.pl_map import map_distance
-
-                assert not global_min(v.witness, Norm.LINF).is_zero()
-                assert not CriticalValue.rat(alpha) < map_distance(f, v.witness, Norm.LINF)
+            if decide_robsat(f, alpha, Norm.LINF).tag is not RobTag.ROBUST_NO:
+                continue
+            witness = perturbation_witness(f, CriticalValue.rat(alpha), cfg, Norm.LINF)
+            if witness is not None:
+                # the exact re-check, and an independent check of the same two facts
+                _validate_witness(f, witness, CriticalValue.rat(alpha), Norm.LINF)
+                assert not global_min(witness, Norm.LINF).is_zero()
+                assert not CriticalValue.rat(alpha) < map_distance(f, witness, Norm.LINF)
