@@ -47,7 +47,6 @@ from .robustness import (
     decide_robsat,
     decide_with_inequalities,
     locate_components,
-    robustness,
 )
 
 __version__ = "0.1.0"

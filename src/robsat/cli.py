@@ -142,10 +142,9 @@ def cmd_robustness(args) -> tuple[dict, int]:
 
 def cmd_extend(args) -> tuple[dict, int]:
     instance = _load(args.input)
-    if instance.a_complex is None or instance.sphere_map is None:
+    if instance.sphere_map is None:
         raise ParseError("extension instances need 'a_simplices' and 'sphere_map'")
-    verdict = decide_extension(instance.complex, instance.a_complex,
-                               instance.sphere_map, instance.n,
+    verdict = decide_extension(instance.complex, instance.sphere_map,
                                assume_hopf=args.assume_hopf)
     doc = {
         "verdict": verdict.tag.value,
@@ -248,11 +247,10 @@ def cmd_sample_grid(args) -> tuple[dict, int]:
 
 def cmd_gen_fixture(args) -> tuple[dict, int]:
     instance = _load(args.input)
-    if instance.a_complex is None or instance.sphere_map is None:
+    if instance.sphere_map is None:
         raise ParseError("fixture generation needs 'a_simplices' and 'sphere_map'")
     norm = Norm(args.norm) if args.norm else instance.norm
-    f = fixture_from_extension(instance.complex, instance.a_complex,
-                               instance.sphere_map, norm)
+    f = fixture_from_extension(instance.complex, instance.sphere_map, norm)
     out = Instance(f.complex, f.n, norm, f=f, alpha=CriticalValue.rat(Fraction(99, 100)))
     if args.output:
         try:

@@ -25,16 +25,13 @@ def kappa(norm: Norm, n: int) -> Fraction:
     return Fraction(n)
 
 
-def fixture_from_extension(x: Complex, a: Complex, fmap: SphereMap,
-                           norm: Norm = Norm.LINF) -> PLMap:
-    """PL map on (a subdivision of) X that is kappa * fmap on A and 0 on the
-    remaining vertices.  A is first made full in X so that the zero set stays
-    clear of |A|."""
+def fixture_from_extension(x: Complex, fmap: SphereMap, norm: Norm = Norm.LINF) -> PLMap:
+    """PL map on (a subdivision of) X that is kappa * fmap on A, fmap's
+    domain, and 0 on the remaining vertices.  A is first made full in X so
+    that the zero set stays clear of |A|."""
+    a, n = fmap.domain, fmap.n
     if not a.simplices <= x.simplices:
         raise ValueError("A must be a subcomplex of X")
-    for v in a.vertices:
-        fmap.image(v)  # raises if the map does not cover A
-    n = fmap.n
     x2 = make_full(x, a)
     k = kappa(norm, n)
     a_verts = set(a.vertices)

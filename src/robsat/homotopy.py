@@ -1,5 +1,7 @@
 """Extendability of sphere-valued simplicial maps over a pair (X, A).
 
+The map is a `SphereMap` from A into S^(n-1), simplicial by construction;
+it carries its domain A and its n, so a decision takes only X and the map.
 One integer cocycle system decides every n.  It is complete for n <= 2: the
 map extends iff its cocycle class restricts from X, at any dimension of X
 (for n = 1 the class is in H^0, and the system says the labels are constant
@@ -288,17 +290,18 @@ def cocycle_extension_solvable(x: Complex, a: Complex, z: IntCochain) -> IntCoch
     return w
 
 
-def decide_extension(x: Complex, a: Complex, fmap: SphereMap, n: int,
-                     assume_hopf: bool = True) -> ExtendVerdict:
-    """Decide whether fmap: A -> S^(n-1) extends to a continuous map on X.
+def decide_extension(x: Complex, fmap: SphereMap, assume_hopf: bool = True) -> ExtendVerdict:
+    """Decide whether fmap: A -> S^(n-1) extends to a continuous map on X,
+    where A is `fmap.domain` and n is `fmap.n`.
 
     Complete for n <= 2 by one system, and, under `assume_hopf`, for
     dim X <= n.  Otherwise unsolvability of the cocycle system still
     certifies NotExtends; solvability yields Unknown.  Raises ValueError
-    unless fmap is a simplicial map from A into S^(n-1).
+    unless A is a subcomplex of X.
     """
-    if fmap.n != n or fmap.domain != a or not fmap.is_simplicial():
-        raise ValueError(f"fmap is not a simplicial map from A into S^{n - 1}")
+    a, n = fmap.domain, fmap.n
+    if not a.simplices <= x.simplices:
+        raise ValueError("A must be a subcomplex of X")
     if a.is_empty():
         return ExtendVerdict(ExtendTag.EXTENDS, reason="A is empty",
                              w=IntCochain(max(n - 1, 0)))

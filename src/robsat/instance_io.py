@@ -166,13 +166,11 @@ def parse_instance(data: dict) -> Instance:
         for v, lab in assignment.items():
             if not 1 <= abs(lab) <= n:
                 raise ParseError(f"sphere vertex {lab} out of range for n={n}")
-        missing = set(a_complex.vertices) - set(assignment)
-        if missing:
-            raise ParseError(f"sphere_map misses vertices {sorted(missing)}")
-        sphere_map = SphereMap(a_complex, n,
-                               {v: assignment[v] for v in a_complex.vertices})
-        if not sphere_map.is_simplicial():
-            raise ParseError("sphere_map is not simplicial (antipodal image)")
+        try:  # every A-vertex labelled, no antipodal A-edge
+            sphere_map = SphereMap(a_complex, n, {v: assignment[v] for v in a_complex.vertices
+                                                  if v in assignment})
+        except ValueError as exc:
+            raise ParseError(f"bad sphere_map: {exc}") from exc
     return Instance(cx, n, norm, f=f, g=g, alpha=alpha,
                     a_complex=a_complex, sphere_map=sphere_map,
                     chi=chi or None)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import ceil, floor, isqrt
 
-from .pl_map import CriticalValue, Norm, PLMap, vector_norm
+from .pl_map import CriticalValue, Norm, PLMap, _exact_map, _reduced, vector_norm
 
 
 @dataclass(frozen=True)
@@ -29,29 +30,32 @@ class WitnessSearchConfig:
             raise ValueError("the witness lattice step must be positive")
 
 
-def _sign_definite(simplex_vertices, n: int, values) -> bool:
+def _sign_definite(simplex_vertices, n: int, nums) -> bool:
     """True when every simplex has a coordinate of constant strict sign, which
-    proves the map has no root (exact, sufficient, not necessary)."""
+    proves the map has no root (exact, sufficient, not necessary).  nums maps
+    each vertex to its value's numerators over a positive denominator, so
+    they carry the value's signs."""
     for verts in simplex_vertices:
-        vals = [values[v] for v in verts]
-        ok = False
-        for i in range(n):
-            first = vals[0][i]
-            if first > 0:
-                ok = all(row[i] > 0 for row in vals)
-            elif first < 0:
-                ok = all(row[i] < 0 for row in vals)
-            else:
-                ok = False
-            if ok:
-                break
-        if not ok:
+        rows = [nums[v] for v in verts]
+        if not any(all(row[i] > 0 for row in rows) or all(row[i] < 0 for row in rows)
+                   for i in range(n)):
             return False
     return True
 
 
-def _shift(values, delta: tuple[Fraction, ...]) -> dict:
-    return {v: tuple(a + d for a, d in zip(y, delta)) for v, y in values.items()}
+def _shifted(f: PLMap, q: int, deltas) -> dict:
+    """The numerators of f(v) + delta / q, for each vertex v of f in order
+    with the next integer vector delta of `deltas`, over q times f's
+    denominator at v."""
+    pairs = f._pairs
+    return {v: [q * x + pairs[v][1] * e for x, e in zip(pairs[v][0], delta)]
+            for v, delta in zip(f.complex.vertices, deltas)}
+
+
+def _witness(f: PLMap, q: int, nums: dict) -> PLMap:
+    """The map whose numerators `_shifted(f, q, ...)` returned."""
+    return _exact_map(f.complex, f.n, {v: _reduced(nums[v], q * f._pairs[v][1])
+                                       for v in f.complex.vertices})
 
 
 def _lattice_bound(alpha: CriticalValue, step: Fraction) -> int:
@@ -83,31 +87,29 @@ def perturbation_witness(f: PLMap, alpha, cfg: WitnessSearchConfig,
     if not isinstance(alpha, CriticalValue):
         alpha = CriticalValue.rat(Fraction(alpha))
     top = [s.vertices for s in f.complex.maximal_simplices()]
-    base = f.values
-    if _sign_definite(top, f.n, base):
+    if _sign_definite(top, f.n, {v: y for v, (y, _) in f._pairs.items()}):
         return f
     for mag in _shift_magnitudes(alpha, cfg.step):
         for i in range(f.n):
             for sign in (1, -1):
-                delta = tuple(sign * mag if j == i else Fraction(0) for j in range(f.n))
-                values = _shift(base, delta)
-                if _sign_definite(top, f.n, values):
-                    return PLMap(f.complex, f.n, values)
+                delta = [sign * mag.numerator if j == i else 0 for j in range(f.n)]
+                nums = _shifted(f, mag.denominator, repeat(delta))
+                if _sign_definite(top, f.n, nums):
+                    return _witness(f, mag.denominator, nums)
     rng = random.Random(cfg.seed)
     bound = _lattice_bound(alpha, cfg.step)
     p, q = cfg.step.numerator, cfg.step.denominator
-    for _ in range(cfg.trials):
-        values = {}
-        for v in f.complex.vertices:
-            for _attempt in range(20):
-                # the lattice shift step * k, as the integer vector p * k over q
-                delta = [p * rng.randint(-bound, bound) for _ in range(f.n)]
-                if not alpha < vector_norm(delta, norm, q):
-                    break
-            else:
-                delta = [0] * f.n
-            values[v] = tuple(a + Fraction(d, q) for a, d in zip(base[v], delta))
-        if _sign_definite(top, f.n, values):
-            return PLMap(f.complex, f.n, values)
-    return None
 
+    def draw() -> list[int]:
+        for _attempt in range(20):
+            # the lattice shift step * k, as the integer vector p * k over q
+            delta = [p * rng.randint(-bound, bound) for _ in range(f.n)]
+            if not alpha < vector_norm(delta, norm, q):
+                return delta
+        return [0] * f.n
+
+    for _ in range(cfg.trials):
+        nums = _shifted(f, q, (draw() for _ in f.complex.vertices))
+        if _sign_definite(top, f.n, nums):
+            return _witness(f, q, nums)
+    return None

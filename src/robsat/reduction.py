@@ -59,7 +59,12 @@ class SphereMap:
     whose vertices are the signed unit vectors (label +i stands for +e_i, -i
     for -e_i, 1 <= i <= n) and whose simplices are the antipodal-free label
     sets; stored as a vertexwise label assignment.  The distinguished
-    oriented top simplex is (1, 2, ..., n)."""
+    oriented top simplex is (1, 2, ..., n).
+
+    The constructor raises ValueError unless every vertex of the domain has
+    a label in range and no edge has antipodal labels, so a map that exists
+    is simplicial: a simplex holds an antipodal label pair iff one of its
+    edges does (collapses are allowed)."""
 
     __slots__ = ("domain", "n", "assignment")
 
@@ -72,17 +77,13 @@ class SphereMap:
                 raise ValueError(f"vertex {v} has no sphere image")
             if not 1 <= abs(self.assignment[v]) <= n:
                 raise ValueError(f"bad sphere vertex {self.assignment[v]}")
+        for e in domain.k_simplices(1):
+            u, w = e.vertices
+            if self.assignment[u] == -self.assignment[w]:
+                raise ValueError(f"edge {list(e.vertices)} has antipodal images")
 
     def image(self, v: VertexId) -> int:
         return self.assignment[v]
-
-    def is_simplicial(self) -> bool:
-        """Image vertex sets are antipodal-free (collapses are allowed)."""
-        for s in self.domain.simplices:
-            labels = {self.assignment[v] for v in s.vertices}
-            if any(-x in labels for x in labels):
-                return False
-        return True
 
 
 @dataclass

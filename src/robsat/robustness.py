@@ -129,8 +129,7 @@ def decide_robsat(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True) -> RobV
             RobTag.ROBUST_NO,
             reason="|f| exceeds alpha everywhere; f is its own rootless perturbation",
             witness=f)
-    ev = decide_extension(pair.x, pair.a, simplicial_approximation(pair), f.n,
-                          assume_hopf=assume_hopf)
+    ev = decide_extension(pair.x, simplicial_approximation(pair), assume_hopf=assume_hopf)
     return _verdict_from_extension(ev)
 
 
@@ -214,7 +213,7 @@ def locate_components(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True):
         x_i = full_subcomplex(pair.x, comp)
         a_i = full_subcomplex(pair.a, comp & set(pair.a.vertices))
         fmap_i = SphereMap(a_i, f.n, {v: fmap.image(v) for v in a_i.vertices})
-        ev = decide_extension(x_i, a_i, fmap_i, f.n, assume_hopf=assume_hopf)
+        ev = decide_extension(x_i, fmap_i, assume_hopf=assume_hopf)
         if ev.tag is ExtendTag.NOT_EXTENDS:
             results.append((tuple(sorted(comp)), _verdict_from_extension(ev)))
     return results

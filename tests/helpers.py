@@ -730,9 +730,11 @@ def ref_simplicial_approximation(pair: LevelPair) -> SphereMap:
             raise ReductionError(f"f vanishes at A-vertex {v}")
         best = max(range(f.n), key=lambda i: (abs(val[i]), -i))
         assignment[v] = (best + 1) if val[best] > 0 else -(best + 1)
-    fmap = SphereMap(pair.a, f.n, assignment)
-    if not fmap.is_simplicial():
+    from reference_oracles import ref_is_simplicial  # reference_oracles imports helpers
+
+    if not ref_is_simplicial(pair.a, assignment):
         raise ReductionError("sphere image of an A-simplex contains antipodal vertices")
+    fmap = SphereMap(pair.a, f.n, assignment)
     for v in pair.a.vertices:
         lab = assignment[v]
         i = abs(lab) - 1

@@ -8,12 +8,15 @@ The n = 1 rule is the one the cocycle system replaced.  The extremal subdivision
 simplex in every derived pass, and the Euclidean simplex minimum with its LP
 fallback on singular KKT faces, are the versions robsat's faster paths
 replaced, and so are the Fraction kernels that integer vertex values
-replaced: the vertex test, the epigraph LP and the simplex minimum on
-rational vertex values.  None of them is on a path robsat runs.
+replaced: the vertex test, the epigraph LP, the simplex minimum and the
+witness search on rational vertex values.  The per-simplex simplicity check
+of a sphere map is the one that `SphereMap`'s edge check replaced.  None of
+them is on a path robsat runs.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -22,6 +25,7 @@ from robsat.complex_core import BaryPoint, Complex, Simplex, VertexId, connected
 from robsat.grid import FreudenthalGrid
 from robsat.homotopy import pullback_cocycle
 from robsat.linprog import LPInfeasible, solve_lp
+from robsat.oracles import WitnessSearchConfig, _lattice_bound, _shift_magnitudes
 from robsat.pl_map import (
     CriticalValue,
     Norm,
@@ -193,6 +197,16 @@ def ref_decide_s0(x: Complex, a: Complex, fmap: SphereMap) -> dict | None:
         for v in comp:
             assignment[v] = lab
     return assignment
+
+
+def ref_is_simplicial(domain: Complex, assignment: dict[VertexId, int]) -> bool:
+    """Every simplex of the domain has an antipodal-free image label set
+    (collapses are allowed)."""
+    for s in domain.simplices:
+        labels = {assignment[v] for v in s.vertices}
+        if any(-x in labels for x in labels):
+            return False
+    return True
 
 
 def grid_min_check(f: PLMap, s: Simplex, norm: Norm, resolution: int) -> CriticalValue:
@@ -375,3 +389,64 @@ def ref_simplex_min(ys, n, norm: Norm, below: CriticalValue):
     m, x = solve_lp(rows, rhs, cost, lex=d1, lex_below=below.q)
     cv = CriticalValue.rat(m)
     return cv, (tuple(x[:d1]) if cv < below else None)
+
+
+# -- witness search on Fraction values ---------------------------------------
+
+def _ref_sign_definite(simplex_vertices, n: int, values) -> bool:
+    for verts in simplex_vertices:
+        vals = [values[v] for v in verts]
+        ok = False
+        for i in range(n):
+            first = vals[0][i]
+            if first > 0:
+                ok = all(row[i] > 0 for row in vals)
+            elif first < 0:
+                ok = all(row[i] < 0 for row in vals)
+            else:
+                ok = False
+            if ok:
+                break
+        if not ok:
+            return False
+    return True
+
+
+def _ref_shift(values, delta: tuple[Fraction, ...]) -> dict:
+    return {v: tuple(a + d for a, d in zip(y, delta)) for v, y in values.items()}
+
+
+def ref_perturbation_witness(f: PLMap, alpha, cfg: WitnessSearchConfig,
+                             norm: Norm = Norm.LINF) -> PLMap | None:
+    """`oracles.perturbation_witness` with every trial shifted and
+    sign-tested in Fractions: the same trials in the same order, from the
+    same RNG draws."""
+    if not isinstance(alpha, CriticalValue):
+        alpha = CriticalValue.rat(Fraction(alpha))
+    top = [s.vertices for s in f.complex.maximal_simplices()]
+    base = {v: f.value(v) for v in f.complex.vertices}
+    if _ref_sign_definite(top, f.n, base):
+        return f
+    for mag in _shift_magnitudes(alpha, cfg.step):
+        for i in range(f.n):
+            for sign in (1, -1):
+                delta = tuple(sign * mag if j == i else Fraction(0) for j in range(f.n))
+                values = _ref_shift(base, delta)
+                if _ref_sign_definite(top, f.n, values):
+                    return PLMap(f.complex, f.n, values)
+    rng = random.Random(cfg.seed)
+    bound = _lattice_bound(alpha, cfg.step)
+    p, q = cfg.step.numerator, cfg.step.denominator
+    for _ in range(cfg.trials):
+        values = {}
+        for v in f.complex.vertices:
+            for _attempt in range(20):
+                delta = [p * rng.randint(-bound, bound) for _ in range(f.n)]
+                if not alpha < vector_norm(delta, norm, q):
+                    break
+            else:
+                delta = [0] * f.n
+            values[v] = tuple(a + Fraction(d, q) for a, d in zip(base[v], delta))
+        if _ref_sign_definite(top, f.n, values):
+            return PLMap(f.complex, f.n, values)
+    return None

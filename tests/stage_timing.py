@@ -136,7 +136,7 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     system, _ = build_extension_system(pair.x, pair.a, pullback_cocycle(fmap))
     row["smith_s"], _ = best_of(lambda: smith_solve(system))
     row["system"] = list(system.shape)
-    row["ext_s"], ev = best_of(lambda: decide_extension(pair.x, pair.a, fmap, f.n))
+    row["ext_s"], ev = best_of(lambda: decide_extension(pair.x, fmap))
     row["ext_verdict"] = ev.tag.value
     return row
 

@@ -2,11 +2,10 @@ import json
 import os
 import subprocess
 import sys
-from importlib import import_module
 
 import pytest
 
-from robsat import cli, oracles, pl_map
+from robsat import cli, oracles, pl_map, robustness
 from robsat.pl_map import PLMap
 from robsat.cli import EXIT_DECIDED, EXIT_INTERNAL, EXIT_PARSE, EXIT_UNKNOWN, EXIT_USAGE, main
 
@@ -405,7 +404,6 @@ class TestWitnessRecheck:
             "version": 1, "n": 1, "norm": "linf", "simplices": [[0, 1], [1, 2]],
             "vertices": [{"id": i, "f": [x]} for i, x in enumerate(["5", "2", "3"])]}))
         argv = [a.format(tmp=tmp_path) for a in argv]
-        robustness = import_module("robsat.robustness")  # robsat.robustness is the function
         calls = {"global_min": 0, "map_distance": 0}
         for name in calls:
             def counted(*args, _real=getattr(pl_map, name), _name=name):

@@ -1,11 +1,18 @@
 import doctest
-import importlib
+import types
+
+import robsat
+from robsat import robustness
 
 
 def test_module_doctests():
-    # the package re-exports the robustness() function under the same name,
-    # so fetch the module object explicitly
-    module = importlib.import_module("robsat.robustness")
-    result = doctest.testmod(module)
+    result = doctest.testmod(robustness)
     assert result.failed == 0
     assert result.attempted >= 2
+
+
+def test_robustness_attribute_is_the_module():
+    """The package does not rebind the submodule name to its function."""
+    assert isinstance(robsat.robustness, types.ModuleType)
+    assert robsat.robustness is robustness
+    assert robustness.robustness.__module__ == "robsat.robustness"

@@ -14,12 +14,17 @@ from robsat.oracles import (
     _shift_magnitudes,
     perturbation_witness,
 )
-from robsat.pl_map import CriticalValue, Norm, global_min, map_distance, simplex_min
+from robsat.pl_map import CriticalValue, Norm, PLMap, global_min, map_distance, simplex_min
 from robsat.reduction import SphereMap
 from robsat.robustness import RobTag, decide_robsat
 
 from helpers import disk_square, path_map, random_complex, random_map, sparse_system
-from reference_oracles import brute_diophantine, grid_min_check, winding_oracle
+from reference_oracles import (
+    brute_diophantine,
+    grid_min_check,
+    ref_perturbation_witness,
+    winding_oracle,
+)
 
 CFG = WitnessSearchConfig(trials=100, seed=7, step=Fraction(1, 4))
 
@@ -136,6 +141,37 @@ def test_lattice_ladder_matches_the_counting_loops(alpha, step):
     magnitudes, bound = counted_ladder(alpha, step)
     assert list(_shift_magnitudes(alpha, step)) == magnitudes
     assert _lattice_bound(alpha, step) == bound
+
+
+def opposed_edges(rng: random.Random, n: int) -> PLMap:
+    """Disjoint edges whose first coordinate crosses zero near one end,
+    near the low end on even edges and near the high end on odd ones, and
+    whose other coordinates vanish: no axis shift below the long ends'
+    size is rootless, and independent vertex shifts can be."""
+    values = {}
+    for i in range(rng.randint(2, 3)):
+        s = 1 if i % 2 else -1
+        values[2 * i] = (s * Fraction(rng.randint(1, 6), 6),) + (0,) * (n - 1)
+        values[2 * i + 1] = (-s * Fraction(rng.randint(12, 24), 6),) + (0,) * (n - 1)
+    return PLMap(closure([[v, v + 1] for v in values if v % 2 == 0]), n, values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(0, 2 ** 32), st.booleans(), st.integers(1, 3),
+       st.one_of(positive_q.map(CriticalValue.rat), positive_q.map(CriticalValue.sqrt_of)),
+       st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(3, 2)]),
+       st.integers(0, 2 ** 16), st.integers(0, 30), st.sampled_from(list(Norm)))
+@example(1, True, 1, CriticalValue.rat(Fraction(3, 2)), Fraction(1, 4), 0, 30, Norm.LINF)
+def test_witness_search_matches_the_fraction_reference(map_seed, opposed, n, alpha, step, seed,
+                                                       trials, norm):
+    """The search on integer pairs returns the reference's witness, or None
+    with it: the same trials from the same RNG draws.  The opposed edges
+    make the random trials, not only the axis shifts, find witnesses."""
+    rng = random.Random(map_seed)
+    f = opposed_edges(rng, n) if opposed else random_map(
+        rng, random_complex(rng, max_dim=2, max_vertices=5, n_maximal=2), n, denom=6)
+    cfg = WitnessSearchConfig(trials=trials, seed=seed, step=step)
+    assert perturbation_witness(f, alpha, cfg, norm) == ref_perturbation_witness(f, alpha, cfg, norm)
 
 
 class TestWindingOracle:

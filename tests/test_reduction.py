@@ -1,16 +1,16 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robsat import pl_map, reduction
+from robsat import pl_map, reduction, robustness
 from robsat.complex_core import closure, connected_components, full_subcomplex
 from robsat.pl_map import CriticalValue, Norm, PLMap, simplex_min, vector_norm
 from robsat.reduction import (
@@ -52,11 +52,11 @@ from reference_oracles import (
     derived_subdivision,
     evaluate,
     interior_argmin,
+    ref_is_simplicial,
     ref_vertexwise_extremal_subdivision,
 )
 
 HALF = Fraction(1, 2)
-robustness = import_module("robsat.robustness")  # robsat.robustness is the function
 
 
 def as_pass(h):
@@ -69,19 +69,54 @@ def as_pass(h):
 class TestSphereMap:
     def test_antipodal_free(self):
         edge, tri = closure([[0, 1]]), closure([[0, 1, 2]])
-        assert SphereMap(closure([[0]]), 2, {0: 1}).is_simplicial()
-        assert SphereMap(edge, 2, {0: 1, 1: 2}).is_simplicial()
-        assert SphereMap(edge, 2, {0: 1, 1: 1}).is_simplicial()  # collapses are allowed
-        assert not SphereMap(edge, 2, {0: 1, 1: -1}).is_simplicial()
-        assert not SphereMap(tri, 2, {0: 1, 1: 2, 2: -1}).is_simplicial()
+        SphereMap(closure([[0]]), 2, {0: 1})
+        SphereMap(edge, 2, {0: 1, 1: 2})
+        SphereMap(edge, 2, {0: 1, 1: 1})  # collapses are allowed
+        for domain, labels in [(edge, {0: 1, 1: -1}), (tri, {0: 1, 1: 2, 2: -1})]:
+            with pytest.raises(ValueError, match="antipodal"):
+                SphereMap(domain, 2, labels)
 
     def test_no_n_simplices(self):
         """n + 1 labels in range always hold an antipodal pair."""
         tet = closure([[0, 1, 2, 3]])
-        assert not SphereMap(tet, 3, {0: 1, 1: 2, 2: 3, 3: -1}).is_simplicial()
-        assert SphereMap(closure([[0, 1, 2]]), 3, {0: 1, 1: 2, 2: 3}).is_simplicial()  # dim n-1
+        with pytest.raises(ValueError, match="antipodal"):
+            SphereMap(tet, 3, {0: 1, 1: 2, 2: 3, 3: -1})
+        SphereMap(closure([[0, 1, 2]]), 3, {0: 1, 1: 2, 2: 3})  # dim n-1
         with pytest.raises(ValueError, match="bad sphere vertex 4"):
             SphereMap(tet, 3, {0: 1, 1: 2, 2: 3, 3: 4})
+
+    @pytest.mark.parametrize("simplex, labels, edge", [
+        ([0, 1], {0: 2, 1: -2}, "[0, 1]"),
+        ([0, 1, 2], {0: -1, 1: 3, 2: 1}, "[0, 2]"),
+        ([0, 1, 2, 3], {0: 2, 1: 1, 2: 3, 3: -3}, "[2, 3]"),
+    ], ids=["edge", "triangle", "tetrahedron"])
+    def test_rejects_antipodal_pairs(self, simplex, labels, edge):
+        """An antipodal label pair in a simplex is one on an edge, and the
+        constructor names that edge."""
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge} has antipodal images")):
+            SphereMap(closure([simplex]), 3, labels)
+
+    def test_accepts_collapses(self):
+        """Several vertices of one simplex may share a label."""
+        tet = closure([[0, 1, 2, 3]])
+        fmap = SphereMap(tet, 3, {0: -2, 1: -2, 2: 3, 3: -2})
+        assert [fmap.image(v) for v in tet.vertices] == [-2, -2, 3, -2]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3))
+    def test_constructor_accepts_exactly_the_simplicial_maps(self, seed, n):
+        """The edge check accepts a label map iff the per-simplex reference
+        does, on random complexes of dimension up to 3."""
+        rng = random.Random(seed)
+        domain = random_complex(rng, max_dim=3, max_vertices=6, n_maximal=3)
+        labels = {v: rng.choice([1, -1]) * rng.randint(1, n) for v in domain.vertices}
+        try:
+            SphereMap(domain, n, labels)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == ref_is_simplicial(domain, labels)
 
     @pytest.mark.parametrize("labels", [{0: 5, 1: -7}, {0: 1, 1: -3}, {0: 0, 1: 1}])
     def test_rejects_labels_out_of_range(self, labels):
@@ -319,7 +354,7 @@ class TestSimplicialApproximation:
                 continue
             pair = sign_refinement(pair)
             fmap = simplicial_approximation(pair)  # validates internally
-            assert fmap.is_simplicial()
+            assert ref_is_simplicial(fmap.domain, fmap.assignment)
             checked += 1
         assert checked >= 5
 
