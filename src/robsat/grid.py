@@ -18,7 +18,6 @@ from .complex_core import Complex, VertexId, closure
 @dataclass
 class FreudenthalGrid:
     complex: Complex
-    points: dict[VertexId, tuple[Fraction, ...]]
     bounds: list[tuple[Fraction, Fraction]]
     resolution: list[int]
 
@@ -31,14 +30,6 @@ class FreudenthalGrid:
         for i, k in enumerate(indices):
             vid = vid * (self.resolution[i] + 1) + k
         return vid
-
-    def cell_widths(self) -> list[Fraction]:
-        return [(hi - lo) / r for (lo, hi), r in zip(self.bounds, self.resolution)]
-
-    def cell_box(self, cell) -> list[tuple[Fraction, Fraction]]:
-        h = self.cell_widths()
-        return [(lo + c * hi_, lo + (c + 1) * hi_)
-                for (lo, _), c, hi_ in zip(self.bounds, cell, h)]
 
     def cells(self):
         return product(*(range(r) for r in self.resolution))
@@ -60,10 +51,7 @@ def freudenthal_grid(bounds, resolution) -> FreudenthalGrid:
         if not lo < hi:
             raise ValueError("each interval must have positive length")
 
-    grid = FreudenthalGrid(closure([]), {}, bounds, resolution)
-    for idx in product(*(range(r + 1) for r in resolution)):
-        grid.points[grid.vertex_at(idx)] = tuple(
-            lo + Fraction(k) * (hi - lo) / r for (lo, hi), r, k in zip(bounds, resolution, idx))
+    grid = FreudenthalGrid(closure([]), bounds, resolution)
     simplices = []
     for cell in grid.cells():
         for perm in permutations(range(m)):

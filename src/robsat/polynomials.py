@@ -12,8 +12,6 @@ import ast
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import Interval
-
 
 class PolynomialError(ValueError):
     pass
@@ -81,38 +79,6 @@ class Polynomial:
             out = out * self
         return out
 
-    def eval_at(self, point) -> Fraction:
-        point = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.terms:
-            term = c
-            for x, k in zip(point, e):
-                if k:
-                    term *= x ** k
-            total += term
-        return total
-
-    def diff(self, i: int) -> "Polynomial":
-        d: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms:
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            d[tuple(e2)] = d.get(tuple(e2), Fraction(0)) + c * e[i]
-        return Polynomial.from_dict(self.nvars, d)
-
-    def interval_eval(self, box: list[Interval]) -> Interval:
-        """Natural interval extension over a box (sound range enclosure)."""
-        total = Interval.point(0)
-        for e, c in self.terms:
-            term = Interval.point(c)
-            for iv, k in zip(box, e):
-                if k:
-                    term = term * iv.power(k)
-            total = total + term
-        return total
-
 
 def parse_polynomial(text: str, var_names: list[str]) -> Polynomial:
     """Parse an exact polynomial over the named variables.
@@ -122,6 +88,8 @@ def parse_polynomial(text: str, var_names: list[str]) -> Polynomial:
     """
     nvars = len(var_names)
     index = {name: i for i, name in enumerate(var_names)}
+    if len(index) != nvars:
+        raise PolynomialError(f"duplicate variable name in {var_names!r}")
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:

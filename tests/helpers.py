@@ -4,6 +4,7 @@ instances, and the annulus/disk extension fixtures."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -11,7 +12,6 @@ from math import gcd
 from robsat.complex_core import BaryPoint, Complex, IntCochain, Simplex, VertexId, closure, full_subcomplex
 from robsat.exactlinalg import ExactnessError
 from robsat.homotopy import DiophantineSystem, _xgcd
-from robsat.intervals import Interval
 from robsat.pl_map import CriticalValue, PLMap, _pair, simplex_min_value, star_with_values
 from robsat.reduction import LevelPair, ReductionError, SphereMap
 
@@ -295,6 +295,42 @@ def scaled(cv: CriticalValue, c) -> CriticalValue:
     if cv.is_sqrt:
         return CriticalValue.sqrt_of(c * c * cv.q)
     return CriticalValue.rat(c * cv.q)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Rational interval arithmetic for rigorous range bounds of polynomials."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+    @classmethod
+    def point(cls, x) -> "Interval":
+        x = Fraction(x)
+        return cls(x, x)
+
+    def __add__(self, other: "Interval") -> "Interval":
+        return Interval(self.lo + other.lo, self.hi + other.hi)
+
+    def __mul__(self, other: "Interval") -> "Interval":
+        products = (self.lo * other.lo, self.lo * other.hi,
+                    self.hi * other.lo, self.hi * other.hi)
+        return Interval(min(products), max(products))
+
+    def power(self, k: int) -> "Interval":
+        if k < 0:
+            raise ValueError("negative exponent")
+        if k == 0:
+            return Interval.point(1)
+        if k % 2 == 1 or self.lo >= 0:
+            return Interval(self.lo ** k, self.hi ** k)
+        if self.hi <= 0:
+            return Interval(self.hi ** k, self.lo ** k)
+        return Interval(Fraction(0), max(self.lo ** k, self.hi ** k))
 
 
 def contains(interval: Interval, x) -> bool:

@@ -9,7 +9,8 @@ simplex in every derived pass, and the Euclidean simplex minimum with its LP
 fallback on singular KKT faces, are the versions robsat's faster paths
 replaced, and so are the Fraction kernels that integer vertex values
 replaced: the vertex test, the epigraph LP, the simplex minimum and the
-witness search on rational vertex values.  The per-simplex simplicity check
+witness search on rational vertex values, and the polynomial sampler that
+evaluates vertex values and interval gap bounds in Fractions.  The per-simplex simplicity check
 of a sphere map is the one that `SphereMap`'s edge check replaced.  None of
 them is on a path robsat runs.
 """
@@ -35,9 +36,11 @@ from robsat.pl_map import (
     star_with_values,
     vector_norm,
 )
+from robsat.polynomials import Polynomial, PolynomialError
 from robsat.reduction import ReductionError, SphereMap
+from robsat.sampling import _combine_component_bounds
 
-from helpers import as_dict, origin, point_stars, weight
+from helpers import Interval, as_dict, origin, point_stars, weight
 
 
 # -- point location and evaluation --------------------------------------------
@@ -450,3 +453,89 @@ def ref_perturbation_witness(f: PLMap, alpha, cfg: WitnessSearchConfig,
         if _ref_sign_definite(top, f.n, values):
             return PLMap(f.complex, f.n, values)
     return None
+
+
+# -- polynomial sampling in Fractions -----------------------------------------
+
+
+def eval_at(self: Polynomial, point) -> Fraction:
+    point = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for e, c in self.terms:
+        term = c
+        for x, k in zip(point, e):
+            if k:
+                term *= x ** k
+        total += term
+    return total
+
+
+def diff(self: Polynomial, i: int) -> Polynomial:
+    d: dict[tuple[int, ...], Fraction] = {}
+    for e, c in self.terms:
+        if e[i] == 0:
+            continue
+        e2 = list(e)
+        e2[i] -= 1
+        d[tuple(e2)] = d.get(tuple(e2), Fraction(0)) + c * e[i]
+    return Polynomial.from_dict(self.nvars, d)
+
+
+def interval_eval(self: Polynomial, box: list[Interval]) -> Interval:
+    """Natural interval extension over a box (sound range enclosure)."""
+    total = Interval.point(0)
+    for e, c in self.terms:
+        term = Interval.point(c)
+        for iv, k in zip(box, e):
+            if k:
+                term = term * iv.power(k)
+        total = total + term
+    return total
+
+
+def grid_points(grid: FreudenthalGrid) -> dict[VertexId, tuple[Fraction, ...]]:
+    """Vertex id -> point of the grid, in Fractions."""
+    return {grid.vertex_at(idx): tuple(
+        lo + Fraction(k) * (hi - lo) / r for (lo, hi), r, k in zip(grid.bounds, grid.resolution, idx))
+        for idx in product(*(range(r + 1) for r in grid.resolution))}
+
+
+def cell_widths(self: FreudenthalGrid) -> list[Fraction]:
+    return [(hi - lo) / r for (lo, hi), r in zip(self.bounds, self.resolution)]
+
+
+def cell_box(self: FreudenthalGrid, cell) -> list[tuple[Fraction, Fraction]]:
+    h = cell_widths(self)
+    return [(lo + c * hi_, lo + (c + 1) * hi_)
+            for (lo, _), c, hi_ in zip(self.bounds, cell, h)]
+
+
+def ref_sample_polynomial(polys: list[Polynomial], grid: FreudenthalGrid,
+                          norm: Norm = Norm.LINF) -> tuple[PLMap, Fraction]:
+    """Exact vertex samples plus a rigorous uniform bound on
+    max_x |poly(x) - interpolant(x)| over the box."""
+    for p in polys:
+        if p.nvars != grid.m:
+            raise PolynomialError("variable count does not match the box")
+    values = {
+        vid: tuple(eval_at(p, pt) for p in polys)
+        for vid, pt in grid_points(grid).items()
+    }
+    f = PLMap(grid.complex, len(polys), values)
+    widths = cell_widths(grid)
+    component_bounds = []
+    for p in polys:
+        grads = [diff(p, i) for i in range(grid.m)]
+        worst = Fraction(0)
+        for cell in grid.cells():
+            box = [Interval(lo, hi) for lo, hi in cell_box(grid, cell)]
+            center = [(iv.lo + iv.hi) / 2 for iv in box]
+            cell_bound = Fraction(0)
+            for i in range(grid.m):
+                rng = interval_eval(grads[i], box)
+                at_center = eval_at(grads[i], center)
+                deviation = max(rng.hi - at_center, at_center - rng.lo)
+                cell_bound += deviation * widths[i]
+            worst = max(worst, cell_bound)
+        component_bounds.append(worst)
+    return f, _combine_component_bounds(component_bounds, norm)

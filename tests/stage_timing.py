@@ -10,6 +10,8 @@ G(r) is f(x, y) = (x^2 - y - 1/4, x + y^2 - 1/3) sampled exactly on
 calls the `reduction` and `homotopy` functions in the order `decide_robsat`
 runs them and records one row:
 
+* sample: `sample_polynomial` on G(r), which holds no cache, so every run
+  is cold, and the sampling gap it returns, as a string;
 * K -> K': simplex counts before and after the vertex-extremal subdivision,
   and a sha256 prefix over the subdivided complex and its vertex values, so
   two checkouts that print the same prefix built the same subdivision;
@@ -113,8 +115,9 @@ def map_digest(f) -> str:
 def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     grid = freudenthal_grid([(-1, 1), (-1, 1)], r)
     polys = [parse_polynomial(e, ["x", "y"]) for e in EXPRS]
-    f, _ = sample_polynomial(polys, grid, norm)
-    row = {"r": r, "norm": norm.value, "alpha": str(alpha), "simplices_in": len(f.complex)}
+    sample_s, (f, gap) = best_of(lambda: sample_polynomial(polys, grid, norm))
+    row = {"r": r, "norm": norm.value, "alpha": str(alpha), "sample_s": sample_s,
+           "gap": str(gap), "simplices_in": len(f.complex)}
     cold = []
 
     def fresh_map():

@@ -242,6 +242,15 @@ class TestErrorPaths:
         assert code == want
         assert err["error"] == ("parse" if want == EXIT_PARSE else "usage")
 
+    def test_duplicate_variable_names_are_a_usage_error(self, capsys):
+        # with the last x winning, axis 0 of the box would go unused
+        code = main(["sample-grid", "--vars", "x,x", "--box=-1:1", "--box=-1:1",
+                     "--expr", "x", "--expr", "x", "--alpha", "1/2", "--epsilon", "1/10"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and not captured.out.strip()
+        err = json.loads(captured.err)
+        assert err["error"] == "usage" and "duplicate" in err["message"]
+
     def test_nonpositive_witness_step_is_usage_error(self):
         # Run apart, with a timeout: a zero step once looped forever.
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -12,7 +12,15 @@ from robsat.polynomials import Polynomial, PolynomialError, parse_polynomial
 from robsat.sampling import SampledTag, decide_sampled, sample_polynomial
 
 from helpers import contains, interval_of
-from reference_oracles import evaluate, grid_locate
+from reference_oracles import (
+    diff,
+    eval_at,
+    evaluate,
+    grid_locate,
+    grid_points,
+    interval_eval,
+    ref_sample_polynomial,
+)
 
 
 class TestGrid:
@@ -39,12 +47,13 @@ class TestGrid:
     def test_locate_weights_reproduce_point(self):
         rng = random.Random(9)
         g = freudenthal_grid([(-1, 1), (0, 3)], 2)
+        points = grid_points(g)
         for _ in range(100):
             pt = (Fraction(rng.randint(-8, 8), 8), Fraction(rng.randint(0, 24), 8))
             s, weights = grid_locate(g, pt)
             assert sum(weights.values()) == 1
             for i in range(2):
-                got = sum(w * g.points[v][i] for v, w in weights.items())
+                got = sum(w * points[v][i] for v, w in weights.items())
                 assert got == pt[i]
 
     def test_bad_inputs(self):
@@ -70,12 +79,12 @@ class TestIntervals:
 class TestPolynomials:
     def test_parse_and_eval(self):
         p = parse_polynomial("3*x**2/4 - y/2 + 1", ["x", "y"])
-        assert p.eval_at([2, 4]) == 3 - 2 + 1
+        assert eval_at(p, [2, 4]) == 3 - 2 + 1
 
     def test_diff(self):
         p = parse_polynomial("x**3 - 2*x*y", ["x", "y"])
-        assert p.diff(0).eval_at([2, 1]) == 12 - 2
-        assert p.diff(1).eval_at([2, 1]) == -4
+        assert eval_at(diff(p, 0), [2, 1]) == 12 - 2
+        assert eval_at(diff(p, 1), [2, 1]) == -4
 
     @pytest.mark.parametrize("bad", ["1.5", "sin(x)", "x/y", "x**-1", "x**(1/2)", "z", "x % 2"])
     def test_rejects_non_polynomials(self, bad):
@@ -99,17 +108,17 @@ class TestPolynomials:
             for x, k in zip(point, e):
                 term *= x ** k
             naive += term
-        assert p.eval_at(point) == naive
+        assert eval_at(p, point) == naive
 
     def test_interval_eval_contains_samples(self):
         rng = random.Random(14)
         p = parse_polynomial("x**2*y - 3*x + y**3/2", ["x", "y"])
         box = [interval_of(-1, 1), interval_of(0, 2)]
-        rng_box = p.interval_eval(box)
+        rng_box = interval_eval(p, box)
         for _ in range(200):
             x = Fraction(rng.randint(-4, 4), 4)
             y = Fraction(rng.randint(0, 8), 4)
-            assert contains(rng_box, p.eval_at([x, y]))
+            assert contains(rng_box, eval_at(p, [x, y]))
 
 
 class TestSampling:
@@ -146,7 +155,41 @@ class TestSampling:
                 pt = tuple(Fraction(rng.randint(-8, 8), 8) for _ in range(m))
                 _, weights = grid_locate(g, pt)
                 pl_val = evaluate(f, BaryPoint.from_dict(weights))[0]
-                assert abs(p.eval_at(pt) - pl_val) <= gap
+                assert abs(eval_at(p, pt) - pl_val) <= gap
+
+
+    @settings(derandomize=True, deadline=None, max_examples=250)
+    @given(st.integers(1, 3), st.data())
+    def test_matches_fraction_reference(self, m, data):
+        """The integer lattice sampler returns exactly the Fraction
+        sampler's reduced vertex pairs and gap, on non-dyadic boxes with
+        per-axis resolutions, for zero, constant and degree <= 4 polynomials
+        under every norm, and raises the same PolynomialError on a
+        polynomial over the wrong number of variables."""
+        rationals = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+        widths = st.fractions(min_value=Fraction(1, 9), max_value=4, max_denominator=9)
+        bounds = [(lo, lo + w) for lo, w in data.draw(st.lists(
+            st.tuples(rationals, widths), min_size=m, max_size=m))]
+        resolution = data.draw(st.lists(st.integers(1, 3 if m < 3 else 2), min_size=m, max_size=m))
+        exponents = st.tuples(*[st.integers(0, 4)] * m).filter(lambda e: sum(e) <= 4)
+        general = st.dictionaries(exponents, rationals, min_size=1, max_size=5)
+        polynomial = st.one_of(general, st.just({}), rationals.map(lambda c: {(0,) * m: c}))
+        polys = [Polynomial.from_dict(m, d)
+                 for d in [data.draw(general)] + data.draw(st.lists(polynomial, max_size=2))]
+        if polys and data.draw(st.integers(0, 7)) == 0:
+            polys[-1] = Polynomial.constant(m + 1, 1)
+        grid = freudenthal_grid(bounds, resolution)
+        norm = data.draw(st.sampled_from(list(Norm)))
+        try:
+            want, want_gap = ref_sample_polynomial(polys, grid, norm)
+        except PolynomialError:
+            with pytest.raises(PolynomialError):
+                sample_polynomial(polys, grid, norm)
+            return
+        got, gap = sample_polynomial(polys, grid, norm)
+        assert got.complex is grid.complex and got.n == want.n == len(polys)
+        assert list(got._pairs.items()) == list(want._pairs.items())
+        assert type(gap) is Fraction and gap == want_gap
 
 
 class TestDecideSampled:
