@@ -2,7 +2,6 @@
 equation systems on finite simplicial complexes."""
 
 from .complex_core import (
-    BaryPoint,
     Complex,
     IntCochain,
     Simplex,

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from operator import attrgetter
 
 VertexId = int
 
@@ -37,16 +36,19 @@ def permutation_parity(seq) -> int:
     return parity
 
 
-@dataclass(frozen=True, order=True)
-class Simplex:
-    vertices: tuple[VertexId, ...]
+class Simplex(tuple):
+    """A simplex is its strictly sorted, nonempty vertex tuple: it equals,
+    hashes and sorts as that tuple."""
 
-    def __post_init__(self):
-        v = self.vertices
+    __slots__ = ()
+
+    def __new__(cls, vertices):
+        v = tuple(vertices)
         if not v:
             raise ValueError("empty simplex")
         if any(v[i] >= v[i + 1] for i in range(len(v) - 1)):
             raise ValueError(f"vertices must be strictly sorted: {v}")
+        return tuple.__new__(cls, v)
 
     @classmethod
     def of(cls, vertices) -> "Simplex":
@@ -56,68 +58,34 @@ class Simplex:
         return cls(vs)
 
     @property
+    def vertices(self) -> tuple[VertexId, ...]:
+        return self
+
+    @property
     def dim(self) -> int:
-        return len(self.vertices) - 1
+        return len(self) - 1
 
     def faces(self):
         """All nonempty faces, self included."""
-        for k in range(1, len(self.vertices) + 1):
-            for sub in combinations(self.vertices, k):
-                yield Simplex(sub)
+        for k in range(1, len(self) + 1):
+            for sub in combinations(self, k):
+                yield _sorted_simplex(sub)
 
     def boundary(self):
         """Codimension-1 faces in deletion order, each with its incidence sign:
-        ((-1)^i, face with the i-th vertex removed).  The faces of a valid
-        simplex are valid, so they are built without re-validation."""
-        v = self.vertices
-        if len(v) == 1:
+        ((-1)^i, face with the i-th vertex removed)."""
+        if len(self) == 1:
             raise ValueError("empty simplex")
-        for i in range(len(v)):
-            yield -1 if i % 2 else 1, _sorted_simplex(v[:i] + v[i + 1:])
+        for i in range(len(self)):
+            yield -1 if i % 2 else 1, _sorted_simplex(self[:i] + self[i + 1:])
 
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
+    def __repr__(self) -> str:
+        return f"Simplex(vertices={tuple.__repr__(self)})"
 
 
-def _sorted_simplex(vertices: tuple[VertexId, ...]) -> Simplex:
-    """A Simplex on vertices known to be strictly sorted, not re-validated."""
-    s = object.__new__(Simplex)
-    object.__setattr__(s, "vertices", vertices)
-    return s
-
-
-@dataclass(frozen=True)
-class BaryPoint:
-    """Exact convex combination of vertices; weights positive, summing to 1."""
-
-    weights: tuple[tuple[VertexId, Fraction], ...]
-
-    def __post_init__(self):
-        if not self.weights:
-            raise ValueError("empty barycentric point")
-        total = Fraction(0)
-        prev = None
-        for v, w in self.weights:
-            if prev is not None and v <= prev:
-                raise ValueError("weights must be sorted by vertex id")
-            prev = v
-            if w <= 0:
-                raise ValueError(f"nonpositive weight {w} on vertex {v}")
-            total += w
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, expected 1")
-
-    @classmethod
-    def from_dict(cls, d) -> "BaryPoint":
-        weights = ((v, Fraction(w)) for v, w in d.items())
-        return cls(tuple(sorted((v, w) for v, w in weights if w != 0)))
-
-    @property
-    def support(self) -> tuple[VertexId, ...]:
-        return tuple(v for v, _ in self.weights)
+# A Simplex on vertices known to be strictly sorted, not re-validated: every
+# face of a valid simplex, and a face followed by a larger new vertex.
+_sorted_simplex = partial(tuple.__new__, Simplex)
 
 
 class Complex:
@@ -130,10 +98,10 @@ class Complex:
         by_dim: dict[int, list[Simplex]] = {}
         verts = set()
         for s in self._simplices:
-            by_dim.setdefault(s.dim, []).append(s)
-            verts.update(s.vertices)
+            by_dim.setdefault(len(s) - 1, []).append(s)
+            verts.update(s)
         for k in by_dim:
-            by_dim[k].sort(key=attrgetter("vertices"))
+            by_dim[k].sort()
         self._by_dim = by_dim
         self._vertices = tuple(sorted(verts))
 
@@ -176,9 +144,8 @@ class Complex:
         """The simplices that are no simplex's codimension-1 face, sorted.
         In a face-closed complex these are exactly the maximal ones: a
         proper coface of s has a face one dimension up that contains s."""
-        facets = {t.vertices[:i] + t.vertices[i + 1:]
-                  for t in self._simplices for i in range(len(t.vertices))}
-        return sorted(s for s in self._simplices if s.vertices not in facets)
+        facets = {t[:i] + t[i + 1:] for t in self._simplices for i in range(len(t))}
+        return sorted(s for s in self._simplices if s not in facets)
 
 
 def closure(simplices) -> Complex:
@@ -210,25 +177,25 @@ def star_at_point(c: Complex, carriers: list[Simplex],
     simplices = set(c.simplices)
     cofaces: dict[VertexId, set[Simplex]] = defaultdict(set)
     for s in simplices:
-        for v in s.vertices:
+        for v in s:
             cofaces[v].add(s)
     new_ids = []
     for new_id, carrier in enumerate(carriers, first_id):
         if carrier not in simplices:
             raise ValueError(f"carrier {carrier} not in complex")
-        carrier_set = set(carrier.vertices)
-        removed = set.intersection(*(cofaces[v] for v in carrier.vertices))
+        carrier_set = set(carrier)
+        removed = set.intersection(*(cofaces[v] for v in carrier))
         # cones over the faces of the removed simplices that miss a carrier
         # vertex: sorted faces, then new_id, which exceeds every vertex
         added = {_sorted_simplex(face + (new_id,)) for t in removed
-                 for k in range(1, len(t.vertices) + 1)
-                 for face in combinations(t.vertices, k) if not carrier_set.issubset(face)}
+                 for k in range(1, len(t) + 1)
+                 for face in combinations(t, k) if not carrier_set.issubset(face)}
         added.add(_sorted_simplex((new_id,)))
         for t in removed:
-            for v in t.vertices:
+            for v in t:
                 cofaces[v].discard(t)
         for t in added:
-            for v in t.vertices:
+            for v in t:
                 cofaces[v].add(t)
         simplices -= removed
         simplices |= added

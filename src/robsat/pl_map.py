@@ -27,8 +27,8 @@ matrix per simplex, over the lcm of its vertex denominators) and the
 interpolation at the extremal stage's picks, which one gcd keeps reduced.
 A sign, or a comparison of two coordinates of one vertex, reads the
 numerators alone.  A starring (`star_with_values`) is a carrier and the new
-vertex's pair, which its caller computes.  `PLMap.value` and `PLMap.values`
-build the Fraction view on demand.
+vertex's pair, which its caller computes.  `PLMap.value` builds the
+Fraction view of one vertex on demand.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from . import exactlinalg
-from .complex_core import BaryPoint, Complex, Simplex, VertexId, star_at_point
+from .complex_core import Complex, Simplex, VertexId, star_at_point
 from .linprog import solve_lp
 
 
@@ -150,10 +150,6 @@ class PLMap:
             table = self._norms[norm] = {v: vector_norm(nums, norm, den)
                                          for v, (nums, den) in self._pairs.items()}
         return table
-
-    @property
-    def values(self) -> dict[VertexId, tuple[Fraction, ...]]:
-        return {v: self.value(v) for v in self._pairs}
 
     def __eq__(self, other) -> bool:
         return (
@@ -295,14 +291,16 @@ def simplex_min_value(f: PLMap, s: Simplex, norm: Norm) -> CriticalValue:
     return simplex_min(f, s, norm)[1]
 
 
-def simplex_min(f: PLMap, s: Simplex, norm: Norm) -> tuple[BaryPoint | None, CriticalValue]:
-    """(argmin or None, minimum) of |f| over a simplex of f's complex.
+def simplex_min(f: PLMap, s: Simplex,
+                norm: Norm) -> tuple[tuple[Fraction, ...] | None, CriticalValue]:
+    """(argmin weights or None, minimum) of |f| over a simplex of f's complex.
 
     No LP or KKT system is solved when a least-norm vertex value y0 passes
-    `_vertex_attains_min`: the minimum is then |y0| and the point None.
-    Otherwise the solve runs, and the point is the lexicographically smallest
-    minimizer, in carrier-local barycentric coordinates, when the minimum
-    lies below every vertex value, else None.
+    `_vertex_attains_min`: the minimum is then |y0| and the weights None.
+    Otherwise the solve runs, and the weights are the lexicographically
+    smallest minimizer's barycentric coordinates, one per vertex of s in
+    order (zero off its support), when the minimum lies below every vertex
+    value, else None.
     """
     if s not in f.complex:
         raise ValueError(f"simplex {s} not in complex")
@@ -312,9 +310,7 @@ def simplex_min(f: PLMap, s: Simplex, norm: Norm) -> tuple[BaryPoint | None, Cri
     if _vertex_attains_min(ys, values[v0], norm):
         return None, norms[v0]
     cv, lam = _simplex_min(ys, f.n, norm, norms[v0])
-    if lam is None:
-        return None, cv
-    return BaryPoint.from_dict({v: w for v, w in zip(s.vertices, lam) if w != 0}), cv
+    return lam, cv
 
 
 def critical_values(f: PLMap, norm: Norm) -> list[CriticalValue]:
@@ -372,11 +368,12 @@ def star_with_values(f: PLMap, stars: list[tuple[Simplex, tuple[tuple[int, ...],
     return _exact_map(c2, f.n, pairs), new_ids
 
 
-def _interpolate(pairs, point: BaryPoint, n: int) -> tuple[tuple[int, ...], int]:
-    """The reduced pair of sum_v w_v f(v) over the point's weights, f's value
-    at an extremal pick: the terms w_v nums_v / den_v are brought to the lcm
-    of their denominators, and one gcd reduces the sum."""
-    terms = [(w.numerator, w.denominator * pairs[v][1], pairs[v][0]) for v, w in point.weights]
+def _interpolate(pairs, s: Simplex, lam, n: int) -> tuple[tuple[int, ...], int]:
+    """The reduced pair of sum_v w_v f(v), the weights lam aligned with the
+    vertices of s: f's value at an extremal pick.  The terms w_v nums_v /
+    den_v are brought to the lcm of their denominators, and one gcd reduces
+    the sum."""
+    terms = [(w.numerator, w.denominator * pairs[v][1], pairs[v][0]) for v, w in zip(s, lam)]
     den = lcm(*[q for _, q, _ in terms])
     acc = [0] * n
     for p, q, nums in terms:

@@ -133,8 +133,8 @@ def _new_cones(c: Complex, first_new: VertexId) -> list[Simplex]:
     """The simplices of c of dimension >= 1 with a vertex numbered first_new
     or later, in pick order.  A pass numbers its new vertices on from the
     largest old one, so these are the cones the last pass created."""
-    return sorted((s for s in c.simplices if len(s.vertices) > 1 and s.vertices[-1] >= first_new),
-                  key=lambda s: (-s.dim, s.vertices))
+    return sorted((s for s in c.simplices if len(s) > 1 and s[-1] >= first_new),
+                  key=lambda s: (-len(s), s))
 
 
 class _VertexExtremal(PLMap):
@@ -154,10 +154,10 @@ def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     Each pass examines simplices in order of decreasing dimension: a simplex
     passes when `simplex_min` returns no argmin, that is when its minimum is
     not below every vertex value.  A simplex that fails is starred at its
-    argmin if that is interior; all picks are made before the pass stars
-    them, as one batch.  The vertex norm table of each pass's map is the
-    previous one extended with the pass's new vertices, so each vertex norm
-    is computed once.
+    argmin if that is interior (every weight positive); all picks are made
+    before the pass stars them, as one batch.  The vertex norm table of each
+    pass's map is the previous one extended with the pass's new vertices, so
+    each vertex norm is computed once.
 
     Pass 1 examines every simplex of dimension >= 1, and pass k+1 only the
     cones on pass k's new vertices: a simplex that survives a pass unchanged
@@ -184,11 +184,11 @@ def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     while new:
         picks = []
         for s in _new_cones(out.complex, new[0]):
-            p, _ = simplex_min(out, s, norm)
-            if p is None:
+            lam, _ = simplex_min(out, s, norm)
+            if lam is None:
                 extremal.add(s)
-            elif len(p.support) == len(s.vertices):
-                picks.append((s, _interpolate(out._pairs, p, out.n)))
+            elif all(lam):
+                picks.append((s, _interpolate(out._pairs, s, lam, out.n)))
         out, new = star_with_values(out, picks)
         if new:
             pairs = out._pairs

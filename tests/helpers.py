@@ -9,13 +9,45 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from robsat.complex_core import BaryPoint, Complex, IntCochain, Simplex, VertexId, closure, full_subcomplex
+from robsat.complex_core import Complex, IntCochain, Simplex, VertexId, closure, full_subcomplex
 from robsat.exactlinalg import ExactnessError
 from robsat.homotopy import DiophantineSystem, _xgcd
 from robsat.pl_map import CriticalValue, PLMap, _pair, simplex_min_value, star_with_values
 from robsat.reduction import LevelPair, ReductionError, SphereMap
 
 PATH3 = closure([[0, 1], [1, 2]])
+
+
+@dataclass(frozen=True)
+class BaryPoint:
+    """Exact convex combination of vertices; weights positive, summing to 1."""
+
+    weights: tuple[tuple[VertexId, Fraction], ...]
+
+    def __post_init__(self):
+        if not self.weights:
+            raise ValueError("empty barycentric point")
+        total = Fraction(0)
+        prev = None
+        for v, w in self.weights:
+            if prev is not None and v <= prev:
+                raise ValueError("weights must be sorted by vertex id")
+            prev = v
+            if w <= 0:
+                raise ValueError(f"nonpositive weight {w} on vertex {v}")
+            total += w
+        if total != 1:
+            raise ValueError(f"weights sum to {total}, expected 1")
+
+    @classmethod
+    def from_dict(cls, d) -> "BaryPoint":
+        weights = ((v, Fraction(w)) for v, w in d.items())
+        return cls(tuple(sorted((v, w) for v, w in weights if w != 0)))
+
+    @property
+    def support(self) -> tuple[VertexId, ...]:
+        return tuple(v for v, _ in self.weights)
+
 
 # Pairwise coprime denominators for vertex values that reduced integer pairs
 # must carry exactly.
@@ -359,9 +391,15 @@ def assert_canonical(f: PLMap) -> None:
         assert gcd(den, *nums) == 1, (v, nums, den)
 
 
+def fraction_values(f: PLMap) -> dict[VertexId, tuple[Fraction, ...]]:
+    """The Fraction view of f's value at every vertex."""
+    return {v: f.value(v) for v in f._pairs}
+
+
 def scale_map(f: PLMap, c) -> PLMap:
     c = Fraction(c)
-    return PLMap(f.complex, f.n, {v: tuple(c * x for x in val) for v, val in f.values.items()})
+    return PLMap(f.complex, f.n, {v: tuple(c * x for x in val)
+                                  for v, val in fraction_values(f).items()})
 
 
 # -- the barycentric lineage ------------------------------------------------
@@ -422,7 +460,7 @@ def point_stars(f: PLMap, stars):
     point may weight the new vertices of earlier stars in the batch, which
     are numbered on from one past f's largest vertex, as `star_with_values`
     numbers them by default."""
-    values = f.values
+    values = fraction_values(f)
     vid = (f.complex.vertices or (-1,))[-1] + 1
     out = []
     for carrier, point in stars:
@@ -536,7 +574,7 @@ def ref_star_with_values(f: PLMap, carrier: Simplex, point: BaryPoint):
     """Star f's complex at a carrier-local point and interpolate the value at
     the new vertex.  Returns (new PLMap, new vertex id)."""
     c2, vid = ref_star_at_point(f.complex, carrier, point)
-    values = f.values
+    values = fraction_values(f)
     local = as_dict(point)
     acc = [Fraction(0)] * f.n
     for v, w in local.items():

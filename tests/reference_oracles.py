@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from robsat import exactlinalg
-from robsat.complex_core import BaryPoint, Complex, Simplex, VertexId, connected_components
+from robsat.complex_core import Complex, Simplex, VertexId, connected_components
 from robsat.grid import FreudenthalGrid
 from robsat.homotopy import pullback_cocycle
 from robsat.linprog import LPInfeasible, solve_lp
@@ -40,7 +40,7 @@ from robsat.polynomials import Polynomial, PolynomialError
 from robsat.reduction import ReductionError, SphereMap
 from robsat.sampling import _combine_component_bounds
 
-from helpers import Interval, as_dict, origin, point_stars, weight
+from helpers import BaryPoint, Interval, as_dict, origin, point_stars, weight
 
 
 # -- point location and evaluation --------------------------------------------
@@ -286,9 +286,9 @@ def min_below_vertices(f: PLMap, s: Simplex, norm: Norm) -> bool:
 def interior_argmin(f: PLMap, s: Simplex, norm: Norm):
     if not min_below_vertices(f, s, norm):
         return None  # a vertex already attains the minimum
-    point, _ = simplex_min(f, s, norm)
-    if len(point.support) == len(s.vertices):
-        return point
+    lam, _ = simplex_min(f, s, norm)
+    if all(lam):
+        return BaryPoint.from_dict(dict(zip(s.vertices, lam)))
     return None
 
 

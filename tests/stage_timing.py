@@ -59,6 +59,8 @@ from robsat.reduction import (
 )
 from robsat.sampling import sample_polynomial
 
+from helpers import fraction_values
+
 EXPRS = ["x**2 - y - 1/4", "x + y**2 - 1/3"]
 RESOLUTIONS = [8, 16, 32]
 ALPHAS = [Fraction(1, 8), Fraction(3, 2)]
@@ -108,7 +110,7 @@ def level_pair(f1, chi):
 
 def map_digest(f) -> str:
     text = json.dumps([sorted(s.vertices for s in f.complex.simplices),
-                       sorted((v, [str(x) for x in y]) for v, y in f.values.items())])
+                       sorted((v, [str(x) for x in y]) for v, y in fraction_values(f).items())])
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -122,7 +124,7 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
 
     def fresh_map():
         clear_caches()
-        cold[:] = [PLMap(f.complex, f.n, f.values)]
+        cold[:] = [PLMap(f.complex, f.n, fraction_values(f))]
 
     t, f1 = best_of(lambda: vertexwise_extremal_subdivision(cold[0], norm), before=fresh_map)
     row.update(simplices_out=len(f1.complex), extremal_digest=map_digest(f1), extremal_s=t)

@@ -25,9 +25,16 @@ from robsat.reduction import (
 )
 from robsat.robustness import RobTag, RobustnessTag, decide_robsat, reduce_to_extension, robustness
 from robsat.sampling import SampledTag, decide_sampled, sample_polynomial
-from robsat.complex_core import BaryPoint
 
-from helpers import annulus_octagon, annulus_sphere_map, disk_square, path_map, sparse_system
+from helpers import (
+    BaryPoint,
+    annulus_octagon,
+    annulus_sphere_map,
+    disk_square,
+    fraction_values,
+    path_map,
+    sparse_system,
+)
 from reference_oracles import brute_diophantine, eval_at, evaluate, grid_locate, winding_oracle
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -53,7 +60,7 @@ def test_01_one_dimensional_exactness():
 def test_02_worked_trace():
     f = path_map([3, -1, 3])
     extremal = vertexwise_extremal_subdivision(f, Norm.LINF)
-    values = sorted(v[0] for v in extremal.values.values())
+    values = sorted(v[0] for v in fraction_values(extremal).values())
     assert values == [-1, 0, 0, 3, 3]
     chi = build_chi(extremal, CriticalValue.rat(1), Norm.LINF)
     chi_by_value = {}

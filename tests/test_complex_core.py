@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -6,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robsat.complex_core import (
-    BaryPoint,
     Complex,
     IntCochain,
     Simplex,
@@ -21,11 +24,13 @@ from robsat.complex_core import (
 from robsat.pl_map import PLMap, star_with_values
 
 from helpers import (
+    BaryPoint,
     barycenter,
     carriers,
     coboundary,
     contains_point,
     extend_lineage,
+    fraction_values,
     matrix_rank,
     origin,
     point_stars,
@@ -43,6 +48,73 @@ from reference_oracles import derived_subdivision, evaluate
 
 def mid(u, v):
     return BaryPoint.from_dict({u: Fraction(1, 2), v: Fraction(1, 2)})
+
+
+class TestSimplex:
+    """A simplex is its strictly sorted vertex tuple."""
+
+    def test_equals_and_hashes_as_its_vertex_tuple(self):
+        s = Simplex((1, 3, 4))
+        assert isinstance(s, tuple) and s.vertices is s
+        assert s == (1, 3, 4) and (1, 3, 4) == s and hash(s) == hash((1, 3, 4))
+        assert s != (1, 3) and s != Simplex((1, 3))
+        assert {s: "x"}[(1, 3, 4)] == "x" and {(1, 3, 4): "y"}[s] == "y"
+        assert s.dim == 2 and Simplex((7,)).dim == 0
+
+    def test_sorts_as_the_dataclass_did(self):
+        # the ordered dataclass compared the one-field tuples (vertices,):
+        # lexicographic on the vertices, a proper prefix first
+        vertex_sets = [[2], [1, 2], [1], [0, 5], [1, 2, 3], [0, 1, 9], [0, 1]]
+        simplices = [Simplex.of(v) for v in vertex_sets]
+        assert sorted(simplices) == sorted(simplices, key=lambda s: (tuple(s),))
+        assert sorted(simplices) == [(0, 1), (0, 1, 9), (0, 5), (1,), (1, 2), (1, 2, 3), (2,)]
+        assert Simplex((0, 1)) < Simplex((0, 1, 9)) < Simplex((1,))
+
+    def test_repr_is_unchanged(self):
+        assert repr(Simplex((1, 3, 4))) == "Simplex(vertices=(1, 3, 4))"
+        assert repr(Simplex((7,))) == "Simplex(vertices=(7,))"
+        assert str([Simplex((0, 2))]) == "[Simplex(vertices=(0, 2))]"
+        assert repr(next(Simplex((0, 2)).faces())) == "Simplex(vertices=(0,))"
+
+    def test_faces_and_boundary_are_simplices(self):
+        s = Simplex((0, 2, 5))
+        assert all(type(t) is Simplex for t in s.faces())
+        assert [(sign, type(t), t) for sign, t in s.boundary()] == [
+            (1, Simplex, (2, 5)), (-1, Simplex, (0, 5)), (1, Simplex, (0, 2))]
+
+    def test_membership_and_cochain_keys(self):
+        """A plain sorted tuple finds the simplex in a Complex and in an
+        IntCochain; an unsorted one finds nothing."""
+        c = closure([[0, 1, 2]])
+        assert (0, 1) in c and Simplex((0, 1)) in c and (1, 0) not in c
+        assert (0, 1, 2) in c.simplices and (0, 3) not in c
+        w = IntCochain(1, {Simplex((0, 1)): 3, Simplex((1, 2)): 0})
+        assert w((0, 1)) == 3 and w(Simplex((0, 1))) == 3 and w((1, 0)) == 0
+        assert list(w.values) == [(0, 1)] and type(next(iter(w.values))) is Simplex
+
+    @pytest.mark.parametrize("build", [lambda: Simplex(()), lambda: Simplex((2, 1)),
+                                       lambda: Simplex((1, 1)), lambda: Simplex.of([1, 1])],
+                             ids=["empty", "unsorted", "repeated", "of-repeated"])
+    def test_rejects_invalid_vertex_tuples(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_rejects_invalid_vertex_tuples_under_python_O(self):
+        code = textwrap.dedent("""
+            from robsat.complex_core import Simplex
+            for build in (lambda: Simplex(()), lambda: Simplex((2, 1)),
+                          lambda: Simplex.of([1, 1])):
+                try:
+                    build()
+                except ValueError:
+                    continue
+                raise SystemExit("an invalid simplex was built")
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestClosure:
@@ -255,7 +327,7 @@ class TestBatchStarring:
                 ref_new.append(vid)
             assert g.complex.simplices == ref.complex.simplices
             assert g.complex.k_simplices(1) == ref.complex.k_simplices(1)
-            assert g.values == ref.values
+            assert fraction_values(g) == fraction_values(ref)
             assert new == ref_new
             assert star_at_point(c, carriers(stars)) == (ref.complex, ref_new)
             lineage = extend_lineage(None, stars, new)

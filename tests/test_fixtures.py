@@ -11,7 +11,7 @@ from robsat.pl_map import CriticalValue, Norm, simplex_min_value, vector_norm
 from robsat.reduction import ReductionError, SphereMap
 from robsat.robustness import RobTag, decide_robsat
 
-from helpers import annulus_octagon, annulus_sphere_map, disk_square, scaled
+from helpers import annulus_octagon, annulus_sphere_map, disk_square, fraction_values, scaled
 
 
 class TestKappa:
@@ -64,7 +64,7 @@ class TestFixture:
         disk, _ = disk_square()
         empty = Complex(frozenset())
         f = fixture_from_extension(disk, SphereMap(empty, 2, {}), Norm.LINF)
-        assert all(v == (0, 0) for v in f.values.values())
+        assert all(v == (0, 0) for v in fraction_values(f).values())
 
     def test_makes_a_full(self):
         ann, a = annulus_octagon()

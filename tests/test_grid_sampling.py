@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robsat.complex_core import BaryPoint
 from robsat.grid import freudenthal_grid
 from robsat.pl_map import Norm
 from robsat.polynomials import Polynomial, PolynomialError, parse_polynomial
 from robsat.sampling import SampledTag, decide_sampled, sample_polynomial
 
-from helpers import contains, interval_of
+from helpers import BaryPoint, contains, interval_of
 from reference_oracles import (
     diff,
     eval_at,

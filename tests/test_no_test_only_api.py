@@ -5,10 +5,19 @@ perfbench/ must name it.  Likewise every public method of a public class:
 some module in src/robsat must read its name as an attribute outside the
 method's own body, or perfbench must read it.  A reference implementation
 that only the tests compare against belongs in tests/reference_oracles.py,
-and a small operation only the tests use in tests/helpers.py."""
+and a small operation only the tests use in tests/helpers.py.
+
+Reads are counted by name, so a method whose name is also some other
+attribute (of another robsat class, or of a dict, tuple, enum member or
+other builtin value) would count that attribute's reads as its own: the
+field `IntCochain.values` and `dict.values()` would hide an unread
+`PLMap.values`.  Each such method is listed in COLLIDING with where robsat
+reads it, and the list must be exactly the colliding methods."""
 
 import ast
 from collections import Counter
+from enum import Enum
+from fractions import Fraction
 import glob
 import json
 import os
@@ -66,6 +75,61 @@ def unread_methods(trees: dict[str, ast.Module], outside: set[str]) -> list[str]
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
             and node.name not in outside
             and total[node.name] == attributes_read(node)[node.name]]
+
+
+# Attribute names of the values robsat handles that are not robsat classes.
+BUILTIN_ATTRIBUTES = set().union(*(dir(t) for t in (dict, list, set, frozenset, tuple, str,
+                                                    int, Fraction)), dir(Enum("E", "A").A))
+
+# Each public method whose name collides, with where robsat reads it.
+COLLIDING = {
+    "Simplex.vertices": "as Complex.vertices; read on simplices by full_subcomplex, "
+                        "make_full and the CLI's certificate keys",
+    "Simplex.dim": "as Complex.dim; read by IntCochain's degree check and the "
+                   "extremal stage's postcondition",
+    "Complex.vertices": "as Simplex.vertices; read by star_at_point, the CLI, "
+                        "instance_io, the witness search and every stage",
+    "Complex.dim": "as Simplex.dim; read by decide_extension's dim X <= n test",
+    "PLMap.value": "as RobustnessResult.value and an enum member's value; read by "
+                   "the CLI's witness document and instance_io's writer",
+}
+
+
+def attributes_defined(trees: dict[str, ast.Module]) -> Counter:
+    """How many robsat classes define each attribute name: as a method or
+    property, a class-level field or slot, or an assignment to self.name."""
+    names = Counter()
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            own = set()
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    own.add(node.name)
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    own.add(node.target.id)
+                elif isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+                    own |= {c.value for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+            own |= {sub.attr for sub in ast.walk(cls)
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+            names.update(own)
+    return names
+
+
+def colliding_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """`Class.method` of each public method of a public top-level class whose
+    name another robsat class also defines, or a builtin value has."""
+    defined = attributes_defined(trees)
+    return [f"{cls.name}.{node.name}"
+            for tree in trees.values() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and (defined[node.name] > 1 or node.name in BUILTIN_ATTRIBUTES)]
 
 
 def perfbench_attributes() -> set[str]:
@@ -130,6 +194,27 @@ def test_method_detector():
     assert unread_methods(trees, {"only_bench"}) == ["A.only_self"]
 
 
+def test_collision_detector():
+    trees = {
+        "a": ast.parse("class A:\n"
+                       "    __slots__ = ('slot',)\n"
+                       "    field: int\n"
+                       "    def shared(self): pass\n"
+                       "    def values(self): pass\n"
+                       "    def own(self): self.stored = 1\n"
+                       "class B:\n"
+                       "    def shared(self): pass\n"
+                       "    def field(self): pass\n"
+                       "    def slot(self): pass\n"
+                       "    def stored(self): pass\n"
+                       "    def _private(self): pass\n"
+                       "class _C:\n"
+                       "    def own(self): pass\n"),
+    }
+    assert colliding_methods(trees) == ["A.shared", "A.values", "A.own",
+                                        "B.shared", "B.field", "B.slot", "B.stored"]
+
+
 def src_trees() -> dict[str, ast.Module]:
     trees = {}
     for path in MODULES:
@@ -144,3 +229,7 @@ def test_every_public_name_is_reached():
 
 def test_every_public_method_is_read():
     assert unread_methods(src_trees(), perfbench_attributes()) == []
+
+
+def test_colliding_methods_are_listed():
+    assert sorted(colliding_methods(src_trees())) == sorted(COLLIDING)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robsat import exactlinalg, pl_map
-from robsat.complex_core import BaryPoint, Simplex, closure
+from robsat.complex_core import Simplex, closure
 from robsat.pl_map import (
     CriticalValue,
     Norm,
@@ -28,7 +28,7 @@ from robsat.pl_map import (
 
 from helpers import (
     LARGE_PRIMES,
-    as_dict,
+    BaryPoint,
     assert_canonical,
     barycenter,
     extend_lineage,
@@ -39,7 +39,6 @@ from helpers import (
     random_point_in,
     scaled,
     vertex,
-    weight,
 )
 from reference_oracles import (
     evaluate,
@@ -117,9 +116,9 @@ class TestEvaluate:
 class TestSimplexMin:
     def test_sign_change_edge(self):
         f = path_map([-1, 1])
-        pt, cv = simplex_min(f, Simplex.of([0, 1]), Norm.LINF)
+        lam, cv = simplex_min(f, Simplex.of([0, 1]), Norm.LINF)
         assert cv == CriticalValue.rat(0)
-        assert as_dict(pt) == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+        assert lam == (Fraction(1, 2), Fraction(1, 2))
 
     def test_vertex_simplex_l2(self):
         f = PLMap(closure([[7]]), 2, {7: (3, -4)})
@@ -129,9 +128,9 @@ class TestSimplexMin:
     def test_triangle_linf(self):
         t = closure([[1, 2, 3]])
         f = PLMap(t, 2, {1: (1, 0), 2: (0, 1), 3: (1, 1)})
-        pt, cv = simplex_min(f, Simplex.of([1, 2, 3]), Norm.LINF)
+        lam, cv = simplex_min(f, Simplex.of([1, 2, 3]), Norm.LINF)
         assert cv == CriticalValue.rat(Fraction(1, 2))
-        assert as_dict(pt) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert lam == (Fraction(1, 2), Fraction(1, 2), 0)
 
     def test_deterministic_on_ties(self):
         # |f| constant on the edge: the lexicographically smallest argmin
@@ -257,8 +256,7 @@ class TestVertexCertificate:
         ys, n = case
         m0 = min(vector_norm(y, norm) for y in ys)
         s = Simplex.of(list(range(len(ys))))
-        point, cv = simplex_min(PLMap(closure([s.vertices]), n, dict(enumerate(ys))), s, norm)
-        lam = None if point is None else tuple(weight(point, v) for v in s.vertices)
+        lam, cv = simplex_min(PLMap(closure([s.vertices]), n, dict(enumerate(ys))), s, norm)
         assert (cv, lam) == _simplex_min(pairs(ys), n, norm, m0)
 
     @settings(derandomize=True, deadline=None, max_examples=1500)
@@ -331,19 +329,19 @@ class TestIntegerKernels:
         d1 = len(ys)
         f = PLMap(closure([range(d1)]), n, dict(enumerate(ys)))
         weights = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=d1, max_size=d1))
-        p1 = BaryPoint.from_dict({v: Fraction(w, sum(weights)) for v, w in enumerate(weights)})
+        s1, lam1 = Simplex(tuple(range(d1))), tuple(Fraction(w, sum(weights)) for w in weights)
         k = data.draw(st.integers(1, 10 ** 6))
-        p2 = BaryPoint.from_dict({0: Fraction(k, k + 7919), d1: Fraction(7919, k + 7919)})
-        y1 = _interpolate(f._pairs, p1, n)
-        stars = [(Simplex(tuple(range(d1))), y1)]
+        s2, lam2 = Simplex((0, d1)), (Fraction(k, k + 7919), Fraction(7919, k + 7919))
+        y1 = _interpolate(f._pairs, s1, lam1, n)
+        stars = [(s1, y1)]
         if d1 > 1:
-            stars.append((Simplex.of([0, d1]), _interpolate({**f._pairs, d1: y1}, p2, n)))
+            stars.append((s2, _interpolate({**f._pairs, d1: y1}, s2, lam2, n)))
         f2, new = star_with_values(f, stars)
         assert_canonical(f2)
-        expected = evaluate(f, p1)
+        expected = evaluate(f, BaryPoint(tuple(zip(s1, lam1))))
         assert f2.value(new[0]) == expected
         if len(new) == 2:
-            assert f2.value(new[1]) == tuple(p2.weights[0][1] * a + p2.weights[1][1] * b
+            assert f2.value(new[1]) == tuple(lam2[0] * a + lam2[1] * b
                                              for a, b in zip(ys[0], expected))
 
 

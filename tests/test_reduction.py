@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robsat import pl_map, reduction, robustness
@@ -37,6 +37,7 @@ from helpers import (
     assert_canonical,
     compose_automorphism,
     contains_point,
+    fraction_values,
     path_map,
     random_complex,
     random_map,
@@ -46,7 +47,6 @@ from helpers import (
     ref_split_inequality_levels,
     ref_split_level,
     ref_validate,
-    vertex,
 )
 from reference_oracles import (
     derived_subdivision,
@@ -129,7 +129,7 @@ class TestSphereMap:
 class TestExtremalSubdivision:
     def test_worked_path(self):
         f = vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
-        assert sorted(v[0] for v in f.values.values()) == [-1, 0, 0, 3, 3]
+        assert sorted(v[0] for v in fraction_values(f).values()) == [-1, 0, 0, 3, 3]
 
     def test_identity_when_monotone(self):
         f0 = path_map([1, 2, 3])
@@ -191,13 +191,26 @@ def test_extremal_stage_matches_derived_pass_loop(norm):
         seen["vector_norm calls"] += 1
         return vector_norm(*args)
 
+    # Seeds on which one derived pass does not suffice, at least five per
+    # norm (l1: 33 65 118 169 187, l2: 30 33 65 116 169 170 187 291, linf:
+    # 30 116 118 170 291), so the count below does not depend on the drawn
+    # examples, which change with any edit to this function's source.
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(0, 2 ** 32))
+    @example(30)
+    @example(33)
+    @example(65)
+    @example(116)
+    @example(118)
+    @example(169)
+    @example(170)
+    @example(187)
+    @example(291)
     def check(seed):
         f = map_on_simplex_set(random.Random(seed))
         ref = ref_vertexwise_extremal_subdivision(f, norm)
         seen["vector_norm calls"] = 0
-        cold = PLMap(f.complex, f.n, f.values)  # the reference filled f's table
+        cold = PLMap(f.complex, f.n, fraction_values(f))  # the reference filled f's table
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reduction, "vector_norm", counted_norm)
             mp.setattr(pl_map, "vector_norm", counted_norm)
@@ -205,8 +218,9 @@ def test_extremal_stage_matches_derived_pass_loop(norm):
         assert seen.pop("vector_norm calls") == len(out.complex.vertices)
         assert_canonical(out)
         assert out.complex.simplices == ref.complex.simplices
-        assert out.values == ref.values
-        assert out.vertex_norms(norm) == {v: vector_norm(y, norm) for v, y in ref.values.items()}
+        assert fraction_values(out) == fraction_values(ref)
+        assert out.vertex_norms(norm) == {v: vector_norm(y, norm)
+                                          for v, y in fraction_values(ref).items()}
         one_pass = derived_subdivision(f, lambda g, s: interior_argmin(g, s, norm))
         seen["starred"] += one_pass is not f
         seen["more passes"] += one_pass != ref
@@ -302,7 +316,7 @@ class TestSignRefinement:
         cx = closure([[1, 2]])
         f = PLMap(cx, 2, {1: (2, 1), 2: (-2, 1)})
         out = sign_refinement(self.make_pair(f))
-        assert (Fraction(0), Fraction(1)) in out.f.values.values()
+        assert (Fraction(0), Fraction(1)) in fraction_values(out.f).values()
         for s in out.a.simplices:
             for i in range(2):
                 vals = [out.f.value(v)[i] for v in s.vertices]
@@ -414,7 +428,7 @@ class TestExactChecks:
         # every argmin is put at a vertex of its simplex, so the picks star
         # nothing and the edges through the root stay
         monkeypatch.setattr(reduction, "simplex_min",
-                            lambda f, s, norm: (vertex(s.vertices[0]),
+                            lambda f, s, norm: ((1,) + (0,) * s.dim,
                                                 f.vertex_norms(norm)[s.vertices[0]]))
         with pytest.raises(ReductionError, match="vertex-extremality"):
             vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
@@ -553,7 +567,8 @@ def assert_same_pair(pair, ref):
     assert pair.x is pair.f.complex
     assert pair.first_id == ref.f.complex.vertices[-1] + 1
     assert pair.x.simplices == full_subcomplex(ref.f.complex, keep).simplices
-    assert pair.f.values == {v: y for v, y in ref.f.values.items() if v in keep}
+    assert fraction_values(pair.f) == {v: y for v, y in fraction_values(ref.f).items()
+                                       if v in keep}
     assert pair.chi == {v: c for v, c in ref.chi.items() if v in keep}
     assert pair.a.simplices == ref.a.simplices
 
@@ -701,7 +716,7 @@ def test_numbering_goes_on_past_a_cut_vertex():
     pair = split_level(f, chi)
     assert pair.x.vertices == (0, 1) and pair.first_id == 3
     refined = sign_refinement(pair)
-    assert refined.f.values == {0: (2, 1), 1: (2, -1), 3: (2, 0)}
+    assert fraction_values(refined.f) == {0: (2, 1), 1: (2, -1), 3: (2, 0)}
     assert_same_pair(refined, ref_sign_refinement(ref_split_level(f, chi)))
 
 

@@ -39,7 +39,10 @@ sys.path.insert(0, "perfbench")
 
 from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
+from robsat.complex_core import Simplex  # noqa: E402
 from robsat.pl_map import PLMap  # noqa: E402
+
+from helpers import fraction_values  # noqa: E402
 
 
 def canon(obj):
@@ -50,8 +53,10 @@ def canon(obj):
         return obj.value
     if isinstance(obj, Fraction):
         return str(obj)
+    if isinstance(obj, Simplex):
+        return {"vertices": list(obj)}
     if isinstance(obj, PLMap):
-        return {"n": obj.n, "values": canon(obj.values)}
+        return {"n": obj.n, "values": canon(fraction_values(obj))}
     if dataclasses.is_dataclass(obj):
         return {f.name: canon(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
