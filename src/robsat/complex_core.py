@@ -89,7 +89,11 @@ _sorted_simplex = partial(tuple.__new__, Simplex)
 
 
 class Complex:
-    """Finite abstract simplicial complex, immutable after construction."""
+    """Finite abstract simplicial complex, immutable after construction.
+
+    It takes `Simplex` values and does not check them: a plain vertex tuple
+    hashes like its simplex but has no `boundary`, so it fails only later.
+    `closure` builds a complex from vertex lists."""
 
     __slots__ = ("_simplices", "_by_dim", "_vertices")
 
@@ -261,6 +265,8 @@ class IntCochain:
     def __post_init__(self):
         self.values = {s: v for s, v in self.values.items() if v != 0}
         for s in self.values:
+            if not isinstance(s, Simplex):
+                raise ValueError(f"cochain key {s!r} is not a Simplex")
             if s.dim != self.degree:
                 raise ValueError(f"simplex {list(s.vertices)} has dim {s.dim}, "
                                  f"cochain degree {self.degree}")

@@ -1,23 +1,29 @@
 """Piecewise-linear maps with rational vertex values, and exact |f| analysis.
 
-Minima of |f| over a simplex are computed exactly: an epigraph LP for the
-l1/max norms, and face enumeration with equality-constrained least squares
-(KKT systems solved by `exactlinalg.solve`) for the Euclidean norm, whose
-minimum is the square root of a rational, stored squared.  Both solvers run
-on fraction-free integer tableaus (see `exactlinalg`), and the LP pivots
-follow Bland's rule exactly as the rational simplex would.  Argmin points are
-made deterministic by lexicographic refinement over barycentric coordinates,
-which `linprog.solve_lp` runs from the optimal basis of the same solve.
+Minima of |f| over a simplex are computed exactly.  On an edge they have a
+closed form in integers (`_edge_min`).  On a larger simplex they are an
+epigraph LP for the l1/max norms, and face enumeration with
+equality-constrained least squares (KKT systems solved by
+`exactlinalg.solve`, closed forms on the vertex and edge faces) for the
+Euclidean norm, whose minimum is the square root of a rational, stored
+squared.  Both solvers run on fraction-free integer tableaus (see
+`exactlinalg`), and the LP pivots follow Bland's rule exactly as the
+rational simplex would.  Argmin points are made deterministic by taking the
+lexicographically smallest one in barycentric coordinates: on an edge the
+one with the largest weight on its second vertex, on a larger simplex by
+the refinement that `linprog.solve_lp` runs from the optimal basis of the
+same solve.
 
 Each map holds its vertex norms |f(v)|, one table per norm, computed once
 (`PLMap.vertex_norms`).  `simplex_min` is the one routine that computes a
 minimum: when a subgradient of the norm at a least-norm vertex value proves
 that vertex value minimal (a few exact dot products, `_vertex_attains_min`),
 the minimum is that vertex norm and no LP or KKT system runs; otherwise it
-runs the solve, which refines the argmin only when the minimum lies below
-every vertex value.  Solves are cached on the vertex values, so the
-decisions of one map at several alphas, and its critical values, share them;
-the cache is bounded by about the working set of one such computation.
+runs the closed form or the solve, which refines the argmin only when the
+minimum lies below every vertex value.  Solves are cached on the vertex
+values, so the decisions of one map at several alphas, and its critical
+values, share them; the cache is bounded by about the working set of one
+such computation.
 
 A map stores each vertex value as one reduced integer pair (nums, den): a
 tuple of ints and one positive int with gcd(den, *nums) = 1, the value being
@@ -190,13 +196,60 @@ def _norm_lp(ys, scale, n, norm: Norm):
     return rows, [1] + [0] * (2 * n), [0] * d1 + [1] * ts + [0] * (2 * n)
 
 
+def _edge_min(a, b, norm: Norm):
+    """(m, t) for integer vectors a and b: m the minimum of |a + t (b - a)|
+    over t in [0, 1] (its square for l2), a Fraction, and t the largest t
+    attaining it, which makes (1 - t, t) the lexicographically smallest
+    minimizer in barycentric coordinates.
+
+    For l2, t is -a.d / |d|^2 clamped to [0, 1], with d = b - a, and 1 when
+    d = 0.  For l1 and linf, |a + t d| is convex and piecewise linear, so
+    its minimizers form an interval whose ends are 0, 1 or breakpoints: zeros
+    of a coordinate and, for linf, the points where two coordinates' absolute
+    values meet.  Every candidate t = p / q (q > 0) is evaluated exactly as
+    |q a + p d| / q, and the candidates are compared by cross-multiplication.
+    """
+    d = [z - x for x, z in zip(a, b)]
+    if norm == Norm.L2:
+        p, q = -sum(x * z for x, z in zip(a, d)), sum(z * z for z in d)
+        ts = [(min(max(p, 0), q), q) if q else (1, 1)]
+    else:
+        cuts = [(-x, z) for x, z in zip(a, d)]
+        if norm == Norm.LINF:
+            for (x, z), (u, w) in combinations(zip(a, d), 2):
+                cuts += [(u - x, z - w), (-u - x, z + w)]
+        ts = [(0, 1), (1, 1)]
+        for p, q in cuts:
+            if q < 0:
+                p, q = -p, -q
+            if q and 0 <= p <= q:
+                ts.append((p, q))
+    best = None
+    for p, q in ts:
+        y = [q * x + p * z for x, z in zip(a, d)]
+        if norm == Norm.L2:
+            m, den = sum(v * v for v in y), q * q
+        elif norm == Norm.L1:
+            m, den = sum(map(abs, y)), q
+        else:
+            m, den = max(map(abs, y)), q
+        if best is not None:  # keep the least m / den, on a tie the larger p / q
+            lhs, rhs = m * best[1], best[0] * den
+            if lhs > rhs or (lhs == rhs and p * best[3] <= best[2] * q):
+                continue
+        best = m, den, p, q
+    m, den, p, q = best
+    return Fraction(m, den), Fraction(p, q)
+
+
 def _min_l2(ys, n):
     """Exact min of |sum lam y|_2^2 over the standard simplex, for integer
     vectors y, and the value vector sum lam y attaining it (unique, by strict
     convexity).
 
-    Minimizers over the affine hull of each face solve a KKT system on the
-    integer Gram matrix G = 2 (y_a . y_b); a face whose solution is
+    Vertices and edges have closed forms (`_edge_min`).  On a face of three
+    or more vertices, the minimizer over its affine hull solves a KKT system
+    on the integer Gram matrix G = 2 (y_a . y_b); a face whose solution is
     infeasible is covered by its subfaces.  So is a face whose KKT system is
     singular: its vertex values are affinely dependent, and by Caratheodory
     the minimizer lies in the relative interior of an affinely independent
@@ -204,9 +257,14 @@ def _min_l2(ys, n):
     KKT multiplier mu gives the face's squared minimum: G lam = mu 1 and
     sum lam = 1 make lam^T G lam = mu, which is twice |sum lam y|^2.
     """
+    sq, j = min((sum(x * x for x in y), j) for j, y in enumerate(ys))
+    best_sq, best_y = Fraction(sq), [Fraction(x) for x in ys[j]]
+    for a, b in combinations(ys, 2):
+        sq, t = _edge_min(a, b, Norm.L2)
+        if sq < best_sq:
+            best_sq, best_y = sq, [x + t * (z - x) for x, z in zip(a, b)]
     gram = [[2 * sum(a[i] * b[i] for i in range(n)) for b in ys] for a in ys]
-    best_mu = best = None
-    for k in range(1, len(ys) + 1):
+    for k in range(3, len(ys) + 1):
         for face in combinations(range(len(ys)), k):
             rows = [[gram[a][b] for b in face] + [-1] for a in face]
             rows.append([1] * k + [0])
@@ -216,12 +274,11 @@ def _min_l2(ys, n):
                 raise exactlinalg.ExactnessError(
                     "KKT system of a bounded-below QP is inconsistent")
             lam, mu = sol[:k], sol[k]
-            if not unique or any(x < 0 for x in lam):
+            if not unique or any(x < 0 for x in lam) or not mu / 2 < best_sq:
                 continue
-            if best_mu is None or mu < best_mu:
-                best_mu, best = mu, (face, lam)
-    face, lam = best
-    return best_mu / 2, [sum(w * ys[j][i] for w, j in zip(lam, face)) for i in range(n)]
+            best_sq = mu / 2
+            best_y = [sum(w * ys[j][i] for w, j in zip(lam, face)) for i in range(n)]
+    return best_sq, best_y
 
 
 @lru_cache(maxsize=1 << 10)
@@ -232,7 +289,10 @@ def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
     so the decisions of one map and its critical values share their solves.
 
     The solves read one integer matrix: the vertex values times the lcm of
-    their denominators.
+    their denominators.  An edge takes the closed form `_edge_min`, whose
+    largest minimizing t gives the lexicographically smallest weights
+    (1 - t, t): the first weight is minimized first.  A larger simplex runs
+    `_min_l2` and an argmin LP (l2) or the epigraph LP (l1, linf).
 
     The cache holds 1,024 solves: one robustness computation on G(32) makes
     401, and its hits are on solves of the same computation.  A larger cache
@@ -242,6 +302,13 @@ def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
     d1 = len(ys)
     scale = lcm(*[den for _, den in ys])
     ys = [[a * (scale // den) for a in nums] for nums, den in ys]
+    if d1 == 2:
+        m, t = _edge_min(*ys, norm)
+        if norm == Norm.L2:
+            cv = CriticalValue.sqrt_of(m / (scale * scale))
+        else:
+            cv = CriticalValue.rat(m / scale)
+        return cv, ((1 - t, t) if cv < below else None)
     if norm == Norm.L2:
         sq, best_y = _min_l2(ys, n)
         cv = CriticalValue.sqrt_of(sq / (scale * scale))

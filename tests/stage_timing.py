@@ -23,6 +23,8 @@ runs them and records one row:
 * fraction_share: the share of self time spent in `fractions.py` and
   `math.gcd` during one more cold extremal run, under cProfile (the
   profiled run is not one of the timed ones);
+* lp_solves: the `linprog.solve_lp` calls of one more cold extremal run,
+  counted by a wrapper on the name `pl_map` calls;
 * split, sign: `split_level` (which cuts X out of the split complex) and
   `sign_refinement` (which validates);
 * level: `split_level`, `sign_refinement` and building the pair's X and A,
@@ -101,6 +103,24 @@ def fraction_share(cold_map, norm: Norm) -> float:
     return round(rational / total, 3)
 
 
+def lp_solves(cold_map, norm: Norm) -> int:
+    """The `linprog.solve_lp` calls of one extremal stage on cold_map."""
+    calls = 0
+    solve = pl_map.solve_lp
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **kwargs)
+
+    pl_map.solve_lp = counted
+    try:
+        vertexwise_extremal_subdivision(cold_map, norm)
+    finally:
+        pl_map.solve_lp = solve
+    return calls
+
+
 def level_pair(f1, chi):
     """The validated level pair, with its X and A built."""
     pair = sign_refinement(split_level(f1, chi))
@@ -130,6 +150,8 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     row.update(simplices_out=len(f1.complex), extremal_digest=map_digest(f1), extremal_s=t)
     fresh_map()
     row["fraction_share"] = fraction_share(cold[0], norm)
+    fresh_map()
+    row["lp_solves"] = lp_solves(cold[0], norm)
     chi = build_chi(f1, CriticalValue.rat(alpha), norm)
     row["split_s"], pair = best_of(lambda: split_level(f1, chi))
     row["sign_s"], pair = best_of(lambda: sign_refinement(pair))

@@ -92,6 +92,10 @@ class TestSimplex:
         assert w((0, 1)) == 3 and w(Simplex((0, 1))) == 3 and w((1, 0)) == 0
         assert list(w.values) == [(0, 1)] and type(next(iter(w.values))) is Simplex
 
+    def test_cochain_rejects_plain_tuple_keys(self):
+        with pytest.raises(ValueError, match="not a Simplex"):
+            IntCochain(1, {(0, 1): 3})
+
     @pytest.mark.parametrize("build", [lambda: Simplex(()), lambda: Simplex((2, 1)),
                                        lambda: Simplex((1, 1)), lambda: Simplex.of([1, 1])],
                              ids=["empty", "unsorted", "repeated", "of-repeated"])

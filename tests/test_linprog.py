@@ -174,9 +174,10 @@ def test_exactness_checks_survive_optimize():
         except exactlinalg.ExactnessError:
             pass
         exactlinalg.solve = lambda rows, rhs: (None, False)
-        f = PLMap(closure([[0, 1]]), 1, {0: (1,), 1: (-1,)})
+        # Edges have a closed form; a triangle runs the KKT system.
+        f = PLMap(closure([[0, 1, 2]]), 1, {0: (1,), 1: (-1,), 2: (2,)})
         try:
-            simplex_min(f, Simplex.of([0, 1]), Norm.L2)
+            simplex_min(f, Simplex.of([0, 1, 2]), Norm.L2)
             raise SystemExit("inconsistent KKT system passed")
         except exactlinalg.ExactnessError:
             pass

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -345,6 +349,93 @@ class TestIntegerKernels:
                                              for a, b in zip(ys[0], expected))
 
 
+@st.composite
+def edge_values(draw):
+    """(the two vertex values of an edge, n) with n = 1-3.  Half-integer
+    coordinates, each vertex value moved by -1/p, 0 or 1/p per coordinate
+    for its own large prime p when drawn, so the denominators are large and
+    pairwise coprime.  The second value is the first (b - a = 0), the first
+    times -2..2 (values on a line through 0), or a draw of its own."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3).map(lambda k: Fraction(k, 2))
+    primes = draw(st.permutations(LARGE_PRIMES + (10 ** 12 + 39,)))
+
+    def value(p):
+        y = draw(st.tuples(*[coord] * n))
+        if draw(st.booleans()):
+            y = tuple(x + Fraction(draw(st.integers(-1, 1)), p) for x in y)
+        return y
+
+    a = value(primes[0])
+    kind = draw(st.sampled_from(["same", "line", "free", "free"]))
+    if kind == "same":
+        b = a
+    elif kind == "line":
+        b = tuple(draw(st.integers(-2, 2)) * x for x in a)
+    else:
+        b = value(primes[1])
+    return (a, b), n
+
+
+class TestEdgeKernel:
+    """`_simplex_min` on an edge is the closed form `_edge_min`; it gives the
+    minimum and the minimizer or None that the LP/KKT solve gives.  Every
+    check is an explicit raise, so `python -O` runs them too."""
+
+    def test_matches_the_solve(self):
+        seen = Counter()
+
+        @settings(derandomize=True, deadline=None, max_examples=1000)
+        @given(edge_values(), st.sampled_from(ALL_NORMS), st.booleans())
+        @example(vals((1, -2), (1, -2)), Norm.L2, True)          # b - a = 0
+        @example(vals((1, -2), (1, -2)), Norm.LINF, True)
+        @example(vals((1, 1), (-1, 1)), Norm.LINF, True)         # flat: every t
+        @example(vals((2, 1), (-2, 1)), Norm.LINF, False)        # flat on [1/4, 3/4]
+        @example(vals((1, 0), (0, 1)), Norm.L1, True)            # flat: every t
+        @example(vals((-1, -2), (2, 4)), Norm.L1, False)         # through 0 at t = 1/3
+        @example(vals((-1, -2), (2, 4)), Norm.L2, False)
+        @example(vals((0, 0), (1, 2)), Norm.LINF, True)          # zero at t = 0
+        @example(vals((1, 2), (0, 0)), Norm.L2, True)            # zero at t = 1
+        @example(vals((Fraction(1, 10 ** 12 + 39), -1), (Fraction(-1, 15485863), 1)),
+                 Norm.LINF, False)                               # huge coprime denominators
+        @example(vals((Fraction(1, 10 ** 12 + 39), -1), (Fraction(-1, 15485863), 1)),
+                 Norm.L2, False)
+        def check(case, norm, refine):
+            """Both orders of the edge, with the least vertex norm as the
+            bound or (refine) a bound above the minimum."""
+            ys, n = case
+            below = min(vector_norm(y, norm) for y in ys)
+            if refine:
+                below = CriticalValue.rat(1 + sum(abs(x) for y in ys for x in y))
+            lams = []
+            for edge in (ys, ys[::-1]):
+                got = _simplex_min(pairs(edge), n, norm, below)
+                ref = ref_simplex_min(edge, n, norm, below)
+                if got != ref:
+                    pytest.fail(f"{edge} {norm}: {got} != {ref}")
+                lams.append(got[1])
+            fwd, rev = lams
+            if fwd is not None and all(fwd):
+                seen["interior"] += 1
+            if fwd is not None and rev is not None and fwd != rev[::-1]:
+                seen["flat"] += 1  # the largest t from each end differ
+
+        check()
+        if not (seen["interior"] >= 100 and seen["flat"] >= 20):
+            pytest.fail(f"coverage {seen}")
+
+    def test_matches_the_solve_under_optimize(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestEdgeKernel", "-k", "not optimize"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "1 passed" in proc.stdout
+
+
 def affinely_dependent(ys) -> bool:
     """Whether the vertex values are affinely dependent, which is when some
     face of two or more vertices has a singular KKT system."""
@@ -373,10 +464,24 @@ def test_min_l2_matches_the_lp_fallback():
         seen[affinely_dependent(ys)] += 1
         matrix, scale = integer_matrix(ys)
         sq, y = _min_l2(matrix, n)
-        assert (sq / scale ** 2, [v / scale for v in y]) == ref_min_l2(ys, n)
+        ref = ref_min_l2(ys, n)
+        assert (sq / scale ** 2, [v / scale for v in y]) == ref
+        if len(ys) >= 3 and any(
+                0 < t < 1 and sum((x + t * z) ** 2 for x, z in zip(a, d)) == ref[0]
+                for a, d, t in edge_minimizers(ys)):
+            seen["inside an edge"] += 1
 
     check()
-    assert seen[True] >= 100 and seen[False] >= 100, seen
+    assert seen[True] >= 100 and seen[False] >= 100 and seen["inside an edge"] >= 50, seen
+
+
+def edge_minimizers(ys):
+    """(a, d, t) for each edge a b of the vertex values with d = b - a
+    nonzero: t = -a.d / |d|^2 minimizes |a + t d| over the line."""
+    for a, b in combinations(ys, 2):
+        d = [z - x for x, z in zip(a, b)]
+        if any(d):
+            yield a, d, -sum(x * z for x, z in zip(a, d)) / sum(z * z for z in d)
 
 
 class TestCriticalValues:
