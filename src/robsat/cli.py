@@ -267,17 +267,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="robsat",
                      description="robust satisfiability of PL equation systems")
     sub = parser.add_subparsers(dest="command", required=True)
+    hopf = argparse.ArgumentParser(add_help=False)  # for the commands that decide extensions
+    hopf.add_argument("--no-assume-hopf", dest="assume_hopf", action="store_false", help="report "
+                      "Unknown instead of using the equal-dimension extension theorem for n >= 3")
 
     def common(p, alpha=False):
         p.add_argument("-i", "--input", required=True, help="instance file")
         if alpha:
             p.add_argument("--alpha", help="override the instance alpha (p/q)")
-        p.add_argument("--no-assume-hopf", dest="assume_hopf", action="store_false",
-                       help="report Unknown instead of using the equal-dimension "
-                            "extension theorem for n >= 3")
-        p.set_defaults(assume_hopf=True)
 
-    p = sub.add_parser("decide", help="decide whether every alpha-perturbation has a root")
+    p = sub.add_parser("decide", parents=[hopf],
+                       help="decide whether every alpha-perturbation has a root")
     common(p, alpha=True)
     p.add_argument("--witness", action="store_true",
                    help="search for a rootless perturbation on RobustNo")
@@ -286,11 +286,12 @@ def build_parser() -> _Parser:
     p.add_argument("--step", default="1/4", help="witness lattice step (p/q)")
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("robustness", help="exact robustness of the root")
+    p = sub.add_parser("robustness", parents=[hopf], help="exact robustness of the root")
     common(p)
     p.set_defaults(func=cmd_robustness)
 
-    p = sub.add_parser("extend", help="raw extendability of the instance's sphere map")
+    p = sub.add_parser("extend", parents=[hopf],
+                       help="raw extendability of the instance's sphere map")
     common(p)
     p.set_defaults(func=cmd_extend)
 
@@ -304,11 +305,12 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_critical_values)
 
-    p = sub.add_parser("components", help="components in which a root is unavoidable")
+    p = sub.add_parser("components", parents=[hopf],
+                       help="components in which a root is unavoidable")
     common(p, alpha=True)
     p.set_defaults(func=cmd_components)
 
-    p = sub.add_parser("sample-grid", help="decide a polynomial system on a box")
+    p = sub.add_parser("sample-grid", parents=[hopf], help="decide a polynomial system on a box")
     p.add_argument("--vars", required=True, help="comma-separated variable names")
     p.add_argument("--expr", action="append", default=[],
                    help="polynomial component (repeatable)")
@@ -318,8 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--norm", default="linf", choices=[n.value for n in Norm])
-    p.add_argument("--no-assume-hopf", dest="assume_hopf", action="store_false")
-    p.set_defaults(assume_hopf=True, func=cmd_sample_grid)
+    p.set_defaults(func=cmd_sample_grid)
 
     p = sub.add_parser("gen-fixture", help="PL instance from an extension instance")
     common(p)

@@ -14,11 +14,12 @@ The pipeline has three stages, each an exact subdivision or relabelling:
    simplex of A, at which point the vertexwise rule v -> sign * e_index is a
    simplicial approximation into the boundary of the cross polytope.
 
-After the level split re-runs its pass's `crossings` scan to check for 0-1
-edges, only X is kept: the level pair (`LevelPair`) lives on X, A is cut
-from it once, and the pair is validated once, after sign refinement.  Each
-pass stars in one batched `star_with_values` call, and everything is
-validated by exact rational checks rather than trusted.
+X, and the region U = {g <= -alpha} of a system with inequalities, are
+`sublevel` cuts: a stage's crossings starred, re-checked by `crossings`,
+and cut where every pass is <= 0.  The level pair (`LevelPair`) lives on X,
+A is cut from it once, and the pair is validated once, after sign
+refinement.  Each pass stars in one batched `star_with_values` call, and
+everything is validated by exact rational checks rather than trusted.
 
 A starring is a carrier and f's value at the new vertex.  Only the extremal
 stage has a point, `simplex_min`'s argmin, and interpolates f there; a
@@ -92,7 +93,7 @@ class LevelPair:
 
     The pair lives on X: `f` and chi are defined on X, and A, the full
     subcomplex on the chi = 1/2 vertices, is cut from X on first use.  The
-    0-1 edge check runs in `split_level`, before the cut.  `first_id` is the
+    0-1 edge check runs in `sublevel`, before the cut.  `first_id` is the
     id of the next starred vertex (None: one past X's largest).
     """
 
@@ -245,26 +246,38 @@ def star_crossings(f: PLMap, passes, first_id: VertexId | None = None
     return f, new
 
 
-def split_level(f: PLMap, chi: dict[VertexId, Fraction]) -> LevelPair:
-    """Star each 0-1 edge at its chi-midpoint (the crossings of chi - 1/2),
-    check that no 0-1 edge is left, and keep only X, the full subcomplex on
-    the chi <= 1/2 vertices: the extension problem reads nothing outside it.
+def sublevel(f: PLMap, passes) -> tuple[PLMap, VertexId | None]:
+    """Star the crossings of a stage's passes in one `star_crossings` call,
+    re-run each pass's `crossings` as the check, and cut the full subcomplex
+    on the vertices where every pass is <= 0: every simplex is then weakly
+    signed in each pass, so that is the sublevel set exactly.  Returns its
+    map and the next free id, one past the starred complex's largest vertex,
+    cut or not (None if that complex is empty)."""
+    f, _ = star_crossings(f, passes)
+    for h in passes:
+        if left := crossings(f, h):
+            raise ReductionError(f"a level split left the crossing edge {left[0][0]}")
+    pairs = f._pairs
+    cut = full_subcomplex(f.complex, {v for v, y in pairs.items()
+                                      if all(h(v, y)[0] <= 0 for h in passes)})
+    return (_exact_map(cut, f.n, {v: pairs[v] for v in cut.vertices}),
+            f.complex.vertices[-1] + 1 if f.complex.vertices else None)
 
-    The new vertex of a starring gets chi = 1/2, the interpolated value of
-    the piecewise-linear chi at the midpoint; the check re-runs the pass.
-    Later starrings number on from the split complex's largest vertex, cut
-    or not.  `sign_refinement`, which every decision runs next, validates
-    the pair.
+
+def split_level(f: PLMap, chi: dict[VertexId, Fraction]) -> LevelPair:
+    """X, the `sublevel` of chi - 1/2: each 0-1 edge is starred at its
+    chi-midpoint, and only the chi <= 1/2 part is kept, since the extension
+    problem reads nothing outside it.  A vertex the split adds has chi = 1/2,
+    the value of the piecewise-linear chi at the midpoint.  Later starrings
+    number on from `sublevel`'s next id.  `sign_refinement`, which every
+    decision runs next, validates the pair.
     """
-    passes = [lambda v, _: (2 * chi[v].numerator - chi[v].denominator, 2 * chi[v].denominator)]
-    f, new = star_crossings(f, passes)
-    chi = {**chi, **dict.fromkeys(new, HALF)}  # read by the pass in the check
-    if left := crossings(f, passes[0]):
-        raise ReductionError(f"0-1 edge survived: {left[0][0]}")
-    x = full_subcomplex(f.complex, {v for v in f.complex.vertices if chi[v] <= HALF})
-    return LevelPair(_exact_map(x, f.n, {v: f._pairs[v] for v in x.vertices}),
-                     {v: chi[v] for v in x.vertices},
-                     f.complex.vertices[-1] + 1 if f.complex.vertices else None)
+    def level(v, _):
+        c = chi.get(v, HALF)
+        return 2 * c.numerator - c.denominator, 2 * c.denominator
+
+    f_x, first_id = sublevel(f, [level])
+    return LevelPair(f_x, {v: chi.get(v, HALF) for v in f_x.complex.vertices}, first_id)
 
 
 def sign_refinement(pair: LevelPair) -> LevelPair:

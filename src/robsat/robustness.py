@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .complex_core import full_subcomplex
+from .complex_core import IntCochain, Simplex, full_subcomplex
 from .homotopy import ExtendTag, ExtendVerdict, decide_extension
 from .pl_map import (
     CriticalValue,
@@ -33,11 +33,10 @@ from .reduction import (
     ReductionError,
     SphereMap,
     build_chi,
-    crossings,
     sign_refinement,
     simplicial_approximation,
     split_level,
-    star_crossings,
+    sublevel,
     vertexwise_extremal_subdivision,
 )
 
@@ -80,19 +79,16 @@ def _coerce_alpha(alpha) -> CriticalValue:
     return cv
 
 
-def reduce_to_extension(f: PLMap, alpha, norm: Norm) -> LevelPair | None:
+def reduce_to_extension(f: PLMap, alpha, norm: Norm) -> LevelPair:
     """Run the subdivision pipeline for one alpha: the validated,
-    sign-refined level pair, or None when the sublevel part X is empty.  A
-    may be empty; `decide_extension` answers that case like any other."""
+    sign-refined level pair.  X and A may be empty; an empty X is a pair
+    like any other."""
     if f.n < 1:
         raise ValueError("the map must have at least one component")
     alpha = _coerce_alpha(alpha)
     f1 = vertexwise_extremal_subdivision(f, norm)
-    chi = build_chi(f1, alpha, norm)
-    if all(v == 1 for v in chi.values()):
-        return None
     # Sign refinement stars nothing when A is empty, so it only validates.
-    return sign_refinement(split_level(f1, chi))
+    return sign_refinement(split_level(f1, build_chi(f1, alpha, norm)))
 
 
 def _verdict_from_extension(ev: ExtendVerdict) -> RobVerdict:
@@ -121,7 +117,7 @@ def decide_robsat(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True) -> RobV
     """
     alpha = _coerce_alpha(alpha)
     pair = reduce_to_extension(f, alpha, norm)
-    if pair is None:
+    if pair.x.is_empty():
         # |f| > alpha on the vertex-extremal subdivision's vertices, so f is a
         # rootless perturbation of itself; the witness is re-checked exactly
         _validate_witness(f, f, alpha, norm)
@@ -205,8 +201,6 @@ def locate_components(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True):
 
     alpha = _coerce_alpha(alpha)
     pair = reduce_to_extension(f, alpha, norm)
-    if pair is None:
-        return []
     fmap = simplicial_approximation(pair)
     results = []
     for comp in connected_components(pair.x):
@@ -219,32 +213,15 @@ def locate_components(f: PLMap, alpha, norm: Norm, assume_hopf: bool = True):
     return results
 
 
-def _split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> tuple[PLMap, list]:
-    """Star every edge on which some constraint component g_i + alpha changes
-    sign strictly, at its zero; the new vertex has g_i = -alpha exactly.
-    Afterwards every simplex is weakly signed in each g_i + alpha, which the
-    passes' crossing scans re-check on every edge.  Returns the map and the
-    passes: with alpha = p / q, pass i maps a vertex value nums / den to
-    g_i + alpha = (q nums_i + p den, q den)."""
-    p, q = alpha.numerator, alpha.denominator
-    passes = [lambda v, y, i=i: (q * y[0][i] + p * y[1], q * y[1]) for i in range(n, h.n)]
-    h, _ = star_crossings(h, passes)
-    left = [e for level in passes for e, _ in crossings(h, level)]
-    if left:
-        raise ReductionError(f"inequality level splitting left the mixed edge {left[0]}")
-    return h, passes
-
-
 def decide_with_inequalities(f: PLMap, g: PLMap, alpha, norm: Norm = Norm.LINF,
                              assume_hopf: bool = True) -> RobVerdict:
     """Robust satisfiability of the system f = 0 and g <= 0 under the max
     norm: every alpha-perturbation of the system is satisfiable iff every
     alpha-perturbation of f restricted to U = {g <= -alpha} has a root there.
 
-    U is triangulated exactly: after the level starrings, every simplex is
-    weakly signed in each g_i + alpha, so a point satisfies g <= -alpha iff
-    its barycentric support does, and U is the full subcomplex on the
-    satisfying vertices.
+    U is the `sublevel` of the passes g_i + alpha, triangulated exactly.
+    The vertices the decision on U adds are numbered on from `sublevel`'s
+    next id, so none takes the id of an instance vertex the cut dropped.
     """
     if norm != Norm.LINF:
         raise ValueError("inequality systems are supported for the max norm only")
@@ -260,18 +237,26 @@ def decide_with_inequalities(f: PLMap, g: PLMap, alpha, norm: Norm = Norm.LINF,
         (a, da), (b, db) = f._pairs[v], g._pairs[v]
         d = lcm(da, db)
         joined[v] = tuple(x * (d // da) for x in a) + tuple(x * (d // db) for x in b), d
-    combined, passes = _split_inequality_levels(_exact_map(f.complex, f.n + g.n, joined),
-                                                f.n, alpha_cv.q)
-    keep = {v for v, y in combined._pairs.items() if all(level(v, y)[0] <= 0 for level in passes)}
-    domain = full_subcomplex(combined.complex, keep)
-    if domain.is_empty():
+    # pass i is g_i + alpha = (q nums_i + p den, q den) at nums / den, for alpha = p / q
+    p, q = alpha_cv.q.numerator, alpha_cv.q.denominator
+    u, next_id = sublevel(_exact_map(f.complex, f.n + g.n, joined),
+                          [lambda v, y, i=i: (q * y[0][i] + p * y[1], q * y[1])
+                           for i in range(f.n, f.n + g.n)])
+    if u.complex.is_empty():
         return RobVerdict(
             RobTag.ROBUST_NO,
             reason="the constrained region {g <= -alpha} is empty")
-    f_u = _exact_map(domain, f.n, {v: _reduced(nums[: f.n], den)
-                                   for v, (nums, den) in combined._pairs.items() if v in keep})
+    f_u = _exact_map(u.complex, f.n, {v: _reduced(nums[: f.n], den)
+                                      for v, (nums, den) in u._pairs.items()})
     verdict = decide_robsat(f_u, alpha_cv, norm, assume_hopf=assume_hopf)
     # A witness here would be f_u, which lives on U's subdivided vertices,
     # not on the instance's complex.
     verdict.witness = None
+    if verdict.extend is not None and verdict.extend.w is not None:
+        # decide_robsat numbers on from U's largest vertex, consecutively, and
+        # reads ids only by their order: shifted, they are the ids from next_id
+        top, w = u.complex.vertices[-1], verdict.extend.w
+        verdict.extend.w = IntCochain(w.degree, {
+            Simplex(x + next_id - top - 1 if x > top else x for x in s): c
+            for s, c in w.values.items()})
     return verdict

@@ -77,6 +77,26 @@ class TestDecide:
         code, doc = run(capsys, "decide", "-i", str(path), "--witness")
         assert sorted(doc["witness"]) == ["0", "1", "2"]
 
+    def test_inequality_certificate_keeps_instance_ids(self, capsys, tmp_path):
+        """U = {g <= -alpha} cuts the instance vertices 2 and 3; the vertices
+        the decision adds (the zero on edge 0-1 and its split) must not take
+        their ids.  Every vertex of w is one of U or lies past the instance."""
+        path = tmp_path / "ineq.json"
+        path.write_text(json.dumps({
+            "version": 1, "n": 1, "norm": "linf",
+            "vertices": [{"id": i, "f": [f], "g": [g]}
+                         for i, (f, g) in enumerate([("3", "-3"), ("-1", "-3"),
+                                                     ("5", "5"), ("5", "5")])],
+            "simplices": [[0, 1], [2, 3]]}))
+        for alpha, u, want in [("3", {0, 1}, [0, 1, 4]), ("2", {1}, [1, 4, 5])]:
+            code, doc = run(capsys, "decide", "-i", str(path), "--alpha", alpha)
+            assert code == EXIT_DECIDED and doc["verdict"] == "RobustNo"
+            cert = doc["certificate"]
+            assert cert["tag"] == "Extends"
+            keys = sorted(v for s in cert["w"] for v in json.loads(s))
+            assert all(v in u or v > 3 for v in keys), keys
+            assert keys == want
+
     def test_overdetermined(self, capsys):
         code, doc = run(capsys, "decide", "-i", instance("overdetermined_path.json"))
         assert doc["verdict"] == "RobustNo"
@@ -141,6 +161,19 @@ class TestExtend:
         code, doc = run(capsys, "extend", "-i", instance("unknown_dim4_n3.json"))
         assert code == EXIT_UNKNOWN
         assert doc["verdict"] == "Unknown"
+
+    def test_no_assume_hopf(self, capsys, tmp_path):
+        # n = 3 on a triangle, dim X = 2 <= n: the Hopf step answers Extends,
+        # and without it the answer is Unknown
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({
+            "version": 1, "n": 3, "norm": "linf", "vertices": [{"id": v} for v in range(3)],
+            "simplices": [[0, 1, 2]], "a_simplices": [[0, 1]],
+            "sphere_map": {"0": 1, "1": 2}}))
+        code, doc = run(capsys, "extend", "-i", str(path))
+        assert code == EXIT_DECIDED and doc["verdict"] == "Extends"
+        code, doc = run(capsys, "extend", "-i", str(path), "--no-assume-hopf")
+        assert code == EXIT_UNKNOWN and doc["verdict"] == "Unknown"
 
 
 class TestOtherCommands:
@@ -210,6 +243,18 @@ class TestErrorPaths:
         code = main(["decide"])
         capsys.readouterr()
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["degree", "-i", instance("disk_degree1.json"), "--cycle", "[]"],
+        ["critical-values", "-i", instance("square_identity.json")],
+        ["gen-fixture", "-i", instance("disk_degree1.json")],
+    ])
+    def test_no_assume_hopf_only_where_it_is_read(self, capsys, argv):
+        code = main([*argv, "--no-assume-hopf"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and not captured.out.strip()
+        err = json.loads(captured.err)
+        assert err["error"] == "usage" and "--no-assume-hopf" in err["message"]
 
     def test_missing_alpha_is_usage_error(self, capsys):
         code = main(["decide", "-i", instance("annulus_w0.json")])

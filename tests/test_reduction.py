@@ -22,12 +22,12 @@ from robsat.reduction import (
     simplicial_approximation,
     split_level,
     star_crossings,
+    sublevel,
     vertexwise_extremal_subdivision,
 )
 from robsat.robustness import (
     RobTag,
     RobVerdict,
-    _split_inequality_levels,
     decide_robsat,
     decide_with_inequalities,
 )
@@ -64,6 +64,21 @@ def as_pass(h):
     and pair to h's (num, den)."""
     pairs = {v: (Fraction(x).numerator, Fraction(x).denominator) for v, x in h.items()}
     return lambda v, _: pairs[v]
+
+
+def level_passes(n: int, m: int, alpha: Fraction) -> list:
+    """The inequality-level passes of a joined map with m coordinates whose
+    first n are f's: pass i is g_i + alpha, (q nums_i + p den, q den) for
+    alpha = p / q."""
+    p, q = alpha.numerator, alpha.denominator
+    return [lambda v, y, i=i: (q * y[0][i] + p * y[1], q * y[1]) for i in range(n, m)]
+
+
+def split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> tuple[PLMap, list]:
+    """The inequality-level starrings, before `sublevel` cuts U: h split
+    by one `star_crossings` call of the g + alpha passes, and the passes."""
+    passes = level_passes(n, h.n, alpha)
+    return star_crossings(h, passes)[0], passes
 
 
 class TestSphereMap:
@@ -404,14 +419,14 @@ class TestExactChecks:
     def test_surviving_01_edge(self, monkeypatch):
         monkeypatch.setattr(reduction, "star_crossings",
                             lambda f, passes, first_id=None: (f, []))
-        with pytest.raises(ReductionError, match="0-1 edge"):
+        with pytest.raises(ReductionError, match="level split left the crossing edge"):
             decide_robsat(path_map([3, -1, 3]), 1, Norm.LINF)
 
     def test_surviving_mixed_edge(self, monkeypatch):
         # g + 1 is (-2, 1, 2) on the path: the edge (0, 1) crosses
-        monkeypatch.setattr(robustness, "star_crossings",
+        monkeypatch.setattr(reduction, "star_crossings",
                             lambda f, passes, first_id=None: (f, []))
-        with pytest.raises(ReductionError, match="mixed edge"):
+        with pytest.raises(ReductionError, match="level split left the crossing edge"):
             decide_with_inequalities(path_map([3, -1, 3]), path_map([-3, 0, 1]), 1)
 
     def test_root_on_a(self):
@@ -508,31 +523,31 @@ def test_stages_store_reduced_pairs(norm):
         g = coprime_map(rng, cx, rng.randint(1, 2))
         h = PLMap(cx, n + g.n, {v: f.value(v) + g.value(v) for v in cx.vertices})
         level = Fraction(rng.randint(0, 8), rng.choice(LARGE_PRIMES))
-        split_h, _ = _split_inequality_levels(h, n, level)
-        for m in (f1, pair.f, refined.f, split_h):
+        split_h, _ = split_inequality_levels(h, n, level)
+        u, _ = sublevel(h, level_passes(n, h.n, level))
+        for m in (f1, pair.f, refined.f, split_h, u):
             assert_canonical(m)
 
     check()
 
 
 def test_inequality_maps_are_built_from_pairs(monkeypatch):
-    """`decide_with_inequalities` joins f and g, and restricts the split map
-    to f's coordinates on U, in integer pair arithmetic: both maps equal the
-    ones the Fraction view gives, stored as reduced pairs.  Restrictions
-    whose pairs the cut to f's coordinates leaves unreduced must occur."""
+    """`decide_with_inequalities` joins f and g, and restricts U's map to
+    f's coordinates, in integer pair arithmetic: both maps equal the ones
+    the Fraction view gives, stored as reduced pairs.  Restrictions whose
+    pairs the cut to f's coordinates leaves unreduced must occur."""
     seen, captured = Counter(), {}
-    split_levels = robustness._split_inequality_levels
 
-    def capture_split(h, n, alpha):
+    def capture_split(h, passes):
         captured["joined"] = h
-        captured["split"], passes = split_levels(h, n, alpha)
-        return captured["split"], passes
+        captured["split"], next_id = sublevel(h, passes)
+        return captured["split"], next_id
 
     def capture_decide(f_u, alpha, norm, assume_hopf=True):
         captured["f_u"] = f_u
         return RobVerdict(RobTag.UNKNOWN)
 
-    monkeypatch.setattr(robustness, "_split_inequality_levels", capture_split)
+    monkeypatch.setattr(robustness, "sublevel", capture_split)
     monkeypatch.setattr(robustness, "decide_robsat", capture_decide)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -619,12 +634,64 @@ def test_star_crossings_matches_rescan_loops(norm, n):
         g = random_map(rng, cx, k)
         h = PLMap(cx, n + k, {v: f.value(v) + g.value(v) for v in cx.vertices})
         level = Fraction(rng.randint(0, 8), 2)
-        assert _split_inequality_levels(h, n, level)[0] == ref_split_inequality_levels(h, n, level)
+        assert split_inequality_levels(h, n, level)[0] == ref_split_inequality_levels(h, n, level)
 
     check()
     # For n = 1 the extremal stage stars every sign change at a root, and
     # the last root starred is the largest vertex, with chi = 0.
     assert n == 1 or seen["split stars nothing, top vertex cut"] >= 5, seen
+
+
+def chi_pass(chi):
+    """split_level's pass, chi - 1/2, reading chi = 1/2 at a vertex the
+    split adds."""
+    def level(v, _):
+        c = chi.get(v, HALF)
+        return 2 * c.numerator - c.denominator, 2 * c.denominator
+    return level
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_sublevel_is_the_reference_starring_cut(k):
+    """`sublevel` gives the rescan-after-each-star reference cut to the full
+    subcomplex on the vertices where every pass is <= 0, stored as reduced
+    pairs, and the next id one past the reference's largest vertex: for
+    the chi pass (k = 0) and for k = 1-3 inequality-level passes g + alpha.
+    Cuts that drop a vertex, and cuts that drop the largest one, so that
+    the next id goes on past the cut's own largest vertex, must occur."""
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        cx = random_complex(rng, max_dim=2, max_vertices=6, n_maximal=3)
+        n = rng.randint(1, 2)
+        if k == 0:
+            f = random_map(rng, cx, n)
+            chi = {v: rng.choice((Fraction(0), HALF, Fraction(1))) for v in cx.vertices}
+            ref = ref_split_level(f, chi)
+            ref_f, keep = ref.f, {v for v, c in ref.chi.items() if c <= HALF}
+            passes = [chi_pass(chi)]
+        else:
+            f = random_map(rng, cx, n + k)
+            level = Fraction(rng.randint(0, 8), rng.choice((1, 2, 3)))
+            ref_f = ref_split_inequality_levels(f, n, level)
+            keep = {v for v, y in fraction_values(ref_f).items()
+                    if all(x + level <= 0 for x in y[n:])}
+            passes = level_passes(n, f.n, level)
+        out, next_id = sublevel(f, passes)
+        top = ref_f.complex.vertices[-1]
+        assert out.complex.simplices == full_subcomplex(ref_f.complex, keep).simplices
+        assert fraction_values(out) == {v: y for v, y in fraction_values(ref_f).items()
+                                        if v in keep}
+        assert next_id == top + 1
+        assert_canonical(out)
+        seen["drops a vertex"] += len(keep) < len(ref_f.complex.vertices)
+        seen["drops the largest vertex"] += top not in keep
+
+    check()
+    assert seen["drops a vertex"] >= 10 and seen["drops the largest vertex"] >= 5, seen
 
 
 def sign_passes(pair: LevelPair) -> list:
@@ -674,7 +741,7 @@ def test_one_call_runs_the_passes_in_order(n):
         h = PLMap(cx, n + k, {v: f.value(v) + random_map(rng, cx, k).value(v)
                               for v in cx.vertices})
         level = Fraction(rng.randint(0, 4), 2)
-        split, passes = _split_inequality_levels(h, n, level)
+        split, passes = split_inequality_levels(h, n, level)
         assert split == ref_split_inequality_levels(h, n, level)
         out, new = star_crossings(h, passes, first)
         *by_pass, starring = pass_by_pass(h, passes, first)
@@ -696,7 +763,6 @@ def test_each_level_stage_calls_star_crossings_once(monkeypatch):
         return star_crossings(f, passes, first_id)
 
     monkeypatch.setattr(reduction, "star_crossings", counted)
-    monkeypatch.setattr(robustness, "star_crossings", counted)
     f = PLMap(closure([[0, 1], [1, 2]]), 2, {0: (3, 2), 1: (-1, -2), 2: (3, 1)})
     decide_robsat(f, 1, Norm.LINF)
     assert calls == [1, 2]

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from robsat import robustness as robustness_module
 from robsat.complex_core import closure
 from robsat.pl_map import CriticalValue, Norm, PLMap, critical_values, global_min, map_distance
 from robsat.oracles import WitnessSearchConfig, perturbation_witness
+from robsat.reduction import LevelPair
 from robsat.robustness import (
     RobTag,
     RobustnessTag,
@@ -30,6 +32,26 @@ class TestDecideRobsat:
         f = path_map([3, -1, 3])
         assert decide_robsat(f, 1, Norm.LINF).tag == RobTag.ROBUST_YES
         assert decide_robsat(f, 3, Norm.LINF).tag == RobTag.ROBUST_NO
+
+    def test_empty_x_is_a_pair(self, monkeypatch):
+        """|f| > alpha at every vertex: the pipeline returns a validated pair
+        with an empty X, and the decision reads f as its own rootless
+        perturbation off that pair."""
+        pairs = []
+        reduce = robustness_module.reduce_to_extension
+
+        def captured(f, alpha, norm):
+            pairs.append(reduce(f, alpha, norm))
+            return pairs[-1]
+
+        monkeypatch.setattr(robustness_module, "reduce_to_extension", captured)
+        f = path_map([5, 3, 5])
+        verdict = decide_robsat(f, 1, Norm.LINF)
+        assert verdict.tag is RobTag.ROBUST_NO and verdict.witness is f
+        assert verdict.extend is None
+        (pair,) = pairs
+        assert isinstance(pair, LevelPair) and pair.x.is_empty() and pair.a.is_empty()
+        assert locate_components(f, 1, Norm.LINF) == []
 
     def test_rejects_nonpositive_alpha(self):
         f = path_map([1, 2])

@@ -9,19 +9,19 @@ default seed, it prints the workload, the op index and two sha256 digests
 over the op's answer:
 
 * grid-decide: verdict, reason, witness values and the extension
-  certificate (w, vertex_extension);
+  certificate (w);
 * robustness-sweep: the robustness tag and value (and interval ends);
 * small-corpus: the CLI's exit code, its JSON document without "timings",
   and stderr.
 
 The first digest covers all of it; the second leaves out the extension
-certificates (every "w", "u" and "vertex_extension" entry), so it stays the
-same when only the certificate changes.  Each digest also covers the
-workload's own answer check (its answer text and the reason it gives for a
-wrong answer, if any).  The last line of a workload gives a sha256 over each
-column of op digests.  Two checkouts that print the same lines gave the same
-answers.  The workloads come from perfbench/workloads.py, which
-this script only imports.  pytest does not collect this file.
+certificates (every "w" entry), so it stays the same when only the
+certificate changes.  Each digest also covers the workload's own answer
+check (its answer text and the reason it gives for a wrong answer, if
+any).  The last line of a workload gives a sha256 over each column of op
+digests.  Two checkouts that print the same lines gave the same answers.
+The workloads come from perfbench/workloads.py, which this script only
+imports.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def op_payload(name: str, result):
     return canon(result)
 
 
-CERTIFICATE_KEYS = ("w", "u", "vertex_extension")
+CERTIFICATE_KEYS = ("w",)
 
 
 def without_certificates(obj):
