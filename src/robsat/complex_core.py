@@ -162,27 +162,27 @@ def closure(simplices) -> Complex:
     return Complex(all_faces)
 
 
-def star_at_point(c: Complex, carriers: list[Simplex],
-                  first_id: VertexId | None = None) -> tuple[Complex, list[VertexId]]:
-    """Starring subdivision, applied in order: each carrier and its cofaces
-    are replaced by cones over a new vertex; each carrier must be in the
-    state the earlier starrings left.  Where in the carrier the new vertex
-    sits is the caller's business (see `pl_map.star_with_values`).  New
-    vertices are numbered on from first_id, by default one past the largest
-    vertex of c.  The starrings edit one simplex set, whose vertex ->
-    cofaces index finds each carrier's cofaces, and the complex is built
-    once.  Returns it and the new vertex ids in starring order.
-    """
-    top = c.vertices[-1] if c.vertices else -1
-    if first_id is None:
-        first_id = top + 1
-    elif first_id <= top:
-        raise ValueError(f"new vertex id {first_id} is not above the largest vertex {top}")
-    simplices = set(c.simplices)
-    cofaces: dict[VertexId, set[Simplex]] = defaultdict(set)
+def coface_index(simplices) -> defaultdict[VertexId, set[Simplex]]:
+    """vertex -> the simplices that contain it."""
+    cofaces: defaultdict[VertexId, set[Simplex]] = defaultdict(set)
     for s in simplices:
         for v in s:
             cofaces[v].add(s)
+    return cofaces
+
+
+def star_in_place(simplices: set[Simplex], cofaces: dict[VertexId, set[Simplex]],
+                  carriers, first_id: VertexId) -> list[VertexId]:
+    """Starring subdivision, applied in order to a simplex set and its
+    `coface_index`, both edited in place: each carrier and its cofaces are
+    replaced by cones over a new vertex, and each carrier must be in the
+    state the earlier starrings left.  New vertices are numbered on from
+    first_id, which must exceed every vertex; returns their ids in order.
+
+    A starring reads only the carrier's cofaces, the intersection of its
+    vertices' index entries, and their faces.  So it is the same on any
+    subset of a complex that holds every coface of every carrier.
+    """
     new_ids = []
     for new_id, carrier in enumerate(carriers, first_id):
         if carrier not in simplices:
@@ -204,6 +204,24 @@ def star_at_point(c: Complex, carriers: list[Simplex],
         simplices -= removed
         simplices |= added
         new_ids.append(new_id)
+    return new_ids
+
+
+def star_at_point(c: Complex, carriers: list[Simplex],
+                  first_id: VertexId | None = None) -> tuple[Complex, list[VertexId]]:
+    """`star_in_place` on a copy of c's simplices, built into a complex once.
+    Where in the carrier each new vertex sits is the caller's business (see
+    `pl_map.star_with_values`).  New vertices are numbered on from
+    first_id, by default one past the largest vertex of c.  Returns the
+    complex and the new vertex ids in starring order.
+    """
+    top = c.vertices[-1] if c.vertices else -1
+    if first_id is None:
+        first_id = top + 1
+    elif first_id <= top:
+        raise ValueError(f"new vertex id {first_id} is not above the largest vertex {top}")
+    simplices = set(c.simplices)
+    new_ids = star_in_place(simplices, coface_index(simplices), carriers, first_id)
     return Complex(simplices), new_ids
 
 
@@ -279,8 +297,8 @@ def apply_coboundary(c: Complex, cochain: IntCochain) -> IntCochain:
     out: dict[Simplex, int] = {}
     for tau in c.k_simplices(cochain.degree + 1):
         acc = 0
-        for sign, face in tau.boundary():
-            acc += sign * cochain(face)
+        for i in range(len(tau)):  # a face as a slice: cochain lookups accept it
+            acc += (-1 if i % 2 else 1) * cochain(tau[:i] + tau[i + 1:])
         if acc:
             out[tau] = acc
     return IntCochain(cochain.degree + 1, out)

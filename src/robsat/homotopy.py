@@ -258,7 +258,8 @@ def build_extension_system(x: Complex, a: Complex, z: IntCochain) -> tuple[Dioph
         if tau in a:
             continue
         row, b = [], 0
-        for sign, face in tau.boundary():
+        for i in range(len(tau)):  # faces as slices: the lookups accept them
+            sign, face = -1 if i % 2 else 1, tau[:i] + tau[i + 1:]
             j = w_pos.get(face)
             if j is None:
                 b -= sign * z(face)

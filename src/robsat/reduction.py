@@ -8,18 +8,34 @@ The pipeline has three stages, each an exact subdivision or relabelling:
 2. classify vertices by comparing |f(v)| with alpha (the chi labels 0, 1/2, 1);
 3. star every edge on which a pass h, a vertexwise function, changes sign
    strictly, at the zero of h, with one `star_crossings` call per stage that
-   runs the stage's passes in order: first h = chi - 1/2, so that the
-   sublevel and level sets become full subcomplexes (X and A), then each
-   coordinate of f on A, so that every coordinate is weakly signed on every
-   simplex of A, at which point the vertexwise rule v -> sign * e_index is a
-   simplicial approximation into the boundary of the cross polytope.
+   runs the stage's passes in order on one simplex set and pair table,
+   edited in place: first h = chi - 1/2, so that the sublevel and level
+   sets become full subcomplexes (X and A), then each coordinate of f,
+   scanning only the edges of A, so that every coordinate is weakly signed
+   on every simplex of A, at which point the vertexwise rule
+   v -> sign * e_index is a simplicial approximation into the boundary of
+   the cross polytope.
 
 X, and the region U = {g <= -alpha} of a system with inequalities, are
-`sublevel` cuts: a stage's crossings starred, re-checked by `crossings`,
-and cut where every pass is <= 0.  The level pair (`LevelPair`) lives on X,
-A is cut from it once, and the pair is validated once, after sign
-refinement.  Each pass stars in one batched `star_with_values` call, and
-everything is validated by exact rational checks rather than trusted.
+`sublevel` cuts: each pass evaluated once per vertex, the simplices far
+from the cut dropped, the stage's crossings starred, every edge left
+re-checked, and the simplices kept where every pass is <= 0.  The sign
+refinement goes on from X's simplex set, so a level pair (`LevelPair`)
+builds X once and A once, from that set, and is validated once.  The
+extremal stage stars in batched `star_with_values` calls, and everything
+is validated by exact rational checks rather than trusted.
+
+The drop keeps every starring and every id.  `sublevel` drops a simplex
+when every pass is strictly positive at each of its vertices.  Such a
+simplex holds no crossing edge, since a crossing edge has an end where a
+pass is negative, and is no coface of a carrier: a carrier crosses, so one
+of its ends is an input vertex where a pass is negative, which no dropped
+simplex holds, or a new vertex, which only simplices made by the starrings
+hold.  A starring reads nothing but its carrier's cofaces
+(`complex_core.star_in_place`), so on the kept simplices the passes find
+the same crossing edges, star them in the same order and number them from
+one past the whole complex's largest vertex; and no dropped simplex lies in
+the cut, where every pass is <= 0.
 
 A starring is a carrier and f's value at the new vertex.  Only the extremal
 stage has a point, `simplex_min`'s argmin, and interpolates f there; a
@@ -31,11 +47,10 @@ norm-free: they read f only at the vertices and edges of A (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .complex_core import Complex, Simplex, VertexId, full_subcomplex
+from .complex_core import Complex, Simplex, VertexId, coface_index, star_in_place
 from .pl_map import (
     CriticalValue,
     Norm,
@@ -87,19 +102,33 @@ class SphereMap:
         return self.assignment[v]
 
 
-@dataclass
 class LevelPair:
     """The combinatorial stand-in for (|f|^-1 [0, alpha], |f|^-1 {alpha}).
 
-    The pair lives on X: `f` and chi are defined on X, and A, the full
-    subcomplex on the chi = 1/2 vertices, is cut from X on first use.  The
-    0-1 edge check runs in `sublevel`, before the cut.  `first_id` is the
-    id of the next starred vertex (None: one past X's largest).
+    The pair lives on X: `f` and chi are defined on X, A is the full
+    subcomplex on the chi = 1/2 vertices, and `first_id` is the id of the
+    next starred vertex (None: one past X's largest).  The level stages
+    hand X on as a simplex set with f's pairs on its vertices (`_on_set`),
+    and each stage edits a copy of its input's set; X (`f`'s complex) and A
+    are built from the set once each, on first read.  The 0-1 edge check
+    runs in `sublevel`, before the cut.
     """
 
-    f: PLMap
-    chi: dict[VertexId, Fraction]
-    first_id: VertexId | None = None
+    def __init__(self, f: PLMap, chi: dict[VertexId, Fraction],
+                 first_id: VertexId | None = None):
+        self.f, self.chi, self.first_id = f, chi, first_id
+        self._simplices, self.n, self._pairs = f.complex.simplices, f.n, f._pairs
+
+    @classmethod
+    def _on_set(cls, simplices, n: int, pairs, chi, first_id) -> "LevelPair":
+        pair = cls.__new__(cls)
+        pair._simplices, pair.n, pair._pairs = simplices, n, pairs
+        pair.chi, pair.first_id = chi, first_id
+        return pair
+
+    @cached_property
+    def f(self) -> PLMap:
+        return _exact_map(Complex(self._simplices), self.n, self._pairs)
 
     @property
     def x(self) -> Complex:
@@ -107,7 +136,8 @@ class LevelPair:
 
     @cached_property
     def a(self) -> Complex:
-        return full_subcomplex(self.f.complex, {v for v, c in self.chi.items() if c == HALF})
+        half = {v for v, c in self.chi.items() if c == HALF}
+        return Complex(s for s in self._simplices if half.issuperset(s))
 
     def validate(self) -> None:
         """Every A-simplex is weakly signed in every coordinate of f, and f
@@ -119,7 +149,7 @@ class LevelPair:
         the terms of each coordinate share a sign, so each term is 0 and every
         vertex of p's support is a root.
         """
-        pairs = self.f._pairs  # a sign is the sign of a numerator
+        pairs = self._pairs  # a sign is the sign of a numerator
         for e in self.a.k_simplices(1):
             (yu, _), (yw, _) = (pairs[v] for v in e.vertices)
             for i, (a, b) in enumerate(zip(yu, yw)):
@@ -208,94 +238,127 @@ def build_chi(f: PLMap, alpha: CriticalValue, norm: Norm) -> dict[VertexId, Frac
             for v, cv in f.vertex_norms(norm).items()}
 
 
-def crossings(f: PLMap, h) -> list[tuple[Simplex, tuple[tuple[int, ...], int]]]:
-    """The edges (u, w) of f's complex on which the pass h has strictly
-    opposite signs, in sorted order, each with the reduced pair of f at the
-    zero of the linear extension of h.  h maps a vertex and its reduced pair
-    to a pair (num, den) with den > 0, so its sign is the sign of num.
+def star_crossings(simplices: set[Simplex], pairs: dict, passes, values: list[dict],
+                   first_id: VertexId) -> list[VertexId]:
+    """Run a stage's passes in order on one simplex set and pair table,
+    both edited in place.  values[k] holds pass k's value at each vertex
+    of the scan (the same vertices in every table), and the passes scan the
+    edges with both ends there.  Each pass stars the scanned edges on which
+    it has strictly opposite signs, in sorted order and one `star_in_place`
+    batch, each at the zero of its linear extension; the cofaces index is
+    built once, when a first pass crosses.  A new vertex joins the scan,
+    with its value computed once by each later pass.  One scan per pass
+    suffices: a starring removes no other edge, and h vanishes at the new
+    vertex, so no new edge crosses.  Returns the new ids in starring
+    order, numbered on from first_id across the passes.
 
-    With h(u) = a / da and h(w) = b / db, p = |a| db and q = |b| da are
-    positive and the zero is (q f(u) + p f(w)) / (p + q); over du dw, the
-    vertex values' denominators, its denominator (p + q) du dw is positive,
-    as a reduced pair's must be."""
-    pairs = f._pairs
-    hv = {v: h(v, y) for v, y in pairs.items()}
-    out = []
-    for e in f.complex.k_simplices(1):
-        u, w = e.vertices
-        (a, da), (b, db) = hv[u], hv[w]
-        if a * b < 0:
+    A pass h maps a vertex and its reduced pair to a pair (num, den) with
+    den > 0, so its sign is the sign of num.  With h(u) = a / da and
+    h(w) = b / db, p = |a| db and q = |b| da are positive and the zero is
+    (q f(u) + p f(w)) / (p + q); over du dw, the vertex values'
+    denominators, its denominator (p + q) du dw is positive, as a reduced
+    pair's must be."""
+    scan = set(values[0]) if values else set()
+    edges = {e for e in simplices if len(e) == 2 and e[0] in scan and e[1] in scan}
+    cofaces = None
+    new: list[VertexId] = []
+    for h, hv in zip(passes, values):
+        for v in new:
+            hv[v] = h(v, pairs[v])
+        stars = []
+        for e in sorted(e for e in edges if hv[e[0]][0] * hv[e[1]][0] < 0):
+            u, w = e
+            (a, da), (b, db) = hv[u], hv[w]
             p, q = abs(a) * db, abs(b) * da
             (yu, du), (yw, dw) = pairs[u], pairs[w]
-            out.append((e, _reduced([q * dw * x + p * du * z for x, z in zip(yu, yw)],
-                                    (p + q) * du * dw)))
-    return out
+            stars.append((e, _reduced([q * dw * x + p * du * z for x, z in zip(yu, yw)],
+                                      (p + q) * du * dw)))
+        if stars:
+            if cofaces is None:
+                cofaces = coface_index(simplices)
+            carriers = [e for e, _ in stars]
+            ids = star_in_place(simplices, cofaces, carriers, new[-1] + 1 if new else first_id)
+            pairs.update(zip(ids, (y for _, y in stars)))
+            scan.update(ids)
+            # of the scanned edges, a starring removes its carrier and adds
+            # the edges on its new vertex
+            edges.difference_update(carriers)
+            edges.update(t for v in ids for t in cofaces[v]
+                         if len(t) == 2 and t[0] in scan and t[1] in scan)
+            new += ids
+    return new
 
 
-def star_crossings(f: PLMap, passes, first_id: VertexId | None = None
-                   ) -> tuple[PLMap, list[VertexId]]:
-    """Run a stage's passes in order, each starring its `crossings` in one
-    batch; a later pass reads the pairs that earlier ones stored.  One
-    scan per pass suffices: a starring removes no other edge, and h vanishes
-    at the new vertex, so no new edge crosses.  Returns the map and the new
-    ids in starring order, numbered on from first_id across the passes."""
-    new: list[VertexId] = []
-    for h in passes:
-        f, ids = star_with_values(f, crossings(f, h), new[-1] + 1 if new else first_id)
-        new += ids
-    return f, new
+def sublevel(f: PLMap, passes) -> tuple[set[Simplex], dict, VertexId | None]:
+    """The sublevel set where every pass is <= 0, cut as a simplex set.
 
-
-def sublevel(f: PLMap, passes) -> tuple[PLMap, VertexId | None]:
-    """Star the crossings of a stage's passes in one `star_crossings` call,
-    re-run each pass's `crossings` as the check, and cut the full subcomplex
-    on the vertices where every pass is <= 0: every simplex is then weakly
-    signed in each pass, so that is the sublevel set exactly.  Returns its
-    map and the next free id, one past the starred complex's largest vertex,
-    cut or not (None if that complex is empty)."""
-    f, _ = star_crossings(f, passes)
-    for h in passes:
-        if left := crossings(f, h):
-            raise ReductionError(f"a level split left the crossing edge {left[0][0]}")
-    pairs = f._pairs
-    cut = full_subcomplex(f.complex, {v for v, y in pairs.items()
-                                      if all(h(v, y)[0] <= 0 for h in passes)})
-    return (_exact_map(cut, f.n, {v: pairs[v] for v in cut.vertices}),
-            f.complex.vertices[-1] + 1 if f.complex.vertices else None)
+    Each pass is evaluated once per vertex.  The simplices on which every
+    pass is positive at every vertex are dropped, which changes no starring
+    and no id (see the module docstring); `star_crossings` stars the rest,
+    every edge left is re-checked for a crossing, and the cut keeps the
+    simplices on vertices where every pass is <= 0: every simplex is then
+    weakly signed in each pass, so that is the sublevel set exactly.
+    Returns the cut, f's pairs on its vertices, and the next free id, one
+    past the starred complex's largest vertex, cut or not (None if f's
+    complex is empty)."""
+    values = [{v: h(v, y) for v, y in f._pairs.items()} for h in passes]
+    positive = set(f._pairs)
+    for hv in values:
+        positive = {v for v in positive if hv[v][0] > 0}
+    simplices = ({s for s in f.complex.simplices if not positive.issuperset(s)} if positive
+                 else set(f.complex.simplices))
+    pairs = dict(f._pairs)
+    first_id = f.complex.vertices[-1] + 1 if f.complex.vertices else None
+    new = star_crossings(simplices, pairs, passes, values, first_id)
+    edges = [e for e in simplices if len(e) == 2]
+    keep = set(pairs)
+    for h, hv in zip(passes, values):
+        for v in new:
+            if v not in hv:
+                hv[v] = h(v, pairs[v])
+        if left := [e for e in edges if hv[e[0]][0] * hv[e[1]][0] < 0]:
+            raise ReductionError(f"a level split left the crossing edge {min(left)}")
+        keep = {v for v in keep if hv[v][0] <= 0}
+    return ({s for s in simplices if keep.issuperset(s)}, {v: pairs[v] for v in keep},
+            first_id + len(new) if first_id is not None else None)
 
 
 def split_level(f: PLMap, chi: dict[VertexId, Fraction]) -> LevelPair:
     """X, the `sublevel` of chi - 1/2: each 0-1 edge is starred at its
     chi-midpoint, and only the chi <= 1/2 part is kept, since the extension
     problem reads nothing outside it.  A vertex the split adds has chi = 1/2,
-    the value of the piecewise-linear chi at the midpoint.  Later starrings
-    number on from `sublevel`'s next id.  `sign_refinement`, which every
-    decision runs next, validates the pair.
+    the value of the piecewise-linear chi at the midpoint.  The pair holds
+    X as the cut simplex set, which `sign_refinement`, run next by every
+    decision, edits further and validates; later starrings number on from
+    `sublevel`'s next id.
     """
     def level(v, _):
         c = chi.get(v, HALF)
         return 2 * c.numerator - c.denominator, 2 * c.denominator
 
-    f_x, first_id = sublevel(f, [level])
-    return LevelPair(f_x, {v: chi.get(v, HALF) for v in f_x.complex.vertices}, first_id)
+    x, pairs, first_id = sublevel(f, [level])
+    return LevelPair._on_set(x, f.n, pairs, {v: chi.get(v, HALF) for v in pairs}, first_id)
 
 
 def sign_refinement(pair: LevelPair) -> LevelPair:
     """Star A-edges with strict per-coordinate sign changes at the zero point,
     and validate the result.
 
-    One `star_crossings` call runs pass i = f_i, 0 off A, for each
-    coordinate in order: it crosses on A-edges only (A is full in X), so
-    every new vertex lies on A.  Later passes star only edges that pass i
-    left weakly signed, and a convex combination of weakly-signed values
-    keeps the weak sign, so pass i's postcondition persists;
-    `LevelPair.validate` re-checks it exactly.
+    One `star_crossings` call on a copy of X's simplex set runs pass i =
+    f_i for each coordinate in order, scanning only edges with both ends
+    in A, so every new vertex lies on A.  Later passes star only edges that
+    pass i left weakly signed, and a convex combination of weakly-signed
+    values keeps the weak sign, so pass i's postcondition persists;
+    `LevelPair.validate` re-checks it exactly, building A.
     """
-    off = {v for v, c in pair.chi.items() if c != HALF}
-    f, new = star_crossings(pair.f, [lambda v, y, i=i: (0, 1) if v in off else (y[0][i], y[1])
-                                     for i in range(pair.f.n)], pair.first_id)
-    out = LevelPair(f, {**pair.chi, **dict.fromkeys(new, HALF)},
-                    new[-1] + 1 if new else pair.first_id)
+    x, pairs = set(pair._simplices), dict(pair._pairs)
+    passes = [lambda v, y, i=i: (y[0][i], y[1]) for i in range(pair.n)]
+    on_a = [v for v, c in pair.chi.items() if c == HALF]
+    first = pair.first_id if pair.first_id is not None else max(pairs, default=-1) + 1
+    new = star_crossings(x, pairs, passes, [{v: h(v, pairs[v]) for v in on_a} for h in passes],
+                         first)
+    out = LevelPair._on_set(x, pair.n, pairs, {**pair.chi, **dict.fromkeys(new, HALF)},
+                            new[-1] + 1 if new else pair.first_id)
     out.validate()
     return out
 
@@ -311,7 +374,7 @@ def simplicial_approximation(pair: LevelPair) -> SphereMap:
     `LevelPair.validate` found no root on A, so the check reads both ends of
     every A-edge.  A map that passes is simplicial: labels +i at v and -i at
     w on one A-simplex sit on its A-edge (v, w), where s_v * f_i(w) < 0."""
-    n, pairs = pair.f.n, pair.f._pairs  # one denominator per vertex: numerators compare
+    n, pairs = pair.n, pair._pairs  # one denominator per vertex: numerators compare
     assignment: dict[VertexId, int] = {}
     for v in pair.a.vertices:
         val = pairs[v][0]

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .complex_core import IntCochain, Simplex, full_subcomplex
+from .complex_core import Complex, IntCochain, Simplex, full_subcomplex
 from .homotopy import ExtendTag, ExtendVerdict, decide_extension
 from .pl_map import (
     CriticalValue,
@@ -239,15 +239,15 @@ def decide_with_inequalities(f: PLMap, g: PLMap, alpha, norm: Norm = Norm.LINF,
         joined[v] = tuple(x * (d // da) for x in a) + tuple(x * (d // db) for x in b), d
     # pass i is g_i + alpha = (q nums_i + p den, q den) at nums / den, for alpha = p / q
     p, q = alpha_cv.q.numerator, alpha_cv.q.denominator
-    u, next_id = sublevel(_exact_map(f.complex, f.n + g.n, joined),
-                          [lambda v, y, i=i: (q * y[0][i] + p * y[1], q * y[1])
-                           for i in range(f.n, f.n + g.n)])
-    if u.complex.is_empty():
+    u, pairs, next_id = sublevel(_exact_map(f.complex, f.n + g.n, joined),
+                                 [lambda v, y, i=i: (q * y[0][i] + p * y[1], q * y[1])
+                                  for i in range(f.n, f.n + g.n)])
+    if not u:
         return RobVerdict(
             RobTag.ROBUST_NO,
             reason="the constrained region {g <= -alpha} is empty")
-    f_u = _exact_map(u.complex, f.n, {v: _reduced(nums[: f.n], den)
-                                      for v, (nums, den) in u._pairs.items()})
+    f_u = _exact_map(Complex(u), f.n, {v: _reduced(nums[: f.n], den)
+                                       for v, (nums, den) in pairs.items()})
     verdict = decide_robsat(f_u, alpha_cv, norm, assume_hopf=assume_hopf)
     # A witness here would be f_u, which lives on U's subdivided vertices,
     # not on the instance's complex.
@@ -255,7 +255,7 @@ def decide_with_inequalities(f: PLMap, g: PLMap, alpha, norm: Norm = Norm.LINF,
     if verdict.extend is not None and verdict.extend.w is not None:
         # decide_robsat numbers on from U's largest vertex, consecutively, and
         # reads ids only by their order: shifted, they are the ids from next_id
-        top, w = u.complex.vertices[-1], verdict.extend.w
+        top, w = f_u.complex.vertices[-1], verdict.extend.w
         verdict.extend.w = IntCochain(w.degree, {
             Simplex(x + next_id - top - 1 if x > top else x for x in s): c
             for s, c in w.values.items()})

@@ -11,8 +11,11 @@ replaced, and so are the Fraction kernels that integer vertex values
 replaced: the vertex test, the epigraph LP, the simplex minimum and the
 witness search on rational vertex values, and the polynomial sampler that
 evaluates vertex values and interval gap bounds in Fractions.  The per-simplex simplicity check
-of a sphere map is the one that `SphereMap`'s edge check replaced.  None of
-them is on a path robsat runs.
+of a sphere map is the one that `SphereMap`'s edge check replaced.  The
+map-level crossing routine, which evaluated each pass at every vertex and
+scanned every edge of the whole complex, and starred through a complex
+build per pass, is the one that the in-place `reduction.star_crossings`
+replaced.  None of them is on a path robsat runs.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from robsat.pl_map import (
     Norm,
     PLMap,
     global_min,
+    _reduced,
     simplex_min,
     star_with_values,
     vector_norm,
@@ -302,6 +306,37 @@ def ref_vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     if bad:
         raise ReductionError(f"vertex-extremality failed, nothing to star: {bad[:3]}")
     return out
+
+
+# -- the map-level crossing routine -------------------------------------------
+
+def ref_crossings(f: PLMap, h) -> list[tuple[Simplex, tuple[tuple[int, ...], int]]]:
+    """The edges (u, w) of f's complex on which the pass h has strictly
+    opposite signs, in sorted order, each with the reduced pair of f at the
+    zero of the linear extension of h."""
+    pairs = f._pairs
+    hv = {v: h(v, y) for v, y in pairs.items()}
+    out = []
+    for e in f.complex.k_simplices(1):
+        u, w = e.vertices
+        (a, da), (b, db) = hv[u], hv[w]
+        if a * b < 0:
+            p, q = abs(a) * db, abs(b) * da
+            (yu, du), (yw, dw) = pairs[u], pairs[w]
+            out.append((e, _reduced([q * dw * x + p * du * z for x, z in zip(yu, yw)],
+                                    (p + q) * du * dw)))
+    return out
+
+
+def ref_star_crossings(f: PLMap, passes, first_id: VertexId | None = None
+                       ) -> tuple[PLMap, list[VertexId]]:
+    """Each pass's `ref_crossings`, starred in one `star_with_values` batch;
+    the new ids in starring order, numbered on from first_id."""
+    new: list[VertexId] = []
+    for h in passes:
+        f, ids = star_with_values(f, ref_crossings(f, h), new[-1] + 1 if new else first_id)
+        new += ids
+    return f, new
 
 
 def ref_min_l2(ys, n):

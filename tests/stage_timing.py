@@ -25,11 +25,15 @@ runs them and records one row:
   profiled run is not one of the timed ones);
 * lp_solves: the `linprog.solve_lp` calls of one more cold extremal run,
   counted by a wrapper on the name `pl_map` calls;
-* split, sign: `split_level` (which cuts X out of the split complex) and
-  `sign_refinement` (which validates);
+* split, sign: `split_level` (which stars and cuts X as a simplex set,
+  building no complex) and `sign_refinement` (which stars on a copy of that
+  set, builds A and validates);
 * level: `split_level`, `sign_refinement` and building the pair's X and A,
-  together (X is built in `split_level`, so `split_s` and `sign_s` alone
-  would misplace its cost), and the simplex count of X;
+  together (X is built on first read, after `sign_refinement`, so `split_s`
+  and `sign_s` alone would miss its cost), and the simplex count of X;
+* level_builds: the `Complex` builds of one level stage, counted by a
+  wrapper on `Complex.__init__`; unlike the times it does not drift with
+  the machine's load;
 * Smith: `smith_solve` on the cocycle-extension system, with its shape;
 * ext.: the whole `decide_extension` call, certificate re-check included.
 
@@ -128,6 +132,24 @@ def level_pair(f1, chi):
     return pair
 
 
+def level_builds(f1, chi) -> int:
+    """The `Complex` builds of one `level_pair` call."""
+    calls = 0
+    init = complex_core.Complex.__init__
+
+    def counted(self, simplices):
+        nonlocal calls
+        calls += 1
+        init(self, simplices)
+
+    complex_core.Complex.__init__ = counted
+    try:
+        level_pair(f1, chi)
+    finally:
+        complex_core.Complex.__init__ = init
+    return calls
+
+
 def map_digest(f) -> str:
     text = json.dumps([sorted(s.vertices for s in f.complex.simplices),
                        sorted((v, [str(x) for x in y]) for v, y in fraction_values(f).items())])
@@ -157,6 +179,7 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     row["sign_s"], pair = best_of(lambda: sign_refinement(pair))
     row["level_s"], pair = best_of(lambda: level_pair(f1, chi))
     row["x_simplices"] = len(pair.x)
+    row["level_builds"] = level_builds(f1, chi)
     if pair.a.is_empty():
         return row  # the decision short-circuits: no system to solve
     fmap = simplicial_approximation(pair)

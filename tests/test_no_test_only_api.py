@@ -90,6 +90,8 @@ COLLIDING = {
     "Complex.vertices": "as Simplex.vertices; read by star_at_point, the CLI, "
                         "instance_io, the witness search and every stage",
     "Complex.dim": "as Simplex.dim; read by decide_extension's dim X <= n test",
+    "LevelPair.f": "as Instance.f; read by LevelPair.x, which builds X from the pair's "
+                   "simplex set on first read",
     "PLMap.value": "as RobustnessResult.value and an enum member's value; read by "
                    "the CLI's witness document and instance_io's writer",
 }

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robsat import pl_map, reduction, robustness
-from robsat.complex_core import closure, connected_components, full_subcomplex
-from robsat.pl_map import CriticalValue, Norm, PLMap, simplex_min, vector_norm
+from robsat.complex_core import Complex, closure, connected_components, full_subcomplex
+from robsat.pl_map import CriticalValue, Norm, PLMap, _exact_map, simplex_min, vector_norm
 from robsat.reduction import (
     LevelPair,
     ReductionError,
@@ -53,6 +53,7 @@ from reference_oracles import (
     evaluate,
     interior_argmin,
     ref_is_simplicial,
+    ref_star_crossings,
     ref_vertexwise_extremal_subdivision,
 )
 
@@ -74,11 +75,29 @@ def level_passes(n: int, m: int, alpha: Fraction) -> list:
     return [lambda v, y, i=i: (q * y[0][i] + p * y[1], q * y[1]) for i in range(n, m)]
 
 
+def star_map(f: PLMap, passes, first_id=None) -> tuple[PLMap, list]:
+    """`star_crossings` on f's whole complex, every vertex scanned: the
+    starred map and the new ids, numbered on from first_id (by default one
+    past f's largest vertex)."""
+    simplices, pairs = set(f.complex.simplices), dict(f._pairs)
+    if first_id is None:
+        first_id = (f.complex.vertices or (-1,))[-1] + 1
+    new = star_crossings(simplices, pairs, passes,
+                         [{v: h(v, y) for v, y in f._pairs.items()} for h in passes], first_id)
+    return _exact_map(Complex(simplices), f.n, pairs), new
+
+
+def sublevel_map(f: PLMap, passes) -> tuple[PLMap, int | None]:
+    """`sublevel`'s cut as a map, and its next id."""
+    cut, pairs, next_id = sublevel(f, passes)
+    return _exact_map(Complex(cut), f.n, pairs), next_id
+
+
 def split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> tuple[PLMap, list]:
     """The inequality-level starrings, before `sublevel` cuts U: h split
     by one `star_crossings` call of the g + alpha passes, and the passes."""
     passes = level_passes(n, h.n, alpha)
-    return star_crossings(h, passes)[0], passes
+    return star_map(h, passes)[0], passes
 
 
 class TestSphereMap:
@@ -307,7 +326,7 @@ class TestSplitLevel:
         pair = self.trace_pair()
         f = vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
         chi = build_chi(f, CriticalValue.rat(1), Norm.LINF)
-        split, new = star_crossings(f, [as_pass({v: chi[v] - HALF for v in f.complex.vertices})])
+        split, new = star_map(f, [as_pass({v: chi[v] - HALF for v in f.complex.vertices})])
         chi.update(dict.fromkeys(new, HALF))
         ambient = split.complex
         assert pair.x.simplices < ambient.simplices
@@ -395,37 +414,37 @@ class TestSimplicialApproximation:
 
 def test_one_pair_built_and_validated_per_decision(monkeypatch):
     """A decision that reaches sign refinement builds X and A once each and
-    validates the pair once."""
-    calls = {"full_subcomplex": 0, "validate": 0}
-    full_subcomplex, validate = reduction.full_subcomplex, LevelPair.validate
+    validates the pair once: on a map that is already vertex-extremal, where
+    the extremal stage builds nothing, the decision builds two complexes."""
+    calls = {"Complex": 0, "validate": 0}
+    init, validate = Complex.__init__, LevelPair.validate
+    f = vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
 
-    def counted_full_subcomplex(*args):
-        calls["full_subcomplex"] += 1
-        return full_subcomplex(*args)
+    def counted_init(self, simplices):
+        calls["Complex"] += 1
+        init(self, simplices)
 
     def counted_validate(pair):
         calls["validate"] += 1
         return validate(pair)
 
-    monkeypatch.setattr(reduction, "full_subcomplex", counted_full_subcomplex)
+    monkeypatch.setattr(Complex, "__init__", counted_init)
     monkeypatch.setattr(LevelPair, "validate", counted_validate)
-    assert decide_robsat(path_map([3, -1, 3]), 1, Norm.LINF).tag is RobTag.ROBUST_YES
-    assert calls == {"full_subcomplex": 2, "validate": 1}
+    assert decide_robsat(f, 1, Norm.LINF).tag is RobTag.ROBUST_YES
+    assert calls == {"Complex": 2, "validate": 1}
 
 
 class TestExactChecks:
     """Each exact check of the reduction, failed on purpose."""
 
     def test_surviving_01_edge(self, monkeypatch):
-        monkeypatch.setattr(reduction, "star_crossings",
-                            lambda f, passes, first_id=None: (f, []))
+        monkeypatch.setattr(reduction, "star_crossings", lambda *args: [])
         with pytest.raises(ReductionError, match="level split left the crossing edge"):
             decide_robsat(path_map([3, -1, 3]), 1, Norm.LINF)
 
     def test_surviving_mixed_edge(self, monkeypatch):
         # g + 1 is (-2, 1, 2) on the path: the edge (0, 1) crosses
-        monkeypatch.setattr(reduction, "star_crossings",
-                            lambda f, passes, first_id=None: (f, []))
+        monkeypatch.setattr(reduction, "star_crossings", lambda *args: [])
         with pytest.raises(ReductionError, match="level split left the crossing edge"):
             decide_with_inequalities(path_map([3, -1, 3]), path_map([-3, 0, 1]), 1)
 
@@ -486,7 +505,8 @@ def test_star_crossings_matches_fraction_interpolation(seed):
                       for v, p in zip(cx.vertices, rng.sample(LARGE_PRIMES, len(cx.vertices)))})
     h = {v: Fraction(rng.randint(-3, 3), p)
          for v, p in zip(cx.vertices, rng.sample(LARGE_PRIMES, len(cx.vertices)))}
-    f2, new = star_crossings(f, [as_pass(h)])
+    f2, new = star_map(f, [as_pass(h)])
+    assert (f2, new) == ref_star_crossings(f, [as_pass(h)])
     crossing = [e for e in cx.k_simplices(1) if h[e.vertices[0]] * h[e.vertices[1]] < 0]
     assert len(new) == len(crossing)
     for e, vid in zip(crossing, new):
@@ -524,7 +544,7 @@ def test_stages_store_reduced_pairs(norm):
         h = PLMap(cx, n + g.n, {v: f.value(v) + g.value(v) for v in cx.vertices})
         level = Fraction(rng.randint(0, 8), rng.choice(LARGE_PRIMES))
         split_h, _ = split_inequality_levels(h, n, level)
-        u, _ = sublevel(h, level_passes(n, h.n, level))
+        u, _ = sublevel_map(h, level_passes(n, h.n, level))
         for m in (f1, pair.f, refined.f, split_h, u):
             assert_canonical(m)
 
@@ -540,8 +560,9 @@ def test_inequality_maps_are_built_from_pairs(monkeypatch):
 
     def capture_split(h, passes):
         captured["joined"] = h
-        captured["split"], next_id = sublevel(h, passes)
-        return captured["split"], next_id
+        out = sublevel(h, passes)
+        captured["split"] = _exact_map(Complex(out[0]), h.n, out[1])
+        return out
 
     def capture_decide(f_u, alpha, norm, assume_hopf=True):
         captured["f_u"] = f_u
@@ -621,7 +642,7 @@ def test_star_crossings_matches_rescan_loops(norm, n):
         chi = build_chi(f1, alpha, norm)
 
         ref = ref_split_level(f1, chi)
-        f2, new = star_crossings(f1, [as_pass({v: chi[v] - HALF for v in f1.complex.vertices})])
+        f2, new = star_map(f1, [as_pass({v: chi[v] - HALF for v in f1.complex.vertices})])
         assert f2 == ref.f
         assert new == sorted(set(ref.f.complex.vertices) - set(f1.complex.vertices))
         pair = split_level(f1, chi)
@@ -680,7 +701,7 @@ def test_sublevel_is_the_reference_starring_cut(k):
             keep = {v for v, y in fraction_values(ref_f).items()
                     if all(x + level <= 0 for x in y[n:])}
             passes = level_passes(n, f.n, level)
-        out, next_id = sublevel(f, passes)
+        out, next_id = sublevel_map(f, passes)
         top = ref_f.complex.vertices[-1]
         assert out.complex.simplices == full_subcomplex(ref_f.complex, keep).simplices
         assert fraction_values(out) == {v: y for v, y in fraction_values(ref_f).items()
@@ -694,8 +715,64 @@ def test_sublevel_is_the_reference_starring_cut(k):
     assert seen["drops a vertex"] >= 10 and seen["drops the largest vertex"] >= 5, seen
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_near_x_stages_match_the_unfiltered_references(n):
+    """The level stages that drop the simplices far from the cut before
+    starring, and whose sign passes scan only A-edges, give what the
+    unfiltered rescan references give, on complexes of dimension 0-3.  The
+    level pair is `ref_sign_refinement(ref_split_level(f, chi))` cut to X:
+    the same simplices, vertex ids, pairs, chi, A and `first_id` (or, where
+    f has a root on A, both fail validation).  `sublevel` of 1-3 g + alpha
+    passes is the cut of `ref_split_inequality_levels` where every pass is
+    <= 0, with the same next id.  Cases where the filter drops simplices,
+    where the cut drops the largest vertex, and where X or A is empty must
+    occur."""
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3))
+    def check(seed, k):
+        rng = random.Random(seed)
+        cx = random_complex(rng, max_dim=3, max_vertices=7, n_maximal=3)
+        f = random_map(rng, cx, n)
+        labels = rng.choice([(Fraction(0), HALF, Fraction(1))] * 3
+                            + [(HALF, Fraction(1)), (Fraction(0), Fraction(1)), (Fraction(0),),
+                               (Fraction(1),)])
+        chi = {v: rng.choice(labels) for v in cx.vertices}
+        ref = ref_sign_refinement(ref_split_level(f, chi))
+        try:
+            pair = sign_refinement(split_level(f, chi))
+        except ReductionError:
+            with pytest.raises(ReductionError):
+                ref_validate(ref, Norm.LINF)
+        else:
+            assert_same_pair(pair, ref)
+            seen["split filter drops"] += any(all(chi[v] == 1 for v in s) for s in cx.simplices)
+            seen["cut largest vertex"] += ref.chi[ref.f.complex.vertices[-1]] == 1
+            seen["empty X"] += pair.x.is_empty()
+            seen["empty A"] += pair.a.is_empty() and not pair.x.is_empty()
+
+        h = PLMap(cx, n + k, {v: f.value(v) + random_map(rng, cx, k).value(v)
+                              for v in cx.vertices})
+        level = Fraction(rng.randint(0, 8), rng.choice((1, 2, 3)))
+        ref_h = ref_split_inequality_levels(h, n, level)
+        keep = {v for v, y in fraction_values(ref_h).items() if all(x + level <= 0 for x in y[n:])}
+        out, next_id = sublevel_map(h, level_passes(n, h.n, level))
+        assert out.complex.simplices == full_subcomplex(ref_h.complex, keep).simplices
+        assert fraction_values(out) == {v: y for v, y in fraction_values(ref_h).items()
+                                        if v in keep}
+        assert next_id == ref_h.complex.vertices[-1] + 1
+        seen["inequality filter drops"] += any(
+            all(x + level > 0 for v in s for x in h.value(v)[n:]) for s in cx.simplices)
+
+    check()
+    assert min(seen[key] for key in ("split filter drops", "cut largest vertex", "empty X",
+                                     "empty A", "inequality filter drops")) >= 10, seen
+
+
 def sign_passes(pair: LevelPair) -> list:
-    """sign_refinement's passes: f_i, 0 off A."""
+    """sign_refinement's passes on a whole map: f_i on A and 0 off it, so
+    that only A-edges cross, as when the passes scan only A."""
     off = {v for v, c in pair.chi.items() if c != HALF}
     return [lambda v, y, i=i: (0, 1) if v in off else (y[0][i], y[1]) for i in range(pair.f.n)]
 
@@ -705,7 +782,7 @@ def pass_by_pass(f, passes, first_id):
     also the number of passes that starred."""
     new, starring = [], 0
     for h in passes:
-        f, ids = star_crossings(f, [h], new[-1] + 1 if new else first_id)
+        f, ids = star_map(f, [h], new[-1] + 1 if new else first_id)
         new += ids
         starring += bool(ids)
     return f, new, starring
@@ -730,22 +807,22 @@ def test_one_call_runs_the_passes_in_order(n):
         pair = LevelPair(f, {v: rng.choice((Fraction(0), HALF, HALF)) for v in cx.vertices})
         first = cx.vertices[-1] + 1 + gap
         passes = sign_passes(pair)
-        out, new = star_crossings(f, passes, first)
+        out, new = star_map(f, passes, first)
         *by_pass, starring = pass_by_pass(f, passes, first)
-        assert (out, new) == tuple(by_pass)
+        assert (out, new) == tuple(by_pass) == ref_star_crossings(f, passes, first)
         seen["sign passes"] += starring > 1
         ref = ref_sign_refinement(pair)
-        assert star_crossings(f, passes) == (ref.f, sorted(set(ref.f.complex.vertices)
-                                                          - set(cx.vertices)))
+        assert star_map(f, passes) == (ref.f, sorted(set(ref.f.complex.vertices)
+                                                     - set(cx.vertices)))
 
         h = PLMap(cx, n + k, {v: f.value(v) + random_map(rng, cx, k).value(v)
                               for v in cx.vertices})
         level = Fraction(rng.randint(0, 4), 2)
         split, passes = split_inequality_levels(h, n, level)
         assert split == ref_split_inequality_levels(h, n, level)
-        out, new = star_crossings(h, passes, first)
+        out, new = star_map(h, passes, first)
         *by_pass, starring = pass_by_pass(h, passes, first)
-        assert (out, new) == tuple(by_pass)
+        assert (out, new) == tuple(by_pass) == ref_star_crossings(h, passes, first)
         seen["level passes"] += starring > 1
 
     check()
@@ -758,9 +835,9 @@ def test_each_level_stage_calls_star_crossings_once(monkeypatch):
     levels."""
     calls = []
 
-    def counted(f, passes, first_id=None):
+    def counted(simplices, pairs, passes, values, first_id):
         calls.append(len(passes))
-        return star_crossings(f, passes, first_id)
+        return star_crossings(simplices, pairs, passes, values, first_id)
 
     monkeypatch.setattr(reduction, "star_crossings", counted)
     f = PLMap(closure([[0, 1], [1, 2]]), 2, {0: (3, 2), 1: (-1, -2), 2: (3, 1)})
