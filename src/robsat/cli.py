@@ -60,7 +60,10 @@ def _load(path: str) -> Instance:
 
 def _alpha_from(args, instance: Instance) -> CriticalValue:
     if getattr(args, "alpha", None) is not None:
-        return instance_io.parse_critical_value(args.alpha)
+        alpha = parse_rational(args.alpha)
+        if alpha <= 0:
+            raise UsageError("alpha must be positive")
+        return CriticalValue.rat(alpha)
     if instance.alpha is None:
         raise UsageError("no alpha: pass --alpha or store it in the instance")
     return instance.alpha

@@ -5,8 +5,7 @@ closed form in integers (`_edge_min`).  On a larger simplex they are an
 epigraph LP for the l1/max norms, and face enumeration with
 equality-constrained least squares (KKT systems solved by
 `exactlinalg.solve`, closed forms on the vertex and edge faces) for the
-Euclidean norm, whose minimum is the square root of a rational, stored
-squared.  Both solvers run on fraction-free integer tableaus (see
+Euclidean norm, whose minimum is the square root of a rational.  Both solvers run on fraction-free integer tableaus (see
 `exactlinalg`), and the LP pivots follow Bland's rule exactly as the
 rational simplex would.  Argmin points are made deterministic by taking the
 lexicographically smallest one in barycentric coordinates: on an edge the
@@ -35,14 +34,18 @@ A sign, or a comparison of two coordinates of one vertex, reads the
 numerators alone.  A starring (`star_with_values`) is a carrier and the new
 vertex's pair, which its caller computes.  `PLMap.value` builds the
 Fraction view of one vertex on demand.
+
+A minimum, a vertex norm or an alpha is a `CriticalValue`, the reduced
+integer pair of its square for every norm, which the norms and solves build
+from their integer results with one gcd; each comparison of two values is
+one cross-multiplication.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
@@ -57,64 +60,93 @@ class Norm(str, Enum):
     LINF = "linf"
 
 
-def _is_perfect_square(q: Fraction) -> bool:
-    return isqrt(q.numerator) ** 2 == q.numerator and isqrt(q.denominator) ** 2 == q.denominator
+def _is_square(x: int) -> bool:
+    return isqrt(x) ** 2 == x
 
 
-def _exact_sqrt(q: Fraction) -> Fraction:
-    return Fraction(isqrt(q.numerator), isqrt(q.denominator))
-
-
-@total_ordering
-@dataclass(frozen=True)
-class CriticalValue:
+class CriticalValue(tuple):
     """A nonnegative value that is either rational or the square root of a
-    rational (stored squared).  Square roots that happen to be rational are
-    canonicalized to the rational form, so cross-kind equality never occurs
-    and the ordering is the plain ordering of squares."""
+    rational (`is_sqrt`, and `q` the value or its square), held as the
+    reduced integer pair (num, den) of its square.  It equals and hashes as
+    that pair, so a square root that is rational equals the rational, and
+    values are ordered as their squares, by one cross-multiplication."""
 
-    is_sqrt: bool
-    q: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 0:
+    def __new__(cls, is_sqrt: bool, q):
+        q = Fraction(q)
+        if q < 0:
             raise ValueError("critical values are nonnegative")
-        if self.is_sqrt and _is_perfect_square(self.q):
+        num, den = q.numerator, q.denominator
+        if is_sqrt and _is_square(num) and _is_square(den):
             raise ValueError("use CriticalValue.sqrt_of for canonicalization")
+        return tuple.__new__(cls, (num, den) if is_sqrt else (num * num, den * den))
 
     @classmethod
     def rat(cls, q) -> "CriticalValue":
-        return cls(False, Fraction(q))
+        return cls(False, q)
 
     @classmethod
     def sqrt_of(cls, q) -> "CriticalValue":
         q = Fraction(q)
-        if _is_perfect_square(q):
-            return cls(False, _exact_sqrt(q))
-        return cls(True, q)
+        if q < 0:
+            raise ValueError("critical values are nonnegative")
+        return _from_square(q.numerator, q.denominator)
+
+    def __getnewargs__(self):
+        return self.is_sqrt, self.q
+
+    @property
+    def is_sqrt(self) -> bool:
+        return not (_is_square(self[0]) and _is_square(self[1]))
+
+    @property
+    def q(self) -> Fraction:
+        num, den = self
+        if self.is_sqrt:
+            return Fraction(num, den)
+        return Fraction(isqrt(num), isqrt(den))
 
     def square(self) -> Fraction:
-        return self.q if self.is_sqrt else self.q * self.q
+        return Fraction(*self)
 
     def __lt__(self, other: "CriticalValue") -> bool:
-        if not (self.is_sqrt or other.is_sqrt):
-            return self.q < other.q  # both nonnegative, so squaring keeps the order
-        return self.square() < other.square()
+        return self[0] * other[1] < other[0] * self[1]
+
+    def __le__(self, other: "CriticalValue") -> bool:
+        return self[0] * other[1] <= other[0] * self[1]
+
+    def __gt__(self, other: "CriticalValue") -> bool:
+        return self[0] * other[1] > other[0] * self[1]
+
+    def __ge__(self, other: "CriticalValue") -> bool:
+        return self[0] * other[1] >= other[0] * self[1]
 
     def is_zero(self) -> bool:
-        return self.q == 0
+        return self[0] == 0
 
     def __str__(self) -> str:
         return f"sqrt({self.q})" if self.is_sqrt else str(self.q)
+
+    def __repr__(self) -> str:
+        return f"CriticalValue(is_sqrt={self.is_sqrt!r}, q={self.q!r})"
+
+
+def _from_square(num: int, den: int) -> CriticalValue:
+    """The value whose square is num / den, for integers num >= 0 and
+    den > 0: one gcd reduces the pair."""
+    g = gcd(num, den)
+    return tuple.__new__(CriticalValue, (num // g, den // g))
 
 
 def vector_norm(y, norm: Norm, den: int = 1) -> CriticalValue:
     """Exact |y| / den as a CriticalValue, for rational (or integer) entries y
     and a positive integer den."""
     if norm == Norm.L2:
-        return CriticalValue.sqrt_of(Fraction(sum(v * v for v in y), den * den))
-    size = sum(map(abs, y)) if norm == Norm.L1 else max(map(abs, y), default=0)
-    return CriticalValue(False, Fraction(size, den))
+        sq = sum(v * v for v in y)
+    else:
+        sq = (sum(map(abs, y)) if norm == Norm.L1 else max(map(abs, y), default=0)) ** 2
+    return _from_square(sq.numerator, sq.denominator * den * den)
 
 
 def _pair(vec) -> tuple[tuple[int, ...], int]:
@@ -197,10 +229,10 @@ def _norm_lp(ys, scale, n, norm: Norm):
 
 
 def _edge_min(a, b, norm: Norm):
-    """(m, t) for integer vectors a and b: m the minimum of |a + t (b - a)|
-    over t in [0, 1] (its square for l2), a Fraction, and t the largest t
-    attaining it, which makes (1 - t, t) the lexicographically smallest
-    minimizer in barycentric coordinates.
+    """(m, den, t) for integer vectors a and b: m / den (den > 0) the
+    minimum of |a + t (b - a)| over t in [0, 1] (its square for l2), and t,
+    a Fraction, the largest t attaining it, which makes (1 - t, t) the
+    lexicographically smallest minimizer in barycentric coordinates.
 
     For l2, t is -a.d / |d|^2 clamped to [0, 1], with d = b - a, and 1 when
     d = 0.  For l1 and linf, |a + t d| is convex and piecewise linear, so
@@ -239,7 +271,7 @@ def _edge_min(a, b, norm: Norm):
                 continue
         best = m, den, p, q
     m, den, p, q = best
-    return Fraction(m, den), Fraction(p, q)
+    return m, den, Fraction(p, q)
 
 
 def _min_l2(ys, n):
@@ -260,7 +292,8 @@ def _min_l2(ys, n):
     sq, j = min((sum(x * x for x in y), j) for j, y in enumerate(ys))
     best_sq, best_y = Fraction(sq), [Fraction(x) for x in ys[j]]
     for a, b in combinations(ys, 2):
-        sq, t = _edge_min(a, b, Norm.L2)
+        m, den, t = _edge_min(a, b, Norm.L2)
+        sq = Fraction(m, den)
         if sq < best_sq:
             best_sq, best_y = sq, [x + t * (z - x) for x, z in zip(a, b)]
     gram = [[2 * sum(a[i] * b[i] for i in range(n)) for b in ys] for a in ys]
@@ -303,15 +336,14 @@ def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
     scale = lcm(*[den for _, den in ys])
     ys = [[a * (scale // den) for a in nums] for nums, den in ys]
     if d1 == 2:
-        m, t = _edge_min(*ys, norm)
-        if norm == Norm.L2:
-            cv = CriticalValue.sqrt_of(m / (scale * scale))
-        else:
-            cv = CriticalValue.rat(m / scale)
+        m, den, t = _edge_min(*ys, norm)
+        if norm != Norm.L2:
+            m, den = m * m, den * den
+        cv = _from_square(m, den * scale * scale)
         return cv, ((1 - t, t) if cv < below else None)
     if norm == Norm.L2:
         sq, best_y = _min_l2(ys, n)
-        cv = CriticalValue.sqrt_of(sq / (scale * scale))
+        cv = _from_square(sq.numerator, sq.denominator * scale * scale)
         if not cv < below:
             return cv, None
         # The minimizers are the points of the simplex that hit best_y.
@@ -320,7 +352,7 @@ def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
         return cv, tuple(lam)
     rows, rhs, cost = _norm_lp(ys, scale, n, norm)
     m, x = solve_lp(rows, rhs, cost, lex=d1, lex_below=below.q)
-    cv = CriticalValue.rat(m)
+    cv = _from_square(m.numerator ** 2, m.denominator ** 2)
     return cv, (tuple(x[:d1]) if cv < below else None)
 
 

@@ -15,14 +15,19 @@ of a sphere map is the one that `SphereMap`'s edge check replaced.  The
 map-level crossing routine, which evaluated each pass at every vertex and
 scanned every edge of the whole complex, and starred through a complex
 build per pass, is the one that the in-place `reduction.star_crossings`
+replaced.  The dataclass critical value, which compared through
+Fractions, is the one that the reduced integer pair of `CriticalValue`
 replaced.  None of them is on a path robsat runs.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from itertools import combinations, product
+from math import isqrt
 
 from robsat import exactlinalg
 from robsat.complex_core import Complex, Simplex, VertexId, connected_components
@@ -427,6 +432,65 @@ def ref_simplex_min(ys, n, norm: Norm, below: CriticalValue):
     m, x = solve_lp(rows, rhs, cost, lex=d1, lex_below=below.q)
     cv = CriticalValue.rat(m)
     return cv, (tuple(x[:d1]) if cv < below else None)
+
+
+# -- critical values as Fraction dataclasses ---------------------------------
+
+def _is_perfect_square(q: Fraction) -> bool:
+    return isqrt(q.numerator) ** 2 == q.numerator and isqrt(q.denominator) ** 2 == q.denominator
+
+
+def _exact_sqrt(q: Fraction) -> Fraction:
+    return Fraction(isqrt(q.numerator), isqrt(q.denominator))
+
+
+@total_ordering
+@dataclass(frozen=True)
+class RefCriticalValue:
+    """`pl_map.CriticalValue` as a dataclass of (is_sqrt, q) that compares
+    through Fractions."""
+
+    is_sqrt: bool
+    q: Fraction
+
+    def __post_init__(self):
+        if self.q < 0:
+            raise ValueError("critical values are nonnegative")
+        if self.is_sqrt and _is_perfect_square(self.q):
+            raise ValueError("use CriticalValue.sqrt_of for canonicalization")
+
+    @classmethod
+    def rat(cls, q) -> "RefCriticalValue":
+        return cls(False, Fraction(q))
+
+    @classmethod
+    def sqrt_of(cls, q) -> "RefCriticalValue":
+        q = Fraction(q)
+        if _is_perfect_square(q):
+            return cls(False, _exact_sqrt(q))
+        return cls(True, q)
+
+    def square(self) -> Fraction:
+        return self.q if self.is_sqrt else self.q * self.q
+
+    def __lt__(self, other: "RefCriticalValue") -> bool:
+        if not (self.is_sqrt or other.is_sqrt):
+            return self.q < other.q  # both nonnegative, so squaring keeps the order
+        return self.square() < other.square()
+
+    def is_zero(self) -> bool:
+        return self.q == 0
+
+    def __str__(self) -> str:
+        return f"sqrt({self.q})" if self.is_sqrt else str(self.q)
+
+
+def ref_vector_norm(y, norm: Norm, den: int = 1) -> RefCriticalValue:
+    """`pl_map.vector_norm` through Fractions, as a RefCriticalValue."""
+    if norm == Norm.L2:
+        return RefCriticalValue.sqrt_of(Fraction(sum(v * v for v in y), den * den))
+    size = sum(map(abs, y)) if norm == Norm.L1 else max(map(abs, y), default=0)
+    return RefCriticalValue(False, Fraction(size, den))
 
 
 # -- witness search on Fraction values ---------------------------------------

@@ -287,6 +287,19 @@ class TestErrorPaths:
         assert code == want
         assert err["error"] == ("parse" if want == EXIT_PARSE else "usage")
 
+    @pytest.mark.parametrize("alpha, extra, want, message", [
+        ("1", ["--alpha", "-1"], EXIT_USAGE, "alpha must be positive"),
+        ("1", ["--alpha", "0"], EXIT_USAGE, "alpha must be positive"),
+        ("-1", [], EXIT_PARSE, "bad alpha: critical values are nonnegative"),
+        ({"sqrt": "-2"}, [], EXIT_PARSE, "bad alpha: critical values are nonnegative"),
+    ])
+    def test_alpha_messages(self, capsys, tmp_path, alpha, extra, want, message):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"version": 1, "n": 1, "norm": "linf", "alpha": alpha,
+                                    "vertices": [{"id": 0, "f": ["1"]}], "simplices": [[0]]}))
+        code = main(["decide", "-i", str(path), *extra])
+        assert code == want and json.loads(capsys.readouterr().err)["message"] == message
+
     def test_duplicate_variable_names_are_a_usage_error(self, capsys):
         # with the last x winning, axis 0 of the box would go unused
         code = main(["sample-grid", "--vars", "x,x", "--box=-1:1", "--box=-1:1",

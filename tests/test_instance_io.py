@@ -119,6 +119,13 @@ class TestParsing:
         }))
         assert inst.alpha == CriticalValue.sqrt_of(2)
 
+    @pytest.mark.parametrize("alpha", ["-1", "-1/3", {"sqrt": "-1"}, {"sqrt": "-2"}])
+    def test_negative_alpha_message(self, alpha):
+        doc = {"version": 1, "n": 1, "norm": "l2", "vertices": [{"id": 0, "f": ["2"]}],
+               "simplices": [[0]], "alpha": alpha}
+        with pytest.raises(ParseError, match="^bad alpha: critical values are nonnegative$"):
+            loads(json.dumps(doc))
+
 
 class TestRoundTrip:
     def test_shipped_corpus(self):

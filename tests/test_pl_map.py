@@ -1,10 +1,13 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 from math import lcm
 
 import pytest
@@ -45,11 +48,13 @@ from helpers import (
     vertex,
 )
 from reference_oracles import (
+    RefCriticalValue,
     evaluate,
     grid_min_check,
     has_root,
     ref_min_l2,
     ref_simplex_min,
+    ref_vector_norm,
     ref_vertex_attains_min,
 )
 
@@ -71,12 +76,41 @@ class TestCriticalValue:
         assert sorted([CriticalValue.sqrt_of(2), CriticalValue.rat(1)])[0] == CriticalValue.rat(1)
 
     def test_nonnegative(self):
-        with pytest.raises(ValueError):
-            CriticalValue.rat(-1)
+        """Every constructor rejects a negative with one message."""
+        for make, q in [(CriticalValue.rat, -1), (CriticalValue.sqrt_of, -2),
+                        (partial(CriticalValue, False), "-1/2"),
+                        (partial(CriticalValue, True), Fraction(-2, 3))]:
+            with pytest.raises(ValueError, match="^critical values are nonnegative$"):
+                make(q)
+
+    def test_every_constructor_coerces_through_fraction(self):
+        assert CriticalValue(False, "1/2") == CriticalValue.rat(Fraction(1, 2))
+        assert CriticalValue(True, "2") == CriticalValue.sqrt_of(2)
+        assert CriticalValue.sqrt_of("9/4") == CriticalValue.rat("3/2")
 
     def test_non_canonical_sqrt_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="canonicalization"):
             CriticalValue(True, Fraction(9, 4))
+
+    def test_equals_and_hashes_as_its_square_pair(self):
+        cv = CriticalValue.rat(Fraction(3, 2))
+        assert isinstance(cv, tuple) and cv == (9, 4) and (9, 4) == cv
+        assert hash(cv) == hash((9, 4)) and {cv: "x"}[(9, 4)] == "x"
+        assert CriticalValue.sqrt_of(2) == (2, 1) and hash(CriticalValue.sqrt_of(2)) == hash((2, 1))
+        assert CriticalValue(True, 2) == CriticalValue.sqrt_of(2)
+        assert CriticalValue.sqrt_of(Fraction(9, 4)) == CriticalValue.rat(Fraction(3, 2))
+        assert CriticalValue.rat(0) == (0, 1) and CriticalValue.sqrt_of(0).is_zero()
+
+    def test_fields_repr_and_copies(self):
+        cv, root = CriticalValue.rat(Fraction(3, 2)), CriticalValue.sqrt_of(Fraction(2, 9))
+        assert (cv.is_sqrt, cv.q, cv.square()) == (False, Fraction(3, 2), Fraction(9, 4))
+        assert (root.is_sqrt, root.q, root.square()) == (True, Fraction(2, 9), Fraction(2, 9))
+        assert repr(cv) == "CriticalValue(is_sqrt=False, q=Fraction(3, 2))"
+        assert repr(root) == "CriticalValue(is_sqrt=True, q=Fraction(2, 9))"
+        assert (str(cv), str(root)) == ("3/2", "sqrt(2/9)")
+        for x in (cv, root):
+            for y in (copy.copy(x), pickle.loads(pickle.dumps(x))):
+                assert type(y) is CriticalValue and y == x
 
     def test_scaling(self):
         assert scaled(CriticalValue.sqrt_of(2), 3) == CriticalValue.sqrt_of(18)
@@ -94,6 +128,82 @@ class TestCriticalValue:
         assert (a < b) == (a.square() < b.square())
         assert (a <= b) == (a.square() <= b.square())
         assert (a > b) == (a.square() > b.square())
+
+
+def critical_value_inputs():
+    """(is_sqrt, q) for `sqrt_of` or `rat`: small rationals, 0, perfect
+    squares, and large values over large coprime denominators."""
+    small = st.fractions(min_value=0, max_value=4, max_denominator=6)
+    large = st.builds(Fraction, st.integers(0, 10 ** 13),
+                      st.sampled_from((*LARGE_PRIMES, 10 ** 12 + 39)))
+    wide = st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 12 + 39)
+    q = st.one_of(st.just(Fraction(0)), small, small.map(lambda x: x * x), large,
+                  large.map(lambda x: x * x), wide)
+    return st.tuples(st.booleans(), q)
+
+
+class TestAgainstDataclass:
+    """`CriticalValue` against `RefCriticalValue`, the dataclass that compared
+    through Fractions.  Every check is an explicit raise, so `python -O` runs
+    them too."""
+
+    def test_same_values_and_order(self):
+        @settings(derandomize=True, deadline=None, max_examples=500)
+        @given(st.lists(critical_value_inputs(), min_size=1, max_size=4))
+        @example([(True, Fraction(4)), (False, Fraction(2))])   # a rational square root
+        @example([(True, Fraction(2)), (False, Fraction(2))])   # same q, other kind
+        @example([(True, Fraction(0)), (False, Fraction(0))])
+        @example([(True, Fraction(1, 10 ** 12 + 39)), (False, Fraction(1, 10 ** 6 + 20))])
+        @example([(False, Fraction(10 ** 12 + 38, 10 ** 12 + 39)), (True, Fraction(1))])
+        def check(inputs):
+            def make(cls, is_sqrt, q):
+                return cls.sqrt_of(q) if is_sqrt else cls.rat(q)
+
+            news = [make(CriticalValue, *x) for x in inputs]
+            refs = [make(RefCriticalValue, *x) for x in inputs]
+            for new, ref in zip(news, refs):
+                got = (new.is_sqrt, new.q, type(new.q), new.square(), str(new), new.is_zero())
+                want = (ref.is_sqrt, ref.q, Fraction, ref.square(), str(ref), ref.is_zero())
+                if got != want or repr(new) != repr(ref).replace("RefCriticalValue", "CriticalValue"):
+                    pytest.fail(f"{inputs}: {got} != {want}")
+            for (a, ra), (b, rb) in product(zip(news, refs), repeat=2):
+                got = (a < b, a <= b, a > b, a >= b, a == b, a != b)
+                want = (ra < rb, ra <= rb, ra > rb, ra >= rb, ra == rb, ra != rb)
+                if got != want or (a == b and hash(a) != hash(b)):
+                    pytest.fail(f"{ra} vs {rb}: {got} != {want}")
+            if len(set(news)) != len(set(refs)) or list(map(str, sorted(news))) != list(
+                    map(str, sorted(refs))):
+                pytest.fail(f"{inputs}: other classes or order")
+
+        check()
+
+    def test_same_vector_norms(self):
+        entries = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                            st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 12 + 39))
+
+        @settings(derandomize=True, deadline=None, max_examples=500)
+        @given(st.lists(entries, max_size=4), st.sampled_from(ALL_NORMS),
+               st.one_of(st.just(1), st.integers(1, 10 ** 12 + 39)))
+        @example([3, 4], Norm.L2, 1)                            # a rational square root
+        @example([Fraction(1, 10 ** 12 + 39), -2], Norm.L2, 15485863)
+        @example([], Norm.LINF, 7)
+        def check(y, norm, den):
+            got, want = vector_norm(y, norm, den), ref_vector_norm(y, norm, den)
+            if (got.is_sqrt, got.q, str(got)) != (want.is_sqrt, want.q, str(want)):
+                pytest.fail(f"{y} {norm} {den}: {got!r} != {want!r}")
+
+        check()
+
+    def test_same_under_optimize(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestAgainstDataclass", "-k", "not optimize"],
+            env=env, capture_output=True, text=True, timeout=300)
+        if proc.returncode != 0 or "2 passed" not in proc.stdout:
+            pytest.fail(proc.stdout + proc.stderr)
 
 
 class TestEvaluate:

@@ -40,7 +40,7 @@ sys.path.insert(0, "perfbench")
 from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 from robsat.complex_core import Simplex  # noqa: E402
-from robsat.pl_map import PLMap  # noqa: E402
+from robsat.pl_map import CriticalValue, PLMap  # noqa: E402
 
 from helpers import fraction_values  # noqa: E402
 
@@ -55,6 +55,8 @@ def canon(obj):
         return str(obj)
     if isinstance(obj, Simplex):
         return {"vertices": list(obj)}
+    if isinstance(obj, CriticalValue):
+        return {"is_sqrt": obj.is_sqrt, "q": str(obj.q)}
     if isinstance(obj, PLMap):
         return {"n": obj.n, "values": canon(fraction_values(obj))}
     if dataclasses.is_dataclass(obj):
