@@ -17,13 +17,25 @@ with x_j = 0 wherever the optimal reduced cost is positive, and on it x_0,
 then x_1, and so on are minimised in turn, each stage shrinking the face the
 same way.  The lexicographic minimum is unique, so it does not depend on the
 pivots taken.
+
+A caller that knows a feasible basis passes it as `start`, a list of
+(row, column) pivots, one per row, and phase 1 does not run: no artificial
+column is added, so the tableau is m columns narrower.  The pivots are
+applied in order with the same step; a slack column is a unit column, so
+when the slack rows come first each of their pivots only negates its row.
+Each pivot element must be nonzero, every row must pivot once and the basic
+solution must be nonnegative, or `ExactnessError` is raised: a bad start is
+a bug in the caller, never a reason to fall back to phase 1.  Phase 2 and the
+lexicographic stage then run unchanged.  The optimal value is unique and so
+is the lexicographic minimum, so neither depends on the start; only the
+unrefined optimal point may be another optimal vertex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlinalg import pivot, to_int_rows
+from .exactlinalg import ExactnessError, pivot, to_int_rows
 
 
 class LPInfeasible(Exception):
@@ -59,19 +71,11 @@ def _run_simplex(t, basis, cols, d):
         basis[leave] = enter
 
 
-def solve_lp(a_rows, b, c, lex=0, lex_below=None):
-    """Minimize c.x subject to a_rows @ x = b, x >= 0.
-
-    Returns (optimal_value, x) as Fractions. Raises LPInfeasible / LPUnbounded.
-    With lex > 0, and the optimal value below `lex_below` (when given), x is
-    the optimal point with the lexicographically smallest x[:lex].
-    """
-    m = len(a_rows)
-    n = len(c)
-    rows, _ = to_int_rows([
-        [-x for x in row] + [-bi] if bi < 0 else list(row) + [bi]
-        for row, bi in zip(a_rows, b)])
-    # Phase 1: artificial variable per row.
+def _phase_one(rows, n):
+    """A feasible basis by phase 1, one artificial column per row, on the
+    integer rows [A | b] (b >= 0): (tableau with no cost row, basis, d).
+    Rows that turn out redundant are dropped."""
+    m = len(rows)
     t = [row[:n] + [int(k == i) for k in range(m)] + row[n:] for i, row in enumerate(rows)]
     t.append([-sum(col) for col in zip(*t, [0] * (n + m + 1))])
     t[-1][n:n + m] = [0] * m
@@ -79,9 +83,10 @@ def solve_lp(a_rows, b, c, lex=0, lex_below=None):
     d = _run_simplex(t, basis, range(n + m), 1)
     if t[-1][-1] != 0:
         raise LPInfeasible("no feasible point")
+    t.pop()
     # Drive artificials out of the basis; drop rows that turn out redundant.
     i = 0
-    while i < len(t) - 1:
+    while i < len(t):
         if basis[i] >= n:
             col = next((j for j in range(n) if t[i][j] != 0), None)
             if col is None:
@@ -91,13 +96,48 @@ def solve_lp(a_rows, b, c, lex=0, lex_below=None):
             d = pivot(t, i, col, d)
             basis[i] = col
         i += 1
-    # Phase 2: original objective, artificial columns frozen at zero.
+    return t, basis, d
+
+
+def _started(rows, start):
+    """The tableau [A | b] pivoted to the basis `start` lists, (row, column)
+    pivots applied in order: (tableau, basis, d).  Raises ExactnessError
+    unless every row pivots once, on a nonzero element, and the basic
+    solution is nonnegative."""
+    basis = [None] * len(rows)
+    d = 1
+    for r, j in start:
+        if basis[r] is not None or not rows[r][j]:
+            raise ExactnessError(f"singular start basis at pivot ({r}, {j})")
+        d = pivot(rows, r, j, d)
+        basis[r] = j
+    if None in basis or any(row[-1] < 0 for row in rows):
+        raise ExactnessError("start basis is not a feasible basis")
+    return rows, basis, d
+
+
+def solve_lp(a_rows, b, c, lex=0, lex_below=None, start=None):
+    """Minimize c.x subject to a_rows @ x = b, x >= 0.
+
+    Returns (optimal_value, x) as Fractions. Raises LPInfeasible / LPUnbounded.
+    With lex > 0, and the optimal value below `lex_below` (when given), x is
+    the optimal point with the lexicographically smallest x[:lex].  `start`,
+    (row, column) pivots to a feasible basis, replaces phase 1; a start that
+    is singular or infeasible raises ExactnessError.
+    """
+    m = len(a_rows)
+    n = len(c)
+    rows, _ = to_int_rows([
+        [-x for x in row] + [-bi] if bi < 0 else list(row) + [bi]
+        for row, bi in zip(a_rows, b)])
+    t, basis, d = _phase_one(rows, n) if start is None else _started(rows, start)
+    # Phase 2: original objective, phase 1's artificial columns frozen at zero.
     (cs,), cden = to_int_rows([c])
-    cost = [d * x for x in cs] + [0] * (m + 1)
+    cost = [d * x for x in cs] + [0] * ((m if start is None else 0) + 1)
     for row, j in zip(t, basis):
         if cs[j]:
             cost = [a - cs[j] * r for a, r in zip(cost, row)]
-    t[-1] = cost
+    t.append(cost)
     d = _run_simplex(t, basis, range(n), d)
     value = Fraction(-t[-1][-1], d * cden)
     if lex and (lex_below is None or value < lex_below):

@@ -2,16 +2,17 @@
 
 Minima of |f| over a simplex are computed exactly.  On an edge they have a
 closed form in integers (`_edge_min`).  On a larger simplex they are an
-epigraph LP for the l1/max norms, and face enumeration with
+epigraph LP for the l1/max norms, started at the basis of the least-norm
+vertex (a feasible point, so no phase 1 runs), and face enumeration with
 equality-constrained least squares (KKT systems solved by
 `exactlinalg.solve`, closed forms on the vertex and edge faces) for the
-Euclidean norm, whose minimum is the square root of a rational.  Both solvers run on fraction-free integer tableaus (see
-`exactlinalg`), and the LP pivots follow Bland's rule exactly as the
-rational simplex would.  Argmin points are made deterministic by taking the
-lexicographically smallest one in barycentric coordinates: on an edge the
-one with the largest weight on its second vertex, on a larger simplex by
-the refinement that `linprog.solve_lp` runs from the optimal basis of the
-same solve.
+Euclidean norm, whose minimum is the square root of a rational.  Both
+solvers run on fraction-free integer tableaus (see `exactlinalg`), and the
+LP pivots follow Bland's rule exactly as the rational simplex would.
+Argmin points are made deterministic by taking the lexicographically
+smallest one in barycentric coordinates: on an edge the one with the
+largest weight on its second vertex, on a larger simplex by the refinement
+that `linprog.solve_lp` runs from the optimal basis of the same solve.
 
 Each map holds its vertex norms |f(v)|, one table per norm, computed once
 (`PLMap.vertex_norms`).  `simplex_min` is the one routine that computes a
@@ -211,9 +212,19 @@ def _exact_map(complex_: Complex, n: int, pairs: dict) -> PLMap:
 def _norm_lp(ys, scale, n, norm: Norm):
     """The epigraph LP of min |sum lam_j y_j / scale| over the standard
     simplex, for integer vectors y_j and a positive integer scale, as
-    (rows, rhs, cost).  Variable order: lam (d+1), t (1 or n), slacks (2n).
-    Each row is scale * t -+ y.lam - s = 0, so t is the true value and the
-    slacks are scaled by `scale`."""
+    (rows, rhs, cost, start).  Variable order: lam (d+1), t (1 or n), slacks
+    (2n).  Each row is scale * t -+ y.lam - s = 0, so t is the true value and
+    the slacks are scaled by `scale`.
+
+    `start` is the `solve_lp` start basis at lam = e_j, for the least-norm
+    vertex j (smallest index on ties): t = |y_j| / scale for linf, t_i =
+    |y_j,i| / scale for l1, which is feasible.  Its basic columns are lam_j,
+    the t columns and every slack but one per zero row: for linf the row of
+    the first coordinate attaining |y_j|, for l1 one row per coordinate (the
+    upper one where y_j,i >= 0), the slack there being 0.  The slack rows
+    pivot first, each only a row negation; then lam_j on the simplex row and
+    each t on its zero row, a triangular system with 1 and `scale` on the
+    diagonal, so the basis is nonsingular."""
     d1 = len(ys)
     ts = 1 if norm == Norm.LINF else n
     width = d1 + ts + 2 * n
@@ -225,7 +236,17 @@ def _norm_lp(ys, scale, n, norm: Norm):
             row[t_col] = scale
             row[d1 + ts + 2 * i + 1 - up] = -1
             rows.append(row)
-    return rows, [1] + [0] * (2 * n), [0] * d1 + [1] * ts + [0] * (2 * n)
+    size = max if norm == Norm.LINF else sum
+    j = min(range(d1), key=lambda k: size(map(abs, ys[k])))
+    y = ys[j]
+    if norm == Norm.LINF:
+        i = max(range(n), key=lambda k: (abs(y[k]), -k))
+        zero = [(1 if y[i] >= 0 else 2) + 2 * i]
+    else:
+        zero = [(1 if x >= 0 else 2) + 2 * i for i, x in enumerate(y)]
+    start = [(r, d1 + ts + r - 1) for r in range(1, 2 * n + 1) if r not in zero]
+    start += [(0, j)] + [(r, d1 + k) for k, r in enumerate(zero)]
+    return rows, [1] + [0] * (2 * n), [0] * d1 + [1] * ts + [0] * (2 * n), start
 
 
 def _edge_min(a, b, norm: Norm):
@@ -325,7 +346,10 @@ def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
     their denominators.  An edge takes the closed form `_edge_min`, whose
     largest minimizing t gives the lexicographically smallest weights
     (1 - t, t): the first weight is minimized first.  A larger simplex runs
-    `_min_l2` and an argmin LP (l2) or the epigraph LP (l1, linf).
+    `_min_l2` and an argmin LP (l2) or the epigraph LP (l1, linf), which
+    starts from the feasible basis at its least-norm vertex (`_norm_lp`).
+    The start changes neither the minimum nor the refined minimizer, both
+    unique; the unrefined LP point is never returned.
 
     The cache holds 1,024 solves: one robustness computation on G(32) makes
     401, and its hits are on solves of the same computation.  A larger cache
@@ -350,8 +374,8 @@ def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
         rows = [[1] * d1] + [[y[i] for y in ys] for i in range(n)]
         _, lam = solve_lp(rows, [1] + best_y, [0] * d1, lex=d1)
         return cv, tuple(lam)
-    rows, rhs, cost = _norm_lp(ys, scale, n, norm)
-    m, x = solve_lp(rows, rhs, cost, lex=d1, lex_below=below.q)
+    rows, rhs, cost, start = _norm_lp(ys, scale, n, norm)
+    m, x = solve_lp(rows, rhs, cost, lex=d1, lex_below=below.q, start=start)
     cv = _from_square(m.numerator ** 2, m.denominator ** 2)
     return cv, (tuple(x[:d1]) if cv < below else None)
 

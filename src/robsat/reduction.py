@@ -135,8 +135,13 @@ class LevelPair:
         return self.f.complex
 
     @cached_property
+    def _half(self) -> set[VertexId]:
+        """The A-vertices, chi = 1/2; `sign_refinement` hands its set on."""
+        return {v for v, c in self.chi.items() if c == HALF}
+
+    @cached_property
     def a(self) -> Complex:
-        half = {v for v, c in self.chi.items() if c == HALF}
+        half = self._half
         return Complex(s for s in self._simplices if half.issuperset(s))
 
     def validate(self) -> None:
@@ -353,12 +358,13 @@ def sign_refinement(pair: LevelPair) -> LevelPair:
     """
     x, pairs = set(pair._simplices), dict(pair._pairs)
     passes = [lambda v, y, i=i: (y[0][i], y[1]) for i in range(pair.n)]
-    on_a = [v for v, c in pair.chi.items() if c == HALF]
+    on_a = pair._half
     first = pair.first_id if pair.first_id is not None else max(pairs, default=-1) + 1
     new = star_crossings(x, pairs, passes, [{v: h(v, pairs[v]) for v in on_a} for h in passes],
                          first)
     out = LevelPair._on_set(x, pair.n, pairs, {**pair.chi, **dict.fromkeys(new, HALF)},
                             new[-1] + 1 if new else pair.first_id)
+    out._half = on_a.union(new)
     out.validate()
     return out
 

@@ -23,8 +23,11 @@ runs them and records one row:
 * fraction_share: the share of self time spent in `fractions.py` and
   `math.gcd` during one more cold extremal run, under cProfile (the
   profiled run is not one of the timed ones);
-* lp_solves: the `linprog.solve_lp` calls of one more cold extremal run,
-  counted by a wrapper on the name `pl_map` calls;
+* lp_solves, lp_pivots: the `linprog.solve_lp` calls of one more cold
+  extremal run, counted by a wrapper on the name `pl_map` calls, and the
+  `linprog.pivot` calls of the same run (phase 1, a start basis, phase 2
+  and the lexicographic stage), counted by a wrapper on the name `linprog`
+  calls;
 * split, sign: `split_level` (which stars and cuts X as a simplex set,
   building no complex) and `sign_refinement` (which stars on a copy of that
   set, builds A and validates);
@@ -49,6 +52,7 @@ import json
 import pstats
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from robsat import complex_core, exactlinalg, linprog, pl_map, reduction
@@ -107,22 +111,24 @@ def fraction_share(cold_map, norm: Norm) -> float:
     return round(rational / total, 3)
 
 
-def lp_solves(cold_map, norm: Norm) -> int:
-    """The `linprog.solve_lp` calls of one extremal stage on cold_map."""
-    calls = 0
-    solve = pl_map.solve_lp
+def lp_counts(cold_map, norm: Norm) -> tuple[int, int]:
+    """The `linprog.solve_lp` and `linprog.pivot` calls of one extremal
+    stage on cold_map."""
+    calls = Counter()
+    solve, pivot = pl_map.solve_lp, linprog.pivot
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return solve(*args, **kwargs)
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    pl_map.solve_lp = counted
+    pl_map.solve_lp, linprog.pivot = counted(solve, "solve"), counted(pivot, "pivot")
     try:
         vertexwise_extremal_subdivision(cold_map, norm)
     finally:
-        pl_map.solve_lp = solve
-    return calls
+        pl_map.solve_lp, linprog.pivot = solve, pivot
+    return calls["solve"], calls["pivot"]
 
 
 def level_pair(f1, chi):
@@ -173,7 +179,7 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     fresh_map()
     row["fraction_share"] = fraction_share(cold[0], norm)
     fresh_map()
-    row["lp_solves"] = lp_solves(cold[0], norm)
+    row["lp_solves"], row["lp_pivots"] = lp_counts(cold[0], norm)
     chi = build_chi(f1, CriticalValue.rat(alpha), norm)
     row["split_s"], pair = best_of(lambda: split_level(f1, chi))
     row["sign_s"], pair = best_of(lambda: sign_refinement(pair))

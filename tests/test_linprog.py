@@ -12,7 +12,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robsat.exactlinalg import ExactnessError, pivot, solve
@@ -113,6 +113,59 @@ def test_lex_below_gates_refinement(lp):
     assert solve_lp(a_rows, b, c, lex=len(c), lex_below=value) == (value, plain)
 
 
+@st.composite
+def started_lps(draw):
+    """A random bounded LP with a known feasible basis, as (a_rows, b, c,
+    start).  The basis columns and a point x0 >= 0 supported on them are
+    drawn, and b = A x0.  `start` pivots each row in order on the first
+    basis column left with a nonzero entry in the rational Gauss-Jordan
+    tableau; a singular basis is rejected.  Rows may be negated, so some
+    right-hand sides are negative."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, min(3, n - 1)))
+    a_rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(m)]
+    a_rows.append([Fraction(1)] * n)  # bounds the feasible set
+    basis = draw(st.permutations(range(n)))[:m + 1]
+    x0 = [draw(nonneg) if j in basis else Fraction(0) for j in range(n)]
+    b = [sum(a * x for a, x in zip(row, x0)) for row in a_rows]
+    flips = draw(st.lists(st.booleans(), min_size=m + 1, max_size=m + 1))
+    a_rows = [[-a for a in row] if f else row for row, f in zip(a_rows, flips)]
+    b = [-v if f else v for v, f in zip(b, flips)]
+    t, left, start = [list(row) for row in a_rows], list(basis), []
+    for r in range(len(t)):
+        j = next((j for j in left if t[r][j]), None)
+        assume(j is not None)
+        left.remove(j)
+        start.append((r, j))
+        t[r] = [x / t[r][j] for x in t[r]]
+        t = [row if i == r else [x - row[j] * y for x, y in zip(row, t[r])]
+             for i, row in enumerate(t)]
+    c = draw(st.lists(rationals, min_size=n, max_size=n))
+    return a_rows, b, c, start
+
+
+@SETTINGS
+@given(started_lps())
+def test_started_solve_matches_cold_solve(lp):
+    """From a feasible start, phase 2 reaches the same optimal value and the
+    same lexicographic argmin as the solve that runs phase 1."""
+    a_rows, b, c, start = lp
+    n = len(c)
+    assert solve_lp(a_rows, b, c, lex=n, start=start) == solve_lp(a_rows, b, c, lex=n)
+    assert solve_lp(a_rows, b, c, start=start)[0] == solve_lp(a_rows, b, c)[0]
+
+
+@pytest.mark.parametrize("a_rows, b, start", [
+    ([[1, 2], [2, 4]], [1, 2], [(0, 0), (1, 1)]),  # singular: row 1 is twice row 0
+    ([[1, 2], [2, 1]], [1, 1], [(0, 0), (0, 1)]),  # row 0 pivots twice
+    ([[1, 2], [2, 1]], [1, 1], [(0, 0)]),          # row 1 never pivots
+    ([[1, -1]], [1], [(0, 1)]),                    # infeasible: x_1 = -1
+])
+def test_bad_start_raises(a_rows, b, start):
+    with pytest.raises(ExactnessError):
+        solve_lp(a_rows, b, [1] * len(a_rows[0]), start=start)
+
+
 @SETTINGS
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_solve_matches_reference(m, n, data):
@@ -173,6 +226,14 @@ def test_exactness_checks_survive_optimize():
             raise SystemExit("inexact division passed")
         except exactlinalg.ExactnessError:
             pass
+        from robsat.linprog import solve_lp
+        for rows, rhs, start in [([[1, 2], [2, 4]], [1, 2], [(0, 0), (1, 1)]),
+                                 ([[1, -1]], [1], [(0, 1)])]:
+            try:
+                solve_lp(rows, rhs, [1, 1], start=start)
+                raise SystemExit("bad start passed")
+            except exactlinalg.ExactnessError:
+                pass
         exactlinalg.solve = lambda rows, rhs: (None, False)
         # Edges have a closed form; a triangle runs the KKT system.
         f = PLMap(closure([[0, 1, 2]]), 1, {0: (1,), 1: (-1,), 2: (2,)})

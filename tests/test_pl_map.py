@@ -546,6 +546,79 @@ class TestEdgeKernel:
         assert "1 passed" in proc.stdout
 
 
+@st.composite
+def lp_face_values(draw):
+    """(vertex values of a simplex of 3-5 vertices, n) with n = 1-4, so many
+    faces have dimension below n.  Coordinates are k / q with k in -3..3 and
+    q in 1, 2 or the prime 10^6 + 3, so zero coordinates and a max attained
+    in two coordinates are common.  After the first, a vertex is a fresh
+    draw, a repeat of an earlier one, or an earlier one with its coordinates
+    negated and permuted at will, which ties the two for the least norm."""
+    n = draw(st.integers(1, 4))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 10 ** 6 + 3]))
+    ys = [draw(st.tuples(*[coord] * n))]
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "tie"]))
+        y = draw(st.tuples(*[coord] * n)) if kind == "fresh" else draw(st.sampled_from(ys))
+        if kind == "tie":
+            signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+            y = tuple(draw(st.permutations([s * x for s, x in zip(signs, y)])))
+        ys.append(y)
+    return tuple(ys), n
+
+
+class TestStartedLP:
+    """`_simplex_min` starts the l1/linf epigraph LP at the feasible basis of
+    the least-norm vertex, with no phase 1; it gives the minimum and the
+    minimizer or None that the phase-1 solve of `ref_simplex_min` gives.
+    Every check is an explicit raise, so `python -O` runs them too."""
+
+    def test_matches_the_phase_one_solve(self):
+        seen = Counter()
+
+        @settings(derandomize=True, deadline=None, max_examples=1500)
+        @given(lp_face_values(), st.sampled_from([Norm.L1, Norm.LINF]),
+               st.sampled_from(["least", "largest"]))
+        @example(vals((1, 1), (-1, 1), (2, -3)), Norm.LINF, "least")    # max in two coordinates
+        @example(vals((1, 1), (-1, 1), (2, -3)), Norm.LINF, "largest")
+        @example(vals((0, 1), (1, 0), (-1, -1)), Norm.L1, "largest")    # zero coordinates
+        @example(vals((1, -1), (-1, 1), (2, 3)), Norm.L1, "largest")    # tied least norm
+        @example(vals((0, 0), (1, 2), (-2, 1)), Norm.LINF, "largest")   # y_j = 0
+        @example(vals((1, 2, -1), (-1, 0, 1), (2, -1, 0)), Norm.LINF, "largest")  # dim < n
+        @example(vals((1, 2, -1, 0), (-1, 0, 1, 1), (2, -1, 0, -2)), Norm.L1, "largest")
+        @example(vals((Fraction(1, 10 ** 6 + 3), 1), (-1, Fraction(2, 10 ** 6 + 3)),
+                      (1, -1), (1, 1)), Norm.LINF, "largest")
+        def check(case, norm, at):
+            ys, n = case
+            norms = [vector_norm(y, norm) for y in ys]
+            below = min(norms) if at == "least" else max(norms)
+            got = _simplex_min.__wrapped__(pairs(ys), n, norm, below)
+            ref = ref_simplex_min(ys, n, norm, below)
+            if got != ref:
+                pytest.fail(f"{ys} {norm} below {below}: {got} != {ref}")
+            seen["dim < n"] += len(ys) - 1 < n
+            seen["tie"] += norms.count(min(norms)) > 1
+            seen["refined"] += got[1] is not None
+            y = ys[norms.index(min(norms))]
+            seen["two coordinates"] += (norm == Norm.LINF and any(y)
+                                        and sum(abs(x) == max(map(abs, y)) for x in y) > 1)
+
+        check()
+        if not all(seen[k] >= 100 for k in ("dim < n", "tie", "refined", "two coordinates")):
+            pytest.fail(f"coverage {seen}")
+
+    def test_matches_the_phase_one_solve_under_optimize(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestStartedLP", "-k", "not optimize"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "1 passed" in proc.stdout
+
+
 def affinely_dependent(ys) -> bool:
     """Whether the vertex values are affinely dependent, which is when some
     face of two or more vertices has a singular KKT system."""
