@@ -18,13 +18,14 @@ then x_1, and so on are minimised in turn, each stage shrinking the face the
 same way.  The lexicographic minimum is unique, so it does not depend on the
 pivots taken.
 
-A caller that knows a feasible basis passes it as `start`, a list of
-(row, column) pivots, one per row, and phase 1 does not run: no artificial
-column is added, so the tableau is m columns narrower.  The pivots are
-applied in order with the same step; a slack column is a unit column, so
-when the slack rows come first each of their pivots only negates its row.
-Each pivot element must be nonzero, every row must pivot once and the basic
-solution must be nonnegative, or `ExactnessError` is raised: a bad start is
+A caller that knows a feasible basis passes it as `start`, the list of its
+basic columns, and phase 1 does not run: no artificial column is added, so
+the tableau is m columns narrower.  Each column in turn is pivoted, with
+the same step, on the first row not yet pivoted where it is nonzero; a
+nonsingular basis finds such a row in any order, and a slack column, a unit
+column, pivots on its own row, which only negates it.  A column that finds
+no such row (a singular basis, or a column listed twice), a row that never
+pivots or a negative basic solution raises `ExactnessError`: a bad start is
 a bug in the caller, never a reason to fall back to phase 1.  Phase 2 and the
 lexicographic stage then run unchanged.  The optimal value is unique and so
 is the lexicographic minimum, so neither depends on the start; only the
@@ -100,18 +101,23 @@ def _phase_one(rows, n):
 
 
 def _started(rows, start):
-    """The tableau [A | b] pivoted to the basis `start` lists, (row, column)
-    pivots applied in order: (tableau, basis, d).  Raises ExactnessError
-    unless every row pivots once, on a nonzero element, and the basic
-    solution is nonnegative."""
+    """The tableau [A | b] pivoted to the basis `start` lists, each column
+    in order on the first row not yet pivoted where it is nonzero:
+    (tableau, basis, d).  Raises ExactnessError if a column finds no such
+    row, a row never pivots, or the basic solution is negative."""
     basis = [None] * len(rows)
+    free = list(range(len(rows)))
     d = 1
-    for r, j in start:
-        if basis[r] is not None or not rows[r][j]:
-            raise ExactnessError(f"singular start basis at pivot ({r}, {j})")
+    for j in start:
+        for r in free:
+            if rows[r][j]:
+                break
+        else:
+            raise ExactnessError(f"singular start basis at column {j}")
+        free.remove(r)
         d = pivot(rows, r, j, d)
         basis[r] = j
-    if None in basis or any(row[-1] < 0 for row in rows):
+    if free or any(row[-1] < 0 for row in rows):
         raise ExactnessError("start basis is not a feasible basis")
     return rows, basis, d
 
@@ -122,8 +128,8 @@ def solve_lp(a_rows, b, c, lex=0, lex_below=None, start=None):
     Returns (optimal_value, x) as Fractions. Raises LPInfeasible / LPUnbounded.
     With lex > 0, and the optimal value below `lex_below` (when given), x is
     the optimal point with the lexicographically smallest x[:lex].  `start`,
-    (row, column) pivots to a feasible basis, replaces phase 1; a start that
-    is singular or infeasible raises ExactnessError.
+    the columns of a feasible basis, replaces phase 1; a start that is
+    singular or infeasible raises ExactnessError.
     """
     m = len(a_rows)
     n = len(c)

@@ -3,16 +3,17 @@
 Minima of |f| over a simplex are computed exactly.  On an edge they have a
 closed form in integers (`_edge_min`).  On a larger simplex they are an
 epigraph LP for the l1/max norms, started at the basis of the least-norm
-vertex (a feasible point, so no phase 1 runs), and face enumeration with
-equality-constrained least squares (KKT systems solved by
-`exactlinalg.solve`, closed forms on the vertex and edge faces) for the
-Euclidean norm, whose minimum is the square root of a rational.  Both
-solvers run on fraction-free integer tableaus (see `exactlinalg`), and the
-LP pivots follow Bland's rule exactly as the rational simplex would.
-Argmin points are made deterministic by taking the lexicographically
-smallest one in barycentric coordinates: on an edge the one with the
-largest weight on its second vertex, on a larger simplex by the refinement
-that `linprog.solve_lp` runs from the optimal basis of the same solve.
+vertex (a feasible point, so no phase 1 runs), and a face enumeration
+(`_min_l2`: closed forms on vertices and edges, the origin's barycentric
+coordinates on faces of n + 1 vertices, KKT systems on the others, solved
+by `exactlinalg.solve`) for the Euclidean norm, whose minimum is the square
+root of a rational.  Both solvers run on fraction-free integer tableaus
+(see `exactlinalg`), and the LP pivots follow Bland's rule exactly as the
+rational simplex would.  Argmin points are made deterministic by taking the
+lexicographically smallest one in barycentric coordinates: on an edge the
+one with the largest weight on its second vertex, on a larger simplex by
+the refinement that `linprog.solve_lp` runs from the optimal basis of the
+same solve.
 
 Each map holds its vertex norms |f(v)|, one table per norm, computed once
 (`PLMap.vertex_norms`).  `simplex_min` is the one routine that computes a
@@ -218,13 +219,13 @@ def _norm_lp(ys, scale, n, norm: Norm):
 
     `start` is the `solve_lp` start basis at lam = e_j, for the least-norm
     vertex j (smallest index on ties): t = |y_j| / scale for linf, t_i =
-    |y_j,i| / scale for l1, which is feasible.  Its basic columns are lam_j,
-    the t columns and every slack but one per zero row: for linf the row of
-    the first coordinate attaining |y_j|, for l1 one row per coordinate (the
-    upper one where y_j,i >= 0), the slack there being 0.  The slack rows
-    pivot first, each only a row negation; then lam_j on the simplex row and
-    each t on its zero row, a triangular system with 1 and `scale` on the
-    diagonal, so the basis is nonsingular."""
+    |y_j,i| / scale for l1, which is feasible.  Its basic columns are every
+    slack but one per zero row (for linf the row of the first coordinate
+    attaining |y_j|, for l1 one row per coordinate, the upper one where
+    y_j,i >= 0, the slack there being 0), then lam_j and the t columns.
+    Each pivots on its own row (a slack: only a row negation), the simplex
+    row (lam_j) or its zero row (t), a triangular system with 1 and `scale`
+    on the diagonal, so the basis is nonsingular."""
     d1 = len(ys)
     ts = 1 if norm == Norm.LINF else n
     width = d1 + ts + 2 * n
@@ -244,8 +245,8 @@ def _norm_lp(ys, scale, n, norm: Norm):
         zero = [(1 if y[i] >= 0 else 2) + 2 * i]
     else:
         zero = [(1 if x >= 0 else 2) + 2 * i for i, x in enumerate(y)]
-    start = [(r, d1 + ts + r - 1) for r in range(1, 2 * n + 1) if r not in zero]
-    start += [(0, j)] + [(r, d1 + k) for k, r in enumerate(zero)]
+    start = [d1 + ts + r - 1 for r in range(1, 2 * n + 1) if r not in zero]
+    start += [j, *range(d1, d1 + ts)]
     return rows, [1] + [0] * (2 * n), [0] * d1 + [1] * ts + [0] * (2 * n), start
 
 
@@ -296,43 +297,62 @@ def _edge_min(a, b, norm: Norm):
 
 
 def _min_l2(ys, n):
-    """Exact min of |sum lam y|_2^2 over the standard simplex, for integer
-    vectors y, and the value vector sum lam y attaining it (unique, by strict
-    convexity).
+    """(m, den, y, unique) for integer vectors ys: m / den the exact min of
+    |sum lam y|_2^2 over the standard simplex, y the value vector attaining
+    it (unique: |.|^2 is strictly convex), and whether d = n with unique
+    origin coordinates lam(0), which makes the weights attaining y unique.
 
-    Vertices and edges have closed forms (`_edge_min`).  On a face of three
-    or more vertices, the minimizer over its affine hull solves a KKT system
-    on the integer Gram matrix G = 2 (y_a . y_b); a face whose solution is
-    infeasible is covered by its subfaces.  So is a face whose KKT system is
-    singular: its vertex values are affinely dependent, and by Caratheodory
-    the minimizer lies in the relative interior of an affinely independent
-    subface, whose KKT system is nonsingular with positive weights.  The
-    KKT multiplier mu gives the face's squared minimum: G lam = mu 1 and
-    sum lam = 1 make lam^T G lam = mu, which is twice |sum lam y|^2.
+    A face's candidate is its affine hull's minimizer when its weights are
+    unique and nonnegative: closed forms on vertices and edges; the origin,
+    at lam(0), on a face of n + 1 vertices; else a KKT system on
+    G = 2 (y_a . y_b) with multiplier mu = lam^T G lam, twice the squared
+    minimum.  A singular system means affinely dependent values, and by
+    Caratheodory an affinely independent subface holds the minimizer.
+
+    With d = n the simplex is decided first: the minimum is 0 if lam(0) >= 0,
+    and otherwise only the faces missing some j with lam_j(0) < 0 (inside a
+    visible facet) are examined.  A minimizer p != 0 whose zero weights all
+    had lam_i(0) >= 0 could move in the simplex to p + s (0 - p), s > 0
+    small, whose norm (1 - s) |p| is smaller.
     """
-    sq, j = min((sum(x * x for x in y), j) for j, y in enumerate(ys))
-    best_sq, best_y = Fraction(sq), [Fraction(x) for x in ys[j]]
-    for a, b in combinations(ys, 2):
-        m, den, t = _edge_min(a, b, Norm.L2)
-        sq = Fraction(m, den)
-        if sq < best_sq:
-            best_sq, best_y = sq, [x + t * (z - x) for x, z in zip(a, b)]
-    gram = [[2 * sum(a[i] * b[i] for i in range(n)) for b in ys] for a in ys]
-    for k in range(3, len(ys) + 1):
-        for face in combinations(range(len(ys)), k):
-            rows = [[gram[a][b] for b in face] + [-1] for a in face]
-            rows.append([1] * k + [0])
-            rhs = [0] * k + [1]
-            sol, unique = exactlinalg.solve(rows, rhs)
-            if sol is None:
-                raise exactlinalg.ExactnessError(
-                    "KKT system of a bounded-below QP is inconsistent")
-            lam, mu = sol[:k], sol[k]
-            if not unique or any(x < 0 for x in lam) or not mu / 2 < best_sq:
+    d1 = len(ys)
+    cols = [(1, *y) for y in ys]  # the columns of [1; Y]
+
+    def origin(face):
+        lam, unique = exactlinalg.solve(list(zip(*[cols[j] for j in face])), [1] + [0] * n)
+        return lam if unique else None
+
+    hidden = None
+    if d1 == n + 1 and (lam := origin(range(d1))) is not None:
+        hidden = {j for j, x in enumerate(lam) if x < 0}
+        if not hidden:
+            return 0, 1, [0] * n, True
+    best = None
+    for k in range(1, d1 + (d1 != n + 1)):
+        for face in combinations(range(d1), k):
+            if hidden and hidden.issubset(face):
                 continue
-            best_sq = mu / 2
-            best_y = [sum(w * ys[j][i] for w, j in zip(lam, face)) for i in range(n)]
-    return best_sq, best_y
+            if k == 1:
+                lam, m, den = (1,), sum(x * x for x in ys[face[0]]), 1
+            elif k == 2:
+                m, den, t = _edge_min(ys[face[0]], ys[face[1]], Norm.L2)
+                lam = (1 - t, t)
+            elif k == n + 1:
+                lam, m, den = origin(face), 0, 1
+            else:
+                rows = [[2 * sum(x * z for x, z in zip(ys[a], ys[b])) for b in face] + [-1]
+                        for a in face]
+                sol, ok = exactlinalg.solve(rows + [[1] * k + [0]], [0] * k + [1])
+                if sol is None:
+                    raise exactlinalg.ExactnessError(
+                        "KKT system of a bounded-below QP is inconsistent")
+                lam, mu = (sol[:k] if ok else None), sol[k]
+                m, den = mu.numerator, 2 * mu.denominator
+            if lam is not None and min(lam) >= 0 and (best is None or m * best[1] < best[0] * den):
+                best = m, den, face, lam
+    m, den, face, lam = best
+    y = [sum(w * ys[j][i] for w, j in zip(lam, face)) for i in range(n)]
+    return m, den, y, hidden is not None
 
 
 @lru_cache(maxsize=1 << 10)
@@ -348,8 +368,10 @@ def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
     (1 - t, t): the first weight is minimized first.  A larger simplex runs
     `_min_l2` and an argmin LP (l2) or the epigraph LP (l1, linf), which
     starts from the feasible basis at its least-norm vertex (`_norm_lp`).
-    The start changes neither the minimum nor the refined minimizer, both
-    unique; the unrefined LP point is never returned.
+    The l2 argmin LP starts with every column basic when `_min_l2` finds
+    the weights unique ([1; Y] square and nonsingular: one feasible point),
+    else runs phase 1.  A start changes neither the minimum nor the refined
+    minimizer, both unique; the unrefined LP point is never returned.
 
     The cache holds 1,024 solves: one robustness computation on G(32) makes
     401, and its hits are on solves of the same computation.  A larger cache
@@ -366,13 +388,14 @@ def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
         cv = _from_square(m, den * scale * scale)
         return cv, ((1 - t, t) if cv < below else None)
     if norm == Norm.L2:
-        sq, best_y = _min_l2(ys, n)
-        cv = _from_square(sq.numerator, sq.denominator * scale * scale)
+        m, den, best_y, unique = _min_l2(ys, n)
+        cv = _from_square(m, den * scale * scale)
         if not cv < below:
             return cv, None
         # The minimizers are the points of the simplex that hit best_y.
         rows = [[1] * d1] + [[y[i] for y in ys] for i in range(n)]
-        _, lam = solve_lp(rows, [1] + best_y, [0] * d1, lex=d1)
+        _, lam = solve_lp(rows, [1] + best_y, [0] * d1, lex=d1,
+                          start=range(d1) if unique else None)
         return cv, tuple(lam)
     rows, rhs, cost, start = _norm_lp(ys, scale, n, norm)
     m, x = solve_lp(rows, rhs, cost, lex=d1, lex_below=below.q, start=start)

@@ -136,7 +136,8 @@ class LevelPair:
 
     @cached_property
     def _half(self) -> set[VertexId]:
-        """The A-vertices, chi = 1/2; `sign_refinement` hands its set on."""
+        """The A-vertices, chi = 1/2; `split_level` and `sign_refinement`
+        hand their sets on."""
         return {v for v, c in self.chi.items() if c == HALF}
 
     @cached_property
@@ -335,14 +336,22 @@ def split_level(f: PLMap, chi: dict[VertexId, Fraction]) -> LevelPair:
     the value of the piecewise-linear chi at the midpoint.  The pair holds
     X as the cut simplex set, which `sign_refinement`, run next by every
     decision, edits further and validates; later starrings number on from
-    `sublevel`'s next id.
+    `sublevel`'s next id.  The A-vertices are those where the pass, run
+    once per vertex, is zero; the pair is handed that set.
     """
+    half = set()
+
     def level(v, _):
         c = chi.get(v, HALF)
-        return 2 * c.numerator - c.denominator, 2 * c.denominator
+        h = 2 * c.numerator - c.denominator
+        if not h:
+            half.add(v)
+        return h, 2 * c.denominator
 
     x, pairs, first_id = sublevel(f, [level])
-    return LevelPair._on_set(x, f.n, pairs, {v: chi.get(v, HALF) for v in pairs}, first_id)
+    pair = LevelPair._on_set(x, f.n, pairs, {v: chi.get(v, HALF) for v in pairs}, first_id)
+    pair._half = half
+    return pair
 
 
 def sign_refinement(pair: LevelPair) -> LevelPair:

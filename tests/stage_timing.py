@@ -23,11 +23,12 @@ runs them and records one row:
 * fraction_share: the share of self time spent in `fractions.py` and
   `math.gcd` during one more cold extremal run, under cProfile (the
   profiled run is not one of the timed ones);
-* lp_solves, lp_pivots: the `linprog.solve_lp` calls of one more cold
-  extremal run, counted by a wrapper on the name `pl_map` calls, and the
-  `linprog.pivot` calls of the same run (phase 1, a start basis, phase 2
-  and the lexicographic stage), counted by a wrapper on the name `linprog`
-  calls;
+* lp_solves, lp_pivots, exact_solves: the `linprog.solve_lp` calls of one
+  more cold extremal run, counted by a wrapper on the name `pl_map` calls,
+  the `linprog.pivot` calls of the same run (phase 1, a start basis, phase
+  2 and the lexicographic stage), counted by a wrapper on the name
+  `linprog` calls, and its `exactlinalg.solve` calls (the l2 origin and
+  KKT systems), counted by a wrapper on that name;
 * split, sign: `split_level` (which stars and cuts X as a simplex set,
   building no complex) and `sign_refinement` (which stars on a copy of that
   set, builds A and validates);
@@ -111,11 +112,11 @@ def fraction_share(cold_map, norm: Norm) -> float:
     return round(rational / total, 3)
 
 
-def lp_counts(cold_map, norm: Norm) -> tuple[int, int]:
-    """The `linprog.solve_lp` and `linprog.pivot` calls of one extremal
-    stage on cold_map."""
+def lp_counts(cold_map, norm: Norm) -> tuple[int, int, int]:
+    """The `linprog.solve_lp`, `linprog.pivot` and `exactlinalg.solve` calls
+    of one extremal stage on cold_map."""
     calls = Counter()
-    solve, pivot = pl_map.solve_lp, linprog.pivot
+    solve, pivot, exact = pl_map.solve_lp, linprog.pivot, exactlinalg.solve
 
     def counted(fn, name):
         def wrapper(*args, **kwargs):
@@ -124,11 +125,12 @@ def lp_counts(cold_map, norm: Norm) -> tuple[int, int]:
         return wrapper
 
     pl_map.solve_lp, linprog.pivot = counted(solve, "solve"), counted(pivot, "pivot")
+    exactlinalg.solve = counted(exact, "exact")
     try:
         vertexwise_extremal_subdivision(cold_map, norm)
     finally:
-        pl_map.solve_lp, linprog.pivot = solve, pivot
-    return calls["solve"], calls["pivot"]
+        pl_map.solve_lp, linprog.pivot, exactlinalg.solve = solve, pivot, exact
+    return calls["solve"], calls["pivot"], calls["exact"]
 
 
 def level_pair(f1, chi):
@@ -179,7 +181,7 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     fresh_map()
     row["fraction_share"] = fraction_share(cold[0], norm)
     fresh_map()
-    row["lp_solves"], row["lp_pivots"] = lp_counts(cold[0], norm)
+    row["lp_solves"], row["lp_pivots"], row["exact_solves"] = lp_counts(cold[0], norm)
     chi = build_chi(f1, CriticalValue.rat(alpha), norm)
     row["split_s"], pair = best_of(lambda: split_level(f1, chi))
     row["sign_s"], pair = best_of(lambda: sign_refinement(pair))

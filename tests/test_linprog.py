@@ -116,30 +116,21 @@ def test_lex_below_gates_refinement(lp):
 @st.composite
 def started_lps(draw):
     """A random bounded LP with a known feasible basis, as (a_rows, b, c,
-    start).  The basis columns and a point x0 >= 0 supported on them are
-    drawn, and b = A x0.  `start` pivots each row in order on the first
-    basis column left with a nonzero entry in the rational Gauss-Jordan
-    tableau; a singular basis is rejected.  Rows may be negated, so some
-    right-hand sides are negative."""
+    start).  The basis columns, in a drawn order, and a point x0 >= 0
+    supported on them are drawn, and b = A x0; a singular basis is
+    rejected.  Rows may be negated, so some right-hand sides are
+    negative."""
     n = draw(st.integers(2, 6))
     m = draw(st.integers(1, min(3, n - 1)))
     a_rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(m)]
     a_rows.append([Fraction(1)] * n)  # bounds the feasible set
-    basis = draw(st.permutations(range(n)))[:m + 1]
-    x0 = [draw(nonneg) if j in basis else Fraction(0) for j in range(n)]
+    start = draw(st.permutations(range(n)))[:m + 1]
+    x0 = [draw(nonneg) if j in start else Fraction(0) for j in range(n)]
     b = [sum(a * x for a, x in zip(row, x0)) for row in a_rows]
+    assume(ref_solve([[row[j] for j in start] for row in a_rows], b)[1])
     flips = draw(st.lists(st.booleans(), min_size=m + 1, max_size=m + 1))
     a_rows = [[-a for a in row] if f else row for row, f in zip(a_rows, flips)]
     b = [-v if f else v for v, f in zip(b, flips)]
-    t, left, start = [list(row) for row in a_rows], list(basis), []
-    for r in range(len(t)):
-        j = next((j for j in left if t[r][j]), None)
-        assume(j is not None)
-        left.remove(j)
-        start.append((r, j))
-        t[r] = [x / t[r][j] for x in t[r]]
-        t = [row if i == r else [x - row[j] * y for x, y in zip(row, t[r])]
-             for i, row in enumerate(t)]
     c = draw(st.lists(rationals, min_size=n, max_size=n))
     return a_rows, b, c, start
 
@@ -155,11 +146,29 @@ def test_started_solve_matches_cold_solve(lp):
     assert solve_lp(a_rows, b, c, start=start)[0] == solve_lp(a_rows, b, c)[0]
 
 
+@SETTINGS
+@given(st.integers(1, 4), st.data())
+def test_square_start_matches_cold_solve(n, data):
+    """The l2 argmin LP's form: a nonsingular square system [1; Y] x = [1; y]
+    with a point of the simplex as its one solution, started with every
+    column basic, returns that point, as the solve that runs phase 1 does."""
+    ys = [data.draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n + 1)]
+    rows = [[Fraction(1)] * (n + 1)] + [[y[i] for y in ys] for i in range(n)]
+    w = data.draw(st.lists(nonneg, min_size=n + 1, max_size=n + 1))
+    assume(any(w))
+    x0 = [x / sum(w) for x in w]
+    b = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    assume(ref_solve(rows, b)[1])
+    cold = solve_lp(rows, b, [0] * (n + 1), lex=n + 1)
+    assert solve_lp(rows, b, [0] * (n + 1), lex=n + 1, start=range(n + 1)) == cold
+    assert cold[1] == x0
+
+
 @pytest.mark.parametrize("a_rows, b, start", [
-    ([[1, 2], [2, 4]], [1, 2], [(0, 0), (1, 1)]),  # singular: row 1 is twice row 0
-    ([[1, 2], [2, 1]], [1, 1], [(0, 0), (0, 1)]),  # row 0 pivots twice
-    ([[1, 2], [2, 1]], [1, 1], [(0, 0)]),          # row 1 never pivots
-    ([[1, -1]], [1], [(0, 1)]),                    # infeasible: x_1 = -1
+    ([[1, 2], [2, 4]], [1, 2], [0, 1]),  # singular: row 1 is twice row 0
+    ([[1, 2], [2, 1]], [1, 1], [0, 0]),  # a column twice
+    ([[1, 2], [2, 1]], [1, 1], [0]),     # too few columns: row 1 never pivots
+    ([[1, -1]], [1], [1]),               # infeasible: x_1 = -1
 ])
 def test_bad_start_raises(a_rows, b, start):
     with pytest.raises(ExactnessError):
@@ -227,8 +236,10 @@ def test_exactness_checks_survive_optimize():
         except exactlinalg.ExactnessError:
             pass
         from robsat.linprog import solve_lp
-        for rows, rhs, start in [([[1, 2], [2, 4]], [1, 2], [(0, 0), (1, 1)]),
-                                 ([[1, -1]], [1], [(0, 1)])]:
+        for rows, rhs, start in [([[1, 2], [2, 4]], [1, 2], [0, 1]),
+                                 ([[1, 2], [2, 1]], [1, 1], [0, 0]),
+                                 ([[1, 2], [2, 1]], [1, 1], [0]),
+                                 ([[1, -1]], [1], [1])]:
             try:
                 solve_lp(rows, rhs, [1, 1], start=start)
                 raise SystemExit("bad start passed")

@@ -619,6 +619,93 @@ class TestStartedLP:
         assert "1 passed" in proc.stdout
 
 
+@st.composite
+def l2_face_values(draw):
+    """(vertex values of a simplex of 2-5 vertices, n) with n = 1-4.
+    Coordinates are k / q with k in -3..3 and q in 1, 2 or the prime
+    10^6 + 3.  A "free" simplex draws every value.  An "origin" simplex has
+    d = n and places the origin at the affine weights w / sum(w) for
+    integers w_j in -2..3: the values but one are drawn and the last is
+    solved for, so the origin falls inside, on a facet or at a vertex, or
+    behind one or more visible facets; when sum(w) = 0 the values are
+    affinely dependent instead.  The vertices are then shuffled."""
+    n = draw(st.integers(1, 4))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 10 ** 6 + 3]))
+    if n == 4 or draw(st.booleans()):
+        ys = [draw(st.tuples(*[coord] * n)) for _ in range(draw(st.integers(2, 5)))]
+    else:
+        w = [draw(st.integers(1, 3))] + [draw(st.integers(-2, 3)) for _ in range(n)]
+        rest = [draw(st.tuples(*[coord] * n)) for _ in range(n)]
+        y0 = tuple(-sum(wj * y[i] for wj, y in zip(w[1:], rest)) / w[0] for i in range(n))
+        ys = [y0] + rest
+    return tuple(draw(st.permutations(ys))), n
+
+
+def origin_case(ys, n) -> str:
+    """Where the origin lies for a simplex with d = n: its barycentric
+    coordinates lam(0) are "dependent" (not unique), all positive
+    ("inside"), nonnegative with a zero ("boundary"), or negative at one or
+    at two or more vertices ("one visible", "two visible")."""
+    rows = [[1] * len(ys)] + [[y[i] for y in ys] for i in range(n)]
+    lam, unique = exactlinalg.solve(rows, [1] + [0] * n)
+    neg = sum(x < 0 for x in lam) if unique else -1
+    if neg:
+        return {-1: "dependent", 1: "one visible"}.get(neg, "two visible")
+    return "inside" if all(lam) else "boundary"
+
+
+class TestOriginSolve:
+    """`_simplex_min` decides an l2 simplex with d = n by the origin's
+    barycentric coordinates and examines only the faces in its visible
+    facets, and then starts the argmin LP at the basis of every column; it
+    gives the minimum and the minimizer or None that `ref_simplex_min` (a
+    KKT system on every face, and an argmin LP that runs phase 1) gives.
+    Every check is an explicit raise, so `python -O` runs them too."""
+
+    def test_matches_the_kkt_and_phase_one_solve(self):
+        seen = Counter()
+
+        @settings(derandomize=True, deadline=None, max_examples=1500)
+        @given(l2_face_values(), st.sampled_from(["least", "above"]))
+        @example(vals((1, 1), (-2, 1), (1, -2)), "least")                 # inside
+        @example(vals((0, 1), (1, 0), (-1, 0)), "least")                  # on a facet
+        @example(vals((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), "above")  # at a vertex
+        @example(vals((1, 1), (2, 1), (1, 2)), "above")                   # two visible
+        @example(vals((1, -1), (2, 1), (3, 3)), "above")                  # collinear
+        @example(vals((1, 2, 1), (2, -1, 1), (-1, 1, 2), (1, 1, -3)), "least")  # n = 3
+        @example(vals((Fraction(1, 10 ** 6 + 3), 1), (-1, Fraction(2, 10 ** 6 + 3)),
+                      (1, -1)), "above")
+        def check(case, at):
+            ys, n = case
+            below = min(vector_norm(y, Norm.L2) for y in ys)
+            if at == "above":
+                below = CriticalValue.rat(1 + sum(abs(x) for y in ys for x in y))
+            got = _simplex_min.__wrapped__(pairs(ys), n, Norm.L2, below)
+            ref = ref_simplex_min(ys, n, Norm.L2, below)
+            if got != ref:
+                pytest.fail(f"{ys} below {below}: {got} != {ref}")
+            d = len(ys) - 1
+            seen[origin_case(ys, n) if d == n else "d < n" if d < n else "d > n"] += 1
+            seen["tetrahedron, n = 3"] += d == n == 3
+
+        check()
+        floors = {"inside": 50, "boundary": 30, "one visible": 50, "two visible": 30,
+                  "dependent": 30, "d < n": 100, "d > n": 100, "tetrahedron, n = 3": 100}
+        if not all(seen[k] >= v for k, v in floors.items()):
+            pytest.fail(f"coverage {seen}")
+
+    def test_matches_the_kkt_and_phase_one_solve_under_optimize(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestOriginSolve", "-k", "not optimize"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "1 passed" in proc.stdout
+
+
 def affinely_dependent(ys) -> bool:
     """Whether the vertex values are affinely dependent, which is when some
     face of two or more vertices has a singular KKT system."""
@@ -627,10 +714,12 @@ def affinely_dependent(ys) -> bool:
 
 
 def test_min_l2_matches_the_lp_fallback():
-    """`_min_l2` skips every singular KKT face, where the version it replaced
-    solved an LP for a feasible point; both give the same (min^2, minimizer
-    value).  Both kinds of simplex must occur: with affinely dependent vertex
-    values (some face has a singular KKT system) and without."""
+    """`_min_l2` skips every singular KKT or origin face, where the version
+    it replaced solved an LP for a feasible point; both give the same
+    (min^2, minimizer value), and `_min_l2` calls the weights unique exactly
+    when d = n and the values are affinely independent.  Both kinds of
+    simplex must occur: with affinely dependent vertex values (some face has
+    a singular system) and without."""
     seen = Counter()
 
     @settings(derandomize=True, deadline=None, max_examples=1500)
@@ -646,9 +735,10 @@ def test_min_l2_matches_the_lp_fallback():
         ys, n = case
         seen[affinely_dependent(ys)] += 1
         matrix, scale = integer_matrix(ys)
-        sq, y = _min_l2(matrix, n)
+        m, den, y, unique = _min_l2(matrix, n)
         ref = ref_min_l2(ys, n)
-        assert (sq / scale ** 2, [v / scale for v in y]) == ref
+        assert (Fraction(m, den * scale ** 2), [Fraction(v) / scale for v in y]) == ref
+        assert unique is (len(ys) == n + 1 and not affinely_dependent(ys))
         if len(ys) >= 3 and any(
                 0 < t < 1 and sum((x + t * z) ** 2 for x, z in zip(a, d)) == ref[0]
                 for a, d, t in edge_minimizers(ys)):
