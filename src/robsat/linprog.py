@@ -109,10 +109,7 @@ def _started(rows, start):
     free = list(range(len(rows)))
     d = 1
     for j in start:
-        for r in free:
-            if rows[r][j]:
-                break
-        else:
+        if (r := next((r for r in free if rows[r][j]), None)) is None:
             raise ExactnessError(f"singular start basis at column {j}")
         free.remove(r)
         d = pivot(rows, r, j, d)

@@ -3,17 +3,16 @@
 Minima of |f| over a simplex are computed exactly.  On an edge they have a
 closed form in integers (`_edge_min`).  On a larger simplex they are an
 epigraph LP for the l1/max norms, started at the basis of the least-norm
-vertex (a feasible point, so no phase 1 runs), and a face enumeration
-(`_min_l2`: closed forms on vertices and edges, the origin's barycentric
-coordinates on faces of n + 1 vertices, KKT systems on the others, solved
-by `exactlinalg.solve`) for the Euclidean norm, whose minimum is the square
-root of a rational.  Both solvers run on fraction-free integer tableaus
-(see `exactlinalg`), and the LP pivots follow Bland's rule exactly as the
-rational simplex would.  Argmin points are made deterministic by taking the
-lexicographically smallest one in barycentric coordinates: on an edge the
-one with the largest weight on its second vertex, on a larger simplex by
-the refinement that `linprog.solve_lp` runs from the optimal basis of the
-same solve.
+vertex (a feasible point, so no phase 1 runs), and face enumeration with
+equality-constrained least squares (`_min_l2`: closed forms on vertices and
+edges, KKT systems on larger faces, the origin's barycentric coordinates on
+a d = n simplex) for the Euclidean norm, whose minimum is the square root
+of a rational.  Both solvers run on fraction-free integer tableaus (see
+`exactlinalg`), and the LP pivots follow Bland's rule exactly as the
+rational simplex would.  Argmin points are the lexicographically smallest
+in barycentric coordinates: on an edge the one with the largest weight on
+its second vertex, on a larger simplex by the refinement that
+`linprog.solve_lp` runs from the optimal basis of the same solve.
 
 Each map holds its vertex norms |f(v)|, one table per norm, computed once
 (`PLMap.vertex_norms`).  `simplex_min` is the one routine that computes a
@@ -302,33 +301,25 @@ def _min_l2(ys, n):
     it (unique: |.|^2 is strictly convex), and whether d = n with unique
     origin coordinates lam(0), which makes the weights attaining y unique.
 
-    A face's candidate is its affine hull's minimizer when its weights are
-    unique and nonnegative: closed forms on vertices and edges; the origin,
-    at lam(0), on a face of n + 1 vertices; else a KKT system on
-    G = 2 (y_a . y_b) with multiplier mu = lam^T G lam, twice the squared
-    minimum.  A singular system means affinely dependent values, and by
-    Caratheodory an affinely independent subface holds the minimizer.
-
-    With d = n the simplex is decided first: the minimum is 0 if lam(0) >= 0,
-    and otherwise only the faces missing some j with lam_j(0) < 0 (inside a
-    visible facet) are examined.  A minimizer p != 0 whose zero weights all
-    had lam_i(0) >= 0 could move in the simplex to p + s (0 - p), s > 0
-    small, whose norm (1 - s) |p| is smaller.
+    With d = n the minimum is 0 if lam(0) >= 0.  Else a minimizer p != 0
+    has a zero weight where lam_j(0) < 0, or p + s (0 - p), s > 0 small,
+    would be a nearer point of the simplex: only faces missing such a j are
+    examined.  A face's candidate is its affine hull's minimizer if its
+    weights are unique and nonnegative: closed forms on vertices and edges,
+    else a KKT system on G = 2 (y_a . y_b) with multiplier mu = lam^T G lam,
+    twice the squared minimum.  A singular system means affinely dependent
+    values: by Caratheodory an affinely independent subface holds the minimizer.
     """
     d1 = len(ys)
-    cols = [(1, *y) for y in ys]  # the columns of [1; Y]
-
-    def origin(face):
-        lam, unique = exactlinalg.solve(list(zip(*[cols[j] for j in face])), [1] + [0] * n)
-        return lam if unique else None
-
     hidden = None
-    if d1 == n + 1 and (lam := origin(range(d1))) is not None:
-        hidden = {j for j, x in enumerate(lam) if x < 0}
-        if not hidden:
+    if d1 == n + 1:
+        lam, unique = exactlinalg.solve([[1] * d1] + [list(c) for c in zip(*ys)], [1] + [0] * n)
+        if unique and not (hidden := {j for j, x in enumerate(lam) if x < 0}):
             return 0, 1, [0] * n, True
+    top = d1 - (d1 == n + 1)  # with d = n the whole simplex is decided above
+    gram = [[2 * sum(x * z for x, z in zip(a, b)) for b in ys] for a in ys] if top > 2 else None
     best = None
-    for k in range(1, d1 + (d1 != n + 1)):
+    for k in range(1, top + 1):
         for face in combinations(range(d1), k):
             if hidden and hidden.issubset(face):
                 continue
@@ -337,11 +328,8 @@ def _min_l2(ys, n):
             elif k == 2:
                 m, den, t = _edge_min(ys[face[0]], ys[face[1]], Norm.L2)
                 lam = (1 - t, t)
-            elif k == n + 1:
-                lam, m, den = origin(face), 0, 1
             else:
-                rows = [[2 * sum(x * z for x, z in zip(ys[a], ys[b])) for b in face] + [-1]
-                        for a in face]
+                rows = [[gram[a][b] for b in face] + [-1] for a in face]
                 sol, ok = exactlinalg.solve(rows + [[1] * k + [0]], [0] * k + [1])
                 if sol is None:
                     raise exactlinalg.ExactnessError(
@@ -369,9 +357,8 @@ def _simplex_min(ys, n, norm: Norm, below: CriticalValue):
     `_min_l2` and an argmin LP (l2) or the epigraph LP (l1, linf), which
     starts from the feasible basis at its least-norm vertex (`_norm_lp`).
     The l2 argmin LP starts with every column basic when `_min_l2` finds
-    the weights unique ([1; Y] square and nonsingular: one feasible point),
-    else runs phase 1.  A start changes neither the minimum nor the refined
-    minimizer, both unique; the unrefined LP point is never returned.
+    the weights unique (one feasible point), else runs phase 1.  A start
+    changes neither the minimum nor the refined minimizer, both unique.
 
     The cache holds 1,024 solves: one robustness computation on G(32) makes
     401, and its hits are on solves of the same computation.  A larger cache

@@ -136,8 +136,7 @@ class LevelPair:
 
     @cached_property
     def _half(self) -> set[VertexId]:
-        """The A-vertices, chi = 1/2; `split_level` and `sign_refinement`
-        hand their sets on."""
+        """The A-vertices, chi = 1/2; `split_level` and `sign_refinement` hand theirs on."""
         return {v for v, c in self.chi.items() if c == HALF}
 
     @cached_property
@@ -336,15 +335,14 @@ def split_level(f: PLMap, chi: dict[VertexId, Fraction]) -> LevelPair:
     the value of the piecewise-linear chi at the midpoint.  The pair holds
     X as the cut simplex set, which `sign_refinement`, run next by every
     decision, edits further and validates; later starrings number on from
-    `sublevel`'s next id.  The A-vertices are those where the pass, run
-    once per vertex, is zero; the pair is handed that set.
+    `sublevel`'s next id.  The pair is handed the A-vertices: those where
+    the pass, evaluated once per vertex, is zero.
     """
     half = set()
 
     def level(v, _):
         c = chi.get(v, HALF)
-        h = 2 * c.numerator - c.denominator
-        if not h:
+        if not (h := 2 * c.numerator - c.denominator):
             half.add(v)
         return h, 2 * c.denominator
 

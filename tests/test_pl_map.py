@@ -567,58 +567,6 @@ def lp_face_values(draw):
     return tuple(ys), n
 
 
-class TestStartedLP:
-    """`_simplex_min` starts the l1/linf epigraph LP at the feasible basis of
-    the least-norm vertex, with no phase 1; it gives the minimum and the
-    minimizer or None that the phase-1 solve of `ref_simplex_min` gives.
-    Every check is an explicit raise, so `python -O` runs them too."""
-
-    def test_matches_the_phase_one_solve(self):
-        seen = Counter()
-
-        @settings(derandomize=True, deadline=None, max_examples=1500)
-        @given(lp_face_values(), st.sampled_from([Norm.L1, Norm.LINF]),
-               st.sampled_from(["least", "largest"]))
-        @example(vals((1, 1), (-1, 1), (2, -3)), Norm.LINF, "least")    # max in two coordinates
-        @example(vals((1, 1), (-1, 1), (2, -3)), Norm.LINF, "largest")
-        @example(vals((0, 1), (1, 0), (-1, -1)), Norm.L1, "largest")    # zero coordinates
-        @example(vals((1, -1), (-1, 1), (2, 3)), Norm.L1, "largest")    # tied least norm
-        @example(vals((0, 0), (1, 2), (-2, 1)), Norm.LINF, "largest")   # y_j = 0
-        @example(vals((1, 2, -1), (-1, 0, 1), (2, -1, 0)), Norm.LINF, "largest")  # dim < n
-        @example(vals((1, 2, -1, 0), (-1, 0, 1, 1), (2, -1, 0, -2)), Norm.L1, "largest")
-        @example(vals((Fraction(1, 10 ** 6 + 3), 1), (-1, Fraction(2, 10 ** 6 + 3)),
-                      (1, -1), (1, 1)), Norm.LINF, "largest")
-        def check(case, norm, at):
-            ys, n = case
-            norms = [vector_norm(y, norm) for y in ys]
-            below = min(norms) if at == "least" else max(norms)
-            got = _simplex_min.__wrapped__(pairs(ys), n, norm, below)
-            ref = ref_simplex_min(ys, n, norm, below)
-            if got != ref:
-                pytest.fail(f"{ys} {norm} below {below}: {got} != {ref}")
-            seen["dim < n"] += len(ys) - 1 < n
-            seen["tie"] += norms.count(min(norms)) > 1
-            seen["refined"] += got[1] is not None
-            y = ys[norms.index(min(norms))]
-            seen["two coordinates"] += (norm == Norm.LINF and any(y)
-                                        and sum(abs(x) == max(map(abs, y)) for x in y) > 1)
-
-        check()
-        if not all(seen[k] >= 100 for k in ("dim < n", "tie", "refined", "two coordinates")):
-            pytest.fail(f"coverage {seen}")
-
-    def test_matches_the_phase_one_solve_under_optimize(self):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{__file__}::TestStartedLP", "-k", "not optimize"],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "1 passed" in proc.stdout
-
-
 @st.composite
 def l2_face_values(draw):
     """(vertex values of a simplex of 2-5 vertices, n) with n = 1-4.
@@ -654,53 +602,86 @@ def origin_case(ys, n) -> str:
     return "inside" if all(lam) else "boundary"
 
 
-class TestOriginSolve:
-    """`_simplex_min` decides an l2 simplex with d = n by the origin's
-    barycentric coordinates and examines only the faces in its visible
-    facets, and then starts the argmin LP at the basis of every column; it
-    gives the minimum and the minimizer or None that `ref_simplex_min` (a
-    KKT system on every face, and an argmin LP that runs phase 1) gives.
-    Every check is an explicit raise, so `python -O` runs them too."""
+@st.composite
+def face_values(draw):
+    """(vertex values, n, norm): `l2_face_values` for l2 (half the draws),
+    else `lp_face_values`."""
+    norm = draw(st.sampled_from([Norm.L2, Norm.L2, Norm.L1, Norm.LINF]))
+    ys, n = draw(l2_face_values() if norm == Norm.L2 else lp_face_values())
+    return ys, n, norm
 
-    def test_matches_the_kkt_and_phase_one_solve(self):
+
+class TestStartedLP:
+    """`_simplex_min` skips phase 1 where it can: it starts the l1/linf
+    epigraph LP at the feasible basis of the least-norm vertex, and decides
+    an l2 simplex with d = n by the origin's barycentric coordinates,
+    examining only the faces in its visible facets, then starts the argmin
+    LP at the basis of every column.  It gives the minimum and the
+    minimizer or None that `ref_simplex_min` (phase 1, and a KKT system on
+    every l2 face) gives, with `below` at the least or largest vertex norm
+    or above every value.  Every check is an explicit raise, so
+    `python -O` runs them too."""
+
+    def test_matches_the_phase_one_solve(self):
         seen = Counter()
 
-        @settings(derandomize=True, deadline=None, max_examples=1500)
-        @given(l2_face_values(), st.sampled_from(["least", "above"]))
-        @example(vals((1, 1), (-2, 1), (1, -2)), "least")                 # inside
-        @example(vals((0, 1), (1, 0), (-1, 0)), "least")                  # on a facet
-        @example(vals((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), "above")  # at a vertex
-        @example(vals((1, 1), (2, 1), (1, 2)), "above")                   # two visible
-        @example(vals((1, -1), (2, 1), (3, 3)), "above")                  # collinear
-        @example(vals((1, 2, 1), (2, -1, 1), (-1, 1, 2), (1, 1, -3)), "least")  # n = 3
-        @example(vals((Fraction(1, 10 ** 6 + 3), 1), (-1, Fraction(2, 10 ** 6 + 3)),
+        def with_norm(norm, *ys):
+            return *vals(*ys), norm
+
+        @settings(derandomize=True, deadline=None, max_examples=3000)
+        @given(face_values(), st.sampled_from(["least", "largest", "above"]))
+        @example(with_norm(Norm.LINF, (1, 1), (-1, 1), (2, -3)), "least")   # max in two coordinates
+        @example(with_norm(Norm.LINF, (1, 1), (-1, 1), (2, -3)), "largest")
+        @example(with_norm(Norm.L1, (0, 1), (1, 0), (-1, -1)), "largest")   # zero coordinates
+        @example(with_norm(Norm.L1, (1, -1), (-1, 1), (2, 3)), "largest")   # tied least norm
+        @example(with_norm(Norm.LINF, (0, 0), (1, 2), (-2, 1)), "largest")  # y_j = 0
+        @example(with_norm(Norm.LINF, (1, 2, -1), (-1, 0, 1), (2, -1, 0)), "largest")  # dim < n
+        @example(with_norm(Norm.L1, (1, 2, -1, 0), (-1, 0, 1, 1), (2, -1, 0, -2)), "largest")
+        @example(with_norm(Norm.LINF, (Fraction(1, 10 ** 6 + 3), 1), (-1, Fraction(2, 10 ** 6 + 3)),
+                      (1, -1), (1, 1)), "largest")
+        @example(with_norm(Norm.L2, (1, 1), (-2, 1), (1, -2)), "least")     # origin inside
+        @example(with_norm(Norm.L2, (0, 1), (1, 0), (-1, 0)), "least")      # on a facet
+        @example(with_norm(Norm.L2, (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), "above")  # at a vertex
+        @example(with_norm(Norm.L2, (1, 1), (2, 1), (1, 2)), "above")       # two visible
+        @example(with_norm(Norm.L2, (1, -1), (2, 1), (3, 3)), "above")      # collinear
+        @example(with_norm(Norm.L2, (1, 2, 1), (2, -1, 1), (-1, 1, 2), (1, 1, -3)), "least")  # n = 3
+        @example(with_norm(Norm.L2, (Fraction(1, 10 ** 6 + 3), 1), (-1, Fraction(2, 10 ** 6 + 3)),
                       (1, -1)), "above")
         def check(case, at):
-            ys, n = case
-            below = min(vector_norm(y, Norm.L2) for y in ys)
-            if at == "above":
-                below = CriticalValue.rat(1 + sum(abs(x) for y in ys for x in y))
-            got = _simplex_min.__wrapped__(pairs(ys), n, Norm.L2, below)
-            ref = ref_simplex_min(ys, n, Norm.L2, below)
+            ys, n, norm = case
+            norms = [vector_norm(y, norm) for y in ys]
+            below = {"least": min(norms), "largest": max(norms),
+                     "above": CriticalValue.rat(1 + sum(abs(x) for y in ys for x in y))}[at]
+            got = _simplex_min.__wrapped__(pairs(ys), n, norm, below)
+            ref = ref_simplex_min(ys, n, norm, below)
             if got != ref:
-                pytest.fail(f"{ys} below {below}: {got} != {ref}")
-            d = len(ys) - 1
-            seen[origin_case(ys, n) if d == n else "d < n" if d < n else "d > n"] += 1
-            seen["tetrahedron, n = 3"] += d == n == 3
+                pytest.fail(f"{ys} {norm} below {below}: {got} != {ref}")
+            if norm == Norm.L2:
+                d = len(ys) - 1
+                seen[origin_case(ys, n) if d == n else "d < n" if d < n else "d > n"] += 1
+                seen["tetrahedron, n = 3"] += d == n == 3
+                return
+            seen["dim < n"] += len(ys) - 1 < n
+            seen["tie"] += norms.count(min(norms)) > 1
+            seen["refined"] += got[1] is not None
+            y = ys[norms.index(min(norms))]
+            seen["two coordinates"] += (norm == Norm.LINF and any(y)
+                                        and sum(abs(x) == max(map(abs, y)) for x in y) > 1)
 
         check()
-        floors = {"inside": 50, "boundary": 30, "one visible": 50, "two visible": 30,
+        floors = {"dim < n": 100, "tie": 100, "refined": 100, "two coordinates": 100,
+                  "inside": 50, "boundary": 30, "one visible": 50, "two visible": 30,
                   "dependent": 30, "d < n": 100, "d > n": 100, "tetrahedron, n = 3": 100}
         if not all(seen[k] >= v for k, v in floors.items()):
             pytest.fail(f"coverage {seen}")
 
-    def test_matches_the_kkt_and_phase_one_solve_under_optimize(self):
+    def test_matches_the_phase_one_solve_under_optimize(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{__file__}::TestOriginSolve", "-k", "not optimize"],
+             f"{__file__}::TestStartedLP", "-k", "not optimize"],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "1 passed" in proc.stdout

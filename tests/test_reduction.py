@@ -672,6 +672,29 @@ def chi_pass(chi):
     return level
 
 
+def test_split_level_hands_on_the_chi_half_vertices():
+    """`split_level` hands its pair the A-vertices its pass saw at zero, in
+    place of the pair's scan of chi for 1/2: both sets must agree, which
+    holds only while `sublevel` evaluates the pass at every vertex it adds.
+    Splits that add vertices and inputs with chi = 1/2 labels must occur."""
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        cx = random_complex(rng, max_dim=3, max_vertices=7, n_maximal=3)
+        f = random_map(rng, cx, rng.randint(1, 2))
+        chi = {v: rng.choice((Fraction(0), HALF, Fraction(1))) for v in cx.vertices}
+        pair = split_level(f, chi)
+        assert pair._half == {v for v, c in pair.chi.items() if c == HALF}
+        seen["adds vertices"] += any(v not in chi for v in pair.chi)
+        seen["keeps chi = 1/2 inputs"] += any(c == HALF for v, c in chi.items() if v in pair.chi)
+
+    check()
+    assert seen["adds vertices"] >= 20 and seen["keeps chi = 1/2 inputs"] >= 20, seen
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_sublevel_is_the_reference_starring_cut(k):
     """`sublevel` gives the rescan-after-each-star reference cut to the full
