@@ -1,10 +1,10 @@
 """Exact combinatorial engine for finite abstract simplicial complexes.
 
-A complex is its set of simplices, hereditarily closed, and nothing more.
-Subdivision never needs ambient geometry: a starring is its carrier alone,
-the caller stores piecewise-linear data at the new vertex (`pl_map` keeps
-its value there), and where a new vertex sits in the original space is
-never used.
+A complex is its set of simplices, hereditarily closed, and nothing more;
+it sorts them by dimension on first read.  Subdivision never needs ambient
+geometry: a starring is its carrier alone (the stellar move), the caller
+stores piecewise-linear data at the new vertex (`pl_map` keeps its value
+there), and where a new vertex sits in space is never used.
 
 Conventions fixed here and used by every other module:
 
@@ -93,21 +93,24 @@ class Complex:
 
     It takes `Simplex` values and does not check them: a plain vertex tuple
     hashes like its simplex but has no `boundary`, so it fails only later.
-    `closure` builds a complex from vertex lists."""
+    `closure` builds a complex from vertex lists.  The sorted lists by
+    dimension are built on first read: many complexes are only searched."""
 
     __slots__ = ("_simplices", "_by_dim", "_vertices")
 
     def __init__(self, simplices):
         self._simplices = frozenset(simplices)
-        by_dim: dict[int, list[Simplex]] = {}
-        verts = set()
-        for s in self._simplices:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-            verts.update(s)
-        for k in by_dim:
-            by_dim[k].sort()
-        self._by_dim = by_dim
-        self._vertices = tuple(sorted(verts))
+        self._by_dim = self._vertices = None
+
+    def _index(self) -> dict[int, list[Simplex]]:
+        if self._by_dim is None:  # first read: one loop fills both tables
+            by_dim, verts = {}, set()
+            for s in self._simplices:
+                by_dim.setdefault(len(s) - 1, []).append(s)
+                verts.update(s)
+            self._by_dim = {k: sorted(group) for k, group in by_dim.items()}
+            self._vertices = tuple(sorted(verts))
+        return self._by_dim
 
     # -- basic queries ----------------------------------------------------
 
@@ -117,14 +120,16 @@ class Complex:
 
     @property
     def vertices(self) -> tuple[VertexId, ...]:
+        if self._vertices is None:  # every vertex, even of a set not face-closed
+            self._vertices = tuple(sorted(set().union(*self._simplices)))
         return self._vertices
 
     @property
     def dim(self) -> int:
-        return max(self._by_dim) if self._by_dim else -1
+        return max(self._index(), default=-1)
 
     def k_simplices(self, k: int) -> list[Simplex]:
-        return list(self._by_dim.get(k, []))
+        return list(self._index().get(k, []))
 
     def __contains__(self, s: Simplex) -> bool:
         return s in self._simplices
@@ -179,22 +184,32 @@ def star_in_place(simplices: set[Simplex], cofaces: dict[VertexId, set[Simplex]]
     state the earlier starrings left.  New vertices are numbered on from
     first_id, which must exceed every vertex; returns their ids in order.
 
+    Starring sigma at a replaces sigma * lk(sigma) by a * d(sigma) * lk(sigma):
+    a cone over t - S for each coface t and nonempty S in sigma.  On a
+    face-closed set these are the cones over the faces of cofaces that miss
+    a vertex of sigma: such a face g is (g + sigma) - (sigma - g), once each.
+
     A starring reads only the carrier's cofaces, the intersection of its
-    vertices' index entries, and their faces.  So it is the same on any
-    subset of a complex that holds every coface of every carrier.
+    vertices' index entries.  So it is the same on any subset of a
+    complex that holds every coface of every carrier.
     """
     new_ids = []
     for new_id, carrier in enumerate(carriers, first_id):
         if carrier not in simplices:
             raise ValueError(f"carrier {carrier} not in complex")
-        carrier_set = set(carrier)
         removed = set.intersection(*(cofaces[v] for v in carrier))
-        # cones over the faces of the removed simplices that miss a carrier
-        # vertex: sorted faces, then new_id, which exceeds every vertex
-        added = {_sorted_simplex(face + (new_id,)) for t in removed
-                 for k in range(1, len(t) + 1)
-                 for face in combinations(t, k) if not carrier_set.issubset(face)}
-        added.add(_sorted_simplex((new_id,)))
+        apex = (new_id,)  # exceeds every vertex, so it goes last
+        if len(carrier) == 2:  # most carriers: slice u, w or both out of t
+            u, w = carrier
+            added = []
+            for t in removed:
+                i, j = t.index(u), t.index(w)
+                added += (_sorted_simplex(t[:i] + t[i + 1:j] + t[j + 1:] + apex),
+                          _sorted_simplex(t[:i] + t[i + 1:] + apex),
+                          _sorted_simplex(t[:j] + t[j + 1:] + apex))
+        else:
+            added = [_sorted_simplex(tuple(v for v in t if v not in cut) + apex) for t in removed
+                     for k in range(1, len(carrier) + 1) for cut in combinations(carrier, k)]
         for t in removed:
             for v in t:
                 cofaces[v].discard(t)
@@ -202,7 +217,7 @@ def star_in_place(simplices: set[Simplex], cofaces: dict[VertexId, set[Simplex]]
             for v in t:
                 cofaces[v].add(t)
         simplices -= removed
-        simplices |= added
+        simplices.update(added)
         new_ids.append(new_id)
     return new_ids
 

@@ -26,6 +26,8 @@ class WitnessSearchConfig:
     step: Fraction = Fraction(1, 4)
 
     def __post_init__(self):
+        if self.trials < 0:
+            raise ValueError("the witness trial count must not be negative")
         if self.step <= 0:
             raise ValueError("the witness lattice step must be positive")
 

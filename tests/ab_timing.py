@@ -8,13 +8,17 @@ PARENT_DIR is a checkout of another commit (for example the parent, made
 with `git archive`).  Its `src/robsat` is copied to a temporary directory
 under the package name `robsat_parent`; robsat imports only relatively, so
 both trees load in one process, each with its own caches.  For each
-workload (grid-decide and robustness-sweep, or the one named) the inputs
-of ops 0 .. N-1 (default 72, four passes over the templates) are built on
-both trees by perfbench/workloads.py, which this script only imports.  Op
-k runs on both trees, in an order that alternates from run to run, 3 times
-each; before every run the op's input is rebuilt (so vertex-norm tables are
-cold) and `pl_map._simplex_min`'s cache is cleared, and the least of the 3
-times is kept.  The two trees' answers must be equal, or the script exits 1.
+workload (grid-decide, robustness-sweep and small-corpus, or the one
+named) the inputs of ops 0 .. N-1 (default 72; four passes over the
+system templates) are built on both trees by perfbench/workloads.py, which
+this script only imports.  Op k runs on both trees, in an order that
+alternates from run to run, 3 times each; before every run the op's input
+is rebuilt (so vertex-norm tables are cold) and `pl_map._simplex_min`'s
+cache is cleared, and the least of the 3 times is kept.  small-corpus's
+inputs are instance files written at set-up, which each run loads afresh,
+so they are not rebuilt.  The two trees' answers must be equal (for
+small-corpus: the exit code and the CLI document without its "timings"),
+or the script exits 1.
 
 It prints, per workload, the median over ops of this tree's time divided by
 the parent's, the ratio of the summed times, and how many ops each side
@@ -29,6 +33,7 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import json
 import os
 import shutil
 import statistics
@@ -38,7 +43,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS_PY = os.path.join(ROOT, "perfbench", "workloads.py")
-NAMES = ("grid-decide", "robustness-sweep")
+NAMES = ("grid-decide", "robustness-sweep", "small-corpus")
 REPEAT = 3
 
 
@@ -56,17 +61,27 @@ class Side:
     """One tree: its workload object and its `_simplex_min`."""
 
     def __init__(self, workloads, package: str, name: str, scratch: str):
+        scratch = os.path.join(scratch, package)
+        os.makedirs(scratch, exist_ok=True)
         self.wl = workloads.WORKLOADS[name](0, scratch, None)
         self.simplex_min = importlib.import_module(f"{package}.pl_map")._simplex_min
 
     def time_op(self, k: int) -> tuple[float, tuple]:
-        self.wl.inputs.pop(k, None)
+        files = self.wl.name == "small-corpus"
+        if not files:
+            self.wl.inputs.pop(k, None)
         self.wl.input(k)
         self.simplex_min.cache_clear()
         gc.collect()
         start = time.perf_counter()
         result = self.wl.run(k)
         elapsed = time.perf_counter() - start
+        if files:
+            code, out, err = result
+            doc = json.loads(out) if out else None
+            if isinstance(doc, dict):
+                doc.pop("timings", None)
+            return elapsed, (code, doc, err)
         return elapsed, self.wl.answer(k, result)
 
 

@@ -17,6 +17,8 @@ scanned every edge of the whole complex, and starred through a complex
 build per pass, is the one that the in-place `reduction.star_crossings`
 replaced.  The dataclass critical value, which compared through
 Fractions, is the one that the reduced integer pair of `CriticalValue`
+replaced.  The starring kernel that scanned every face of every removed
+coface is the one that `complex_core.star_in_place`'s direct cones
 replaced.  None of them is on a path robsat runs.
 """
 
@@ -30,7 +32,7 @@ from itertools import combinations, product
 from math import isqrt
 
 from robsat import exactlinalg
-from robsat.complex_core import Complex, Simplex, VertexId, connected_components
+from robsat.complex_core import Complex, Simplex, VertexId, _sorted_simplex, connected_components
 from robsat.grid import FreudenthalGrid
 from robsat.homotopy import pullback_cocycle
 from robsat.linprog import LPInfeasible, solve_lp
@@ -311,6 +313,37 @@ def ref_vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     if bad:
         raise ReductionError(f"vertex-extremality failed, nothing to star: {bad[:3]}")
     return out
+
+
+# -- the face-scan starring kernel ---------------------------------------------
+
+def ref_star_in_place(simplices: set[Simplex], cofaces: dict[VertexId, set[Simplex]],
+                      carriers, first_id: VertexId) -> list[VertexId]:
+    """`complex_core.star_in_place` as a scan over every face of every
+    removed coface, keeping those that miss a carrier vertex, deduplicated
+    in a set."""
+    new_ids = []
+    for new_id, carrier in enumerate(carriers, first_id):
+        if carrier not in simplices:
+            raise ValueError(f"carrier {carrier} not in complex")
+        carrier_set = set(carrier)
+        removed = set.intersection(*(cofaces[v] for v in carrier))
+        # cones over the faces of the removed simplices that miss a carrier
+        # vertex: sorted faces, then new_id, which exceeds every vertex
+        added = {_sorted_simplex(face + (new_id,)) for t in removed
+                 for k in range(1, len(t) + 1)
+                 for face in combinations(t, k) if not carrier_set.issubset(face)}
+        added.add(_sorted_simplex((new_id,)))
+        for t in removed:
+            for v in t:
+                cofaces[v].discard(t)
+        for t in added:
+            for v in t:
+                cofaces[v].add(t)
+        simplices -= removed
+        simplices |= added
+        new_ids.append(new_id)
+    return new_ids
 
 
 # -- the map-level crossing routine -------------------------------------------

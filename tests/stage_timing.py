@@ -35,9 +35,12 @@ runs them and records one row:
 * level: `split_level`, `sign_refinement` and building the pair's X and A,
   together (X is built on first read, after `sign_refinement`, so `split_s`
   and `sign_s` alone would miss its cost), and the simplex count of X;
-* level_builds: the `Complex` builds of one level stage, counted by a
-  wrapper on `Complex.__init__`; unlike the times it does not drift with
-  the machine's load;
+* level_builds, level_indexes: the `Complex` builds of one level stage,
+  counted by a wrapper on `Complex.__init__`, and how many of those
+  complexes then built their sorted per-dimension index, counted by a
+  wrapper on `Complex._index` (a build only freezes the simplex set, so
+  the index count is the one that tracks the sorting); unlike the times
+  they do not drift with the machine's load;
 * Smith: `smith_solve` on the cocycle-extension system, with its shape;
 * ext.: the whole `decide_extension` call, certificate re-check included.
 
@@ -140,22 +143,28 @@ def level_pair(f1, chi):
     return pair
 
 
-def level_builds(f1, chi) -> int:
-    """The `Complex` builds of one `level_pair` call."""
-    calls = 0
-    init = complex_core.Complex.__init__
+def level_builds(f1, chi) -> tuple[int, int]:
+    """The `Complex` builds of one `level_pair` call, and the index builds
+    among them."""
+    builds = indexes = 0
+    init, index = complex_core.Complex.__init__, complex_core.Complex._index
 
-    def counted(self, simplices):
-        nonlocal calls
-        calls += 1
+    def counted_init(self, simplices):
+        nonlocal builds
+        builds += 1
         init(self, simplices)
 
-    complex_core.Complex.__init__ = counted
+    def counted_index(self):
+        nonlocal indexes
+        indexes += self._by_dim is None
+        return index(self)
+
+    complex_core.Complex.__init__, complex_core.Complex._index = counted_init, counted_index
     try:
         level_pair(f1, chi)
     finally:
-        complex_core.Complex.__init__ = init
-    return calls
+        complex_core.Complex.__init__, complex_core.Complex._index = init, index
+    return builds, indexes
 
 
 def map_digest(f) -> str:
@@ -187,7 +196,7 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     row["sign_s"], pair = best_of(lambda: sign_refinement(pair))
     row["level_s"], pair = best_of(lambda: level_pair(f1, chi))
     row["x_simplices"] = len(pair.x)
-    row["level_builds"] = level_builds(f1, chi)
+    row["level_builds"], row["level_indexes"] = level_builds(f1, chi)
     if pair.a.is_empty():
         return row  # the decision short-circuits: no system to solve
     fmap = simplicial_approximation(pair)

@@ -322,6 +322,14 @@ class TestErrorPaths:
             assert proc.returncode == EXIT_USAGE, proc.stderr
             assert json.loads(proc.stderr)["error"] == "usage"
 
+    def test_negative_witness_trials_is_usage_error(self, capsys):
+        argv = ["decide", "-i", instance("path_identity.json"), "--alpha", "5", "--witness"]
+        assert main(argv + ["--trials", "-3"]) == EXIT_USAGE
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "trial" in err["message"]
+        assert main(argv + ["--trials", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "RobustNo"
+
     @pytest.mark.parametrize("argv, want", [
         (["decide", "-i", "{dir}"], EXIT_PARSE),
         (["degree", "-i", instance("disk_degree1.json"), "--cycle", "@{dir}/missing.json"],

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,13 @@ from robsat.complex_core import (
     Simplex,
     apply_coboundary,
     closure,
+    coface_index,
     connected_components,
     full_subcomplex,
     make_full,
     permutation_parity,
     star_at_point,
+    star_in_place,
 )
 from robsat.pl_map import PLMap, star_with_values
 
@@ -43,7 +46,7 @@ from helpers import (
     ref_star_with_values,
     weight,
 )
-from reference_oracles import derived_subdivision, evaluate
+from reference_oracles import derived_subdivision, evaluate, ref_star_in_place
 
 
 def mid(u, v):
@@ -143,6 +146,70 @@ class TestClosure:
             Simplex.of([1, 1, 2])
         with pytest.raises(ValueError):
             Simplex((2, 1))
+
+
+class EagerComplex:
+    """What a `Complex` on `simplices` reads, each computed directly."""
+
+    def __init__(self, simplices):
+        self.simplices = frozenset(Simplex.of(s) for s in simplices)
+        self.vertices = tuple(sorted({v for s in self.simplices for v in s}))
+        self.dim = max((len(s) - 1 for s in self.simplices), default=-1)
+        self.maximal = sorted(s for s in self.simplices if not any(
+            len(t) == len(s) + 1 and set(s) < set(t) for t in self.simplices))
+
+    def k_simplices(self, k):
+        return sorted(s for s in self.simplices if len(s) == k + 1)
+
+
+LAZY_READS = {
+    "vertices": lambda c, ref: c.vertices == ref.vertices,
+    "k_simplices": lambda c, ref: all(c.k_simplices(k) == ref.k_simplices(k)
+                                      for k in range(-1, ref.dim + 2)),
+    "dim": lambda c, ref: c.dim == ref.dim,
+    "maximal_simplices": lambda c, ref: c.maximal_simplices() == ref.maximal,
+    "repr": lambda c, ref: repr(c) == f"Complex({len(ref.simplices)} simplices, dim {ref.dim})",
+    "eq_hash": lambda c, ref: (c == Complex(ref.simplices)
+                               and hash(c) == hash(Complex(ref.simplices))
+                               and c != Complex(ref.simplices | {Simplex((99,))})),
+}
+
+
+class TestLazyIndex:
+    """A complex builds its sorted lists and vertex tuple on first read;
+    every read agrees with an eager reference, in any order."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+                    max_size=6),
+           st.booleans(), st.permutations(sorted(LAZY_READS)))
+    def test_reads_match_eager_reference_in_any_order(self, simplex_set, closed, order):
+        ref = EagerComplex(closure(simplex_set).simplices if closed else simplex_set)
+        c = Complex(ref.simplices)
+        for name in order:
+            assert LAZY_READS[name](c, ref), name
+        indexed = Complex(ref.simplices)
+        indexed.k_simplices(0)
+        assert indexed == c and hash(indexed) == hash(c)
+
+    def test_empty_and_not_face_closed(self):
+        for simplices in ([], [(1, 2, 3)], [(1, 2, 3), (4,)], [(0, 5), (2, 3, 4)]):
+            ref = EagerComplex(simplices)
+            for first in LAZY_READS:
+                c = Complex(ref.simplices)
+                assert LAZY_READS[first](c, ref), first
+                assert all(read(c, ref) for read in LAZY_READS.values())
+        assert Complex(frozenset()).vertices == () and Complex(frozenset()).dim == -1
+        assert Complex([Simplex((1, 2, 3))]).vertices == (1, 2, 3)
+
+    def test_returned_list_is_a_copy(self):
+        c = closure([[1, 2, 3]])
+        edges = c.k_simplices(1)
+        edges.append(Simplex((7, 8)))
+        edges.pop(0)
+        c.k_simplices(2).clear()
+        assert c.k_simplices(1) == [Simplex((1, 2)), Simplex((1, 3)), Simplex((2, 3))]
+        assert c.k_simplices(2) == [Simplex((1, 2, 3))] and len(c) == 7 and c.dim == 2
 
 
 class TestStarAtPoint:
@@ -293,6 +360,37 @@ def chained_batch(rng, c):
     return out
 
 
+def vertex_batch(rng, c):
+    """Distinct random vertices of c, each starred at itself."""
+    picked = [v for v in c.k_simplices(0) if rng.random() < 0.5]
+    rng.shuffle(picked)
+    return [(v, barycenter(v)) for v in picked]
+
+
+def level_batch(rng, c):
+    """Edges of the state the earlier starrings left, often edges on their
+    new vertices: the level stage's crossings, whose cofaces go up to
+    tetrahedra when c has them."""
+    simplices, cofaces = set(c.simplices), coface_index(c.simplices)
+    next_id = (c.vertices or (-1,))[-1] + 1
+    top = next_id - 1
+    out = []
+    for _ in range(rng.randint(1, 5)):
+        edges = sorted(s for s in simplices if len(s) == 2)
+        if not edges:
+            break
+        fresh = [e for e in edges if e[1] > top]
+        e = rng.choice(fresh if fresh and rng.random() < 0.6 else edges)
+        t = Fraction(rng.randint(1, 7), 8)
+        out.append((e, BaryPoint.from_dict({e[0]: 1 - t, e[1]: t})))
+        next_id = ref_star_in_place(simplices, cofaces, [e], next_id)[0] + 1
+    return out
+
+
+BATCH_PATTERNS = [derived_batch, crossing_batch, make_full_batch, chained_batch,
+                  vertex_batch, level_batch]
+
+
 class TestMaximalSimplices:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
@@ -339,6 +437,40 @@ class TestBatchStarring:
                 assert evaluate(f, lineage[vid]) == g.value(vid)
 
         check()
+
+    def test_kernel_matches_face_scan(self):
+        """The kernel gives the new ids, the simplex set and every nonempty
+        coface-index entry of the face scan it replaced, on random closures
+        up to dimension 3 and every batch pattern."""
+        kinds = Counter()
+
+        @settings(derandomize=True, deadline=None, max_examples=150)
+        @given(st.integers(0, 2 ** 32))
+        def check(seed):
+            rng = random.Random(seed)
+            c = random_complex(rng, max_dim=3, max_vertices=6, n_maximal=3)
+            first_id = (c.vertices or (-1,))[-1] + 1
+            for pattern in BATCH_PATTERNS:
+                batch = carriers(pattern(rng, c))
+                runs = []
+                for kernel in (star_in_place, ref_star_in_place):
+                    simplices, cofaces = set(c.simplices), coface_index(c.simplices)
+                    ids = kernel(simplices, cofaces, batch, first_id)
+                    runs.append((ids, simplices, {v: s for v, s in cofaces.items() if s}))
+                assert runs[0] == runs[1], (pattern.__name__, batch)
+                simplices, cofaces = set(c.simplices), coface_index(c.simplices)
+                for new_id, carrier in enumerate(batch, first_id):
+                    kinds[("vertex", "edge", "triangle+")[min(len(carrier), 3) - 1]] += 1
+                    if len(carrier) == 2:
+                        top = max(map(len, set.intersection(*(cofaces[v] for v in carrier))))
+                        kinds["edge in a tetrahedron"] += top == 4
+                        kinds["edge made in the batch"] += carrier[1] >= first_id
+                    ref_star_in_place(simplices, cofaces, [carrier], new_id)
+
+        check()
+        floors = {"vertex": 150, "edge": 600, "triangle+": 150, "edge in a tetrahedron": 300,
+                  "edge made in the batch": 100}
+        assert all(kinds[k] >= n for k, n in floors.items()), kinds
 
     def test_carrier_removed_earlier_in_the_batch(self):
         c = closure([[1, 2, 3]])

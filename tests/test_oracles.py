@@ -35,6 +35,11 @@ class TestPerturbationWitness:
         with pytest.raises(ValueError, match="step"):
             WitnessSearchConfig(step=step)
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trial"):
+            WitnessSearchConfig(trials=-1)
+        assert WitnessSearchConfig(trials=0).trials == 0
+
     def test_shift_beyond_endpoint(self):
         f = path_map([-1, 0, 1])
         g = perturbation_witness(f, 2, CFG)
