@@ -3,8 +3,11 @@
 A complex is its set of simplices, hereditarily closed, and nothing more;
 it sorts them by dimension on first read.  Subdivision never needs ambient
 geometry: a starring is its carrier alone (the stellar move), the caller
-stores piecewise-linear data at the new vertex (`pl_map` keeps its value
-there), and where a new vertex sits in space is never used.
+stores piecewise-linear data at the new vertex (`reduction`'s stages keep
+f's value there), and where a new vertex sits in space is never used.
+There is one starring kernel, `star_at_point`: it edits a simplex set and
+its vertex -> cofaces index in place, and every stage, and `make_full`,
+builds a `Complex` from the edited set only where it needs one.
 
 Conventions fixed here and used by every other module:
 
@@ -176,13 +179,16 @@ def coface_index(simplices) -> defaultdict[VertexId, set[Simplex]]:
     return cofaces
 
 
-def star_in_place(simplices: set[Simplex], cofaces: dict[VertexId, set[Simplex]],
+def star_at_point(simplices: set[Simplex], cofaces: dict[VertexId, set[Simplex]],
                   carriers, first_id: VertexId) -> list[VertexId]:
     """Starring subdivision, applied in order to a simplex set and its
     `coface_index`, both edited in place: each carrier and its cofaces are
     replaced by cones over a new vertex, and each carrier must be in the
     state the earlier starrings left.  New vertices are numbered on from
-    first_id, which must exceed every vertex; returns their ids in order.
+    first_id, which must exceed every vertex (a new id that already has
+    cofaces raises ValueError); returns their ids in order.  Where in the
+    carrier each new vertex sits is the caller's business, which stores
+    its data there.  Every starring of every stage is a call of this.
 
     Starring sigma at a replaces sigma * lk(sigma) by a * d(sigma) * lk(sigma):
     a cone over t - S for each coface t and nonempty S in sigma.  On a
@@ -197,6 +203,8 @@ def star_in_place(simplices: set[Simplex], cofaces: dict[VertexId, set[Simplex]]
     for new_id, carrier in enumerate(carriers, first_id):
         if carrier not in simplices:
             raise ValueError(f"carrier {carrier} not in complex")
+        if cofaces.get(new_id):
+            raise ValueError(f"new vertex id {new_id} is already a vertex")
         removed = set.intersection(*(cofaces[v] for v in carrier))
         apex = (new_id,)  # exceeds every vertex, so it goes last
         if len(carrier) == 2:  # most carriers: slice u, w or both out of t
@@ -222,24 +230,6 @@ def star_in_place(simplices: set[Simplex], cofaces: dict[VertexId, set[Simplex]]
     return new_ids
 
 
-def star_at_point(c: Complex, carriers: list[Simplex],
-                  first_id: VertexId | None = None) -> tuple[Complex, list[VertexId]]:
-    """`star_in_place` on a copy of c's simplices, built into a complex once.
-    Where in the carrier each new vertex sits is the caller's business (see
-    `pl_map.star_with_values`).  New vertices are numbered on from
-    first_id, by default one past the largest vertex of c.  Returns the
-    complex and the new vertex ids in starring order.
-    """
-    top = c.vertices[-1] if c.vertices else -1
-    if first_id is None:
-        first_id = top + 1
-    elif first_id <= top:
-        raise ValueError(f"new vertex id {first_id} is not above the largest vertex {top}")
-    simplices = set(c.simplices)
-    new_ids = star_in_place(simplices, coface_index(simplices), carriers, first_id)
-    return Complex(simplices), new_ids
-
-
 def full_subcomplex(c: Complex, keep) -> Complex:
     """Simplices all of whose vertices are in `keep`, a vertex set."""
     keep = set(keep)
@@ -259,7 +249,9 @@ def make_full(x: Complex, a: Complex) -> Complex:
     violations = sorted((s for s in x.simplices
                          if s not in a.simplices and set(s.vertices) <= a_verts),
                         key=lambda s: (-s.dim, s.vertices))
-    return star_at_point(x, violations)[0]
+    simplices = set(x.simplices)
+    star_at_point(simplices, coface_index(simplices), violations, (x.vertices or (-1,))[-1] + 1)
+    return Complex(simplices)
 
 
 def connected_components(c: Complex) -> list[set[VertexId]]:

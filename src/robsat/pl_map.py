@@ -32,9 +32,12 @@ nums / den.  The exact kernels read the pairs: vertex norms, the vertex test
 matrix per simplex, over the lcm of its vertex denominators) and the
 interpolation at the extremal stage's picks, which one gcd keeps reduced.
 A sign, or a comparison of two coordinates of one vertex, reads the
-numerators alone.  A starring (`star_with_values`) is a carrier and the new
-vertex's pair, which its caller computes.  `PLMap.value` builds the
-Fraction view of one vertex on demand.
+numerators alone.  A starring stores no point, only the new vertex's
+pair: `reduction`'s stages compute it (`_interpolate` at an extremal pick,
+integers at a crossing), edit their own pair tables and simplex sets in
+place through `complex_core.star_at_point`, and wrap the result in a map
+(`_exact_map`).  `PLMap.value` builds the Fraction view of one vertex on
+demand.
 
 A minimum, a vertex norm or an alpha is a `CriticalValue`, the reduced
 integer pair of its square for every norm, which the norms and solves build
@@ -51,7 +54,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from . import exactlinalg
-from .complex_core import Complex, Simplex, VertexId, star_at_point
+from .complex_core import Complex, Simplex, VertexId
 from .linprog import solve_lp
 
 
@@ -483,22 +486,6 @@ def map_distance(f: PLMap, g: PLMap, norm: Norm) -> CriticalValue:
         if best < cv:
             best = cv
     return best
-
-
-def star_with_values(f: PLMap, stars: list[tuple[Simplex, tuple[tuple[int, ...], int]]],
-                     first_id: VertexId | None = None) -> tuple[PLMap, list[VertexId]]:
-    """`complex_core.star_at_point` on f's complex: each star is a carrier
-    and f's value at its new vertex, a reduced pair, stored as given.
-    Returns (new PLMap, new vertex ids in starring order); an empty batch
-    returns f itself."""
-    if not stars:
-        return f, []
-    c2, new_ids = star_at_point(f.complex, [carrier for carrier, _ in stars], first_id)
-    pairs = dict(f._pairs)
-    pairs.update(zip(new_ids, (y for _, y in stars)))
-    if len(pairs) != len(c2.vertices):  # starring a 0-simplex removes its vertex
-        pairs = {v: pairs[v] for v in c2.vertices}
-    return _exact_map(c2, f.n, pairs), new_ids
 
 
 def _interpolate(pairs, s: Simplex, lam, n: int) -> tuple[tuple[int, ...], int]:

@@ -22,8 +22,11 @@ from the cut dropped, the stage's crossings starred, every edge left
 re-checked, and the simplices kept where every pass is <= 0.  The sign
 refinement goes on from X's simplex set, so a level pair (`LevelPair`)
 builds X once and A once, from that set, and is validated once.  The
-extremal stage stars in batched `star_with_values` calls, and everything
-is validated by exact rational checks rather than trusted.
+extremal stage, too, runs all its passes on one simplex set, cofaces
+index, pair table and norm table, edited in place, and builds a `Complex`
+only for a pass that starred.  Every starring of every stage is one
+`complex_core.star_at_point` batch, and everything is validated by exact
+rational checks rather than trusted.
 
 The drop keeps every starring and every id.  `sublevel` drops a simplex
 when every pass is strictly positive at each of its vertices.  Such a
@@ -32,7 +35,7 @@ pass is negative, and is no coface of a carrier: a carrier crosses, so one
 of its ends is an input vertex where a pass is negative, which no dropped
 simplex holds, or a new vertex, which only simplices made by the starrings
 hold.  A starring reads nothing but its carrier's cofaces
-(`complex_core.star_in_place`), so on the kept simplices the passes find
+(`complex_core.star_at_point`), so on the kept simplices the passes find
 the same crossing edges, star them in the same order and number them from
 one past the whole complex's largest vertex; and no dropped simplex lies in
 the cut, where every pass is <= 0.
@@ -50,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .complex_core import Complex, Simplex, VertexId, coface_index, star_in_place
+from .complex_core import Complex, Simplex, VertexId, coface_index, star_at_point
 from .pl_map import (
     CriticalValue,
     Norm,
@@ -59,7 +62,6 @@ from .pl_map import (
     _interpolate,
     _reduced,
     simplex_min,
-    star_with_values,
     vector_norm,
 )
 
@@ -165,14 +167,6 @@ class LevelPair:
                 raise ReductionError(f"f has a root at the A-vertex {v}")
 
 
-def _new_cones(c: Complex, first_new: VertexId) -> list[Simplex]:
-    """The simplices of c of dimension >= 1 with a vertex numbered first_new
-    or later, in pick order.  A pass numbers its new vertices on from the
-    largest old one, so these are the cones the last pass created."""
-    return sorted((s for s in c.simplices if len(s) > 1 and s[-1] >= first_new),
-                  key=lambda s: (-len(s), s))
-
-
 class _VertexExtremal(PLMap):
     """A map that `vertexwise_extremal_subdivision` made vertex-extremal for
     `norm`."""
@@ -191,13 +185,16 @@ def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     passes when `simplex_min` returns no argmin, that is when its minimum is
     not below every vertex value.  A simplex that fails is starred at its
     argmin if that is interior (every weight positive); all picks are made
-    before the pass stars them, as one batch.  The vertex norm table of each
-    pass's map is the previous one extended with the pass's new vertices, so
-    each vertex norm is computed once.
+    before the pass stars them, as one `star_at_point` batch.  The passes
+    edit one copy of f's simplex set, with one cofaces index, pair table and
+    vertex norm table, all made when a first pass stars; a pass extends the
+    tables with its new vertices, so each vertex norm is computed once, and
+    the next pass reads them through a map on a `Complex` of the edited set.
 
     Pass 1 examines every simplex of dimension >= 1, and pass k+1 only the
-    cones on pass k's new vertices: a simplex that survives a pass unchanged
-    is vertex-extremal.  By induction, suppose the survivors of pass k-1
+    cones on pass k's new vertices, their cofaces of dimension >= 1, in the
+    same order: a simplex that survives a pass unchanged is
+    vertex-extremal.  By induction, suppose the survivors of pass k-1
     are.  A simplex s examined in pass k with its minimum below every vertex
     value has a lexicographic argmin p in the interior of some face F, and p
     is also F's lexicographic argmin, below every vertex value of F.  So F
@@ -214,23 +211,29 @@ def vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     """
     if isinstance(f, _VertexExtremal) and f.norm == norm:
         return f
-    norms = f.vertex_norms(norm)
     extremal: set[Simplex] = set()
     out, new = f, f.complex.vertices
-    while new:
+    cones = [s for s in f.complex.simplices if len(s) > 1]
+    while cones:
         picks = []
-        for s in _new_cones(out.complex, new[0]):
+        for s in sorted(cones, key=lambda s: (-len(s), s)):
             lam, _ = simplex_min(out, s, norm)
             if lam is None:
                 extremal.add(s)
             elif all(lam):
-                picks.append((s, _interpolate(out._pairs, s, lam, out.n)))
-        out, new = star_with_values(out, picks)
-        if new:
-            pairs = out._pairs
-            norms = out._norms[norm] = {**norms, **{v: vector_norm(pairs[v][0], norm, pairs[v][1])
-                                                    for v in new}}
-    bad = sorted(s for s in out.complex.simplices if s.dim and s not in extremal)
+                picks.append((s, _interpolate(out._pairs, s, lam, f.n)))
+        if not picks:
+            break
+        if out is f:  # the first pass that stars copies f's tables, once
+            simplices, pairs = set(f.complex.simplices), dict(f._pairs)
+            norms, cofaces = dict(f.vertex_norms(norm)), coface_index(simplices)
+        new = star_at_point(simplices, cofaces, [s for s, _ in picks], new[-1] + 1)
+        pairs.update(zip(new, (y for _, y in picks)))
+        norms.update((v, vector_norm(pairs[v][0], norm, pairs[v][1])) for v in new)
+        out = _exact_map(Complex(simplices), f.n, pairs)
+        out._norms[norm] = norms
+        cones = {t for v in new for t in cofaces[v] if len(t) > 1}
+    bad = sorted(s for s in out.complex.simplices if len(s) > 1 and s not in extremal)
     if bad:
         raise ReductionError(f"vertex-extremality failed, not certified: {bad[:3]}")
     return _VertexExtremal(out, norm)
@@ -249,7 +252,7 @@ def star_crossings(simplices: set[Simplex], pairs: dict, passes, values: list[di
     both edited in place.  values[k] holds pass k's value at each vertex
     of the scan (the same vertices in every table), and the passes scan the
     edges with both ends there.  Each pass stars the scanned edges on which
-    it has strictly opposite signs, in sorted order and one `star_in_place`
+    it has strictly opposite signs, in sorted order and one `star_at_point`
     batch, each at the zero of its linear extension; the cofaces index is
     built once, when a first pass crosses.  A new vertex joins the scan,
     with its value computed once by each later pass.  One scan per pass
@@ -282,7 +285,7 @@ def star_crossings(simplices: set[Simplex], pairs: dict, passes, values: list[di
             if cofaces is None:
                 cofaces = coface_index(simplices)
             carriers = [e for e, _ in stars]
-            ids = star_in_place(simplices, cofaces, carriers, new[-1] + 1 if new else first_id)
+            ids = star_at_point(simplices, cofaces, carriers, new[-1] + 1 if new else first_id)
             pairs.update(zip(ids, (y for _, y in stars)))
             scan.update(ids)
             # of the scanned edges, a starring removes its carrier and adds

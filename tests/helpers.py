@@ -9,10 +9,19 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from robsat.complex_core import Complex, IntCochain, Simplex, VertexId, closure, full_subcomplex
+from robsat.complex_core import (
+    Complex,
+    IntCochain,
+    Simplex,
+    VertexId,
+    closure,
+    coface_index,
+    full_subcomplex,
+    star_at_point,
+)
 from robsat.exactlinalg import ExactnessError
 from robsat.homotopy import DiophantineSystem, _xgcd
-from robsat.pl_map import CriticalValue, PLMap, _pair, simplex_min_value, star_with_values
+from robsat.pl_map import CriticalValue, PLMap, _exact_map, _pair, simplex_min_value
 from robsat.reduction import LevelPair, ReductionError, SphereMap
 
 PATH3 = closure([[0, 1], [1, 2]])
@@ -440,7 +449,7 @@ def expand(point: BaryPoint, lineage=None) -> BaryPoint:
 
 def extend_lineage(lineage, stars, new_ids) -> dict[VertexId, BaryPoint]:
     """The lineage after a starring batch: `stars` as (carrier, point) pairs,
-    `new_ids` as `star_at_point` or `star_with_values` returned them.  Each new
+    `new_ids` as `star_complex` or `star_with_values` returned them.  Each new
     vertex is its carrier-local point expanded through the vertices before
     it, so lineage composes across batches."""
     out = dict(lineage or {})
@@ -450,8 +459,40 @@ def extend_lineage(lineage, stars, new_ids) -> dict[VertexId, BaryPoint]:
 
 
 def carriers(stars) -> list[Simplex]:
-    """The carriers of (carrier, point) stars, as `star_at_point` takes them."""
+    """The carriers of (carrier, point) stars, as `star_complex` takes them."""
     return [s for s, _ in stars]
+
+
+def star_complex(c: Complex, batch, first_id: VertexId | None = None
+                 ) -> tuple[Complex, list[VertexId]]:
+    """`complex_core.star_at_point` of a batch of carriers on a copy of c's
+    simplices, built into a complex once.  New vertices are numbered on
+    from first_id, by default one past the largest vertex of c.  Returns
+    the complex and the new vertex ids in starring order."""
+    top = c.vertices[-1] if c.vertices else -1
+    if first_id is None:
+        first_id = top + 1
+    elif first_id <= top:
+        raise ValueError(f"new vertex id {first_id} is not above the largest vertex {top}")
+    simplices = set(c.simplices)
+    new_ids = star_at_point(simplices, coface_index(simplices), batch, first_id)
+    return Complex(simplices), new_ids
+
+
+def star_with_values(f: PLMap, stars: list[tuple[Simplex, tuple[tuple[int, ...], int]]],
+                     first_id: VertexId | None = None) -> tuple[PLMap, list[VertexId]]:
+    """`star_complex` on f's complex: each star is a carrier and f's value
+    at its new vertex, a reduced pair, stored as given.  Returns (new
+    PLMap, new vertex ids in starring order); an empty batch returns f
+    itself."""
+    if not stars:
+        return f, []
+    c2, new_ids = star_complex(f.complex, [carrier for carrier, _ in stars], first_id)
+    pairs = dict(f._pairs)
+    pairs.update(zip(new_ids, (y for _, y in stars)))
+    if len(pairs) != len(c2.vertices):  # starring a 0-simplex removes its vertex
+        pairs = {v: pairs[v] for v in c2.vertices}
+    return _exact_map(c2, f.n, pairs), new_ids
 
 
 def point_stars(f: PLMap, stars):
@@ -538,9 +579,10 @@ def ref_split_inequality_levels(h: PLMap, n: int, alpha: Fraction) -> PLMap:
 # -- test-only reference: one starring per call ----------------------------
 #
 # The single-carrier starring that rebuilt the complex (and the map) after
-# every starring; `complex_core.star_at_point` and `pl_map.star_with_values`
-# now apply a whole batch in order.  The differential tests check that a
-# batch equals these calls made one after the other.
+# every starring; `star_complex` and `star_with_values` (above) apply a
+# whole batch in order, through `complex_core.star_at_point`.  The
+# differential tests check that a batch equals these calls made one after
+# the other.
 
 def ref_star_at_point(c: Complex, carrier: Simplex, point: BaryPoint):
     """Starring subdivision: replace `carrier` and its cofaces by cones over a

@@ -18,8 +18,10 @@ build per pass, is the one that the in-place `reduction.star_crossings`
 replaced.  The dataclass critical value, which compared through
 Fractions, is the one that the reduced integer pair of `CriticalValue`
 replaced.  The starring kernel that scanned every face of every removed
-coface is the one that `complex_core.star_in_place`'s direct cones
-replaced.  None of them is on a path robsat runs.
+coface is the one that `complex_core.star_at_point`'s direct cones
+replaced, and the extremal stage that starred each pass on a copy of the
+complex and rescanned every simplex for the pass's cones is the one that
+the in-place stage replaced.  None of them is on a path robsat runs.
 """
 
 from __future__ import annotations
@@ -42,16 +44,16 @@ from robsat.pl_map import (
     Norm,
     PLMap,
     global_min,
+    _interpolate,
     _reduced,
     simplex_min,
-    star_with_values,
     vector_norm,
 )
 from robsat.polynomials import Polynomial, PolynomialError
-from robsat.reduction import ReductionError, SphereMap
+from robsat.reduction import ReductionError, SphereMap, _VertexExtremal
 from robsat.sampling import _combine_component_bounds
 
-from helpers import BaryPoint, Interval, as_dict, origin, point_stars, weight
+from helpers import BaryPoint, Interval, as_dict, origin, point_stars, star_with_values, weight
 
 
 # -- point location and evaluation --------------------------------------------
@@ -303,7 +305,7 @@ def interior_argmin(f: PLMap, s: Simplex, norm: Norm):
     return None
 
 
-def ref_vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
+def ref_derived_pass_loop(f: PLMap, norm: Norm) -> PLMap:
     """Derived passes over every simplex until one stars nothing, then a
     re-check of every simplex's minimum."""
     out = f
@@ -315,11 +317,49 @@ def ref_vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
     return out
 
 
+def _new_cones(c: Complex, first_new: VertexId) -> list[Simplex]:
+    """The simplices of c of dimension >= 1 with a vertex numbered first_new
+    or later, in pick order.  A pass numbers its new vertices on from the
+    largest old one, so these are the cones the last pass created."""
+    return sorted((s for s in c.simplices if len(s) > 1 and s[-1] >= first_new),
+                  key=lambda s: (-len(s), s))
+
+
+def ref_vertexwise_extremal_subdivision(f: PLMap, norm: Norm) -> PLMap:
+    """`reduction.vertexwise_extremal_subdivision` as it was before it edited
+    one simplex set in place: each pass stars its picks on a copy of the
+    last pass's complex (`star_with_values`, which also copies the pairs),
+    extends a copy of the norm table, and finds the next pass's cones by
+    rescanning every simplex (`_new_cones`)."""
+    if isinstance(f, _VertexExtremal) and f.norm == norm:
+        return f
+    norms = f.vertex_norms(norm)
+    extremal: set[Simplex] = set()
+    out, new = f, f.complex.vertices
+    while new:
+        picks = []
+        for s in _new_cones(out.complex, new[0]):
+            lam, _ = simplex_min(out, s, norm)
+            if lam is None:
+                extremal.add(s)
+            elif all(lam):
+                picks.append((s, _interpolate(out._pairs, s, lam, out.n)))
+        out, new = star_with_values(out, picks)
+        if new:
+            pairs = out._pairs
+            norms = out._norms[norm] = {**norms, **{v: vector_norm(pairs[v][0], norm, pairs[v][1])
+                                                    for v in new}}
+    bad = sorted(s for s in out.complex.simplices if s.dim and s not in extremal)
+    if bad:
+        raise ReductionError(f"vertex-extremality failed, not certified: {bad[:3]}")
+    return _VertexExtremal(out, norm)
+
+
 # -- the face-scan starring kernel ---------------------------------------------
 
 def ref_star_in_place(simplices: set[Simplex], cofaces: dict[VertexId, set[Simplex]],
                       carriers, first_id: VertexId) -> list[VertexId]:
-    """`complex_core.star_in_place` as a scan over every face of every
+    """`complex_core.star_at_point` as a scan over every face of every
     removed coface, keeping those that miss a carrier vertex, deduplicated
     in a set."""
     new_ids = []

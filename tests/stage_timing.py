@@ -29,6 +29,10 @@ runs them and records one row:
   2 and the lexicographic stage), counted by a wrapper on the name
   `linprog` calls, and its `exactlinalg.solve` calls (the l2 origin and
   KKT systems), counted by a wrapper on that name;
+* extremal_builds, extremal_cofaces: the `Complex` builds of one more
+  cold extremal run, counted like `level_builds` below, and its
+  `coface_index` builds, counted by a wrapper on the name `reduction`
+  calls;
 * split, sign: `split_level` (which stars and cuts X as a simplex set,
   building no complex) and `sign_refinement` (which stars on a copy of that
   set, builds A and validates);
@@ -143,28 +147,34 @@ def level_pair(f1, chi):
     return pair
 
 
-def level_builds(f1, chi) -> tuple[int, int]:
-    """The `Complex` builds of one `level_pair` call, and the index builds
-    among them."""
-    builds = indexes = 0
-    init, index = complex_core.Complex.__init__, complex_core.Complex._index
+def builds(run) -> tuple[int, int, int]:
+    """The `Complex` builds of one call of run, the index builds among
+    them, and the `coface_index` builds, counted on the name `reduction`
+    calls."""
+    counts = Counter()
+    init, index, cofaces = (complex_core.Complex.__init__, complex_core.Complex._index,
+                            reduction.coface_index)
 
     def counted_init(self, simplices):
-        nonlocal builds
-        builds += 1
+        counts["builds"] += 1
         init(self, simplices)
 
     def counted_index(self):
-        nonlocal indexes
-        indexes += self._by_dim is None
+        counts["indexes"] += self._by_dim is None
         return index(self)
 
+    def counted_cofaces(simplices):
+        counts["cofaces"] += 1
+        return cofaces(simplices)
+
     complex_core.Complex.__init__, complex_core.Complex._index = counted_init, counted_index
+    reduction.coface_index = counted_cofaces
     try:
-        level_pair(f1, chi)
+        run()
     finally:
         complex_core.Complex.__init__, complex_core.Complex._index = init, index
-    return builds, indexes
+        reduction.coface_index = cofaces
+    return counts["builds"], counts["indexes"], counts["cofaces"]
 
 
 def map_digest(f) -> str:
@@ -191,12 +201,15 @@ def stage_row(r: int, norm: Norm, alpha: Fraction) -> dict:
     row["fraction_share"] = fraction_share(cold[0], norm)
     fresh_map()
     row["lp_solves"], row["lp_pivots"], row["exact_solves"] = lp_counts(cold[0], norm)
+    fresh_map()
+    row["extremal_builds"], _, row["extremal_cofaces"] = builds(
+        lambda: vertexwise_extremal_subdivision(cold[0], norm))
     chi = build_chi(f1, CriticalValue.rat(alpha), norm)
     row["split_s"], pair = best_of(lambda: split_level(f1, chi))
     row["sign_s"], pair = best_of(lambda: sign_refinement(pair))
     row["level_s"], pair = best_of(lambda: level_pair(f1, chi))
     row["x_simplices"] = len(pair.x)
-    row["level_builds"], row["level_indexes"] = level_builds(f1, chi)
+    row["level_builds"], row["level_indexes"], _ = builds(lambda: level_pair(f1, chi))
     if pair.a.is_empty():
         return row  # the decision short-circuits: no system to solve
     fmap = simplicial_approximation(pair)

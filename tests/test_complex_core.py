@@ -22,9 +22,8 @@ from robsat.complex_core import (
     make_full,
     permutation_parity,
     star_at_point,
-    star_in_place,
 )
-from robsat.pl_map import PLMap, star_with_values
+from robsat.pl_map import PLMap
 
 from helpers import (
     BaryPoint,
@@ -44,6 +43,8 @@ from helpers import (
     ref_maximal_simplices,
     ref_star_at_point,
     ref_star_with_values,
+    star_complex,
+    star_with_values,
     weight,
 )
 from reference_oracles import derived_subdivision, evaluate, ref_star_in_place
@@ -214,23 +215,36 @@ class TestLazyIndex:
 
 class TestStarAtPoint:
     def test_edge_midpoint(self):
-        c, (v,) = star_at_point(closure([[1, 2]]), [Simplex.of([1, 2])])
+        c, (v,) = star_complex(closure([[1, 2]]), [Simplex.of([1, 2])])
         assert len(c.k_simplices(1)) == 2
         assert v == 3  # numbered on from the largest vertex
 
     def test_numbered_from_first_id(self):
         edge = Simplex.of([1, 2])
-        c, (v,) = star_at_point(closure([[1, 2]]), [edge], first_id=7)
+        c, (v,) = star_complex(closure([[1, 2]]), [edge], first_id=7)
         assert v == 7 and Simplex.of([1, 7]) in c
         with pytest.raises(ValueError, match="not above the largest vertex"):
-            star_at_point(closure([[1, 2]]), [edge], first_id=2)
+            star_complex(closure([[1, 2]]), [edge], first_id=2)
+
+    def test_new_id_that_is_a_vertex(self):
+        """The kernel refuses a new id that already has cofaces, before it
+        edits anything: starring the edge (1, 2) of a triangle as vertex 2
+        would leave the non-simplices (2, 2) and (1, 3, 2)."""
+        c = closure([[1, 2, 3]])
+        simplices, cofaces = set(c.simplices), coface_index(c.simplices)
+        with pytest.raises(ValueError, match="new vertex id 2 is already a vertex"):
+            star_at_point(simplices, cofaces, [Simplex.of([1, 2])], 2)
+        assert simplices == c.simplices
+        assert {v: s for v, s in cofaces.items() if s} == coface_index(c.simplices)
+        assert star_at_point(simplices, cofaces, [Simplex.of([1, 2])], 4) == [4]
+        assert Simplex.of([1, 3, 4]) in simplices and Simplex.of([1, 2]) not in simplices
 
     def test_triangle_barycenter(self):
-        c, _ = star_at_point(closure([[1, 2, 3]]), [Simplex.of([1, 2, 3])])
+        c, _ = star_complex(closure([[1, 2, 3]]), [Simplex.of([1, 2, 3])])
         assert len(c.k_simplices(2)) == 3
 
     def test_edge_of_triangle(self):
-        c, _ = star_at_point(closure([[1, 2, 3]]), [Simplex.of([1, 2])])
+        c, _ = star_complex(closure([[1, 2, 3]]), [Simplex.of([1, 2])])
         assert len(c.k_simplices(2)) == 2
         assert len(c.k_simplices(1)) == 5
 
@@ -239,10 +253,10 @@ class TestStarAtPoint:
         c = closure([[1, 2, 3], [3, 4]])
         t = Simplex.of([1, 2, 3])
         stars = [(t, random_interior_point(rng, t))]
-        c2, new = star_at_point(c, carriers(stars))
+        c2, new = star_complex(c, carriers(stars))
         lineage2 = extend_lineage(None, stars, new)
         stars = [(Simplex.of([3, 4]), mid(3, 4))]
-        c3, new = star_at_point(c2, carriers(stars))
+        c3, new = star_complex(c2, carriers(stars))
         lineage3 = extend_lineage(lineage2, stars, new)
         for _ in range(334):  # three membership queries each: >1000 point checks
             carrier = random.Random(rng.random()).choice(sorted(c.simplices))
@@ -282,7 +296,7 @@ class TestDerivedSubdivision:
         stars = [(s, barycenter(s)) for s in sorted(c.simplices, key=lambda x: (-x.dim, x.vertices))
                  if s.dim > 0]
         new = sorted(set(out.complex.vertices) - set(c.vertices))
-        assert star_at_point(c, carriers(stars)) == (out.complex, new)
+        assert star_complex(c, carriers(stars)) == (out.complex, new)
         lineage = extend_lineage(None, stars, new)
         for v in out.complex.vertices:
             point = origin(lineage, v)
@@ -296,7 +310,7 @@ class TestDerivedSubdivision:
         t = Simplex.of([1, 2])
         before = len(c)
         cofaces = sum(1 for s in c.simplices if set(t.vertices) <= set(s.vertices))
-        after, _ = star_at_point(c, [t])
+        after, _ = star_complex(c, [t])
         assert len(after) <= before * (cofaces + 1)
 
 
@@ -310,7 +324,7 @@ class TestHereditaryClosure:
                 if not candidates:
                     break
                 s = rng.choice(candidates)
-                c, _ = star_at_point(c, [s])
+                c, _ = star_complex(c, [s])
             for s in c.simplices:
                 for face in s.faces():
                     assert face in c
@@ -431,7 +445,7 @@ class TestBatchStarring:
             assert g.complex.k_simplices(1) == ref.complex.k_simplices(1)
             assert fraction_values(g) == fraction_values(ref)
             assert new == ref_new
-            assert star_at_point(c, carriers(stars)) == (ref.complex, ref_new)
+            assert star_complex(c, carriers(stars)) == (ref.complex, ref_new)
             lineage = extend_lineage(None, stars, new)
             for vid in new:
                 assert evaluate(f, lineage[vid]) == g.value(vid)
@@ -453,7 +467,7 @@ class TestBatchStarring:
             for pattern in BATCH_PATTERNS:
                 batch = carriers(pattern(rng, c))
                 runs = []
-                for kernel in (star_in_place, ref_star_in_place):
+                for kernel in (star_at_point, ref_star_in_place):
                     simplices, cofaces = set(c.simplices), coface_index(c.simplices)
                     ids = kernel(simplices, cofaces, batch, first_id)
                     runs.append((ids, simplices, {v: s for v, s in cofaces.items() if s}))
@@ -476,7 +490,7 @@ class TestBatchStarring:
         c = closure([[1, 2, 3]])
         t = Simplex.of([1, 2, 3])
         with pytest.raises(ValueError):
-            star_at_point(c, [Simplex.of([1, 2]), t])
+            star_complex(c, [Simplex.of([1, 2]), t])
 
     def test_removed_carrier_random(self):
         rng = random.Random(8)
@@ -488,7 +502,7 @@ class TestBatchStarring:
             coface = rng.choice([t for t in sorted(c.simplices)
                                  if set(s.vertices) <= set(t.vertices)])
             with pytest.raises(ValueError):
-                star_at_point(c, [s, coface])
+                star_complex(c, [s, coface])
 
 
 class TestFullSubcomplex:

@@ -13,11 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robsat.complex_core import closure
-from robsat.pl_map import CriticalValue, Norm, star_with_values, vector_norm
+from robsat.pl_map import CriticalValue, Norm, vector_norm
 from robsat.reduction import vertexwise_extremal_subdivision
 from robsat.robustness import RobTag, decide_robsat
 
-from helpers import point_stars, random_interior_point, random_map, scale_map, scaled
+from helpers import (
+    point_stars,
+    random_interior_point,
+    random_map,
+    scale_map,
+    scaled,
+    star_with_values,
+)
 
 INVARIANT = settings(derandomize=True, deadline=None, max_examples=40)
 

@@ -87,7 +87,7 @@ COLLIDING = {
                         "make_full and the CLI's certificate keys",
     "Simplex.dim": "as Complex.dim; read by IntCochain's degree check and the "
                    "extremal stage's postcondition",
-    "Complex.vertices": "as Simplex.vertices; read by star_at_point, the CLI, "
+    "Complex.vertices": "as Simplex.vertices; read by make_full, the CLI, "
                         "instance_io, the witness search and every stage",
     "Complex.dim": "as Simplex.dim; read by decide_extension's dim X <= n test",
     "LevelPair.f": "as Instance.f; read by LevelPair.x, which builds X from the pair's "

@@ -29,7 +29,6 @@ from robsat.pl_map import (
     global_min,
     map_distance,
     simplex_min,
-    star_with_values,
     vector_norm,
 )
 
@@ -45,6 +44,7 @@ from helpers import (
     random_map,
     random_point_in,
     scaled,
+    star_with_values,
     vertex,
 )
 from reference_oracles import (

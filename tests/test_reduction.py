@@ -52,6 +52,7 @@ from reference_oracles import (
     derived_subdivision,
     evaluate,
     interior_argmin,
+    ref_derived_pass_loop,
     ref_is_simplicial,
     ref_star_crossings,
     ref_vertexwise_extremal_subdivision,
@@ -242,7 +243,7 @@ def test_extremal_stage_matches_derived_pass_loop(norm):
     @example(291)
     def check(seed):
         f = map_on_simplex_set(random.Random(seed))
-        ref = ref_vertexwise_extremal_subdivision(f, norm)
+        ref = ref_derived_pass_loop(f, norm)
         seen["vector_norm calls"] = 0
         cold = PLMap(f.complex, f.n, fraction_values(f))  # the reference filled f's table
         with pytest.MonkeyPatch.context() as mp:
@@ -261,6 +262,51 @@ def test_extremal_stage_matches_derived_pass_loop(norm):
 
     check()
     assert seen["starred"] >= 60 and seen["more passes"] >= 5, seen
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_in_place_extremal_stage_matches_per_pass_copies(norm):
+    """The extremal stage, which edits one simplex set, cofaces index, pair
+    table and norm table in place, gives exactly what the loop that starred
+    each pass on a copy and rescanned every simplex for its cones gave: the
+    same simplices, the same pairs under the same ids and the same norm
+    table, on maps up to dimension 3 with n = 1-3 over large, pairwise
+    coprime vertex denominators; and subdividing its result again returns
+    it.  A call that stars builds one cofaces index, one that does not
+    builds none, and none builds more complexes than it has starring
+    passes (each pass is one `star_at_point` batch)."""
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        cx = random_complex(rng, max_dim=3, max_vertices=6, n_maximal=3)
+        f = coprime_map(rng, cx, rng.randint(1, 3))
+        ref = ref_vertexwise_extremal_subdivision(f, norm)
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        cold = PLMap(f.complex, f.n, fraction_values(f))  # the reference filled f's table
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("coface_index", "Complex", "star_at_point"):
+                mp.setattr(reduction, name, counted(name, getattr(reduction, name)))
+            out = vertexwise_extremal_subdivision(cold, norm)
+        assert counts["coface_index"] == min(counts["star_at_point"], 1)
+        assert counts["Complex"] <= counts["star_at_point"]
+        assert out.complex.simplices == ref.complex.simplices
+        assert out._pairs == ref._pairs
+        assert out.vertex_norms(norm) == ref.vertex_norms(norm)
+        assert vertexwise_extremal_subdivision(out, norm) is out
+        seen[min(counts["star_at_point"], 2)] += 1
+
+    check()
+    assert seen[1] >= 80 and seen[2] >= 12, seen
 
 
 class TestBuildChi:
@@ -468,11 +514,18 @@ class TestExactChecks:
             vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
 
     def test_unexamined_cones_fail_the_postcondition(self, monkeypatch):
-        # pass 1 stars both edges at their zeros; pass 2 then examines no
-        # cone, so the four new edges are never certified
-        new_cones = reduction._new_cones
-        monkeypatch.setattr(reduction, "_new_cones",
-                            lambda c, first: new_cones(c, first) if first == c.vertices[0] else [])
+        # pass 1 stars both edges at their zeros, and the kernel then drops
+        # the new vertices from the cofaces index; pass 2 finds no cone to
+        # examine, so the four new edges are never certified
+        star = reduction.star_at_point
+
+        def star_and_forget(simplices, cofaces, carriers, first_id):
+            new = star(simplices, cofaces, carriers, first_id)
+            for v in new:
+                cofaces.pop(v)
+            return new
+
+        monkeypatch.setattr(reduction, "star_at_point", star_and_forget)
         with pytest.raises(ReductionError, match="vertex-extremality"):
             vertexwise_extremal_subdivision(path_map([3, -1, 3]), Norm.LINF)
 
